@@ -7,9 +7,9 @@ import (
 	"pasgal/internal/graph"
 )
 
-// TestCompressedComponentsMatchPlain pins the compressed edge-scan
-// specialization: the same graph must yield the same component partition
-// and count through both representations.
+// TestCompressedComponentsMatchPlain pins the edge scan on a compressed
+// graph: the same graph must yield the same component partition and
+// count through both representations.
 func TestCompressedComponentsMatchPlain(t *testing.T) {
 	for name, g := range map[string]*graph.Graph{
 		"grid":     gen.Grid2D(25, 25, false, 3),

@@ -78,58 +78,28 @@ func (uf *UnionFind) Connected(a, b uint32) bool {
 
 // forEachForwardEdge applies visit to every undirected edge {u, v} with
 // u < v, fully in parallel. It is the shared edge-scan of Components and
-// SpanningForest, specialized per graph representation: the plain loop
-// indexes the CSR arrays directly, the compressed loop walks an
-// allocation-free decode cursor (see graph.ArcCursor), and the overlay
-// loop bulk-merges each patched list into chunk-local scratch.
+// SpanningForest. Chunked so the graph.Scanner's decode scratch is
+// allocated per chunk, not per vertex.
 func forEachForwardEdge(a graph.Adjacency, visit func(u, v uint32)) {
-	switch g := a.(type) {
-	case *graph.Graph:
-		parallel.For(g.N, 64, func(ui int) {
+	sc := graph.ScanOut(a)
+	parallel.ForRange(a.NumVertices(), 64, func(lo, hi int) {
+		nbuf := sc.Scratch()
+		for ui := lo; ui < hi; ui++ {
 			u := uint32(ui)
-			for e := g.Offsets[u]; e < g.Offsets[u+1]; e++ {
-				v := g.Edges[e]
+			for _, v := range sc.Neighbors(u, nbuf) {
 				if u < v { // each undirected edge once
 					visit(u, v)
 				}
 			}
-		})
-	case *graph.Compressed:
-		parallel.For(g.NumVertices(), 64, func(ui int) {
-			u := uint32(ui)
-			it := g.Arcs(u)
-			for {
-				v, ok := it.Next()
-				if !ok {
-					break
-				}
-				if u < v {
-					visit(u, v)
-				}
-			}
-		})
-	case *graph.Overlay:
-		// Chunked so the merge scratch is allocated per chunk, not per
-		// vertex (the grain-64 For closure above would).
-		parallel.ForRange(g.NumVertices(), 64, func(lo, hi int) {
-			nbuf := make([]uint32, 0, 256)
-			for ui := lo; ui < hi; ui++ {
-				u := uint32(ui)
-				nbuf = g.AppendNeighbors(u, nbuf[:0])
-				for _, v := range nbuf {
-					if u < v {
-						visit(u, v)
-					}
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // Components returns, for every vertex of g, the minimum vertex id of its
 // connected component (a canonical labeling) together with the component
 // count. Edges are processed fully in parallel; no BFS, no rounds — the
-// point of the FAST-BCC design. Both graph representations are accepted.
+// point of the FAST-BCC design. Every graph.Adjacency representation is
+// accepted.
 func Components(a graph.Adjacency) ([]uint32, int) {
 	if a.IsDirected() {
 		panic("conn: Components requires an undirected graph")
@@ -147,8 +117,8 @@ func Components(a graph.Adjacency) ([]uint32, int) {
 
 // SpanningForest returns a spanning forest of g as a list of tree edges
 // (n - #components of them) plus the component labeling. Which forest is
-// produced depends on the parallel schedule; all are valid. Both graph
-// representations are accepted.
+// produced depends on the parallel schedule; all are valid. Every
+// graph.Adjacency representation is accepted.
 func SpanningForest(a graph.Adjacency) ([]graph.Edge, []uint32, int) {
 	if a.IsDirected() {
 		panic("conn: SpanningForest requires an undirected graph")

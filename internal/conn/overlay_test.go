@@ -8,7 +8,7 @@ import (
 	"pasgal/internal/graph"
 )
 
-// Functional twins for the overlay edge-scan specialization (epoch
+// Functional twins for the edge scan on overlay graphs (epoch
 // snapshots from internal/delta): same partition, same canonical labels,
 // same forest shape as a plain rebuild of the post-edit graph.
 

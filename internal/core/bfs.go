@@ -28,11 +28,9 @@ import (
 // search may install a distance that a later relaxation improves) — that is
 // the extra work VGC knowingly trades for fewer synchronizations.
 //
-// BFS accepts either graph representation. Plain CSR runs the historical
-// loops untouched; the compressed form runs specialized decode-on-scan
-// loops (bulk-decode per local search going top-down, a streaming cursor
-// with early exit going bottom-up). See graph.Adjacency for why this is a
-// type switch and not a virtualized inner loop.
+// BFS accepts every graph.Adjacency representation: both round bodies
+// are written once over graph.Scanner's neighbor lists (see bfsScans).
+// A source at or past the vertex count is an error.
 //
 // A non-nil opt.Ctx makes the run cancellable: on cancellation BFS returns
 // (nil, partial Metrics, ErrCanceled/ErrDeadline).
@@ -43,12 +41,12 @@ func BFS(a graph.Adjacency, src uint32, opt Options) ([]uint32, *Metrics, error)
 	cl := NewCanceler(opt, met)
 	defer cl.Close()
 	n := a.NumVertices()
+	if err := checkVertex("source", src, n); err != nil {
+		return nil, met, err
+	}
 	dist := make([]atomic.Uint32, n)
 	parallel.For(n, 0, func(i int) { dist[i].Store(graph.InfDist) })
 	out := make([]uint32, n)
-	if n == 0 {
-		return out, met, cl.Poll()
-	}
 	tau := opt.tau()
 	// Ring capacity: a local search from the window's deepest extracted
 	// distance (cur + window - 1, window <= tau) can advance tau+1 more
@@ -64,19 +62,9 @@ func BFS(a graph.Adjacency, src uint32, opt Options) ([]uint32, *Metrics, error)
 		met:      met,
 		cl:       cl,
 	}
-	// Per-representation scan specializations: the driver calls these once
-	// per round, so the indirect call is amortized over a whole frontier
-	// and each closure keeps its monomorphic inner loop.
-	var pull func(cur int)
-	var push func(f []uint32, bucketOf []int)
-	switch g := a.(type) {
-	case *graph.Graph:
-		pull, push = bfsPlainScans(g, st)
-	case *graph.Compressed:
-		pull, push = bfsCompressedScans(g, st)
-	case *graph.Overlay:
-		pull, push = bfsOverlayScans(g, st)
-	}
+	// The driver calls these once per round, so the indirect call is
+	// amortized over a whole frontier.
+	pull, push := bfsScans(a, st)
 
 	dist[src].Store(0)
 	st.fr.insert(0, src)
@@ -188,57 +176,59 @@ func bfsDrive(st *bfsState, pull func(cur int), push func(f []uint32, bucketOf [
 	return nil
 }
 
-// bfsPlainScans builds the plain-CSR round bodies — the historical inner
-// loops, verbatim.
-func bfsPlainScans(g *graph.Graph, st *bfsState) (pull func(cur int), push func(f []uint32, bucketOf []int)) {
-	var in *graph.Graph
-	if st.denseCut != math.MaxInt64 {
-		// in-neighbors; == g for undirected graphs. Only built when a
-		// bottom-up round can actually happen — with direction
-		// optimization off, a directed graph never pays for its
-		// transpose.
-		in = g.Transpose()
-	}
+// bfsScans builds the two round bodies over a's neighbor lists. Both
+// range over what a graph.Scanner returns, so the same body serves every
+// representation (see graph.Scanner for what each one hands back).
+func bfsScans(a graph.Adjacency, st *bfsState) (pull func(cur int), push func(f []uint32, bucketOf []int)) {
+	out := graph.ScanOut(a)
 	dist, fr := st.dist, st.fr
-	pull = func(cur int) {
-		target := uint32(cur + 1)
-		// A pull can chain: v may read an in-neighbor distance stored
-		// earlier in this same scan, advancing many hops in one round.
-		// Unbounded chains would insert past the bucket ring, where the
-		// entry lands in a wrong-distance bucket and is dropped as stale
-		// on extraction. Cap the advance at the ring's edge; a vertex
-		// past the cap is re-relaxed when its capped in-neighbor's
-		// bucket is processed, so nothing is lost.
-		maxIns := uint32(cur + st.nBags - 1)
-		parallel.ForRangeCancel(st.cl.Token(), st.n, 0, func(lo, hi int) {
-			var local int64
-			for vi := lo; vi < hi; vi++ {
-				v := uint32(vi)
-				best := dist[v].Load()
-				if best <= target {
-					continue
-				}
-				for _, u := range in.Neighbors(v) {
-					local++
-					if du := dist[u].Load(); du != graph.InfDist && du+1 < best {
-						best = du + 1
-						if best <= target {
-							break // cannot get closer than cur+1
+	// The pull body exists only when a bottom-up round can happen — with
+	// direction optimization off, a directed graph never pays for the
+	// transpose behind ScanIn (and an mmap-backed one stays page-in only).
+	if st.denseCut != math.MaxInt64 {
+		in := graph.ScanIn(a)
+		pull = func(cur int) {
+			target := uint32(cur + 1)
+			// A pull can chain: v may read an in-neighbor distance stored
+			// earlier in this same scan, advancing many hops in one round.
+			// Unbounded chains would insert past the bucket ring, where the
+			// entry lands in a wrong-distance bucket and is dropped as stale
+			// on extraction. Cap the advance at the ring's edge; a vertex
+			// past the cap is re-relaxed when its capped in-neighbor's
+			// bucket is processed, so nothing is lost.
+			maxIns := uint32(cur + st.nBags - 1)
+			parallel.ForRangeCancel(st.cl.Token(), st.n, 0, func(lo, hi int) {
+				var local int64
+				nbuf := in.Scratch()
+				for vi := lo; vi < hi; vi++ {
+					v := uint32(vi)
+					best := dist[v].Load()
+					if best <= target {
+						continue
+					}
+					for _, u := range in.Neighbors(v, nbuf) {
+						local++
+						if du := dist[u].Load(); du != graph.InfDist && du+1 < best {
+							best = du + 1
+							if best <= target {
+								break // cannot get closer than cur+1
+							}
 						}
 					}
+					if best < dist[v].Load() && best <= maxIns {
+						dist[v].Store(best) // sole writer of v this round
+						fr.insert(int(best), v)
+						st.pending.Add(1)
+					}
 				}
-				if best < dist[v].Load() && best <= maxIns {
-					dist[v].Store(best) // sole writer of v this round
-					fr.insert(int(best), v)
-					st.pending.Add(1)
-				}
-			}
-			st.met.AddEdges(local)
-		})
+				st.met.AddEdges(local)
+			})
+		}
 	}
 	push = func(f []uint32, bucketOf []int) {
 		parallel.ForRangeCancel(st.cl.Token(), len(f), 1, func(lo, hi int) {
 			queue := make([]uint32, 0, 64)
+			nbuf := out.Scratch()
 			var edgeCount int64
 			for i := lo; i < hi; i++ {
 				v := f[i]
@@ -251,7 +241,8 @@ func bfsPlainScans(g *graph.Graph, st *bfsState) (pull func(cur int), push func(
 					u := queue[head]
 					du := dist[u].Load()
 					nd := du + 1
-					for _, w := range g.Neighbors(u) {
+					nbrs := out.Neighbors(u, nbuf)
+					for _, w := range nbrs {
 						edgeCount++
 						for {
 							old := dist[w].Load()
@@ -269,213 +260,10 @@ func bfsPlainScans(g *graph.Graph, st *bfsState) (pull func(cur int), push func(
 							}
 						}
 					}
-					budget -= g.Degree(u)
+					budget -= len(nbrs)
 					if budget <= 0 && head+1 < len(queue) {
 						// Flush the remaining local work to the shared
 						// frontier bags.
-						for _, w := range queue[head+1:] {
-							d := dist[w].Load()
-							fr.insert(int(d), w)
-							st.pending.Add(1)
-						}
-						queue = queue[:head+1]
-					}
-				}
-			}
-			st.met.AddEdges(edgeCount)
-		})
-	}
-	return pull, push
-}
-
-// bfsCompressedScans builds the decode-on-scan round bodies for the
-// compressed representation. Top-down bulk-decodes each local-search
-// vertex into a per-task scratch buffer (the whole list will be
-// relaxed, so one tight decode then the plain relax loop wins);
-// bottom-up streams through a cursor because the scan usually abandons
-// a list at the first useful in-neighbor, and decoding the rest would
-// be pure waste.
-func bfsCompressedScans(g *graph.Compressed, st *bfsState) (pull func(cur int), push func(f []uint32, bucketOf []int)) {
-	var in *graph.Compressed
-	if st.denseCut != math.MaxInt64 {
-		// Built by decompress→transpose→recompress on first use; with
-		// direction optimization off an mmap-backed graph stays
-		// page-in only.
-		in = g.Transpose()
-	}
-	dist, fr := st.dist, st.fr
-	pull = func(cur int) {
-		target := uint32(cur + 1)
-		maxIns := uint32(cur + st.nBags - 1)
-		parallel.ForRangeCancel(st.cl.Token(), st.n, 0, func(lo, hi int) {
-			var local int64
-			nbuf := make([]uint32, 0, 256)
-			for vi := lo; vi < hi; vi++ {
-				v := uint32(vi)
-				best := dist[v].Load()
-				if best <= target {
-					continue
-				}
-				// Bulk-decode, then scan the flat slice with early exit.
-				// The streaming cursor pays a call per arc; the bulk
-				// decode pays for arcs past the exit point — and wins,
-				// because an improvable vertex that finds a parent
-				// immediately decodes a short prefix anyway (decode cost
-				// ~ list bytes), while one that finds none scans the
-				// whole list either way.
-				nbuf = in.AppendNeighbors(v, nbuf[:0])
-				for _, u := range nbuf {
-					local++
-					if du := dist[u].Load(); du != graph.InfDist && du+1 < best {
-						best = du + 1
-						if best <= target {
-							break
-						}
-					}
-				}
-				if best < dist[v].Load() && best <= maxIns {
-					dist[v].Store(best)
-					fr.insert(int(best), v)
-					st.pending.Add(1)
-				}
-			}
-			st.met.AddEdges(local)
-		})
-	}
-	push = func(f []uint32, bucketOf []int) {
-		parallel.ForRangeCancel(st.cl.Token(), len(f), 1, func(lo, hi int) {
-			queue := make([]uint32, 0, 64)
-			nbuf := make([]uint32, 0, 256)
-			var edgeCount int64
-			for i := lo; i < hi; i++ {
-				v := f[i]
-				if dist[v].Load() != uint32(bucketOf[i]) {
-					continue
-				}
-				queue = append(queue[:0], v)
-				budget := st.tau
-				for head := 0; head < len(queue); head++ {
-					u := queue[head]
-					du := dist[u].Load()
-					nd := du + 1
-					nbuf = g.AppendNeighbors(u, nbuf[:0])
-					for _, w := range nbuf {
-						edgeCount++
-						for {
-							old := dist[w].Load()
-							if nd >= old {
-								break
-							}
-							if dist[w].CompareAndSwap(old, nd) {
-								if budget > 0 {
-									queue = append(queue, w)
-								} else {
-									fr.insert(int(nd), w)
-									st.pending.Add(1)
-								}
-								break
-							}
-						}
-					}
-					budget -= len(nbuf) // == DegreeOf(u), already decoded
-					if budget <= 0 && head+1 < len(queue) {
-						for _, w := range queue[head+1:] {
-							d := dist[w].Load()
-							fr.insert(int(d), w)
-							st.pending.Add(1)
-						}
-						queue = queue[:head+1]
-					}
-				}
-			}
-			st.met.AddEdges(edgeCount)
-		})
-	}
-	return pull, push
-}
-
-// bfsOverlayScans builds the round bodies for the patched overlay
-// representation (epoch snapshots from internal/delta). Both directions
-// use the overlay's merged bulk scan into a per-task scratch buffer —
-// the merge walks the base list anyway, so a streaming early-exit
-// variant would save nothing on the skip side; patch-free vertices
-// degrade to one bulk copy of the base list.
-func bfsOverlayScans(g *graph.Overlay, st *bfsState) (pull func(cur int), push func(f []uint32, bucketOf []int)) {
-	var in *graph.Overlay
-	if st.denseCut != math.MaxInt64 {
-		// Lazy overlay transpose: the (immutable) base's transpose plus
-		// reversed patch arrays, built on first use.
-		in = g.Transpose()
-	}
-	dist, fr := st.dist, st.fr
-	pull = func(cur int) {
-		target := uint32(cur + 1)
-		maxIns := uint32(cur + st.nBags - 1)
-		parallel.ForRangeCancel(st.cl.Token(), st.n, 0, func(lo, hi int) {
-			var local int64
-			nbuf := make([]uint32, 0, 256)
-			for vi := lo; vi < hi; vi++ {
-				v := uint32(vi)
-				best := dist[v].Load()
-				if best <= target {
-					continue
-				}
-				nbuf = in.AppendNeighbors(v, nbuf[:0])
-				for _, u := range nbuf {
-					local++
-					if du := dist[u].Load(); du != graph.InfDist && du+1 < best {
-						best = du + 1
-						if best <= target {
-							break
-						}
-					}
-				}
-				if best < dist[v].Load() && best <= maxIns {
-					dist[v].Store(best)
-					fr.insert(int(best), v)
-					st.pending.Add(1)
-				}
-			}
-			st.met.AddEdges(local)
-		})
-	}
-	push = func(f []uint32, bucketOf []int) {
-		parallel.ForRangeCancel(st.cl.Token(), len(f), 1, func(lo, hi int) {
-			queue := make([]uint32, 0, 64)
-			nbuf := make([]uint32, 0, 256)
-			var edgeCount int64
-			for i := lo; i < hi; i++ {
-				v := f[i]
-				if dist[v].Load() != uint32(bucketOf[i]) {
-					continue
-				}
-				queue = append(queue[:0], v)
-				budget := st.tau
-				for head := 0; head < len(queue); head++ {
-					u := queue[head]
-					du := dist[u].Load()
-					nd := du + 1
-					nbuf = g.AppendNeighbors(u, nbuf[:0])
-					for _, w := range nbuf {
-						edgeCount++
-						for {
-							old := dist[w].Load()
-							if nd >= old {
-								break
-							}
-							if dist[w].CompareAndSwap(old, nd) {
-								if budget > 0 {
-									queue = append(queue, w)
-								} else {
-									fr.insert(int(nd), w)
-									st.pending.Add(1)
-								}
-								break
-							}
-						}
-					}
-					budget -= len(nbuf) // == DegreeOf(u), already merged
-					if budget <= 0 && head+1 < len(queue) {
 						for _, w := range queue[head+1:] {
 							d := dist[w].Load()
 							fr.insert(int(d), w)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync/atomic"
 
 	"pasgal/internal/graph"
@@ -16,26 +17,36 @@ import (
 //
 // Unlike BFS, BFSTree runs purely top-down (a bottom-up round would have
 // to synthesize parents for repaired distances); prefer BFS when only
-// distances are needed on low-diameter graphs.
-func BFSTree(g *graph.Graph, src uint32, opt Options) (dist []uint32, parent []uint32, met *Metrics, err error) {
+// distances are needed on low-diameter graphs. It shares BFS's round
+// driver and, like it, rejects a source at or past the vertex count.
+func BFSTree(a graph.Adjacency, src uint32, opt Options) (dist []uint32, parent []uint32, met *Metrics, err error) {
 	opt = opt.Normalized()
 	defer attachRuntimeTracer(opt)()
 	met = NewMetrics(opt, "bfs-tree")
 	cl := NewCanceler(opt, met)
 	defer cl.Close()
-	n := g.N
+	n := a.NumVertices()
+	if err := checkVertex("source", src, n); err != nil {
+		return nil, nil, met, err
+	}
 	dist = make([]uint32, n)
 	parent = make([]uint32, n)
 	parallel.For(n, 0, func(i int) {
 		dist[i] = graph.InfDist
 		parent[i] = graph.None
 	})
-	if n == 0 {
-		return dist, parent, met, cl.Poll()
-	}
 	tau := opt.tau()
-	nBags := 2*tau + 4
-	fr := newFrontierSet(n, nBags, opt.DisableHashBag, opt.Tracer)
+	nBags := 2*tau + 4 // same ring as BFS
+	st := &bfsState{
+		n:        n,
+		tau:      tau,
+		nBags:    nBags,
+		denseCut: math.MaxInt64, // top-down only: bfsDrive never pulls
+		fr:       newFrontierSet(n, nBags, opt.DisableHashBag, opt.Tracer),
+		met:      met,
+		cl:       cl,
+	}
+	fr := st.fr
 
 	const infPacked = ^uint64(0)
 	state := make([]atomic.Uint64, n)
@@ -43,47 +54,13 @@ func BFSTree(g *graph.Graph, src uint32, opt Options) (dist []uint32, parent []u
 	pack := func(d, p uint32) uint64 { return uint64(d)<<32 | uint64(p) }
 	distOf := func(s uint64) uint32 { return uint32(s >> 32) }
 
-	state[src].Store(pack(0, src))
-	fr.insert(0, src)
-	var pending atomic.Int64
-	pending.Store(1)
-
-	window := 1
-	// Same ring-safety cap as BFS: deepest extracted distance + tau + 1
-	// hops of local search must stay within nBags buckets of cur.
-	maxWindow := tau + 2
-	const windowGrowCut = 2048
-	cur := 0
-	for pending.Load() > 0 {
-		// Round boundary: after a canceled round the pending count and the
-		// bucket ring invariant are meaningless; stop before scanning.
-		if perr := cl.Poll(); perr != nil {
-			return nil, nil, met, perr
-		}
-		for fr.len(cur) == 0 {
-			cur++
-		}
-		var f []uint32
-		var bucketOf []int
-		for d := cur; d < cur+window; d++ {
-			if fr.len(d) == 0 {
-				continue
-			}
-			part := fr.extract(d)
-			pending.Add(-(int64(len(part)) + fr.dupDebt()))
-			f = append(f, part...)
-			for range part {
-				bucketOf = append(bucketOf, d)
-			}
-		}
-		met.Round(len(f))
-		if int64(len(f)) < windowGrowCut && window < maxWindow {
-			window = min(2*window, maxWindow)
-		} else if window > 1 {
-			window /= 2
-		}
+	out := graph.ScanOut(a)
+	// BFS's push body over the packed state: the CAS installs distance
+	// and parent together.
+	push := func(f []uint32, bucketOf []int) {
 		parallel.ForRangeCancel(cl.Token(), len(f), 1, func(lo, hi int) {
 			queue := make([]uint32, 0, 64)
+			nbuf := out.Scratch()
 			var edgeCount int64
 			for i := lo; i < hi; i++ {
 				v := f[i]
@@ -96,7 +73,8 @@ func BFSTree(g *graph.Graph, src uint32, opt Options) (dist []uint32, parent []u
 					u := queue[head]
 					du := distOf(state[u].Load())
 					nd := du + 1
-					for _, w := range g.Neighbors(u) {
+					nbrs := out.Neighbors(u, nbuf)
+					for _, w := range nbrs {
 						edgeCount++
 						for {
 							old := state[w].Load()
@@ -108,17 +86,17 @@ func BFSTree(g *graph.Graph, src uint32, opt Options) (dist []uint32, parent []u
 									queue = append(queue, w)
 								} else {
 									fr.insert(int(nd), w)
-									pending.Add(1)
+									st.pending.Add(1)
 								}
 								break
 							}
 						}
 					}
-					budget -= g.Degree(u)
+					budget -= len(nbrs)
 					if budget <= 0 && head+1 < len(queue) {
 						for _, w := range queue[head+1:] {
 							fr.insert(int(distOf(state[w].Load())), w)
-							pending.Add(1)
+							st.pending.Add(1)
 						}
 						queue = queue[:head+1]
 					}
@@ -126,6 +104,13 @@ func BFSTree(g *graph.Graph, src uint32, opt Options) (dist []uint32, parent []u
 			}
 			met.AddEdges(edgeCount)
 		})
+	}
+
+	state[src].Store(pack(0, src))
+	fr.insert(0, src)
+	st.pending.Store(1)
+	if err := bfsDrive(st, nil, push); err != nil {
+		return nil, nil, met, err
 	}
 	// Final check before materializing (see BFS).
 	if perr := cl.Poll(); perr != nil {

@@ -14,7 +14,7 @@ import (
 )
 
 // The -race tier counterpart of the compressed differential suite: the
-// compressed scan specializations decode through shared read-only data
+// kernels on a compressed graph decode through shared read-only data
 // (and, in production, an mmap view), so concurrent queries and mid-run
 // cancellations are exactly where a mis-scoped scratch buffer or a decode
 // into shared state would surface.
@@ -161,7 +161,7 @@ func TestCancelCompressedMidRun(t *testing.T) {
 
 // TestCancelCompressedPreCanceled: the compressed entry points honor an
 // already-dead context before scanning anything, across every algorithm
-// with a compressed specialization.
+// that accepts a compressed graph.
 func TestCancelCompressedPreCanceled(t *testing.T) {
 	c := graph.Compress(gen.AddUniformWeights(gen.Chain(500, true), 1, 10, 45))
 	ctx, cancel := context.WithCancel(context.Background())

@@ -7,7 +7,7 @@ import (
 	"pasgal/internal/graph"
 )
 
-// Functional twins for the compressed scan specializations in this
+// Functional twins for the kernels on compressed graphs in this
 // package: the bench package's differential suite sweeps the full shape
 // matrix, but these in-package tests pin the representative branches —
 // bulk-decode scans, the VGC budget-exhaustion spill, and goal-directed

@@ -19,6 +19,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sync/atomic"
 
@@ -104,6 +105,16 @@ func attachRuntimeTracer(opt Options) func() {
 	}
 	prev := parallel.SetTracer(opt.Tracer)
 	return func() { parallel.SetTracer(prev) }
+}
+
+// checkVertex rejects a caller-supplied vertex id at or past the vertex
+// count — the entry points index per-vertex arrays with it, and their
+// signatures promise an error, not a panic, for bad input.
+func checkVertex(role string, v uint32, n int) error {
+	if int(v) >= n {
+		return fmt.Errorf("core: %s %d out of range [0, %d)", role, v, n)
+	}
+	return nil
 }
 
 // Normalized returns o with every field mapped to its canonical effective

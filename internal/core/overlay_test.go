@@ -8,7 +8,7 @@ import (
 	"pasgal/internal/graph"
 )
 
-// Functional twins for the overlay scan specializations in this package
+// Functional twins for the kernels in this package on overlay graphs
 // (epoch snapshots from internal/delta): internal/delta's differential
 // suite sweeps the full shape matrix end to end, but these in-package
 // tests pin the representative branches — the merged bulk push scan, the
@@ -45,7 +45,7 @@ func overlayTwin(t *testing.T, g *graph.Graph, seed int64) (*graph.Overlay, *gra
 	return o, o.Materialize()
 }
 
-// TestOverlayBFSMatchesPlain drives both bfsOverlayScans directions: the
+// TestOverlayBFSMatchesPlain drives both bfsScans directions: the
 // "pull" row forces a bottom-up cut of one so the lazy overlay transpose
 // is exercised on every graph, "push" pins the top-down-only route, and
 // "novgc" spills every discovered vertex through the shared frontier.

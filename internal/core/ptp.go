@@ -19,9 +19,9 @@ import (
 //
 // Returns InfWeight if dst is unreachable from src.
 //
-// Both graph representations are accepted (the compressed one must carry
-// weights); like SSSP, only the frontier processor's adjacency scan is
-// specialized per representation.
+// Every graph.Adjacency representation is accepted as long as it carries
+// weights; like SSSP, the frontier processor ranges over graph.Scanner's
+// arc lists. An endpoint at or past the vertex count is an error.
 //
 // A non-nil opt.Ctx makes the run cancellable: on cancellation it returns
 // (InfWeight, partial Metrics, ErrCanceled/ErrDeadline).
@@ -38,8 +38,11 @@ func PointToPoint(a graph.Adjacency, src, dst uint32, policy StepPolicy, opt Opt
 	cl := NewCanceler(opt, met)
 	defer cl.Close()
 	n := a.NumVertices()
-	if n == 0 {
-		return InfWeight, met, cl.Poll()
+	if err := checkVertex("source", src, n); err != nil {
+		return InfWeight, met, err
+	}
+	if err := checkVertex("destination", dst, n); err != nil {
+		return InfWeight, met, err
 	}
 	if src == dst {
 		return 0, met, cl.Poll()
@@ -58,10 +61,16 @@ func PointToPoint(a graph.Adjacency, src, dst uint32, policy StepPolicy, opt Opt
 	var best atomic.Uint64 // best known distance to dst
 	best.Store(InfWeight)
 
-	var processFrontier func(f []uint32)
-	switch g := a.(type) {
-	case *graph.Graph:
-		processFrontier = func(f []uint32) {
+	sc := graph.ScanOut(a)
+	for {
+		// Round/phase boundary check; see SSSP.
+		if err := cl.Poll(); err != nil {
+			return InfWeight, met, err
+		}
+		if near.Len() > 0 {
+			// Chunk closure directly in the loop, for the reason given in
+			// SSSP.
+			f := near.Extract()
 			met.Round(len(f))
 			localBudget := tau
 			if theta == InfWeight {
@@ -69,6 +78,7 @@ func PointToPoint(a graph.Adjacency, src, dst uint32, policy StepPolicy, opt Opt
 			}
 			parallel.ForRangeCancel(cl.Token(), len(f), 1, func(lo, hi int) {
 				queue := make([]uint32, 0, 64)
+				nbuf, wbuf := sc.Scratch(), sc.Scratch()
 				var edgeCount int64
 				for i := lo; i < hi; i++ {
 					v := f[i]
@@ -88,8 +98,8 @@ func PointToPoint(a graph.Adjacency, src, dst uint32, policy StepPolicy, opt Opt
 						if du >= best.Load() {
 							continue
 						}
-						wts := g.NeighborWeights(u)
-						for j, w := range g.Neighbors(u) {
+						nbrs, wts := sc.Arcs(u, nbuf, wbuf)
+						for j, w := range nbrs {
 							edgeCount++
 							nd := du + uint64(wts[j])
 							if nd >= best.Load() {
@@ -120,7 +130,7 @@ func PointToPoint(a graph.Adjacency, src, dst uint32, policy StepPolicy, opt Opt
 								}
 							}
 						}
-						budget -= g.Degree(u)
+						budget -= len(nbrs)
 						if budget <= 0 && head+1 < len(queue) {
 							for _, w := range queue[head+1:] {
 								near.Insert(w)
@@ -131,162 +141,6 @@ func PointToPoint(a graph.Adjacency, src, dst uint32, policy StepPolicy, opt Opt
 				}
 				met.AddEdges(edgeCount)
 			})
-		}
-	case *graph.Compressed:
-		processFrontier = func(f []uint32) {
-			met.Round(len(f))
-			localBudget := tau
-			if theta == InfWeight {
-				localBudget = 0
-			}
-			parallel.ForRangeCancel(cl.Token(), len(f), 1, func(lo, hi int) {
-				queue := make([]uint32, 0, 64)
-				nbuf := make([]uint32, 0, 256)
-				wbuf := make([]uint32, 0, 256)
-				var edgeCount int64
-				for i := lo; i < hi; i++ {
-					v := f[i]
-					dv := dist[v].Load()
-					if dv >= best.Load() {
-						continue
-					}
-					if dv > theta {
-						far.Insert(v)
-						continue
-					}
-					queue = append(queue[:0], v)
-					budget := localBudget
-					for head := 0; head < len(queue); head++ {
-						u := queue[head]
-						du := dist[u].Load()
-						if du >= best.Load() {
-							continue
-						}
-						nbuf, wbuf = g.AppendArcs(u, nbuf[:0], wbuf[:0])
-						for j, w := range nbuf {
-							edgeCount++
-							nd := du + uint64(wbuf[j])
-							if nd >= best.Load() {
-								continue
-							}
-							for {
-								old := dist[w].Load()
-								if nd >= old {
-									break
-								}
-								if dist[w].CompareAndSwap(old, nd) {
-									if w == dst {
-										for {
-											b := best.Load()
-											if nd >= b || best.CompareAndSwap(b, nd) {
-												break
-											}
-										}
-									} else if nd <= theta && budget > 0 {
-										queue = append(queue, w)
-									} else if nd <= theta {
-										near.Insert(w)
-									} else {
-										far.Insert(w)
-									}
-									break
-								}
-							}
-						}
-						budget -= len(nbuf)
-						if budget <= 0 && head+1 < len(queue) {
-							for _, w := range queue[head+1:] {
-								near.Insert(w)
-							}
-							queue = queue[:head+1]
-						}
-					}
-				}
-				met.AddEdges(edgeCount)
-			})
-		}
-	case *graph.Overlay:
-		processFrontier = func(f []uint32) {
-			met.Round(len(f))
-			localBudget := tau
-			if theta == InfWeight {
-				localBudget = 0
-			}
-			parallel.ForRangeCancel(cl.Token(), len(f), 1, func(lo, hi int) {
-				queue := make([]uint32, 0, 64)
-				nbuf := make([]uint32, 0, 256)
-				wbuf := make([]uint32, 0, 256)
-				var edgeCount int64
-				for i := lo; i < hi; i++ {
-					v := f[i]
-					dv := dist[v].Load()
-					if dv >= best.Load() {
-						continue
-					}
-					if dv > theta {
-						far.Insert(v)
-						continue
-					}
-					queue = append(queue[:0], v)
-					budget := localBudget
-					for head := 0; head < len(queue); head++ {
-						u := queue[head]
-						du := dist[u].Load()
-						if du >= best.Load() {
-							continue
-						}
-						nbuf, wbuf = g.AppendArcs(u, nbuf[:0], wbuf[:0])
-						for j, w := range nbuf {
-							edgeCount++
-							nd := du + uint64(wbuf[j])
-							if nd >= best.Load() {
-								continue
-							}
-							for {
-								old := dist[w].Load()
-								if nd >= old {
-									break
-								}
-								if dist[w].CompareAndSwap(old, nd) {
-									if w == dst {
-										for {
-											b := best.Load()
-											if nd >= b || best.CompareAndSwap(b, nd) {
-												break
-											}
-										}
-									} else if nd <= theta && budget > 0 {
-										queue = append(queue, w)
-									} else if nd <= theta {
-										near.Insert(w)
-									} else {
-										far.Insert(w)
-									}
-									break
-								}
-							}
-						}
-						budget -= len(nbuf)
-						if budget <= 0 && head+1 < len(queue) {
-							for _, w := range queue[head+1:] {
-								near.Insert(w)
-							}
-							queue = queue[:head+1]
-						}
-					}
-				}
-				met.AddEdges(edgeCount)
-			})
-		}
-	}
-
-	for {
-		// Round/phase boundary check; see SSSP.
-		if err := cl.Poll(); err != nil {
-			return InfWeight, met, err
-		}
-		if near.Len() > 0 {
-			processFrontier(near.Extract())
 			continue
 		}
 		if far.Len() == 0 {

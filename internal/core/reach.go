@@ -13,9 +13,9 @@ import (
 // order, so the VGC local search visits vertices in arbitrary multi-hop
 // order, each vertex claimed exactly once by a CAS.
 //
-// Both graph representations are accepted; the compressed form
-// bulk-decodes each local-search vertex into task-local scratch (see
-// graph.Adjacency).
+// Every graph.Adjacency representation is accepted: the local search
+// ranges over graph.Scanner's neighbor lists. A source at or past the
+// vertex count is an error.
 //
 // A non-nil opt.Ctx makes the run cancellable: on cancellation it returns
 // (nil, partial Metrics, ErrCanceled/ErrDeadline).
@@ -26,8 +26,13 @@ func Reachable(a graph.Adjacency, srcs []uint32, opt Options) ([]bool, *Metrics,
 	cl := NewCanceler(opt, met)
 	defer cl.Close()
 	n := a.NumVertices()
+	for _, s := range srcs {
+		if err := checkVertex("source", s, n); err != nil {
+			return nil, met, err
+		}
+	}
 	out := make([]bool, n)
-	if n == 0 || len(srcs) == 0 {
+	if len(srcs) == 0 {
 		return out, met, cl.Poll()
 	}
 	tau := opt.tau()
@@ -39,118 +44,44 @@ func Reachable(a graph.Adjacency, srcs []uint32, opt Options) ([]bool, *Metrics,
 			bag.Insert(s)
 		}
 	}
-	// Per-representation frontier processors with identical claim logic;
-	// only the adjacency scan differs.
-	var process func(f []uint32)
-	switch g := a.(type) {
-	case *graph.Graph:
-		process = func(f []uint32) {
-			parallel.ForRangeCancel(cl.Token(), len(f), 1, func(lo, hi int) {
-				queue := make([]uint32, 0, 64)
-				var edgeCount int64
-				for i := lo; i < hi; i++ {
-					queue = append(queue[:0], f[i])
-					budget := tau
-					for head := 0; head < len(queue); head++ {
-						u := queue[head]
-						for _, w := range g.Neighbors(u) {
-							edgeCount++
-							if visited[w].Load() == 0 && visited[w].CompareAndSwap(0, 1) {
-								if budget > 0 {
-									queue = append(queue, w)
-								} else {
-									bag.Insert(w)
-								}
-							}
-						}
-						budget -= g.Degree(u)
-						if budget <= 0 && head+1 < len(queue) {
-							for _, w := range queue[head+1:] {
-								bag.Insert(w)
-							}
-							queue = queue[:head+1]
-						}
-					}
-				}
-				met.AddEdges(edgeCount)
-			})
-		}
-	case *graph.Compressed:
-		process = func(f []uint32) {
-			parallel.ForRangeCancel(cl.Token(), len(f), 1, func(lo, hi int) {
-				queue := make([]uint32, 0, 64)
-				nbuf := make([]uint32, 0, 256)
-				var edgeCount int64
-				for i := lo; i < hi; i++ {
-					queue = append(queue[:0], f[i])
-					budget := tau
-					for head := 0; head < len(queue); head++ {
-						u := queue[head]
-						nbuf = g.AppendNeighbors(u, nbuf[:0])
-						for _, w := range nbuf {
-							edgeCount++
-							if visited[w].Load() == 0 && visited[w].CompareAndSwap(0, 1) {
-								if budget > 0 {
-									queue = append(queue, w)
-								} else {
-									bag.Insert(w)
-								}
-							}
-						}
-						budget -= len(nbuf)
-						if budget <= 0 && head+1 < len(queue) {
-							for _, w := range queue[head+1:] {
-								bag.Insert(w)
-							}
-							queue = queue[:head+1]
-						}
-					}
-				}
-				met.AddEdges(edgeCount)
-			})
-		}
-	case *graph.Overlay:
-		process = func(f []uint32) {
-			parallel.ForRangeCancel(cl.Token(), len(f), 1, func(lo, hi int) {
-				queue := make([]uint32, 0, 64)
-				nbuf := make([]uint32, 0, 256)
-				var edgeCount int64
-				for i := lo; i < hi; i++ {
-					queue = append(queue[:0], f[i])
-					budget := tau
-					for head := 0; head < len(queue); head++ {
-						u := queue[head]
-						nbuf = g.AppendNeighbors(u, nbuf[:0])
-						for _, w := range nbuf {
-							edgeCount++
-							if visited[w].Load() == 0 && visited[w].CompareAndSwap(0, 1) {
-								if budget > 0 {
-									queue = append(queue, w)
-								} else {
-									bag.Insert(w)
-								}
-							}
-						}
-						budget -= len(nbuf)
-						if budget <= 0 && head+1 < len(queue) {
-							for _, w := range queue[head+1:] {
-								bag.Insert(w)
-							}
-							queue = queue[:head+1]
-						}
-					}
-				}
-				met.AddEdges(edgeCount)
-			})
-		}
-	}
+	sc := graph.ScanOut(a)
 	for bag.Len() > 0 {
 		if err := cl.Poll(); err != nil {
 			return nil, met, err
 		}
 		f := bag.Extract()
 		met.Round(len(f))
-		process(f)
+		// Chunk closure directly in the loop, for the reason given in SSSP.
+		parallel.ForRangeCancel(cl.Token(), len(f), 1, func(lo, hi int) {
+			queue := make([]uint32, 0, 64)
+			nbuf := sc.Scratch()
+			var edgeCount int64
+			for i := lo; i < hi; i++ {
+				queue = append(queue[:0], f[i])
+				budget := tau
+				for head := 0; head < len(queue); head++ {
+					nbrs := sc.Neighbors(queue[head], nbuf)
+					for _, w := range nbrs {
+						edgeCount++
+						if visited[w].Load() == 0 && visited[w].CompareAndSwap(0, 1) {
+							if budget > 0 {
+								queue = append(queue, w)
+							} else {
+								bag.Insert(w)
+							}
+						}
+					}
+					budget -= len(nbrs)
+					if budget <= 0 && head+1 < len(queue) {
+						for _, w := range queue[head+1:] {
+							bag.Insert(w)
+						}
+						queue = queue[:head+1]
+					}
+				}
+			}
+			met.AddEdges(edgeCount)
+		})
 	}
 	// Final check before materializing; see BFS.
 	if err := cl.Poll(); err != nil {

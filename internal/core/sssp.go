@@ -93,9 +93,9 @@ func (BellmanFordPolicy) Name() string { return "bf" }
 //
 // policy == nil selects ρ-stepping with its default ρ.
 //
-// Both graph representations are accepted (the compressed one must carry
-// weights); the phase driver is shared and only the frontier processor's
-// adjacency scan is specialized per representation.
+// Every graph.Adjacency representation is accepted as long as it carries
+// weights: the frontier processor ranges over graph.Scanner's arc lists.
+// A source at or past the vertex count is an error.
 //
 // A non-nil opt.Ctx makes the run cancellable: on cancellation SSSP
 // returns (nil, partial Metrics, ErrCanceled/ErrDeadline).
@@ -112,12 +112,12 @@ func SSSP(a graph.Adjacency, src uint32, policy StepPolicy, opt Options) ([]uint
 	cl := NewCanceler(opt, met)
 	defer cl.Close()
 	n := a.NumVertices()
+	if err := checkVertex("source", src, n); err != nil {
+		return nil, met, err
+	}
 	dist := make([]atomic.Uint64, n)
 	parallel.For(n, 0, func(i int) { dist[i].Store(InfWeight) })
 	out := make([]uint64, n)
-	if n == 0 {
-		return out, met, cl.Poll()
-	}
 	tau := opt.tau()
 
 	near := hashbag.New(1024)
@@ -128,13 +128,22 @@ func SSSP(a graph.Adjacency, src uint32, policy StepPolicy, opt Options) ([]uint
 	near.Insert(src)
 	theta := uint64(0) // process dist <= theta; first phase handles src only
 
-	// The frontier processor is the only place the graph is scanned, so it
-	// is the per-representation specialization point. Both closures share
-	// theta/near/far/dist with the phase driver below.
-	var processFrontier func(f []uint32)
-	switch g := a.(type) {
-	case *graph.Graph:
-		processFrontier = func(f []uint32) {
+	sc := graph.ScanOut(a)
+	for {
+		// Round/phase boundary: a canceled round drains chunks without
+		// re-inserting deferred vertices, so the near/far emptiness test
+		// below would read as convergence — stop first.
+		if err := cl.Poll(); err != nil {
+			return nil, met, err
+		}
+		if near.Len() > 0 {
+			// Process the near frontier — the only place the graph is
+			// scanned. The chunk closure sits directly in this loop, not
+			// in a processFrontier helper closure: go1.24 inlines such a
+			// helper at its one call site and then compiles the closures
+			// nested in it without inlining, which turned every atomic
+			// Load/CAS below into a call (+22 % on the social graph).
+			f := near.Extract()
 			met.Round(len(f))
 			// Multi-hop local expansion is only sound under a finite θ: it
 			// bounds how wrong an eagerly-expanded tentative distance can be.
@@ -149,6 +158,7 @@ func SSSP(a graph.Adjacency, src uint32, policy StepPolicy, opt Options) ([]uint
 			// chase depth-first chains of inflated distances).
 			parallel.ForRangeCancel(cl.Token(), len(f), 1, func(lo, hi int) {
 				queue := make([]uint32, 0, 64)
+				nbuf, wbuf := sc.Scratch(), sc.Scratch()
 				var edgeCount int64
 				for i := lo; i < hi; i++ {
 					v := f[i]
@@ -161,8 +171,8 @@ func SSSP(a graph.Adjacency, src uint32, policy StepPolicy, opt Options) ([]uint
 					for head := 0; head < len(queue); head++ {
 						u := queue[head]
 						du := dist[u].Load()
-						wts := g.NeighborWeights(u)
-						for j, w := range g.Neighbors(u) {
+						nbrs, wts := sc.Arcs(u, nbuf, wbuf)
+						for j, w := range nbrs {
 							edgeCount++
 							nd := du + uint64(wts[j])
 							for {
@@ -182,7 +192,7 @@ func SSSP(a graph.Adjacency, src uint32, policy StepPolicy, opt Options) ([]uint
 								}
 							}
 						}
-						budget -= g.Degree(u)
+						budget -= len(nbrs)
 						if budget <= 0 && head+1 < len(queue) {
 							for _, w := range queue[head+1:] {
 								near.Insert(w)
@@ -193,134 +203,6 @@ func SSSP(a graph.Adjacency, src uint32, policy StepPolicy, opt Options) ([]uint
 				}
 				met.AddEdges(edgeCount)
 			})
-		}
-	case *graph.Compressed:
-		processFrontier = func(f []uint32) {
-			met.Round(len(f))
-			localBudget := tau
-			if theta == InfWeight {
-				localBudget = 0
-			}
-			parallel.ForRangeCancel(cl.Token(), len(f), 1, func(lo, hi int) {
-				queue := make([]uint32, 0, 64)
-				nbuf := make([]uint32, 0, 256)
-				wbuf := make([]uint32, 0, 256)
-				var edgeCount int64
-				for i := lo; i < hi; i++ {
-					v := f[i]
-					if dist[v].Load() > theta {
-						far.Insert(v)
-						continue
-					}
-					queue = append(queue[:0], v)
-					budget := localBudget
-					for head := 0; head < len(queue); head++ {
-						u := queue[head]
-						du := dist[u].Load()
-						// Bulk-decode the whole weighted list into the
-						// task's scratch: every arc gets relaxed anyway.
-						nbuf, wbuf = g.AppendArcs(u, nbuf[:0], wbuf[:0])
-						for j, w := range nbuf {
-							edgeCount++
-							nd := du + uint64(wbuf[j])
-							for {
-								old := dist[w].Load()
-								if nd >= old {
-									break
-								}
-								if dist[w].CompareAndSwap(old, nd) {
-									if nd <= theta && budget > 0 {
-										queue = append(queue, w)
-									} else if nd <= theta {
-										near.Insert(w)
-									} else {
-										far.Insert(w)
-									}
-									break
-								}
-							}
-						}
-						budget -= len(nbuf)
-						if budget <= 0 && head+1 < len(queue) {
-							for _, w := range queue[head+1:] {
-								near.Insert(w)
-							}
-							queue = queue[:head+1]
-						}
-					}
-				}
-				met.AddEdges(edgeCount)
-			})
-		}
-	case *graph.Overlay:
-		processFrontier = func(f []uint32) {
-			met.Round(len(f))
-			localBudget := tau
-			if theta == InfWeight {
-				localBudget = 0
-			}
-			parallel.ForRangeCancel(cl.Token(), len(f), 1, func(lo, hi int) {
-				queue := make([]uint32, 0, 64)
-				nbuf := make([]uint32, 0, 256)
-				wbuf := make([]uint32, 0, 256)
-				var edgeCount int64
-				for i := lo; i < hi; i++ {
-					v := f[i]
-					if dist[v].Load() > theta {
-						far.Insert(v)
-						continue
-					}
-					queue = append(queue[:0], v)
-					budget := localBudget
-					for head := 0; head < len(queue); head++ {
-						u := queue[head]
-						du := dist[u].Load()
-						// Merge the patched weighted list into the task's
-						// scratch: every arc gets relaxed anyway.
-						nbuf, wbuf = g.AppendArcs(u, nbuf[:0], wbuf[:0])
-						for j, w := range nbuf {
-							edgeCount++
-							nd := du + uint64(wbuf[j])
-							for {
-								old := dist[w].Load()
-								if nd >= old {
-									break
-								}
-								if dist[w].CompareAndSwap(old, nd) {
-									if nd <= theta && budget > 0 {
-										queue = append(queue, w)
-									} else if nd <= theta {
-										near.Insert(w)
-									} else {
-										far.Insert(w)
-									}
-									break
-								}
-							}
-						}
-						budget -= len(nbuf)
-						if budget <= 0 && head+1 < len(queue) {
-							for _, w := range queue[head+1:] {
-								near.Insert(w)
-							}
-							queue = queue[:head+1]
-						}
-					}
-				}
-				met.AddEdges(edgeCount)
-			})
-		}
-	}
-
-	for {
-		// Round/phase boundary: a canceled round drains chunks without
-		// re-inserting deferred vertices, so the near/far emptiness test
-		// below would read as convergence — stop first.
-		if err := cl.Poll(); err != nil {
-			return nil, met, err
-		}
-		if near.Len() > 0 {
-			processFrontier(near.Extract())
 			continue
 		}
 		if far.Len() == 0 {

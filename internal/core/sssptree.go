@@ -14,8 +14,8 @@ import (
 // (dist[u] + w(u,v) = dist[v]) by the optimality conditions, so the
 // derivation cannot fail. Deriving parents after convergence avoids
 // widening the relaxation CAS to a double-word (distance, parent) pair.
-func SSSPTree(g *graph.Graph, src uint32, policy StepPolicy, opt Options) (dist []uint64, parent []uint32, met *Metrics, err error) {
-	dist, met, err = SSSP(g, src, policy, opt)
+func SSSPTree(a graph.Adjacency, src uint32, policy StepPolicy, opt Options) (dist []uint64, parent []uint32, met *Metrics, err error) {
+	dist, met, err = SSSP(a, src, policy, opt)
 	if err != nil {
 		return nil, nil, met, err
 	}
@@ -27,22 +27,27 @@ func SSSPTree(g *graph.Graph, src uint32, policy StepPolicy, opt Options) (dist 
 	if err := cl.Poll(); err != nil {
 		return nil, nil, met, err
 	}
-	parent = make([]uint32, g.N)
-	in := g.Transpose()
-	parallel.ForCancel(cl.Token(), g.N, 64, func(vi int) {
-		v := uint32(vi)
-		parent[v] = graph.None
-		if v == src || dist[v] == InfWeight {
-			return
-		}
-		wts := in.NeighborWeights(v)
-		for i, u := range in.Neighbors(v) {
-			if dist[u] != InfWeight && dist[u]+uint64(wts[i]) == dist[v] {
-				parent[v] = u
-				return
+	n := a.NumVertices()
+	parent = make([]uint32, n)
+	in := graph.ScanIn(a)
+	parallel.ForRangeCancel(cl.Token(), n, 64, func(lo, hi int) {
+		nbuf, wbuf := in.Scratch(), in.Scratch()
+	vertices:
+		for vi := lo; vi < hi; vi++ {
+			v := uint32(vi)
+			parent[v] = graph.None
+			if v == src || dist[v] == InfWeight {
+				continue
 			}
+			nbrs, wts := in.Arcs(v, nbuf, wbuf)
+			for i, u := range nbrs {
+				if dist[u] != InfWeight && dist[u]+uint64(wts[i]) == dist[v] {
+					parent[v] = u
+					continue vertices
+				}
+			}
+			panic("core: SSSPTree: no tight predecessor (distances inconsistent)")
 		}
-		panic("core: SSSPTree: no tight predecessor (distances inconsistent)")
 	})
 	if err := cl.Poll(); err != nil {
 		return nil, nil, met, err

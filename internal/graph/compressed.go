@@ -164,8 +164,8 @@ func (c *Compressed) listBytes(v uint32) []byte {
 
 // AppendNeighbors appends v's neighbors to buf (usually buf[:0] of a
 // reused scratch slice) and returns the extended slice. This is the
-// bulk decode the push-direction kernels use: decode once into scratch,
-// then run the same tight loop as plain CSR over the result.
+// bulk decode behind Scanner: decode once into scratch, then run the
+// same tight loop as plain CSR over the result.
 func (c *Compressed) AppendNeighbors(v uint32, buf []uint32) []uint32 {
 	nbrs, _ := gzb.DecodeList(c.listBytes(v), v, c.weighted, buf, nil)
 	return nbrs
@@ -181,74 +181,6 @@ func (c *Compressed) AppendArcs(v uint32, nbrs, wts []uint32) ([]uint32, []uint3
 		wts = make([]uint32, 0, len(nbrs))
 	}
 	return gzb.DecodeList(c.listBytes(v), v, true, nbrs, wts)
-}
-
-// ArcCursor streams one vertex's neighbors without materializing the
-// list — the pull-direction kernels use it because they abandon a scan
-// early (first useful parent wins), where a bulk decode would pay for
-// arcs never looked at. The zero cursor is exhausted. Cursors are
-// values: copying one is cheap and the graph is never mutated.
-type ArcCursor struct {
-	data     []byte
-	pos      int
-	rem      int
-	prev     uint32
-	first    bool
-	weighted bool
-}
-
-// Arcs opens a cursor over v's adjacency list.
-func (c *Compressed) Arcs(v uint32) ArcCursor {
-	lo := c.voff[v]
-	deg, k := gzb.DecodeDegree(c.data[lo:])
-	return ArcCursor{
-		data:     c.data,
-		pos:      int(lo) + k,
-		rem:      int(deg),
-		prev:     v,
-		first:    true,
-		weighted: c.weighted,
-	}
-}
-
-// Next returns the next neighbor, or ok=false when the list is done.
-// On weighted graphs the interleaved weight is skipped.
-func (it *ArcCursor) Next() (uint32, bool) {
-	if it.rem == 0 {
-		return 0, false
-	}
-	it.rem--
-	u, pos := gzb.Uvarint(it.data, it.pos)
-	if it.first {
-		it.first = false
-		it.prev = uint32(int64(it.prev) + gzb.Unzigzag(u))
-	} else {
-		it.prev += uint32(u)
-	}
-	if it.weighted {
-		_, pos = gzb.Uvarint(it.data, pos)
-	}
-	it.pos = pos
-	return it.prev, true
-}
-
-// NextW returns the next neighbor and its weight. It must only be used
-// on weighted graphs.
-func (it *ArcCursor) NextW() (uint32, uint32, bool) {
-	if it.rem == 0 {
-		return 0, 0, false
-	}
-	it.rem--
-	u, pos := gzb.Uvarint(it.data, it.pos)
-	if it.first {
-		it.first = false
-		it.prev = uint32(int64(it.prev) + gzb.Unzigzag(u))
-	} else {
-		it.prev += uint32(u)
-	}
-	w, pos := gzb.Uvarint(it.data, pos)
-	it.pos = pos
-	return it.prev, uint32(w), true
 }
 
 // Decompress expands c back into a plain CSR graph.

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -88,45 +89,26 @@ func TestCompressRoundTrip(t *testing.T) {
 				if len(buf) != len(want) {
 					t.Fatalf("AppendNeighbors(%d): %d arcs, want %d", v, len(buf), len(want))
 				}
-				it := c.Arcs(v)
+				var wbuf []uint32
+				if g.Weighted() {
+					// AppendNeighbors above skipped the interleaved weights;
+					// AppendArcs must return the same list plus the weights.
+					var nb []uint32
+					nb, wbuf = c.AppendArcs(v, nil, nil)
+					if !slices.Equal(nb, buf) {
+						t.Fatalf("AppendArcs(%d) neighbors = %v, want %v", v, nb, buf)
+					}
+				}
 				for j, w := range want {
 					if buf[j] != w {
 						t.Fatalf("AppendNeighbors(%d)[%d] = %d, want %d", v, j, buf[j], w)
 					}
-					if g.Weighted() {
-						nb, wt, ok := it.NextW()
-						if !ok || nb != w || wt != g.NeighborWeights(v)[j] {
-							t.Fatalf("Arcs(%d).NextW()[%d] = (%d,%d,%v), want (%d,%d,true)",
-								v, j, nb, wt, ok, w, g.NeighborWeights(v)[j])
-						}
-					} else {
-						nb, ok := it.Next()
-						if !ok || nb != w {
-							t.Fatalf("Arcs(%d).Next()[%d] = (%d,%v), want (%d,true)", v, j, nb, ok, w)
-						}
+					if g.Weighted() && wbuf[j] != g.NeighborWeights(v)[j] {
+						t.Fatalf("AppendArcs(%d) weight[%d] = %d, want %d", v, j, wbuf[j], g.NeighborWeights(v)[j])
 					}
-				}
-				if _, ok := it.Next(); ok {
-					t.Fatalf("Arcs(%d): cursor yields past the degree", v)
 				}
 			}
 		})
-	}
-}
-
-// TestCompressedCursorSkipsWeights pins that Next (neighbor-only) still
-// advances correctly over interleaved weights.
-func TestCompressedCursorSkipsWeights(t *testing.T) {
-	g := randomGraph(t, 60, 400, true, true, false, 9)
-	c := Compress(g)
-	for v := uint32(0); int(v) < g.N; v++ {
-		it := c.Arcs(v)
-		for _, w := range g.Neighbors(v) {
-			nb, ok := it.Next()
-			if !ok || nb != w {
-				t.Fatalf("weighted skip at vertex %d: got (%d,%v), want (%d,true)", v, nb, ok, w)
-			}
-		}
 	}
 }
 

@@ -33,6 +33,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // MaxDeltaSize is the worst-case encoded size in bytes of one uvarint
@@ -45,8 +46,7 @@ const MaxDeltaSize = 5
 // magnitudes small: 0, -1, 1, -2, ... -> 0, 1, 2, 3, ...
 func Zigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
 
-// Unzigzag inverts Zigzag. Streaming decoders (graph.ArcCursor) apply it
-// to the first delta of a list themselves.
+// Unzigzag inverts Zigzag; decoders apply it to the first delta of a list.
 func Unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // EncodedListSize returns the exact number of bytes AppendList would
@@ -107,6 +107,13 @@ func DecodeList(data []byte, v uint32, weighted bool, nbrs, wts []uint32) ([]uin
 	deg := int(u)
 	if deg == 0 {
 		return nbrs, wts
+	}
+	// One exact allocation when the list outgrows the caller's scratch
+	// (hub lists do, on every scan: graph.Scanner hands scratch over by
+	// value and cannot keep a grown buffer), not a doubling chain.
+	nbrs = slices.Grow(nbrs, deg)
+	if wts != nil {
+		wts = slices.Grow(wts, deg)
 	}
 	// The first delta is the only signed one; peeling it keeps the per-arc
 	// loops free of the zigzag branch.

@@ -13,10 +13,10 @@ import (
 	"pasgal/internal/seq"
 )
 
-// The -race tier for the compressed MS-BFS scan specializations: the
-// per-chunk decode scratch in the push scan and the cursor state in the
-// pull scan are the two places a sharing bug between concurrent lanes
-// (or concurrent batched runs) would hide from single-threaded tests.
+// The -race tier for MS-BFS on compressed graphs: the per-chunk decode
+// scratch of the push and pull scans is where a sharing bug between
+// concurrent lanes (or concurrent batched runs) would hide from
+// single-threaded tests.
 
 // TestStressCompressedBatchedRuns fires several batched runs at one
 // shared compressed graph concurrently — each a full 65-source batch so

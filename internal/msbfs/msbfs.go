@@ -51,7 +51,7 @@ const LaneWidth = 64
 // vertices), exactly as if core.BFS had been looped over the sources.
 // Duplicate sources are allowed (each occupies its own lane and gets its
 // own row). A source id at or past the vertex count is reported as an
-// error before any work. Both graph representations are accepted.
+// error before any work. Every graph.Adjacency representation is accepted.
 //
 // A non-nil opt.Ctx makes the run cancellable: on cancellation Run returns
 // (nil, partial Metrics, ErrCanceled/ErrDeadline) — never a partial batch.
@@ -297,12 +297,9 @@ func (sk *sink) settle(v uint32, bs uint64, d uint32) {
 // runGroup runs one <= 64-lane group to completion (or cancellation). st
 // must be zeroed on entry.
 //
-// Like core.BFS, the group loop is representation-free and the two lane
-// scans (push over out-edges, pull over in-edges) are built once per group
-// by a type switch, so each representation keeps a monomorphic inner loop:
-// plain CSR slices stay plain slice ranges, and the compressed form
-// bulk-decodes push lists into task scratch while pull walks a decode
-// cursor that stops as soon as every missing lane found a parent.
+// Like core.BFS, the two lane scans (push over out-edges, pull over
+// in-edges) each exist once and range over a graph.Scanner's lists; the
+// pull stops at the arc where every missing lane has found a parent.
 func runGroup(a graph.Adjacency, st *state, srcs []uint32, sk *sink, opt core.Options,
 	met *core.Metrics, cl *core.Canceler) error {
 	n := a.NumVertices()
@@ -314,17 +311,22 @@ func runGroup(a graph.Adjacency, st *state, srcs []uint32, sk *sink, opt core.Op
 	bag := hashbag.New(max(64, 2*len(srcs)))
 	bag.SetTracer(tr)
 
+	// Both are declared before they are assigned so that the round loop's
+	// pull(...)/push(...) stay real calls: go1.24 inlines a closure literal
+	// that is only ever called directly, and the chunk closures nested in
+	// the inlined copy are then compiled without inlining of their own —
+	// every atomic Load/CAS in the scan becomes a function call.
 	var pull func(active uint64)
 	var push func(front []uint32, active uint64)
-	switch g := a.(type) {
-	case *graph.Graph:
-		var in *graph.Graph
-		if denseCut != math.MaxInt64 {
-			in = g.Transpose() // in-neighbors for pull rounds; == g if undirected
-		}
+	out := graph.ScanOut(a)
+	// The pull body exists only when a pull round can happen, so a
+	// push-only run never builds the transpose behind ScanIn.
+	if denseCut != math.MaxInt64 {
+		in := graph.ScanIn(a)
 		pull = func(active uint64) {
 			parallel.ForRangeCancel(cl.Token(), n, 0, func(lo, hi int) {
 				var scans int64
+				nbuf := in.Scratch()
 				for vi := lo; vi < hi; vi++ {
 					v := uint32(vi)
 					want := active &^ st.seen[v]
@@ -332,7 +334,7 @@ func runGroup(a graph.Adjacency, st *state, srcs []uint32, sk *sink, opt core.Op
 						continue
 					}
 					var acc uint64
-					for _, u := range in.Neighbors(v) {
+					for _, u := range in.Neighbors(v, nbuf) {
 						scans++
 						acc |= st.cur[u]
 						if acc&want == want {
@@ -348,191 +350,48 @@ func runGroup(a graph.Adjacency, st *state, srcs []uint32, sk *sink, opt core.Op
 				tr.LaneScans(scans)
 			})
 		}
-		push = func(front []uint32, active uint64) {
-			parallel.ForRangeCancel(cl.Token(), len(front), 16, func(lo, hi int) {
-				var scans int64
-				for i := lo; i < hi; i++ {
-					u := front[i]
-					fu := st.cur[u] & active
-					if fu == 0 {
-						continue
-					}
-					for _, w := range g.Neighbors(u) {
-						scans++
-						diff := fu &^ st.seen[w]
-						if diff == 0 {
-							continue
-						}
-						// Cheap pre-check dodges the contended RMW when every
-						// new bit is already accumulated.
-						if diff&^st.next[w].Load() == 0 {
-							continue
-						}
-						// Keep this a Load/CAS loop, not st.next[w].Or(diff):
-						// the go1.23 Or-with-result intrinsic miscompiles
-						// inside this loop on the pinned go1.24.0/amd64
-						// toolchain (lane words silently vanish; see
-						// TestPushIntrinsicRegression), and CAS keeps the
-						// module's language floor at go1.22.
-						for {
-							old := st.next[w].Load()
-							if st.next[w].CompareAndSwap(old, old|diff) {
-								if old == 0 {
-									bag.Insert(w) // first setter owns the list entry
-								}
-								break
-							}
-						}
-					}
+	}
+	push = func(front []uint32, active uint64) {
+		parallel.ForRangeCancel(cl.Token(), len(front), 16, func(lo, hi int) {
+			var scans int64
+			nbuf := out.Scratch()
+			for i := lo; i < hi; i++ {
+				u := front[i]
+				fu := st.cur[u] & active
+				if fu == 0 {
+					continue
 				}
-				met.AddEdges(scans)
-				tr.LaneScans(scans)
-			})
-		}
-	case *graph.Compressed:
-		var in *graph.Compressed
-		if denseCut != math.MaxInt64 {
-			in = g.Transpose()
-		}
-		pull = func(active uint64) {
-			parallel.ForRangeCancel(cl.Token(), n, 0, func(lo, hi int) {
-				var scans int64
-				for vi := lo; vi < hi; vi++ {
-					v := uint32(vi)
-					want := active &^ st.seen[v]
-					if want == 0 {
+				for _, w := range out.Neighbors(u, nbuf) {
+					scans++
+					diff := fu &^ st.seen[w]
+					if diff == 0 {
 						continue
 					}
-					var acc uint64
-					it := in.Arcs(v)
+					// Cheap pre-check dodges the contended RMW when every
+					// new bit is already accumulated.
+					if diff&^st.next[w].Load() == 0 {
+						continue
+					}
+					// Keep this a Load/CAS loop, not st.next[w].Or(diff):
+					// the go1.23 Or-with-result intrinsic miscompiles
+					// inside this loop on the pinned go1.24.0/amd64
+					// toolchain (lane words silently vanish; see
+					// TestPushIntrinsicRegression), and CAS keeps the
+					// module's language floor at go1.22.
 					for {
-						u, ok := it.Next()
-						if !ok {
-							break
-						}
-						scans++
-						acc |= st.cur[u]
-						if acc&want == want {
-							break
-						}
-					}
-					if nb := acc & want; nb != 0 {
-						st.next[v].Store(nb)
-						bag.Insert(v)
-					}
-				}
-				met.AddEdges(scans)
-				tr.LaneScans(scans)
-			})
-		}
-		push = func(front []uint32, active uint64) {
-			parallel.ForRangeCancel(cl.Token(), len(front), 16, func(lo, hi int) {
-				var scans int64
-				nbuf := make([]uint32, 0, 256)
-				for i := lo; i < hi; i++ {
-					u := front[i]
-					fu := st.cur[u] & active
-					if fu == 0 {
-						continue
-					}
-					nbuf = g.AppendNeighbors(u, nbuf[:0])
-					for _, w := range nbuf {
-						scans++
-						diff := fu &^ st.seen[w]
-						if diff == 0 {
-							continue
-						}
-						if diff&^st.next[w].Load() == 0 {
-							continue
-						}
-						for {
-							old := st.next[w].Load()
-							if st.next[w].CompareAndSwap(old, old|diff) {
-								if old == 0 {
-									bag.Insert(w)
-								}
-								break
+						old := st.next[w].Load()
+						if st.next[w].CompareAndSwap(old, old|diff) {
+							if old == 0 {
+								bag.Insert(w) // first setter owns the list entry
 							}
-						}
-					}
-				}
-				met.AddEdges(scans)
-				tr.LaneScans(scans)
-			})
-		}
-	case *graph.Overlay:
-		// Overlay snapshots from internal/delta. Both directions use the
-		// merged bulk scan into task scratch: the patch merge walks the
-		// base list regardless, so a streaming early-exit pull would not
-		// skip any work the way the compressed cursor does. The CAS loop
-		// (not atomic Or) is deliberate — see the plain-CSR case.
-		var in *graph.Overlay
-		if denseCut != math.MaxInt64 {
-			in = g.Transpose()
-		}
-		pull = func(active uint64) {
-			parallel.ForRangeCancel(cl.Token(), n, 0, func(lo, hi int) {
-				var scans int64
-				nbuf := make([]uint32, 0, 256)
-				for vi := lo; vi < hi; vi++ {
-					v := uint32(vi)
-					want := active &^ st.seen[v]
-					if want == 0 {
-						continue
-					}
-					var acc uint64
-					nbuf = in.AppendNeighbors(v, nbuf[:0])
-					for _, u := range nbuf {
-						scans++
-						acc |= st.cur[u]
-						if acc&want == want {
 							break
 						}
 					}
-					if nb := acc & want; nb != 0 {
-						st.next[v].Store(nb)
-						bag.Insert(v)
-					}
 				}
-				met.AddEdges(scans)
-				tr.LaneScans(scans)
-			})
-		}
-		push = func(front []uint32, active uint64) {
-			parallel.ForRangeCancel(cl.Token(), len(front), 16, func(lo, hi int) {
-				var scans int64
-				nbuf := make([]uint32, 0, 256)
-				for i := lo; i < hi; i++ {
-					u := front[i]
-					fu := st.cur[u] & active
-					if fu == 0 {
-						continue
-					}
-					nbuf = g.AppendNeighbors(u, nbuf[:0])
-					for _, w := range nbuf {
-						scans++
-						diff := fu &^ st.seen[w]
-						if diff == 0 {
-							continue
-						}
-						if diff&^st.next[w].Load() == 0 {
-							continue
-						}
-						for {
-							old := st.next[w].Load()
-							if st.next[w].CompareAndSwap(old, old|diff) {
-								if old == 0 {
-									bag.Insert(w)
-								}
-								break
-							}
-						}
-					}
-				}
-				met.AddEdges(scans)
-				tr.LaneScans(scans)
-			})
-		}
+			}
+			met.AddEdges(scans)
+			tr.LaneScans(scans)
+		})
 	}
 
 	// Round 0: sources settle at distance 0. Duplicates share a frontier

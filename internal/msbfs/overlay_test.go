@@ -9,7 +9,7 @@ import (
 	"pasgal/internal/graph"
 )
 
-// Functional twins for the overlay lane-scan specialization (epoch
+// Functional twins for the lane scans on overlay graphs (epoch
 // snapshots from internal/delta): batched runs over the overlay must
 // match batched runs over a plain rebuild of the same post-edit graph,
 // in both scan directions and across lane-group widths.

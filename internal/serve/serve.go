@@ -114,11 +114,13 @@ type Config struct {
 var graphIdent atomic.Uint64
 
 // servedGraph is one loaded graph plus its lazily built serving variants.
-// The graph may be either representation: plain CSR or compressed
-// (possibly a read-only mmap view). pg is the plain form when there is
-// one — the algorithms without a compressed specialization (scc, kcore)
-// require it and refuse compressed graphs instead of silently inflating
-// a multi-gigabyte decompressed copy inside a request handler.
+// The graph may be any graph.Adjacency representation: plain CSR,
+// compressed (possibly a read-only mmap view), or — when served mutable —
+// a delta.Store publishing Overlay epochs. pg is the plain form when
+// there is one — the algorithms not yet written over graph.Scanner (scc,
+// kcore) require it and refuse the other representations instead of
+// silently inflating a multi-gigabyte plain copy inside a request
+// handler.
 type servedGraph struct {
 	name  string
 	ident uint64 // process-unique identity token (cache key component)
@@ -267,12 +269,12 @@ func New(graphs map[string]*graph.Graph, cfg Config) (*Server, error) {
 	return NewAdj(adj, cfg)
 }
 
-// NewAdj returns a Server over the named graphs in either representation:
-// plain *graph.Graph or *graph.Compressed (including read-only mmap views
-// from gio.MapPZFile — the server never writes to a graph). bfs, sssp,
-// reachable, and p2p run on both representations; scc and kcore require
-// plain CSR and answer 400 on a compressed graph. Do not mutate the
-// graphs after this call.
+// NewAdj returns a Server over the named graphs in any graph.Adjacency
+// representation: plain *graph.Graph or *graph.Compressed (including
+// read-only mmap views from gio.MapPZFile — the server never writes to a
+// graph). bfs, sssp, reachable, and p2p run on every representation,
+// through the same kernel bodies; scc and kcore require plain CSR and
+// answer 400 otherwise. Do not mutate the graphs after this call.
 func NewAdj(graphs map[string]graph.Adjacency, cfg Config) (*Server, error) {
 	if len(graphs) == 0 {
 		return nil, errors.New("serve: no graphs to serve")

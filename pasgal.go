@@ -48,10 +48,10 @@ func Workers() int { return parallel.Workers() }
 // Degree, Neighbors, Transpose, Symmetrized, Validate, ...
 type Graph = graph.Graph
 
-// Adjacency is the read seam the traversal kernels accept: either a plain
-// *Graph or a *CompressedGraph. The two representations keep separate,
-// specialized scan loops inside each kernel — the interface carries only
-// per-call metadata, never per-edge dispatch.
+// Adjacency is the read seam the traversal kernels accept: a plain *Graph,
+// a *CompressedGraph, or an epoch snapshot of a mutable store. Each kernel
+// has one body over per-vertex neighbor lists (graph.Scanner); the
+// interface carries only per-call metadata, never per-edge dispatch.
 type Adjacency = graph.Adjacency
 
 // CompressedGraph is the difference-encoded byte-varint CSR representation:

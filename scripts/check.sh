@@ -32,13 +32,31 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
+echo '== one scan body per kernel'
+# graph.ScanOut/ScanIn are the only place that switches on the concrete
+# representation; a case on one reappearing in a kernel package means a
+# round body is being hand-copied per representation again.
+if grep -rnE 'case \*graph\.(Compressed|Overlay)' internal/core internal/conn internal/msbfs; then
+    echo 'per-representation branch in a kernel package: range over graph.Scanner lists instead' >&2
+    exit 1
+fi
+
 echo '== go vet'
 go vet ./...
 
 echo '== build + tests'
 go build ./...
+# The benchmark harness is its own module (benchmark/go.mod, reached
+# through a replace directive), so the root ./... patterns skip it; build
+# and test it here so an internal rename cannot break it unnoticed.
+check_benchmark_module() {
+    echo '== benchmark module'
+    go -C benchmark vet ./...
+    go -C benchmark test ./...
+}
 if [ "$short" = 1 ]; then
     go test -short ./...
+    check_benchmark_module
     echo '== scheduler conformance suite'
     go test -run 'Conformance|PanicPropagation|SchedStatsMatchTracer' -count=1 \
         ./internal/parallel
@@ -49,6 +67,7 @@ covtmp=$(mktemp /tmp/pasgal-cover.XXXXXX.txt)
 tmpjson=$(mktemp /tmp/pasgal-bench.XXXXXX.json)
 trap 'rm -f "$covtmp" "$tmpjson"' EXIT
 go test -cover ./... | tee "$covtmp"
+check_benchmark_module
 
 echo '== coverage ratchet'
 # Per-package statement coverage must not drop below the committed

@@ -127,7 +127,7 @@ func bfsDrive(st *bfsState, pull func(cur int), push func(f []uint32, bucketOf [
 		// Advance to the first non-empty bucket; all pending distances lie
 		// in [cur+1, cur+nBags) whenever bucket cur is empty, so the scan
 		// is bounded and never misses work.
-		for fr.len(cur) == 0 {
+		for fr.empty(cur) {
 			cur++
 		}
 		// Gather up to `window` consecutive distance buckets.
@@ -135,7 +135,7 @@ func bfsDrive(st *bfsState, pull func(cur int), push func(f []uint32, bucketOf [
 		var bucketOf []int // parallel: the distance each entry came from
 		grabbed := 0
 		for d := cur; d < cur+window && grabbed < st.nBags-st.tau-1; d++ {
-			if fr.len(d) == 0 {
+			if fr.empty(d) {
 				continue
 			}
 			part := fr.extract(d)
@@ -227,7 +227,8 @@ func bfsScans(a graph.Adjacency, st *bfsState) (pull func(cur int), push func(f 
 	}
 	push = func(f []uint32, bucketOf []int) {
 		parallel.ForRangeCancel(st.cl.Token(), len(f), 1, func(lo, hi int) {
-			queue := make([]uint32, 0, 64)
+			var qbuf [64]uint32
+			queue := qbuf[:0]
 			nbuf := out.Scratch()
 			var edgeCount int64
 			for i := lo; i < hi; i++ {
@@ -334,12 +335,12 @@ func (fs *frontierSet) insert(d int, v uint32) {
 	}
 }
 
-func (fs *frontierSet) len(d int) int {
+func (fs *frontierSet) empty(d int) bool {
 	i := fs.idx(d)
 	if fs.bags != nil {
-		return fs.bags[i].Len()
+		return fs.bags[i].Empty()
 	}
-	return int(fs.flatN[i].Load())
+	return fs.flatN[i].Load() == 0
 }
 
 // extract drains frontier d. The dense variant pays an O(n/32) scan — the

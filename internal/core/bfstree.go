@@ -59,7 +59,8 @@ func BFSTree(a graph.Adjacency, src uint32, opt Options) (dist []uint32, parent 
 	// and parent together.
 	push := func(f []uint32, bucketOf []int) {
 		parallel.ForRangeCancel(cl.Token(), len(f), 1, func(lo, hi int) {
-			queue := make([]uint32, 0, 64)
+			var qbuf [64]uint32
+			queue := qbuf[:0]
 			nbuf := out.Scratch()
 			var edgeCount int64
 			for i := lo; i < hi; i++ {

@@ -211,6 +211,12 @@ func TestCancelMidRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mid-run cancellation sweep; skipped with -short")
 	}
+	// The watcher has to run beside the algorithm. On a single P it gets the
+	// CPU only at a preemption tick, and the 90 ms BCC pipeline sometimes
+	// finished first (check.sh runs the suite at GOMAXPROCS=1).
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
 	const n = 200_000
 	dg := gen.AddUniformWeights(gen.Chain(n, true), 1, 10, 47)
 	ug := gen.AddUniformWeights(gen.Chain(n, false), 1, 10, 48)

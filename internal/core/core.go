@@ -262,9 +262,12 @@ func (m *Metrics) AddEdges(k int64) {
 
 // AddPhase records one outer phase (SCC peeling round, SSSP threshold
 // step, k-core peel, ...).
-func (m *Metrics) AddPhase() {
+func (m *Metrics) AddPhase() { m.addPhase(-1) }
+
+// addPhase is AddPhase with the trace event's caller-defined detail.
+func (m *Metrics) addPhase(detail int64) {
 	p := atomic.AddInt64(&m.Phases, 1)
-	m.tracer.Phase(m.algo, p, -1)
+	m.tracer.Phase(m.algo, p, detail)
 }
 
 // AddBottomUp records one bottom-up (direction-optimized) round.

@@ -63,14 +63,15 @@ func KCore(g *graph.Graph, opt Options) ([]uint32, int, *Metrics, error) {
 				bag.Insert(v)
 			}
 		})
-		for bag.Len() > 0 {
+		for !bag.Empty() {
 			if err := cl.Poll(); err != nil {
 				return nil, 0, met, err
 			}
 			f := bag.Extract()
 			met.Round(len(f))
 			parallel.ForRangeCancel(cl.Token(), len(f), 1, func(lo, hi int) {
-				queue := make([]uint32, 0, 64)
+				var qbuf [64]uint32
+				queue := qbuf[:0]
 				var edgeCount int64
 				for i := lo; i < hi; i++ {
 					queue = append(queue[:0], f[i])

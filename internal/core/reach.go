@@ -45,7 +45,7 @@ func Reachable(a graph.Adjacency, srcs []uint32, opt Options) ([]bool, *Metrics,
 		}
 	}
 	sc := graph.ScanOut(a)
-	for bag.Len() > 0 {
+	for !bag.Empty() {
 		if err := cl.Poll(); err != nil {
 			return nil, met, err
 		}
@@ -53,7 +53,8 @@ func Reachable(a graph.Adjacency, srcs []uint32, opt Options) ([]bool, *Metrics,
 		met.Round(len(f))
 		// Chunk closure directly in the loop, for the reason given in SSSP.
 		parallel.ForRangeCancel(cl.Token(), len(f), 1, func(lo, hi int) {
-			queue := make([]uint32, 0, 64)
+			var qbuf [64]uint32
+			queue := qbuf[:0]
 			nbuf := sc.Scratch()
 			var edgeCount int64
 			for i := lo; i < hi; i++ {

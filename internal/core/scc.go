@@ -172,7 +172,7 @@ func multiReach(g *graph.Graph, comp []uint32, sub []uint64,
 	for _, p := range pivots {
 		bag.Insert(p)
 	}
-	for bag.Len() > 0 {
+	for !bag.Empty() {
 		if err := cl.Poll(); err != nil {
 			return err
 		}
@@ -181,7 +181,8 @@ func multiReach(g *graph.Graph, comp []uint32, sub []uint64,
 		// FIFO local worklist: labels propagate breadth-first within a
 		// task, minimizing claim-then-reclaim churn between pivots.
 		parallel.ForRangeCancel(cl.Token(), len(f), 1, func(lo, hi int) {
-			queue := make([]uint32, 0, 64)
+			var qbuf [64]uint32
+			queue := qbuf[:0]
 			var edgeCount int64
 			for i := lo; i < hi; i++ {
 				queue = append(queue[:0], f[i])

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"pasgal/internal/graph"
@@ -86,10 +86,8 @@ func (BellmanFordPolicy) Threshold([]uint64, int) uint64 { return InfWeight }
 func (BellmanFordPolicy) Name() string { return "bf" }
 
 // SSSP computes single-source shortest paths on a weighted graph with the
-// stepping-algorithm framework: a near/far pair of hash bags, a pluggable
-// threshold policy, atomic write-min relaxations, and VGC local searches
-// (a relaxation that lands under the current threshold keeps expanding
-// in-task instead of round-tripping through the frontier).
+// stepping-algorithm framework (see stepping): a pluggable threshold
+// policy, atomic write-min relaxations, and VGC local searches.
 //
 // policy == nil selects ρ-stepping with its default ρ.
 //
@@ -103,21 +101,85 @@ func SSSP(a graph.Adjacency, src uint32, policy StepPolicy, opt Options) ([]uint
 	if !a.HasWeights() {
 		panic("core: SSSP requires a weighted graph")
 	}
+	dist, met, err := stepping("sssp", a, src, graph.None, policy, opt)
+	if err != nil {
+		return nil, met, err
+	}
+	out := make([]uint64, len(dist))
+	parallel.For(len(dist), 0, func(i int) { out[i] = dist[i].Load() })
+	return out, met, nil
+}
+
+// claimScan stamps u as scanned at tentative distance du and reports
+// whether the caller should do the scan: false when a scan at du or better
+// has already started. The stamp is a write-min, not a Swap: a task holding
+// a stale du must not overwrite the stamp of a fresher scan, or the vertex
+// would read as unscanned at a phase boundary with a distance at or under
+// the previous θ and could drag θ backwards.
+func claimScan(stamp *atomic.Uint64, du uint64) bool {
+	for {
+		s := stamp.Load()
+		if s <= du {
+			return false
+		}
+		if stamp.CompareAndSwap(s, du) {
+			return true
+		}
+	}
+}
+
+// stepping is the stepping-framework driver behind SSSP (dst ==
+// graph.None) and PointToPoint: a frontier of vertices at or under the
+// threshold θ processed round by round with VGC local searches (a
+// relaxation that lands at or under θ keeps expanding in-task instead of
+// round-tripping through the near bag), and a far set of everything else
+// from which each phase boundary picks the next θ. It returns the
+// tentative distances, final for every vertex closer than dst (for all of
+// them when dst is graph.None).
+//
+// Every unit of work is done once:
+//
+//   - scanned[u] is the smallest distance at which a scan of u has started
+//     (claimScan). The bags are multisets, so u can be extracted twice at
+//     one distance; distances only decrease, so "already stamped at du"
+//     means every out-arc of u was or is being relaxed with du, and the
+//     second extraction skips the arc list. dist[v] < scanned[v] is
+//     exactly "v still needs a scan".
+//   - The far set is the carry list plus the far bag's fresh discoveries.
+//     A phase boundary packs the two down to the live entries (still need a
+//     scan, and closer than dst), samples θ from those alone, and splits
+//     them by θ into the next round's frontier and the next carry. Nothing
+//     is re-hashed into a bag.
+//   - A relaxation that lands past θ inserts into the far bag only when it
+//     is the search's first discovery of the vertex (see the insert site).
+func stepping(algo string, a graph.Adjacency, src, dst uint32, policy StepPolicy, opt Options) ([]atomic.Uint64, *Metrics, error) {
 	if policy == nil {
 		policy = RhoStepping{}
 	}
 	opt = opt.Normalized()
 	defer attachRuntimeTracer(opt)()
-	met := NewMetrics(opt, "sssp")
+	met := NewMetrics(opt, algo)
 	cl := NewCanceler(opt, met)
 	defer cl.Close()
 	n := a.NumVertices()
 	if err := checkVertex("source", src, n); err != nil {
 		return nil, met, err
 	}
+	// The pruning bound: nothing at or past the best known distance to dst
+	// can lie on a better src→dst path (weights are non-negative). It is
+	// dist[dst] itself; SSSP reads a constant InfWeight through the same
+	// pointer.
+	bound := new(atomic.Uint64)
+	bound.Store(InfWeight)
 	dist := make([]atomic.Uint64, n)
-	parallel.For(n, 0, func(i int) { dist[i].Store(InfWeight) })
-	out := make([]uint64, n)
+	if dst != graph.None {
+		bound = &dist[dst]
+	}
+	scanned := make([]atomic.Uint64, n)
+	parallel.For(n, 0, func(i int) {
+		dist[i].Store(InfWeight)
+		scanned[i].Store(InfWeight)
+	})
 	tau := opt.tau()
 
 	near := hashbag.New(1024)
@@ -125,122 +187,133 @@ func SSSP(a graph.Adjacency, src uint32, policy StepPolicy, opt Options) ([]uint
 	near.SetTracer(opt.Tracer)
 	far.SetTracer(opt.Tracer)
 	dist[src].Store(0)
-	near.Insert(src)
+	f := []uint32{src} // this round's frontier: every entry has dist <= theta
+	var carry []uint32 // far entries kept across phases
 	theta := uint64(0) // process dist <= theta; first phase handles src only
 
 	sc := graph.ScanOut(a)
 	for {
 		// Round/phase boundary: a canceled round drains chunks without
-		// re-inserting deferred vertices, so the near/far emptiness test
-		// below would read as convergence — stop first.
+		// scanning them, so the emptiness tests below would read as
+		// convergence — stop first.
 		if err := cl.Poll(); err != nil {
 			return nil, met, err
 		}
-		if near.Len() > 0 {
-			// Process the near frontier — the only place the graph is
-			// scanned. The chunk closure sits directly in this loop, not
-			// in a processFrontier helper closure: go1.24 inlines such a
-			// helper at its one call site and then compiles the closures
-			// nested in it without inlining, which turned every atomic
-			// Load/CAS below into a call (+22 % on the social graph).
-			f := near.Extract()
-			met.Round(len(f))
-			// Multi-hop local expansion is only sound under a finite θ: it
-			// bounds how wrong an eagerly-expanded tentative distance can be.
-			// With θ = ∞ (Bellman–Ford policy) every improvement round-trips
-			// through the frontier instead.
-			localBudget := tau
-			if theta == InfWeight {
-				localBudget = 0
-			}
-			// FIFO local worklist: the local search relaxes in mini-BFS order,
-			// keeping tentative distances close to final (a LIFO order would
-			// chase depth-first chains of inflated distances).
-			parallel.ForRangeCancel(cl.Token(), len(f), 1, func(lo, hi int) {
-				queue := make([]uint32, 0, 64)
-				nbuf, wbuf := sc.Scratch(), sc.Scratch()
-				var edgeCount int64
-				for i := lo; i < hi; i++ {
-					v := f[i]
-					if dist[v].Load() > theta {
-						far.Insert(v) // not ready yet; defer to a later phase
-						continue
-					}
-					queue = append(queue[:0], v)
-					budget := localBudget
-					for head := 0; head < len(queue); head++ {
-						u := queue[head]
-						du := dist[u].Load()
-						nbrs, wts := sc.Arcs(u, nbuf, wbuf)
-						for j, w := range nbrs {
-							edgeCount++
-							nd := du + uint64(wts[j])
-							for {
-								old := dist[w].Load()
-								if nd >= old {
-									break
-								}
-								if dist[w].CompareAndSwap(old, nd) {
-									if nd <= theta && budget > 0 {
-										queue = append(queue, w)
-									} else if nd <= theta {
-										near.Insert(w)
-									} else {
-										far.Insert(w)
-									}
-									break
-								}
-							}
-						}
-						budget -= len(nbrs)
-						if budget <= 0 && head+1 < len(queue) {
-							for _, w := range queue[head+1:] {
-								near.Insert(w)
-							}
-							queue = queue[:head+1]
-						}
-					}
-				}
-				met.AddEdges(edgeCount)
+		if len(f) == 0 {
+			// New phase. Everything at or under the old θ has been scanned
+			// at its current distance, so every live entry lies past it.
+			fresh := far.Extract()
+			carry = append(carry, fresh...)
+			live := parallel.Pack(carry, func(i int) bool {
+				v := carry[i]
+				d := dist[v].Load()
+				return d < scanned[v].Load() && d < bound.Load()
 			})
+			if len(live) == 0 {
+				break
+			}
+			met.addPhase(int64(len(fresh)))
+			sample := make([]uint64, 0, 1024)
+			stride := len(live)/cap(sample) + 1
+			for i := 0; i < len(live); i += stride {
+				sample = append(sample, dist[live[i]].Load())
+			}
+			slices.Sort(sample)
+			theta = policy.Threshold(sample, len(live))
+			if theta < sample[0] {
+				// Guarantees progress, and with it that θ only ever grows
+				// (sample[0] is a live distance, hence past the old θ):
+				// the first-discovery rule below rests on that.
+				theta = sample[0]
+			}
+			f = parallel.Pack(live, func(i int) bool { return dist[live[i]].Load() <= theta })
+			carry = parallel.Pack(live, func(i int) bool { return dist[live[i]].Load() > theta })
 			continue
 		}
-		if far.Len() == 0 {
-			break
+		// Process the frontier — the only place the graph is scanned. The
+		// chunk closure sits directly in this loop, not in a helper
+		// closure: go1.24 inlines such a helper at its one call site and
+		// then compiles the closures nested in it without inlining, which
+		// turned every atomic Load/CAS below into a call (+22 % on the
+		// social graph).
+		met.Round(len(f))
+		// Multi-hop local expansion is only sound under a finite θ: it
+		// bounds how wrong an eagerly-expanded tentative distance can be.
+		// With θ = ∞ (Bellman–Ford policy) every improvement round-trips
+		// through the near bag instead.
+		localBudget := tau
+		if theta == InfWeight {
+			localBudget = 0
 		}
-		// New phase: pick θ from the far set and promote the ready part.
-		met.AddPhase()
-		f := far.Extract()
-		// Drop stale entries (already settled below a previous θ and
-		// re-processed); keep one representative per improvable vertex.
-		sampleCap := 1024
-		sample := make([]uint64, 0, sampleCap)
-		stride := len(f)/sampleCap + 1
-		for i := 0; i < len(f); i += stride {
-			sample = append(sample, dist[f[i]].Load())
-		}
-		sort.Slice(sample, func(i, j int) bool { return sample[i] < sample[j] })
-		theta = policy.Threshold(sample, len(f))
-		if theta < sample[0] {
-			theta = sample[0] // guarantee progress
-		}
-		parallel.ForRangeCancel(cl.Token(), len(f), 0, func(lo, hi int) {
+		parallel.ForRangeCancel(cl.Token(), len(f), 1, func(lo, hi int) {
+			// FIFO local worklist: the local search relaxes in mini-BFS
+			// order, keeping tentative distances close to final (a LIFO
+			// order would chase depth-first chains of inflated distances).
+			var qbuf [64]uint32
+			queue := qbuf[:0]
+			nbuf, wbuf := sc.Scratch(), sc.Scratch()
+			var edgeCount int64
 			for i := lo; i < hi; i++ {
-				v := f[i]
-				if dist[v].Load() <= theta {
-					near.Insert(v)
-				} else {
-					far.Insert(v)
+				queue = append(queue[:0], f[i])
+				budget := localBudget
+				for head := 0; head < len(queue); head++ {
+					u := queue[head]
+					du := dist[u].Load()
+					b := bound.Load() // once per scanned vertex, not per arc
+					if du >= b || !claimScan(&scanned[u], du) {
+						continue
+					}
+					nbrs, wts := sc.Arcs(u, nbuf, wbuf)
+					for j, w := range nbrs {
+						nd := du + uint64(wts[j])
+						if nd >= b {
+							continue // cannot extend a better path to dst
+						}
+						for {
+							old := dist[w].Load()
+							if nd >= old {
+								break
+							}
+							if !dist[w].CompareAndSwap(old, nd) {
+								continue
+							}
+							if nd > theta {
+								// First discovery only: old is InfWeight, or
+								// at/past the bound, under which a boundary
+								// may have dropped w. A smaller old > θ
+								// proves that discovery's entry is still in
+								// far ∪ carry: promoting or scanning w takes
+								// dist[w] <= some earlier θ, and θ only grows.
+								if old >= b {
+									far.Insert(w)
+								}
+							} else if budget > 0 {
+								queue = append(queue, w)
+							} else {
+								near.Insert(w)
+							}
+							break
+						}
+					}
+					edgeCount += int64(len(nbrs))
+					budget -= len(nbrs)
+					if budget <= 0 && head+1 < len(queue) {
+						for _, w := range queue[head+1:] {
+							near.Insert(w)
+						}
+						queue = queue[:head+1]
+					}
 				}
 			}
+			met.AddEdges(edgeCount)
 		})
+		f = near.Extract()
 	}
 
-	// Final check before materializing: only a clean Poll lets the result
-	// be claimed complete (see BFS).
+	// Final check before handing the distances out: only a clean Poll lets
+	// the result be claimed complete (see BFS).
 	if err := cl.Poll(); err != nil {
 		return nil, met, err
 	}
-	parallel.For(n, 0, func(i int) { out[i] = dist[i].Load() })
-	return out, met, nil
+	return dist, met, nil
 }

@@ -81,3 +81,46 @@ func TestStressSCCUnderRace(t *testing.T) {
 		}
 	}
 }
+
+// TestStressSteppingUnderRace runs the stepping driver with tiny tau (every
+// improvement round-trips through the near bag, so duplicate extractions
+// and concurrent scan stamps on one vertex are the common case) and an
+// oversized worker team, SSSP and PointToPoint side by side on one graph,
+// against Dijkstra.
+func TestStressSteppingUnderRace(t *testing.T) {
+	if testing.Short() {
+		t.Skip("stress test; skipped with -short")
+	}
+	old := parallel.SetWorkers(16)
+	defer parallel.SetWorkers(old)
+	for trial, pol := range []StepPolicy{RhoStepping{Rho: 32}, DeltaStepping{Delta: 4}, BellmanFordPolicy{}} {
+		g := gen.AddUniformWeights(gen.ER(1500, 6000, true, uint64(trial)+60), 0, 9, 61)
+		want := seq.Dijkstra(g, 0)
+		var wg sync.WaitGroup
+		errc := make(chan string, 4)
+		for q := 0; q < 2; q++ {
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				dist, _, _ := SSSP(g, 0, pol, Options{Tau: 1})
+				for v := range dist {
+					if dist[v] != want[v] {
+						errc <- "SSSP distance mismatch"
+						return
+					}
+				}
+			}()
+			go func(dst uint32) {
+				defer wg.Done()
+				if d, _, _ := PointToPoint(g, 0, dst, pol, Options{Tau: 1}); d != want[dst] {
+					errc <- "PointToPoint distance mismatch"
+				}
+			}(uint32(g.N - 1 - q))
+		}
+		wg.Wait()
+		close(errc)
+		for msg := range errc {
+			t.Fatalf("%s: %s", pol.Name(), msg)
+		}
+	}
+}

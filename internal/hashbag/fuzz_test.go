@@ -32,6 +32,9 @@ func FuzzHashBag(f *testing.F) {
 		oracle := map[uint32]int{} // multiset: inserted value -> count
 		size := 0
 		check := func(stage string) {
+			if b.Empty() != (size == 0) {
+				t.Fatalf("%s: Empty = %v with %d inserts pending", stage, b.Empty(), size)
+			}
 			got := b.Extract()
 			if len(got) != size {
 				t.Fatalf("%s: extracted %d values, oracle has %d", stage, len(got), size)
@@ -60,8 +63,8 @@ func FuzzHashBag(f *testing.F) {
 			b.Insert(v)
 			oracle[v]++
 			size++
-			if b.Len() != size {
-				t.Fatalf("Len = %d after %d inserts", b.Len(), size)
+			if b.Empty() {
+				t.Fatalf("Empty after %d inserts", size)
 			}
 		}
 		check("final extract")

@@ -39,10 +39,14 @@ const (
 // usable; call New. Insert may be called concurrently from many
 // goroutines; Extract/Reset must not race with Insert.
 type Bag struct {
-	levels   [maxLevels]atomic.Pointer[[]uint32]
-	active   atomic.Int32
-	est      atomic.Int64
-	inserted atomic.Int64
+	levels [maxLevels]atomic.Pointer[[]uint32]
+	active atomic.Int32
+	est    atomic.Int64
+	// nonEmpty is a flag, not an insert count: the first insert after a
+	// reset stores 1 and every other insert only loads it, so inserting
+	// workers do not write a shared cache line. No caller needs more than
+	// "anything in there?".
+	nonEmpty atomic.Uint32
 	initLen  int
 	tracer   *trace.Tracer
 }
@@ -103,7 +107,9 @@ func (b *Bag) Insert(v uint32) {
 			slot := int(h & mask)
 			if atomic.LoadUint32(&c[slot]) == empty &&
 				atomic.CompareAndSwapUint32(&c[slot], empty, v) {
-				b.inserted.Add(1)
+				if b.nonEmpty.Load() == 0 {
+					b.nonEmpty.Store(1)
+				}
 				b.tracer.BagRetries(retries)
 				if h&((1<<sampleShift)-1) == 0 &&
 					b.est.Add(1)<<sampleShift >= int64(len(c)/2) {
@@ -142,8 +148,9 @@ func (b *Bag) grow(ai int) {
 	b.est.Store(0)
 }
 
-// Len returns the number of successful inserts since the last reset.
-func (b *Bag) Len() int { return int(b.inserted.Load()) }
+// Empty reports whether no insert has succeeded since the last
+// Extract/Reset.
+func (b *Bag) Empty() bool { return b.nonEmpty.Load() == 0 }
 
 // seqCutoff is the chunk size below which extraction and reset run
 // sequentially: spawning a parallel loop over a few thousand slots costs
@@ -181,7 +188,7 @@ func (b *Bag) Extract() []uint32 {
 	}
 	b.active.Store(0)
 	b.est.Store(0)
-	b.inserted.Store(0)
+	b.nonEmpty.Store(0)
 	return out
 }
 
@@ -204,5 +211,5 @@ func (b *Bag) Reset() {
 	}
 	b.active.Store(0)
 	b.est.Store(0)
-	b.inserted.Store(0)
+	b.nonEmpty.Store(0)
 }

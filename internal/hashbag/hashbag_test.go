@@ -22,8 +22,8 @@ func TestInsertExtractSequential(t *testing.T) {
 	for _, v := range want {
 		b.Insert(v)
 	}
-	if b.Len() != len(want) {
-		t.Fatalf("Len = %d, want %d", b.Len(), len(want))
+	if b.Empty() {
+		t.Fatalf("Empty after %d inserts", len(want))
 	}
 	got := sorted(b.Extract())
 	if len(got) != len(want) {
@@ -35,8 +35,8 @@ func TestInsertExtractSequential(t *testing.T) {
 			t.Fatalf("Extract[%d] = %d, want %d", i, got[i], ws[i])
 		}
 	}
-	if got := b.Extract(); len(got) != 0 {
-		t.Fatalf("second Extract returned %d values", len(got))
+	if got := b.Extract(); len(got) != 0 || !b.Empty() {
+		t.Fatalf("second Extract returned %d values, Empty = %v", len(got), b.Empty())
 	}
 }
 
@@ -105,8 +105,8 @@ func TestReset(t *testing.T) {
 		b.Insert(v)
 	}
 	b.Reset()
-	if b.Len() != 0 {
-		t.Fatalf("Len after Reset = %d", b.Len())
+	if !b.Empty() {
+		t.Fatal("not Empty after Reset")
 	}
 	if got := b.Extract(); len(got) != 0 {
 		t.Fatalf("Extract after Reset returned %d values", len(got))

@@ -39,6 +39,9 @@ func Decompose(g *graph.Graph, beta float64, seed uint64) ([]uint32, int) {
 	n := g.N
 	cluster := make([]atomic.Uint32, n)
 	parallel.For(n, 0, func(i int) { cluster[i].Store(graph.None) })
+	// claimed[v] is set once v's cluster is final: at activation for a
+	// center, in the second pass of the round that reached it otherwise.
+	claimed := make([]atomic.Bool, n)
 
 	// Exponential shifts, discretized: vertex v becomes an active center
 	// at round floor(maxShift - delta_v) if still unclaimed.
@@ -72,7 +75,9 @@ func Decompose(g *graph.Graph, beta float64, seed uint64) ([]uint32, int) {
 		// still unclaimed.
 		if t <= maxShift {
 			for _, v := range starters[t] {
-				if cluster[v].CompareAndSwap(graph.None, v) {
+				if !claimed[v].Load() {
+					cluster[v].Store(v)
+					claimed[v].Store(true)
 					frontier = append(frontier, v)
 				}
 			}
@@ -84,7 +89,12 @@ func Decompose(g *graph.Graph, beta float64, seed uint64) ([]uint32, int) {
 			continue
 		}
 		rounds++
-		// One BFS step from the whole frontier.
+		// One BFS step from the whole frontier, in two passes so that the
+		// labels are a function of (graph, beta, seed) and not of the
+		// schedule: first every frontier vertex write-mins its cluster into
+		// each neighbor that was unclaimed when the round began (claimed is
+		// only written in the second pass), then the arcs carrying the
+		// settled minimum emit the neighbor, once, into the next frontier.
 		offs := make([]int64, len(frontier))
 		parallel.For(len(frontier), 0, func(i int) {
 			offs[i] = int64(g.Degree(frontier[i]))
@@ -94,11 +104,25 @@ func Decompose(g *graph.Graph, beta float64, seed uint64) ([]uint32, int) {
 		parallel.For(len(frontier), 1, func(i int) {
 			u := frontier[i]
 			cu := cluster[u].Load()
+			for _, w := range g.Neighbors(u) {
+				if claimed[w].Load() {
+					continue
+				}
+				for {
+					old := cluster[w].Load()
+					if cu >= old || cluster[w].CompareAndSwap(old, cu) {
+						break
+					}
+				}
+			}
+		})
+		parallel.For(len(frontier), 1, func(i int) {
+			u := frontier[i]
+			cu := cluster[u].Load()
 			at := offs[i]
 			for _, w := range g.Neighbors(u) {
 				outv[at] = graph.None
-				if cluster[w].Load() == graph.None &&
-					cluster[w].CompareAndSwap(graph.None, cu) {
+				if cluster[w].Load() == cu && claimed[w].CompareAndSwap(false, true) {
 					outv[at] = w
 				}
 				at++

@@ -170,7 +170,8 @@ func (t *Tracer) DirectionSwitch(algo string, round int64) {
 }
 
 // Phase records one outer phase boundary (SCC peeling round, SSSP θ step).
-// detail is caller-defined (-1 when unused).
+// detail is caller-defined (-1 when unused; the stepping driver behind
+// sssp/ptp reports how many vertices the boundary drained from its far bag).
 func (t *Tracer) Phase(algo string, phase, detail int64) {
 	if t == nil {
 		return

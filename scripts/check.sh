@@ -1,8 +1,9 @@
 #!/bin/sh
 # check.sh — the full local verification gate, in increasing cost order:
-# formatting, go vet, build + unit tests, the pasgal-vet concurrency
-# checker, the bench regression gate, then the -race stress tier over the
-# concurrency-critical packages. Run from anywhere inside the repository.
+# formatting, go vet, build + unit tests (then three uncached passes at each
+# of GOMAXPROCS 1, 2, 4), the pasgal-vet concurrency checker, the bench
+# regression gate, then the -race stress tier over the concurrency-critical
+# packages. Run from anywhere inside the repository.
 #
 #   check.sh -short        formatting, vet, build, and short-mode tests only
 #   PASGAL_SKIP_RACE=1     stop before the race tier (it dominates, ~30s)
@@ -60,6 +61,9 @@ if [ "$short" = 1 ]; then
     echo '== scheduler conformance suite'
     go test -run 'Conformance|PanicPropagation|SchedStatsMatchTracer' -count=1 \
         ./internal/parallel
+    echo '== SSSP work bound'
+    # Uncached: the bound is on what a nondeterministic schedule visits.
+    go test -run 'TestSSSPWorkBound' -count=1 ./internal/core
     echo 'short checks passed'
     exit 0
 fi
@@ -68,6 +72,14 @@ tmpjson=$(mktemp /tmp/pasgal-bench.XXXXXX.json)
 trap 'rm -f "$covtmp" "$tmpjson"' EXIT
 go test -cover ./... | tee "$covtmp"
 check_benchmark_module
+
+echo '== tier-1 across schedules'
+# The worker team follows GOMAXPROCS and -count bypasses the test cache, so
+# a test whose outcome depends on the schedule (ldd's labels did, at 2 CPUs
+# only) cannot pass here by having passed once.
+for procs in 1 2 4; do
+    GOMAXPROCS=$procs go test -count=3 ./...
+done
 
 echo '== coverage ratchet'
 # Per-package statement coverage must not drop below the committed

@@ -39,6 +39,28 @@ func TestCompressedPublicAPI(t *testing.T) {
 			t.Fatalf("reach[%d] = %v, bfs says %v", v, reach[v], want[v] != InfDist)
 		}
 	}
+	tdist, tparent, _, err := BFSTree(c, 0, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := range want {
+		if tdist[v] != want[v] || (tparent[v] != None && want[tparent[v]]+1 != want[v]) {
+			t.Fatalf("BFSTree on compressed: dist[%d] = %d, parent %d, bfs says %d", v, tdist[v], tparent[v], want[v])
+		}
+	}
+	wantL, wantN := SequentialSCC(g)
+	gotL, gotN, _, err := SCC(c, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotN != wantN {
+		t.Fatalf("SCC on compressed: %d components, Tarjan %d", gotN, wantN)
+	}
+	for v := range gotL { // gotL[v] is a member of v's component
+		if wantL[gotL[v]] != wantL[v] {
+			t.Fatalf("SCC on compressed: %d labeled %d, which Tarjan puts elsewhere", v, gotL[v])
+		}
+	}
 	rows, _, err := BatchedBFS(c, []uint32{0, 1, 0}, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -127,6 +149,15 @@ func TestCompressedPublicAPI(t *testing.T) {
 	for v := range wantW {
 		if gotW[v] != wantW[v] {
 			t.Fatalf("sssp dist[%d] = %d compressed, %d plain", v, gotW[v], wantW[v])
+		}
+	}
+	tw, tp, _, err := SSSPTree(wc, 0, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := range wantW {
+		if tw[v] != wantW[v] || (tp[v] == None) != (uint32(v) == 0 || wantW[v] == InfWeight) {
+			t.Fatalf("SSSPTree on compressed: dist[%d] = %d, parent %d, sssp says %d", v, tw[v], tp[v], wantW[v])
 		}
 	}
 	dst := uint32(g.N - 1)

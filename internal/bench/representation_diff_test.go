@@ -62,13 +62,23 @@ func reprCases(t *testing.T, g *graph.Graph, seed int64) []reprCase {
 	}
 }
 
+// shapeDirs selects the shapes a group runs on: connectivity is undefined
+// on directed shapes, strong connectivity on undirected ones.
+type shapeDirs int
+
+const (
+	anyDir shapeDirs = iota
+	undirectedOnly
+	directedOnly
+)
+
 // forEachRepr runs f as a subtest per shape × representation. weighted
-// puts uniform weights on the shape first; undirectedOnly skips directed
-// shapes (connectivity is undefined on them).
-func forEachRepr(t *testing.T, seed uint64, weighted, undirectedOnly bool, f func(t *testing.T, rc reprCase)) {
+// puts uniform weights on the shape first; dirs leaves shapes out (they
+// are not rows of the group, so nothing is reported as skipped).
+func forEachRepr(t *testing.T, seed uint64, weighted bool, dirs shapeDirs, f func(t *testing.T, rc reprCase)) {
 	for _, sh := range diffShapes(seed) {
 		g := sh.g
-		if undirectedOnly && g.Directed {
+		if dirs == undirectedOnly && g.Directed || dirs == directedOnly && !g.Directed {
 			continue
 		}
 		if weighted {
@@ -93,7 +103,7 @@ var scanRoutes = map[string]core.Options{
 
 func TestRepresentationDifferential(t *testing.T) {
 	t.Run("bfs", func(t *testing.T) {
-		forEachRepr(t, 0xC1FF, false, false, func(t *testing.T, rc reprCase) {
+		forEachRepr(t, 0xC1FF, false, anyDir, func(t *testing.T, rc reprCase) {
 			for _, src := range diffSources(rc.truth) {
 				want := seq.BFS(rc.truth, src)
 				for oname, opt := range scanRoutes {
@@ -123,7 +133,7 @@ func TestRepresentationDifferential(t *testing.T) {
 	})
 
 	t.Run("reachable", func(t *testing.T) {
-		forEachRepr(t, 0xC2EA, false, false, func(t *testing.T, rc reprCase) {
+		forEachRepr(t, 0xC2EA, false, anyDir, func(t *testing.T, rc reprCase) {
 			srcs := diffSources(rc.truth)
 			srcs = append(srcs, srcs[0]) // duplicate
 			got, _, err := core.Reachable(rc.a, srcs, core.Options{})
@@ -140,11 +150,33 @@ func TestRepresentationDifferential(t *testing.T) {
 		})
 	})
 
+	// Both search directions of SCC and its trimming scan through the
+	// representation (the backward ones through its lazy transpose);
+	// Tau = 1 sends every labeled vertex back through the shared bag,
+	// TrimRounds = -1 leaves the singletons to the searches.
+	t.Run("scc", func(t *testing.T) {
+		forEachRepr(t, 0xC5CC, false, directedOnly, func(t *testing.T, rc reprCase) {
+			wantL, wantN := seq.TarjanSCC(rc.truth)
+			for _, opt := range []core.Options{{}, {Tau: 1}, {TrimRounds: -1}, {Tau: 1, TrimRounds: -1}} {
+				gotL, gotN, _, err := core.SCC(rc.a, opt)
+				if err != nil {
+					t.Fatalf("tau=%d trim=%d: %v", opt.Tau, opt.TrimRounds, err)
+				}
+				if gotN != wantN {
+					t.Fatalf("tau=%d trim=%d: %d components, oracle %d", opt.Tau, opt.TrimRounds, gotN, wantN)
+				}
+				if !partitionsMatch(gotL, wantL) {
+					t.Fatalf("tau=%d trim=%d: component partition differs from the oracle's", opt.Tau, opt.TrimRounds)
+				}
+			}
+		})
+	})
+
 	// Weighted rows: the only place interleaved-weight decoding and the
 	// overlay's weighted merge (AppendArcs, weight overrides included) run
 	// under a frontier algorithm.
 	t.Run("sssp", func(t *testing.T) {
-		forEachRepr(t, 0xC555, true, false, func(t *testing.T, rc reprCase) {
+		forEachRepr(t, 0xC555, true, anyDir, func(t *testing.T, rc reprCase) {
 			if !rc.a.HasWeights() {
 				t.Fatal("representation lost its weights")
 			}
@@ -188,7 +220,7 @@ func TestRepresentationDifferential(t *testing.T) {
 	})
 
 	t.Run("connectivity", func(t *testing.T) {
-		forEachRepr(t, 0xC0CC, false, true, func(t *testing.T, rc reprCase) {
+		forEachRepr(t, 0xC0CC, false, undirectedOnly, func(t *testing.T, rc reprCase) {
 			wantL, wantN := conn.Components(rc.truth)
 			gotL, gotN := conn.Components(rc.a)
 			if gotN != wantN {
@@ -220,7 +252,7 @@ func TestRepresentationDifferential(t *testing.T) {
 	// MS-BFS at every lane-boundary batch width in every routing,
 	// lane-by-lane against the oracle.
 	t.Run("batched-bfs", func(t *testing.T) {
-		forEachRepr(t, 0xCBA7, false, false, func(t *testing.T, rc reprCase) {
+		forEachRepr(t, 0xCBA7, false, anyDir, func(t *testing.T, rc reprCase) {
 			oracle := map[uint32][]uint32{}
 			for _, b := range batchWidths {
 				srcs := batchSources(rc.truth, b)

@@ -11,11 +11,11 @@ import (
 // Reachable marks every vertex reachable from any of srcs. This is the
 // paper's §2.1 primitive in isolation: a reachability search needs no BFS
 // order, so the VGC local search visits vertices in arbitrary multi-hop
-// order, each vertex claimed exactly once by a CAS.
+// order. It is propagate's single-label, unfiltered case: every source
+// carries label 0 and a vertex is reached once its label is no longer None.
 //
-// Every graph.Adjacency representation is accepted: the local search
-// ranges over graph.Scanner's neighbor lists. A source at or past the
-// vertex count is an error.
+// Every graph.Adjacency representation is accepted. A source at or past
+// the vertex count is an error.
 //
 // A non-nil opt.Ctx makes the run cancellable: on cancellation it returns
 // (nil, partial Metrics, ErrCanceled/ErrDeadline).
@@ -31,27 +31,53 @@ func Reachable(a graph.Adjacency, srcs []uint32, opt Options) ([]bool, *Metrics,
 			return nil, met, err
 		}
 	}
-	out := make([]bool, n)
-	if len(srcs) == 0 {
-		return out, met, cl.Poll()
-	}
-	tau := opt.tau()
-	visited := make([]atomic.Uint32, n)
+	label := make([]atomic.Uint32, n)
+	parallel.For(n, 0, func(i int) { label[i].Store(graph.None) })
 	bag := hashbag.New(max(64, 2*len(srcs)))
 	bag.SetTracer(opt.Tracer)
 	for _, s := range srcs {
-		if visited[s].CompareAndSwap(0, 1) {
+		if label[s].Swap(0) != 0 { // a duplicate source is scanned once
 			bag.Insert(s)
 		}
 	}
-	sc := graph.ScanOut(a)
+	if err := propagate(graph.ScanOut(a), label, bag, nil, nil, opt.tau(), met, cl); err != nil {
+		return nil, met, err
+	}
+	out := make([]bool, n)
+	parallel.For(n, 0, func(i int) { out[i] = label[i].Load() != graph.None })
+	return out, met, nil
+}
+
+// propagate is the VGC reachability search behind Reachable and both
+// directions of SCC: it drains bag round by round, and from every
+// extracted vertex runs a local search of up to tau arcs along sc that
+// write-mins the vertex's label into its neighbors, queueing each
+// neighbor whose label dropped (locally while the budget lasts, into bag
+// after). label holds graph.None at unreached vertices; the caller seeds
+// the source labels and bag. On return bag is empty and can be reseeded.
+//
+// A non-nil comp confines the search to subproblems: an arc u→w is
+// followed only if w is unsettled (comp[w] == None) and sub[w] == sub[u].
+// The filter is two slices the chunk reads behind a loop-invariant bool,
+// not a func: a closure called per arc does not inline into the chunk
+// closure (DESIGN.md §2.9). It is asked only about an arc that would
+// lower label[w], so most arcs cost one load and one compare either way.
+//
+// The error is the run's cancellation, polled before every round and once
+// after the last: a canceled round skips inserts, so the bag can drain
+// with labels incomplete, and the callers read labels right after.
+func propagate(sc *graph.Scanner, label []atomic.Uint32, bag *hashbag.Bag,
+	comp []uint32, sub []uint64, tau int, met *Metrics, cl *Canceler) error {
+	filtered := comp != nil
 	for !bag.Empty() {
 		if err := cl.Poll(); err != nil {
-			return nil, met, err
+			return err
 		}
 		f := bag.Extract()
 		met.Round(len(f))
 		// Chunk closure directly in the loop, for the reason given in SSSP.
+		// FIFO local worklist: labels propagate breadth-first within a
+		// task, minimizing claim-then-reclaim churn between labels.
 		parallel.ForRangeCancel(cl.Token(), len(f), 1, func(lo, hi int) {
 			var qbuf [64]uint32
 			queue := qbuf[:0]
@@ -61,14 +87,30 @@ func Reachable(a graph.Adjacency, srcs []uint32, opt Options) ([]bool, *Metrics,
 				queue = append(queue[:0], f[i])
 				budget := tau
 				for head := 0; head < len(queue); head++ {
-					nbrs := sc.Neighbors(queue[head], nbuf)
+					u := queue[head]
+					lu := label[u].Load()
+					var su uint64
+					if filtered {
+						su = sub[u]
+					}
+					nbrs := sc.Neighbors(u, nbuf)
 					for _, w := range nbrs {
 						edgeCount++
-						if visited[w].Load() == 0 && visited[w].CompareAndSwap(0, 1) {
-							if budget > 0 {
-								queue = append(queue, w)
-							} else {
-								bag.Insert(w)
+						for {
+							old := label[w].Load()
+							if lu >= old {
+								break
+							}
+							if filtered && (comp[w] != graph.None || sub[w] != su) {
+								break // settled or different subproblem
+							}
+							if label[w].CompareAndSwap(old, lu) {
+								if budget > 0 {
+									queue = append(queue, w)
+								} else {
+									bag.Insert(w)
+								}
+								break
 							}
 						}
 					}
@@ -84,10 +126,5 @@ func Reachable(a graph.Adjacency, srcs []uint32, opt Options) ([]bool, *Metrics,
 			met.AddEdges(edgeCount)
 		})
 	}
-	// Final check before materializing; see BFS.
-	if err := cl.Poll(); err != nil {
-		return nil, met, err
-	}
-	parallel.For(n, 0, func(i int) { out[i] = visited[i].Load() == 1 })
-	return out, met, nil
+	return cl.Poll()
 }

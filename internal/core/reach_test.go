@@ -1,12 +1,14 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"pasgal/internal/conn"
 	"pasgal/internal/euler"
 	"pasgal/internal/gen"
 	"pasgal/internal/graph"
+	"pasgal/internal/hashbag"
 	"pasgal/internal/seq"
 )
 
@@ -56,6 +58,57 @@ func TestReachableVGCReducesRounds(t *testing.T) {
 	_, metNo, _ := Reachable(g, []uint32{0}, Options{Tau: 1})
 	if metVGC.Rounds*10 >= metNo.Rounds {
 		t.Fatalf("VGC rounds %d vs %d", metVGC.Rounds, metNo.Rounds)
+	}
+}
+
+// TestPropagateFilterAndWriteMin drives the label search the way SCC does:
+// three labels seeded into a directed ring whose sub array splits it in
+// two halves, with one settled vertex. A label must stop at the split and
+// at the settled vertex, and where two labels reach the same vertex the
+// smaller one must be the one left standing.
+func TestPropagateFilterAndWriteMin(t *testing.T) {
+	const n, half, settled = 200, 100, 150
+	ring := gen.Cycle(n, true)
+	for name, a := range map[string]graph.Adjacency{"plain": ring, "pz": graph.Compress(ring)} {
+		for _, tau := range []int{1, 512} {
+			comp := make([]uint32, n)
+			sub := make([]uint64, n)
+			label := make([]atomic.Uint32, n)
+			for v := range label {
+				comp[v] = graph.None
+				sub[v] = uint64(v / half)
+				label[v].Store(graph.None)
+			}
+			comp[settled] = settled
+			bag := hashbag.New(0)
+			// Label 1 starts behind label 0 and overtakes nothing; label 2
+			// owns the other half up to the settled vertex.
+			for l, s := range map[uint32]uint32{0: 30, 1: 10, 2: 120} {
+				label[s].Store(l)
+				bag.Insert(s)
+			}
+			met := NewMetrics(Options{}, "test")
+			if err := propagate(graph.ScanOut(a), label, bag, comp, sub, tau, met, nil); err != nil {
+				t.Fatal(err)
+			}
+			if !bag.Empty() || met.Rounds == 0 {
+				t.Fatalf("%s tau=%d: bag empty = %v after %d rounds", name, tau, bag.Empty(), met.Rounds)
+			}
+			for v := 0; v < n; v++ {
+				want := uint32(graph.None)
+				switch {
+				case v >= 10 && v < 30:
+					want = 1
+				case v >= 30 && v < half:
+					want = 0 // both 0 and 1 reach here
+				case v >= 120 && v < settled:
+					want = 2
+				}
+				if got := label[v].Load(); got != want {
+					t.Fatalf("%s tau=%d: label[%d] = %d, want %d", name, tau, v, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -28,8 +28,8 @@ import (
 //
 // A non-nil opt.Ctx makes the run cancellable: on cancellation SCC
 // returns (nil, 0, partial Metrics, ErrCanceled/ErrDeadline).
-func SCC(g *graph.Graph, opt Options) ([]uint32, int, *Metrics, error) {
-	if !g.Directed {
+func SCC(a graph.Adjacency, opt Options) ([]uint32, int, *Metrics, error) {
+	if !a.IsDirected() {
 		panic("core: SCC requires a directed graph")
 	}
 	opt = opt.Normalized()
@@ -37,17 +37,20 @@ func SCC(g *graph.Graph, opt Options) ([]uint32, int, *Metrics, error) {
 	met := NewMetrics(opt, "scc")
 	cl := NewCanceler(opt, met)
 	defer cl.Close()
-	n := g.N
+	n := a.NumVertices()
 	comp := make([]uint32, n)
 	parallel.Fill(comp, graph.None)
 	if n == 0 {
 		return comp, 0, met, cl.Poll()
 	}
-	tr := g.Transpose()
-
+	// Forward searches and trimming's out-test range over out-lists,
+	// backward ones over in-lists (the representation's cached transpose).
+	out, in := graph.ScanOut(a), graph.ScanIn(a)
 	sub := make([]uint64, n) // subproblem id; refined every round
 	fwd := make([]atomic.Uint32, n)
 	bwd := make([]atomic.Uint32, n)
+	bag := hashbag.New(0) // one frontier for every search of the run
+	bag.SetTracer(opt.Tracer)
 
 	live := parallel.PackIndex(n, func(int) bool { return true })
 
@@ -59,7 +62,8 @@ func SCC(g *graph.Graph, opt Options) ([]uint32, int, *Metrics, error) {
 		}
 		trimmed := parallel.Pack(live, func(i int) bool {
 			v := live[i]
-			return !hasLiveNeighbor(g, comp, sub, v) || !hasLiveNeighbor(tr, comp, sub, v)
+			return !hasLiveNeighbor(out.Neighbors(v, out.Scratch()), comp, sub, v) ||
+				!hasLiveNeighbor(in.Neighbors(v, in.Scratch()), comp, sub, v)
 		})
 		if len(trimmed) == 0 {
 			break
@@ -80,45 +84,35 @@ func SCC(g *graph.Graph, opt Options) ([]uint32, int, *Metrics, error) {
 		met.AddPhase()
 		// Deterministic pseudo-random pivot choice: order live vertices by
 		// a per-round hash and take the first k.
-		k := pivotTarget
-		if k > len(live) {
-			k = len(live)
-		}
+		k := min(pivotTarget, len(live))
 		parallel.SortFunc(live, func(a, b uint32) bool {
 			return pivotHash(seed, a) < pivotHash(seed, b)
 		})
 		pivots := live[:k]
 
-		parallel.For(len(live), 0, func(i int) {
-			fwd[live[i]].Store(graph.None)
-			bwd[live[i]].Store(graph.None)
-		})
-		// A pivot's own labels are its pivot index.
-		parallel.For(k, 0, func(i int) {
-			fwd[pivots[i]].Store(uint32(i))
-			bwd[pivots[i]].Store(uint32(i))
-		})
-
-		if err := multiReach(g, comp, sub, fwd, pivots, opt, met, cl); err != nil {
-			return nil, 0, met, err
-		}
-		if err := multiReach(tr, comp, sub, bwd, pivots, opt, met, cl); err != nil {
-			return nil, 0, met, err
+		for _, d := range [2]struct {
+			sc    *graph.Scanner
+			label []atomic.Uint32
+		}{{out, fwd}, {in, bwd}} {
+			parallel.For(len(live), 0, func(i int) { d.label[live[i]].Store(graph.None) })
+			for i, p := range pivots { // a pivot's own label is its pivot index
+				d.label[p].Store(uint32(i))
+				bag.Insert(p)
+			}
+			if err := propagate(d.sc, d.label, bag, comp, sub, opt.tau(), met, cl); err != nil {
+				return nil, 0, met, err
+			}
 		}
 
-		// Settle: fwd label == bwd label == some pivot index.
+		// Settle where fwd label == bwd label == some pivot index; refine
+		// the subproblems of the survivors by their label pair.
 		parallel.For(len(live), 0, func(i int) {
 			v := live[i]
 			fl, bl := fwd[v].Load(), bwd[v].Load()
 			if fl != graph.None && fl == bl {
 				comp[v] = pivots[fl]
-			}
-		})
-		// Refine subproblems of the survivors by their label pair.
-		parallel.For(len(live), 0, func(i int) {
-			v := live[i]
-			if comp[v] == graph.None {
-				sub[v] = refineHash(sub[v], fwd[v].Load(), bwd[v].Load())
+			} else {
+				sub[v] = refineHash(sub[v], fl, bl)
 			}
 		})
 		live = parallel.Pack(live, func(i int) bool { return comp[live[i]] == graph.None })
@@ -134,9 +128,11 @@ func SCC(g *graph.Graph, opt Options) ([]uint32, int, *Metrics, error) {
 	return comp, count, met, nil
 }
 
-func hasLiveNeighbor(g *graph.Graph, comp []uint32, sub []uint64, v uint32) bool {
+// hasLiveNeighbor reports whether nbrs, v's list in one direction, holds
+// an unsettled vertex of v's subproblem other than v.
+func hasLiveNeighbor(nbrs []uint32, comp []uint32, sub []uint64, v uint32) bool {
 	sv := sub[v]
-	for _, w := range g.Neighbors(v) {
+	for _, w := range nbrs {
 		if w != v && comp[w] == graph.None && sub[w] == sv {
 			return true
 		}
@@ -156,74 +152,4 @@ func refineHash(old uint64, fl, bl uint32) uint64 {
 	x = (x + uint64(fl) + 1) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 30) ^ uint64(bl)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
-}
-
-// multiReach propagates, within each subproblem, the minimum pivot index
-// reaching every live vertex along g's edges. label must be pre-seeded
-// with pivot indices at the pivots and graph.None elsewhere. Frontiers are
-// hash bags; extraction processes vertices with VGC local searches.
-func multiReach(g *graph.Graph, comp []uint32, sub []uint64,
-	label []atomic.Uint32, pivots []uint32, opt Options, met *Metrics,
-	cl *Canceler) error {
-
-	tau := opt.tau()
-	bag := hashbag.New(max(64, 2*len(pivots)))
-	bag.SetTracer(opt.Tracer)
-	for _, p := range pivots {
-		bag.Insert(p)
-	}
-	for !bag.Empty() {
-		if err := cl.Poll(); err != nil {
-			return err
-		}
-		f := bag.Extract()
-		met.Round(len(f))
-		// FIFO local worklist: labels propagate breadth-first within a
-		// task, minimizing claim-then-reclaim churn between pivots.
-		parallel.ForRangeCancel(cl.Token(), len(f), 1, func(lo, hi int) {
-			var qbuf [64]uint32
-			queue := qbuf[:0]
-			var edgeCount int64
-			for i := lo; i < hi; i++ {
-				queue = append(queue[:0], f[i])
-				budget := tau
-				for head := 0; head < len(queue); head++ {
-					u := queue[head]
-					lu := label[u].Load()
-					su := sub[u]
-					for _, w := range g.Neighbors(u) {
-						edgeCount++
-						if comp[w] != graph.None || sub[w] != su {
-							continue // settled or different subproblem
-						}
-						for {
-							old := label[w].Load()
-							if lu >= old {
-								break
-							}
-							if label[w].CompareAndSwap(old, lu) {
-								if budget > 0 {
-									queue = append(queue, w)
-								} else {
-									bag.Insert(w)
-								}
-								break
-							}
-						}
-					}
-					budget -= g.Degree(u)
-					if budget <= 0 && head+1 < len(queue) {
-						for _, w := range queue[head+1:] {
-							bag.Insert(w)
-						}
-						queue = queue[:head+1]
-					}
-				}
-			}
-			met.AddEdges(edgeCount)
-		})
-	}
-	// The caller reads the propagated labels right after this returns, so
-	// a canceled final round must surface here, not at the next phase.
-	return cl.Poll()
 }

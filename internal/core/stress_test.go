@@ -62,8 +62,9 @@ func TestStressBFSConcurrentQueries(t *testing.T) {
 
 // TestStressSCCUnderRace runs SCC with tiny tau (maximum scheduling
 // pressure: every discovered vertex goes back through the shared hash bag)
-// on random directed graphs and cross-checks the component count against
-// the sequential Kosaraju oracle.
+// on random directed graphs, plain and compressed (where every worker
+// decodes into its own chunk scratch), and cross-checks the component
+// count against the sequential Kosaraju oracle.
 func TestStressSCCUnderRace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test; skipped with -short")
@@ -74,10 +75,11 @@ func TestStressSCCUnderRace(t *testing.T) {
 	for trial := 0; trial < 3; trial++ {
 		n := 500 + rng.IntN(1500)
 		g := gen.ER(n, 3*n, true, uint64(trial)+40)
-		_, gotCount, _, _ := SCC(g, Options{Tau: 1})
 		_, wantCount := seq.KosarajuSCC(g)
-		if gotCount != wantCount {
-			t.Fatalf("trial %d: %d SCCs, oracle has %d", trial, gotCount, wantCount)
+		for name, a := range map[string]graph.Adjacency{"plain": g, "pz": graph.Compress(g)} {
+			if _, gotCount, _, _ := SCC(a, Options{Tau: 1}); gotCount != wantCount {
+				t.Fatalf("trial %d %s: %d SCCs, oracle has %d", trial, name, gotCount, wantCount)
+			}
 		}
 	}
 }

@@ -56,43 +56,11 @@ const LaneWidth = 64
 // A non-nil opt.Ctx makes the run cancellable: on cancellation Run returns
 // (nil, partial Metrics, ErrCanceled/ErrDeadline) — never a partial batch.
 func Run(a graph.Adjacency, sources []uint32, opt core.Options) ([][]uint32, *core.Metrics, error) {
-	opt = opt.Normalized()
-	defer attachRuntimeTracer(opt)()
-	met := core.NewMetrics(opt, "msbfs")
-	cl := core.NewCanceler(opt, met)
-	defer cl.Close()
-	if err := validateSources(a, sources); err != nil {
-		return nil, met, err
-	}
-	out := make([][]uint32, len(sources))
-	if len(sources) == 0 {
-		return out, met, cl.Poll()
-	}
-	n := a.NumVertices()
-	// One flat backing array: B rows land contiguously, one allocation.
-	flat := make([]uint32, len(sources)*n)
-	parallel.Fill(flat, graph.InfDist)
-	for i := range out {
-		out[i] = flat[i*n : (i+1)*n]
-	}
-	st := newState(n)
-	for base := 0; base < len(sources); base += LaneWidth {
-		// Group boundary: stop between lane groups, not just between rounds.
-		if err := cl.Poll(); err != nil {
-			return nil, met, err
-		}
-		met.AddPhase()
-		hi := min(base+LaneWidth, len(sources))
-		if base > 0 {
-			st.reset()
-		}
-		sk := &sink{dist: out[base:hi]}
-		if err := runGroup(a, st, sources[base:hi], sk, opt, met, cl); err != nil {
-			return nil, met, err
-		}
-	}
-	// Final check before handing the batch back; see core.BFS.
-	if err := cl.Poll(); err != nil {
+	out, err := newRows(a, sources, graph.InfDist)
+	met, err := runBatch(a, sources, opt, err, func(base, hi int) *sink {
+		return &sink{dist: out[base:hi]}
+	})
+	if err != nil {
 		return nil, met, err
 	}
 	return out, met, nil
@@ -103,39 +71,11 @@ func Run(a graph.Adjacency, sources []uint32, opt core.Options) ([][]uint32, *co
 // single source per call. It skips distance bookkeeping, so it is the
 // cheapest batched query.
 func RunReachable(a graph.Adjacency, sources []uint32, opt core.Options) ([][]bool, *core.Metrics, error) {
-	opt = opt.Normalized()
-	defer attachRuntimeTracer(opt)()
-	met := core.NewMetrics(opt, "msbfs")
-	cl := core.NewCanceler(opt, met)
-	defer cl.Close()
-	if err := validateSources(a, sources); err != nil {
-		return nil, met, err
-	}
-	out := make([][]bool, len(sources))
-	if len(sources) == 0 {
-		return out, met, cl.Poll()
-	}
-	n := a.NumVertices()
-	flat := make([]bool, len(sources)*n)
-	for i := range out {
-		out[i] = flat[i*n : (i+1)*n]
-	}
-	st := newState(n)
-	for base := 0; base < len(sources); base += LaneWidth {
-		if err := cl.Poll(); err != nil {
-			return nil, met, err
-		}
-		met.AddPhase()
-		hi := min(base+LaneWidth, len(sources))
-		if base > 0 {
-			st.reset()
-		}
-		sk := &sink{reach: out[base:hi]}
-		if err := runGroup(a, st, sources[base:hi], sk, opt, met, cl); err != nil {
-			return nil, met, err
-		}
-	}
-	if err := cl.Poll(); err != nil {
+	out, err := newRows(a, sources, false)
+	met, err := runBatch(a, sources, opt, err, func(base, hi int) *sink {
+		return &sink{reach: out[base:hi]}
+	})
+	if err != nil {
 		return nil, met, err
 	}
 	return out, met, nil
@@ -147,72 +87,90 @@ func RunReachable(a graph.Adjacency, sources []uint32, opt core.Options) ([][]bo
 // counterpart of core.PointToPoint: a lane stops spreading the round after
 // its destination settles, and a group stops as soon as every lane is done.
 func RunPointToPoint(a graph.Adjacency, pairs [][2]uint32, opt core.Options) ([]uint32, *core.Metrics, error) {
-	opt = opt.Normalized()
-	defer attachRuntimeTracer(opt)()
-	met := core.NewMetrics(opt, "msbfs")
-	cl := core.NewCanceler(opt, met)
-	defer cl.Close()
 	n := a.NumVertices()
+	srcs := make([]uint32, len(pairs))
+	dsts := make([]uint32, len(pairs))
+	var err error
 	for i, p := range pairs {
-		if int(p[0]) >= n {
-			return nil, met, fmt.Errorf("msbfs: pair %d source %d out of range [0, %d)", i, p[0], n)
+		srcs[i], dsts[i] = p[0], p[1]
+		if err == nil && int(p[0]) >= n {
+			err = fmt.Errorf("msbfs: pair %d source %d out of range [0, %d)", i, p[0], n)
 		}
-		if int(p[1]) >= n {
-			return nil, met, fmt.Errorf("msbfs: pair %d destination %d out of range [0, %d)", i, p[1], n)
+		if err == nil && int(p[1]) >= n {
+			err = fmt.Errorf("msbfs: pair %d destination %d out of range [0, %d)", i, p[1], n)
 		}
 	}
 	out := make([]uint32, len(pairs))
 	parallel.Fill(out, graph.InfDist)
-	if len(pairs) == 0 {
-		return out, met, cl.Poll()
-	}
-	st := newState(n)
-	srcs := make([]uint32, 0, LaneWidth)
-	dsts := make([]uint32, 0, LaneWidth)
-	for base := 0; base < len(pairs); base += LaneWidth {
-		if err := cl.Poll(); err != nil {
-			return nil, met, err
-		}
-		met.AddPhase()
-		hi := min(base+LaneWidth, len(pairs))
-		if base > 0 {
-			st.reset()
-		}
-		srcs, dsts = srcs[:0], dsts[:0]
-		for _, p := range pairs[base:hi] {
-			srcs = append(srcs, p[0])
-			dsts = append(dsts, p[1])
-		}
-		sk := &sink{targets: dsts, ptp: out[base:hi]}
-		if err := runGroup(a, st, srcs, sk, opt, met, cl); err != nil {
-			return nil, met, err
-		}
-	}
-	if err := cl.Poll(); err != nil {
+	met, err := runBatch(a, srcs, opt, err, func(base, hi int) *sink {
+		return &sink{targets: dsts[base:hi], ptp: out[base:hi]}
+	})
+	if err != nil {
 		return nil, met, err
 	}
 	return out, met, nil
 }
 
-func validateSources(a graph.Adjacency, sources []uint32) error {
+// runBatch is the driver behind the three entry points: the run's
+// prologue, then one runGroup per group of up to 64 lanes of srcs, each
+// settling into the sink sinkFor returns for lanes [base, hi), with a
+// cancellation check at every group boundary and a last one before the
+// batch is handed back (see core.BFS). invalid is the wrapper's verdict on
+// its own inputs, reported from here so that a refused batch still comes
+// with the run's Metrics.
+func runBatch(a graph.Adjacency, srcs []uint32, opt core.Options, invalid error,
+	sinkFor func(base, hi int) *sink) (*core.Metrics, error) {
+	opt = opt.Normalized()
+	if opt.TraceScheduler && opt.Tracer != nil {
+		// As core's entry points do: opt.Tracer is the parallel runtime's
+		// tracer for the duration of the call, the previous one after it.
+		defer parallel.SetTracer(parallel.SetTracer(opt.Tracer))
+	}
+	met := core.NewMetrics(opt, "msbfs")
+	cl := core.NewCanceler(opt, met)
+	defer cl.Close()
+	if invalid != nil {
+		return met, invalid
+	}
+	var st *state
+	for base := 0; base < len(srcs); base += LaneWidth {
+		// Group boundary: stop between lane groups, not just between rounds.
+		if err := cl.Poll(); err != nil {
+			return met, err
+		}
+		met.AddPhase()
+		hi := min(base+LaneWidth, len(srcs))
+		if st == nil {
+			st = newState(a.NumVertices())
+		} else {
+			st.reset()
+		}
+		if err := runGroup(a, st, srcs[base:hi], sinkFor(base, hi), opt, met, cl); err != nil {
+			return met, err
+		}
+	}
+	return met, cl.Poll()
+}
+
+// newRows checks that every source is a vertex of a and returns one
+// result row per source, n entries set to fill, cut from one flat backing
+// array: B rows land contiguously, one allocation.
+func newRows[T comparable](a graph.Adjacency, sources []uint32, fill T) ([][]T, error) {
 	n := a.NumVertices()
 	for i, s := range sources {
 		if int(s) >= n {
-			return fmt.Errorf("msbfs: source %d (index %d) out of range [0, %d)", s, i, n)
+			return nil, fmt.Errorf("msbfs: source %d (index %d) out of range [0, %d)", s, i, n)
 		}
 	}
-	return nil
-}
-
-// attachRuntimeTracer mirrors core's entry-point hook: install opt.Tracer
-// as the parallel runtime's tracer for the duration of the call when
-// opt.TraceScheduler asks for it.
-func attachRuntimeTracer(opt core.Options) func() {
-	if !opt.TraceScheduler || opt.Tracer == nil {
-		return func() {}
+	flat := make([]T, len(sources)*n)
+	if fill != *new(T) {
+		parallel.Fill(flat, fill)
 	}
-	prev := parallel.SetTracer(opt.Tracer)
-	return func() { parallel.SetTracer(prev) }
+	out := make([][]T, len(sources))
+	for i := range out {
+		out[i] = flat[i*n : (i+1)*n]
+	}
+	return out, nil
 }
 
 // state is the per-group lane storage, reused across a run's groups.

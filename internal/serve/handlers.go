@@ -115,11 +115,10 @@ type ErrorResponse struct {
 
 // GraphInfo describes one served graph on /graphs and /metrics.
 // Compressed marks graphs served from the difference-encoded
-// representation (loaded from .pz, possibly mmap-backed); scc and kcore
-// are unavailable on those. Mutable marks graphs served through a
-// delta.Store (POST /update applies; scc and kcore are unavailable);
-// Epoch is their currently published epoch and M their current arc
-// count — both move under updates.
+// representation (loaded from .pz, possibly mmap-backed), Mutable graphs
+// served through a delta.Store (POST /update applies); kcore is
+// unavailable on both. Epoch is a mutable graph's currently published
+// epoch and M its current arc count — both move under updates.
 type GraphInfo struct {
 	N          int    `json:"n"`
 	M          int    `json:"m"`
@@ -567,19 +566,14 @@ func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSCC serves /query/scc?graph=G: per-vertex strongly-connected-
-// component labels and the component count.
+// component labels and the component count on the query's pinned view.
 func (s *Server) handleSCC(w http.ResponseWriter, r *http.Request) {
 	q, ok := s.begin(w, r, "scc")
 	if !ok {
 		return
 	}
 	defer q.end()
-	pg, err := q.sg.plain("scc")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if !pg.Directed {
+	if !q.view.IsDirected() {
 		writeError(w, http.StatusBadRequest,
 			fmt.Sprintf("graph %q is undirected; scc requires a directed graph", q.sg.name))
 		return
@@ -590,9 +584,9 @@ func (s *Server) handleSCC(w http.ResponseWriter, r *http.Request) {
 	}
 	var labels []uint32
 	var count int
-	err = q.run(func() error {
+	err := q.run(func() error {
 		var runErr error
-		labels, count, _, runErr = core.SCC(pg, q.opt)
+		labels, count, _, runErr = core.SCC(q.view, q.opt)
 		return runErr
 	})
 	if err != nil {
@@ -615,7 +609,7 @@ func (s *Server) handleKCore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer q.end()
-	if _, err := q.sg.plain("kcore"); err != nil {
+	if _, err := q.sg.plain(); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}

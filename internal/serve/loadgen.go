@@ -84,6 +84,9 @@ type Report struct {
 
 	ByAlgo   map[string]int64 `json:"by_algo"`
 	ByStatus map[string]int64 `json:"by_status"`
+	// Dropped lists the mix's algorithms that were never sent because
+	// /graphs says this graph answers them 400 by design.
+	Dropped []string `json:"dropped,omitempty"`
 
 	// Server-side counters snapshotted from /metrics after the run.
 	CacheHits        int64 `json:"cache_hits"`
@@ -113,19 +116,19 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*Report, error) {
 	if len(mix) == 0 {
 		mix = DefaultMix
 	}
-	picker, err := newMixPicker(mix)
+	httpc := &http.Client{Timeout: cfg.Timeout + DefaultMaxTimeout}
+
+	graphName, info, err := pickGraph(ctx, httpc, base, cfg.Graph)
 	if err != nil {
 		return nil, err
 	}
-	httpc := &http.Client{Timeout: cfg.Timeout + DefaultMaxTimeout}
-
-	graphName, n, err := pickGraph(ctx, httpc, base, cfg.Graph)
+	picker, err := newMixPicker(mix, info)
 	if err != nil {
 		return nil, err
 	}
 	numSrc := cfg.NumSources
-	if numSrc <= 0 || numSrc > n {
-		numSrc = min(n, 4096)
+	if numSrc <= 0 || numSrc > info.N {
+		numSrc = min(info.N, 4096)
 	}
 
 	if cfg.Duration > 0 {
@@ -201,7 +204,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*Report, error) {
 	elapsed := time.Since(start).Seconds()
 
 	rep := &Report{
-		Graph: graphName, Clients: clients, Seconds: elapsed,
+		Graph: graphName, Clients: clients, Seconds: elapsed, Dropped: picker.dropped,
 		ByAlgo: make(map[string]int64), ByStatus: make(map[string]int64),
 	}
 	var lats []float64
@@ -248,9 +251,12 @@ type mixPicker struct {
 	algos   []string
 	cumsum  []int
 	totalWt int
+	dropped []string
 }
 
-func newMixPicker(mix map[string]int) (*mixPicker, error) {
+// newMixPicker drops from mix what gi's graph answers 400 by design: scc
+// needs a directed graph, kcore a plain immutable one.
+func newMixPicker(mix map[string]int, gi GraphInfo) (*mixPicker, error) {
 	known := make(map[string]bool, len(Algos))
 	for _, a := range Algos {
 		known[a] = true
@@ -260,6 +266,10 @@ func newMixPicker(mix map[string]int) (*mixPicker, error) {
 	for _, algo := range Algos {
 		wt, ok := mix[algo]
 		if !ok || wt <= 0 {
+			continue
+		}
+		if algo == "scc" && !gi.Directed || algo == "kcore" && (gi.Compressed || gi.Mutable) {
+			p.dropped = append(p.dropped, algo)
 			continue
 		}
 		p.totalWt += wt
@@ -272,7 +282,7 @@ func newMixPicker(mix map[string]int) (*mixPicker, error) {
 		}
 	}
 	if p.totalWt == 0 {
-		return nil, errors.New("loadgen: empty traffic mix")
+		return nil, fmt.Errorf("loadgen: empty traffic mix (unanswerable on this graph: %v)", p.dropped)
 	}
 	return p, nil
 }
@@ -292,9 +302,7 @@ func queryURL(base, graphName, algo string, rng *rand.Rand, numSrc int, cfg Load
 	v := url.Values{}
 	v.Set("graph", graphName)
 	switch algo {
-	case "bfs", "sssp":
-		v.Set("src", fmt.Sprintf("%d", rng.Intn(numSrc)))
-	case "reachable":
+	case "bfs", "sssp", "reachable":
 		v.Set("src", fmt.Sprintf("%d", rng.Intn(numSrc)))
 	case "p2p":
 		v.Set("src", fmt.Sprintf("%d", rng.Intn(numSrc)))
@@ -332,27 +340,32 @@ func fetch(ctx context.Context, httpc *http.Client, u string) (int, error) {
 	return resp.StatusCode, err
 }
 
-// pickGraph resolves the graph to target and its vertex count via /graphs.
-func pickGraph(ctx context.Context, httpc *http.Client, base, want string) (string, int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/graphs", nil)
+// fetchJSON issues one GET and decodes the JSON body into out.
+func fetchJSON(ctx context.Context, httpc *http.Client, u string, out any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
-		return "", 0, err
+		return err
 	}
 	resp, err := httpc.Do(req)
 	if err != nil {
-		return "", 0, fmt.Errorf("loadgen: %s unreachable: %w", base, err)
+		return err
 	}
 	defer resp.Body.Close()
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// pickGraph resolves the graph to target and its /graphs inventory entry.
+func pickGraph(ctx context.Context, httpc *http.Client, base, want string) (string, GraphInfo, error) {
 	var gr GraphsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&gr); err != nil {
-		return "", 0, fmt.Errorf("loadgen: bad /graphs response: %w", err)
+	if err := fetchJSON(ctx, httpc, base+"/graphs", &gr); err != nil {
+		return "", GraphInfo{}, fmt.Errorf("loadgen: %s/graphs: %w", base, err)
 	}
 	if want != "" {
 		info, ok := gr.Graphs[want]
 		if !ok {
-			return "", 0, fmt.Errorf("loadgen: server does not serve graph %q", want)
+			return "", GraphInfo{}, fmt.Errorf("loadgen: server does not serve graph %q", want)
 		}
-		return want, info.N, nil
+		return want, info, nil
 	}
 	// Deterministic pick: smallest name wins.
 	names := make([]string, 0, len(gr.Graphs))
@@ -360,24 +373,15 @@ func pickGraph(ctx context.Context, httpc *http.Client, base, want string) (stri
 		names = append(names, name)
 	}
 	if len(names) == 0 {
-		return "", 0, errors.New("loadgen: server serves no graphs")
+		return "", GraphInfo{}, errors.New("loadgen: server serves no graphs")
 	}
 	sort.Strings(names)
-	return names[0], gr.Graphs[names[0]].N, nil
+	return names[0], gr.Graphs[names[0]], nil
 }
 
 func fetchMetrics(ctx context.Context, httpc *http.Client, base string) (*MetricsResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := httpc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
 	var m MetricsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+	if err := fetchJSON(ctx, httpc, base+"/metrics", &m); err != nil {
 		return nil, err
 	}
 	return &m, nil
@@ -424,4 +428,7 @@ func WriteReport(w io.Writer, rep *Report) {
 		parts = append(parts, fmt.Sprintf("%s=%d", a, rep.ByAlgo[a]))
 	}
 	fmt.Fprintf(w, "  mix         %s\n", strings.Join(parts, " "))
+	if len(rep.Dropped) > 0 {
+		fmt.Fprintf(w, "  dropped     %s (this graph answers them 400 by design)\n", strings.Join(rep.Dropped, " "))
+	}
 }

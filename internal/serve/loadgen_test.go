@@ -61,6 +61,30 @@ func TestLoadgenEndToEnd(t *testing.T) {
 	}
 }
 
+// TestLoadgenDropsUnanswerable: the default mix against an undirected
+// graph sends no scc (a 400 by design there), says so in the report, and
+// sees nothing but 200s; a mix with nothing left is an error.
+func TestLoadgenDropsUnanswerable(t *testing.T) {
+	g := gen.Grid2D(12, 12, false, 5)
+	_, hs := newTestServer(t, map[string]*graph.Graph{"g": g}, Config{})
+	rep, err := RunLoad(context.Background(), LoadConfig{
+		BaseURL: hs.URL, Clients: 4, Requests: 120, Cache: true, Coalesce: true, Seed: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Errors != 0 || rep.ByStatus["200"] != rep.Requests {
+		t.Fatalf("default mix on an undirected graph: %d errors, statuses %v", rep.Errors, rep.ByStatus)
+	}
+	if len(rep.Dropped) != 1 || rep.Dropped[0] != "scc" || rep.ByAlgo["scc"] != 0 || rep.ByAlgo["kcore"] == 0 {
+		t.Fatalf("dropped %v, by_algo %v; want scc dropped and kcore kept", rep.Dropped, rep.ByAlgo)
+	}
+	_, err = RunLoad(context.Background(), LoadConfig{BaseURL: hs.URL, Mix: map[string]int{"scc": 1}})
+	if err == nil || !strings.Contains(err.Error(), "empty traffic mix") || !strings.Contains(err.Error(), "scc") {
+		t.Fatalf("mix emptied by the inventory accepted: %v", err)
+	}
+}
+
 // TestLoadgenCoalesceOff: the A/B switch reaches the server — with
 // Coalesce false, zero queries ride the coalescer.
 func TestLoadgenCoalesceOff(t *testing.T) {
@@ -168,7 +192,7 @@ func TestPercentile(t *testing.T) {
 // TestMixPickerDeterministic: the weighted picker covers exactly the
 // requested algorithms in canonical order.
 func TestMixPickerDeterministic(t *testing.T) {
-	p, err := newMixPicker(map[string]int{"p2p": 1, "bfs": 3})
+	p, err := newMixPicker(map[string]int{"p2p": 1, "bfs": 3}, GraphInfo{})
 	if err != nil {
 		t.Fatal(err)
 	}

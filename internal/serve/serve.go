@@ -117,10 +117,10 @@ var graphIdent atomic.Uint64
 // The graph may be any graph.Adjacency representation: plain CSR,
 // compressed (possibly a read-only mmap view), or — when served mutable —
 // a delta.Store publishing Overlay epochs. pg is the plain form when
-// there is one — the algorithms not yet written over graph.Scanner (scc,
-// kcore) require it and refuse the other representations instead of
-// silently inflating a multi-gigabyte plain copy inside a request
-// handler.
+// there is one — kcore, the one algorithm not yet written over
+// graph.Scanner, requires it and refuses the other representations
+// instead of silently inflating a multi-gigabyte plain copy inside a
+// request handler.
 type servedGraph struct {
 	name  string
 	ident uint64 // process-unique identity token (cache key component)
@@ -193,20 +193,19 @@ func (sg *servedGraph) wgAt(view graph.Adjacency, epoch uint64) graph.Adjacency 
 	return sg.wForEp
 }
 
-// plain returns the plain-CSR form, or a client error for algorithms
-// that only run on it. Mutable graphs are refused too: scc and kcore
-// memoize per-graph derived structures (the symmetrized variant) that
-// cannot be keyed to a moving epoch.
-func (sg *servedGraph) plain(algo string) (*graph.Graph, error) {
+// plain returns the plain-CSR form, or a client error for kcore, which
+// only runs on it. Mutable graphs are refused too: kcore memoizes the
+// symmetrized variant, which cannot be keyed to a moving epoch.
+func (sg *servedGraph) plain() (*graph.Graph, error) {
 	if sg.store != nil {
 		return nil, fmt.Errorf(
-			"algo %s is not supported on mutable graph %q; serve it without -mutable for this query",
-			algo, sg.name)
+			"algo kcore is not supported on mutable graph %q; serve it without -mutable for this query",
+			sg.name)
 	}
 	if sg.pg == nil {
 		return nil, fmt.Errorf(
-			"algo %s is not supported on compressed graph %q; serve the plain representation for this query",
-			algo, sg.name)
+			"algo kcore is not supported on compressed graph %q; serve the plain representation for this query",
+			sg.name)
 	}
 	return sg.pg, nil
 }
@@ -272,9 +271,9 @@ func New(graphs map[string]*graph.Graph, cfg Config) (*Server, error) {
 // NewAdj returns a Server over the named graphs in any graph.Adjacency
 // representation: plain *graph.Graph or *graph.Compressed (including
 // read-only mmap views from gio.MapPZFile — the server never writes to a
-// graph). bfs, sssp, reachable, and p2p run on every representation,
-// through the same kernel bodies; scc and kcore require plain CSR and
-// answer 400 otherwise. Do not mutate the graphs after this call.
+// graph). bfs, sssp, scc, reachable, and p2p run on every representation,
+// through the same kernel bodies; kcore requires plain CSR and answers
+// 400 otherwise. Do not mutate the graphs after this call.
 func NewAdj(graphs map[string]graph.Adjacency, cfg Config) (*Server, error) {
 	if len(graphs) == 0 {
 		return nil, errors.New("serve: no graphs to serve")

@@ -437,6 +437,23 @@ func TestServeCompressedGraph(t *testing.T) {
 		s.Close()
 	})
 
+	// sameOnBoth asks both names and requires 200s whose bodies differ
+	// only in the graph name.
+	sameOnBoth := func(ep string) {
+		t.Helper()
+		stP, bodyP := getJSON(t, hs.URL+fmt.Sprintf(ep, "plain"), nil)
+		stZ, bodyZ := getJSON(t, hs.URL+fmt.Sprintf(ep, "zc"), nil)
+		if stP != http.StatusOK || stZ != http.StatusOK {
+			t.Fatalf("%s: plain %d, compressed %d", ep, stP, stZ)
+		}
+		norm := func(b []byte, name string) string {
+			return strings.Replace(string(b), `"graph":"`+name+`"`, `"graph":"G"`, 1)
+		}
+		if norm(bodyP, "plain") != norm(bodyZ, "zc") {
+			t.Fatalf("%s: plain and compressed answers differ\nplain: %.200s\nzc:    %.200s",
+				ep, bodyP, bodyZ)
+		}
+	}
 	// Coalescing makes bfs/reachable answers identical by construction on
 	// one graph but the two names have separate coalescers, so this also
 	// exercises the compressed MS-BFS path end to end.
@@ -448,34 +465,22 @@ func TestServeCompressedGraph(t *testing.T) {
 			fmt.Sprintf("/query/reachable?graph=%%s&src=%d", src),
 			fmt.Sprintf("/query/p2p?graph=%%s&src=%d&dst=%d", src, uint32(g.N-1)-src),
 		} {
-			stP, bodyP := getJSON(t, hs.URL+fmt.Sprintf(ep, "plain"), nil)
-			stZ, bodyZ := getJSON(t, hs.URL+fmt.Sprintf(ep, "zc"), nil)
-			if stP != http.StatusOK || stZ != http.StatusOK {
-				t.Fatalf("%s: plain %d, compressed %d", ep, stP, stZ)
-			}
-			// Bodies differ only in the graph name; normalize it out.
-			norm := func(b []byte, name string) string {
-				return strings.Replace(string(b), `"graph":"`+name+`"`, `"graph":"G"`, 1)
-			}
-			if norm(bodyP, "plain") != norm(bodyZ, "zc") {
-				t.Fatalf("%s: plain and compressed answers differ\nplain: %.200s\nzc:    %.200s",
-					ep, bodyP, bodyZ)
-			}
+			sameOnBoth(ep)
 		}
 	}
+	// SCC labels are a function of (arc set, options), not of the
+	// representation the searches scan.
+	sameOnBoth("/query/scc?graph=%s")
 
-	// Unsupported on compressed: clear client error, not a 500.
-	for _, ep := range []string{"/query/scc?graph=zc", "/query/kcore?graph=zc"} {
-		st, body := getJSON(t, hs.URL+ep, nil)
-		if st != http.StatusBadRequest {
-			t.Fatalf("%s: status %d, want 400\nbody: %.200s", ep, st, body)
-		}
-		if !strings.Contains(string(body), "not supported on compressed graph") {
-			t.Fatalf("%s: error body %.200s does not explain the refusal", ep, body)
-		}
+	// kcore is unsupported on compressed: clear client error, not a 500.
+	st, body := getJSON(t, hs.URL+"/query/kcore?graph=zc", nil)
+	if st != http.StatusBadRequest {
+		t.Fatalf("kcore on zc: status %d, want 400\nbody: %.200s", st, body)
+	}
+	if !strings.Contains(string(body), "not supported on compressed graph") {
+		t.Fatalf("kcore on zc: error body %.200s does not explain the refusal", body)
 	}
 	// ...and still fine on the plain twin.
-	wantStatus(t, hs.URL+"/query/scc?graph=plain", http.StatusOK)
 	wantStatus(t, hs.URL+"/query/kcore?graph=plain", http.StatusOK)
 
 	var gr GraphsResponse

@@ -12,6 +12,7 @@ import (
 
 	"pasgal/internal/gen"
 	"pasgal/internal/graph"
+	"pasgal/internal/seq"
 )
 
 // postUpdate issues one POST /update and decodes the response.
@@ -110,8 +111,11 @@ func TestUpdateInvalidatesCache(t *testing.T) {
 // body validation, immutable and unknown graphs, no-op batches, weighted
 // queries across epochs, and the metrics/graphs reporting.
 func TestUpdateEndpointContract(t *testing.T) {
-	graphs := map[string]*graph.Graph{"grid": gen.Grid2D(8, 8, false, 3)}
-	_, hs := newTestServer(t, graphs, Config{Mutable: true, CompactFraction: -1})
+	graphs := map[string]*graph.Graph{
+		"grid": gen.Grid2D(8, 8, false, 3),
+		"ring": gen.Cycle(64, true),
+	}
+	s, hs := newTestServer(t, graphs, Config{Mutable: true, CompactFraction: -1})
 
 	// GET /update is a method error.
 	wantStatus(t, hs.URL+"/update?graph=grid", http.StatusMethodNotAllowed)
@@ -139,9 +143,35 @@ func TestUpdateEndpointContract(t *testing.T) {
 		t.Fatalf("no-op batch: status %d resp %+v", st, ur)
 	}
 
-	// scc/kcore refuse mutable graphs.
+	// kcore refuses mutable graphs; scc refuses grid only for being
+	// undirected.
 	wantStatus(t, hs.URL+"/query/kcore?graph=grid", http.StatusBadRequest)
-	wantStatus(t, hs.URL+"/query/scc?graph=grid", http.StatusBadRequest)
+	if st, body := getJSON(t, hs.URL+"/query/scc?graph=grid", nil); st != http.StatusBadRequest ||
+		!bytes.Contains(body, []byte("is undirected")) {
+		t.Fatalf("scc on undirected mutable graph: status %d, body %.200s", st, body)
+	}
+	// On a directed mutable graph scc serves the pinned epoch: one ring,
+	// then — an arc cut, a chord and a back arc added — whatever Tarjan
+	// finds on that epoch's arc set.
+	var scc SCCResponse
+	if st, _ := getJSON(t, hs.URL+"/query/scc?graph=ring", &scc); st != http.StatusOK || scc.Components != 1 {
+		t.Fatalf("scc on the ring: status %d, %d components", st, scc.Components)
+	}
+	if st, _ := postUpdate(t, hs.URL, "ring", UpdateRequest{
+		Deletes: []UpdateEdge{{U: 10, V: 11}},
+		Inserts: []UpdateEdge{{U: 40, V: 20}, {U: 5, V: 0}},
+	}); st != http.StatusOK {
+		t.Fatalf("ring update: %d", st)
+	}
+	sn := s.graphs["ring"].store.Snapshot()
+	wantL, wantN := seq.TarjanSCC(sn.Adj().(*graph.Overlay).Materialize())
+	sn.Release()
+	if st, _ := getJSON(t, hs.URL+"/query/scc?graph=ring", &scc); st != http.StatusOK {
+		t.Fatalf("scc after update: %d", st)
+	}
+	if scc.Components != wantN || wantN == 1 || !samePartition(scc.Labels, wantL) {
+		t.Fatalf("scc after update: %d components, Tarjan on the epoch %d", scc.Components, wantN)
+	}
 
 	// sssp works across epochs: surviving edges keep their generated
 	// weights, so distances only change where the structure did.

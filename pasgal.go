@@ -146,13 +146,13 @@ func BFS(g Adjacency, src uint32, opt Options) ([]uint32, *Metrics, error) {
 // BFSTree returns hop distances and a BFS-tree parent per reached vertex
 // (None for the source and unreached vertices). Distance/parent pairs are
 // updated with a single packed CAS, so the tree is always consistent.
-func BFSTree(g *Graph, src uint32, opt Options) (dist, parent []uint32, met *Metrics, err error) {
+func BFSTree(g Adjacency, src uint32, opt Options) (dist, parent []uint32, met *Metrics, err error) {
 	return core.BFSTree(g, src, opt)
 }
 
 // SCC returns, for a directed graph, a strongly-connected-component label
 // per vertex (the id of a representative member) and the component count.
-func SCC(g *Graph, opt Options) ([]uint32, int, *Metrics, error) {
+func SCC(g Adjacency, opt Options) ([]uint32, int, *Metrics, error) {
 	return core.SCC(g, opt)
 }
 
@@ -172,7 +172,7 @@ func SSSP(g Adjacency, src uint32, policy StepPolicy, opt Options) ([]uint64, *M
 // SSSPTree returns shortest-path distances and a shortest-path tree
 // (parent per reached vertex; None for src and unreachable vertices).
 // Use PathTo to reconstruct routes.
-func SSSPTree(g *Graph, src uint32, policy StepPolicy, opt Options) (dist []uint64, parent []uint32, met *Metrics, err error) {
+func SSSPTree(g Adjacency, src uint32, policy StepPolicy, opt Options) (dist []uint64, parent []uint32, met *Metrics, err error) {
 	return core.SSSPTree(g, src, policy, opt)
 }
 

@@ -1,13 +1,14 @@
 #!/bin/sh
 # check.sh — the full local verification gate, in increasing cost order:
 # formatting, go vet, build + unit tests (then three uncached passes at each
-# of GOMAXPROCS 1, 2, 4), the pasgal-vet concurrency checker, the bench
-# regression gate, then the -race stress tier over the concurrency-critical
-# packages. Run from anywhere inside the repository.
+# of GOMAXPROCS 1, 2, 4 over the packages whose behaviour depends on the
+# schedule), the pasgal-vet concurrency checker, a fuzz smoke, then the
+# -race stress tier over the concurrency-critical packages. Performance is
+# judged elsewhere, by `bash benchmark/run.sh` alone. Run from anywhere
+# inside the repository.
 #
 #   check.sh -short        formatting, vet, build, and short-mode tests only
 #   PASGAL_SKIP_RACE=1     stop before the race tier (it dominates, ~30s)
-#   PASGAL_SKIP_BENCH=1    skip the bench regression gate
 #   PASGAL_SKIP_VET=1      skip the pasgal-vet concurrency checker
 #   PASGAL_SKIP_FUZZ=1     skip the 30s fuzz smoke
 set -eu
@@ -64,21 +65,27 @@ if [ "$short" = 1 ]; then
     echo '== SSSP work bound'
     # Uncached: the bound is on what a nondeterministic schedule visits.
     go test -run 'TestSSSPWorkBound' -count=1 ./internal/core
+    echo '== SCC on every representation'
+    # Uncached for the same reason: which label claims a vertex first is
+    # the schedule's choice, the partition must not be.
+    go test -run 'TestRepresentationDifferential/scc' -count=1 ./internal/bench
     echo 'short checks passed'
     exit 0
 fi
 covtmp=$(mktemp /tmp/pasgal-cover.XXXXXX.txt)
-tmpjson=$(mktemp /tmp/pasgal-bench.XXXXXX.json)
-trap 'rm -f "$covtmp" "$tmpjson"' EXIT
+trap 'rm -f "$covtmp"' EXIT
 go test -cover ./... | tee "$covtmp"
 check_benchmark_module
 
 echo '== tier-1 across schedules'
 # The worker team follows GOMAXPROCS and -count bypasses the test cache, so
 # a test whose outcome depends on the schedule (ldd's labels did, at 2 CPUs
-# only) cannot pass here by having passed once.
+# only) cannot pass here by having passed once. Only the packages that run
+# parallel loops of their own are swept; the rest ran once above.
 for procs in 1 2 4; do
-    GOMAXPROCS=$procs go test -count=3 ./...
+    GOMAXPROCS=$procs go test -count=3 \
+        ./internal/parallel ./internal/hashbag ./internal/ldd ./internal/conn \
+        ./internal/core ./internal/msbfs ./internal/delta ./internal/serve
 done
 
 echo '== coverage ratchet'
@@ -120,20 +127,6 @@ else
     # silently drop one; -time prints the engine-phase and per-package
     # breakdown so a slow rule is visible immediately.
     go run ./cmd/pasgal-vet -time . ./internal/... ./cmd/... ./examples/...
-fi
-
-if [ "${PASGAL_SKIP_BENCH:-0}" = 1 ]; then
-    echo '== bench regression gate skipped (PASGAL_SKIP_BENCH=1)'
-else
-    echo '== bench regression gate'
-    # A tiny BFS + graph-construction run compared against the committed
-    # baseline. Absolute times vary wildly across machines, so the threshold
-    # is deliberately huge (20x): the gate exists to exercise the
-    # -json/-compare pipeline end to end and to catch order-of-magnitude
-    # blowups, not small drift.
-    go run ./cmd/pasgal-bench -exp bfs,build,queries,serve,compress,updates -scale 0.05 -reps 1 -json "$tmpjson" >/dev/null
-    go run ./cmd/pasgal-bench -compare -threshold 20 \
-        scripts/bench-baseline.json "$tmpjson"
 fi
 
 if [ "${PASGAL_SKIP_FUZZ:-0}" = 1 ]; then

@@ -44,20 +44,28 @@ func (uf *UnionFind) Find(v uint32) uint32 {
 }
 
 // Union merges the sets of a and b. It returns true iff this call performed
-// the merge (the sets were distinct and this CAS won) — the property
-// spanning-forest construction relies on.
+// the merge (the sets were distinct and this CAS won).
 func (uf *UnionFind) Union(a, b uint32) bool {
+	_, won := uf.link(a, b)
+	return won
+}
+
+// link is Union that also names the root it re-pointed. A root loses at
+// most one link — afterwards it is no longer a root — so the loser is a
+// slot no other winning call can name: the property spanning-forest
+// construction relies on.
+func (uf *UnionFind) link(a, b uint32) (loser uint32, won bool) {
 	for {
 		ra, rb := uf.Find(a), uf.Find(b)
 		if ra == rb {
-			return false
+			return 0, false
 		}
 		if ra > rb {
 			ra, rb = rb, ra
 		}
 		// Link the larger root under the smaller.
 		if uf.parent[rb].CompareAndSwap(rb, ra) {
-			return true
+			return rb, true
 		}
 	}
 }
@@ -125,16 +133,16 @@ func SpanningForest(a graph.Adjacency) ([]graph.Edge, []uint32, int) {
 	}
 	n := a.NumVertices()
 	uf := NewUnionFind(n)
-	treeEdges := make([]graph.Edge, n) // at most n-1 used
-	var cursor atomic.Int64
+	// A tree edge is stored at the root its union re-pointed, so recording
+	// it shares no counter; the used slots are the non-roots.
+	slots := make([]graph.Edge, n)
 	forEachForwardEdge(a, func(u, v uint32) {
-		if uf.Union(u, v) {
-			at := cursor.Add(1) - 1
-			treeEdges[at] = graph.Edge{U: u, V: v}
+		if loser, won := uf.link(u, v); won {
+			slots[loser] = graph.Edge{U: u, V: v}
 		}
 	})
 	labels := make([]uint32, n)
 	parallel.For(n, 0, func(i int) { labels[i] = uf.Find(uint32(i)) })
-	count := parallel.Count(n, func(i int) bool { return labels[i] == uint32(i) })
-	return treeEdges[:cursor.Load()], labels, count
+	treeEdges := parallel.Pack(slots, func(v int) bool { return labels[v] != uint32(v) })
+	return treeEdges, labels, n - len(treeEdges)
 }

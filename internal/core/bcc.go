@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sync/atomic"
+	"time"
 
 	"pasgal/internal/conn"
 	"pasgal/internal/euler"
@@ -43,6 +43,10 @@ type BCCResult struct {
 // Work O(n+m), polylogarithmic span, O(n) auxiliary space — no Θ(D)
 // synchronization chains and no Θ(m) auxiliary graph, the two failure modes
 // of GBBS-style and Tarjan–Vishkin-style biconnectivity respectively.
+// The arcs are swept twice (labelFromForest), so Metrics.EdgesVisited is
+// 2·len(g.Edges); Rounds stays 0 and each stage is one Metrics phase —
+// forest, euler, sweep, fence, label — whose trace detail is its wall
+// time in microseconds.
 // A non-nil opt.Ctx makes the run cancellable: on cancellation BCC
 // returns (zero BCCResult, partial Metrics, ErrCanceled/ErrDeadline).
 func BCC(g *graph.Graph, opt Options) (BCCResult, *Metrics, error) {
@@ -50,31 +54,14 @@ func BCC(g *graph.Graph, opt Options) (BCCResult, *Metrics, error) {
 		panic("core: BCC requires an undirected graph (symmetrize first)")
 	}
 	opt = opt.Normalized()
-	defer attachRuntimeTracer(opt)()
-	met := NewMetrics(opt, "bcc")
-	cl := NewCanceler(opt, met)
-	defer cl.Close()
-	n := g.N
-	res := BCCResult{
-		ArcLabel: make([]uint32, len(g.Edges)),
-		IsArt:    make([]bool, n),
-	}
-	parallel.Fill(res.ArcLabel, graph.None)
-	if n == 0 {
-		return res, met, cl.Poll()
-	}
-	if err := cl.Poll(); err != nil {
-		return BCCResult{}, met, err
-	}
-
-	// (1) + (2): rooted spanning forest, no BFS.
-	tree, _, _ := conn.SpanningForest(g)
-	f := euler.Build(n, tree)
-	met.SetPhases(2)
-	if err := labelFromForest(g, f, &res, met, cl); err != nil {
-		return BCCResult{}, met, err
-	}
-	return res, met, nil
+	return bccRun(g, opt, func(st *stageClock) *euler.Forest {
+		// (1) + (2): rooted spanning forest, no BFS.
+		tree, _, _ := conn.SpanningForest(g)
+		st.done()
+		f := euler.Build(g.N, tree)
+		st.done()
+		return f
+	})
 }
 
 // BCCFromForest runs FAST-BCC's labeling stages (low/high, fence
@@ -85,6 +72,25 @@ func BCC(g *graph.Graph, opt Options) (BCCResult, *Metrics, error) {
 // (opt.Tracer / opt.TraceScheduler); the labeling stages have no
 // VGC/frontier tunables.
 func BCCFromForest(g *graph.Graph, f *euler.Forest, opt Options) (BCCResult, *Metrics, error) {
+	return bccRun(g, opt, func(*stageClock) *euler.Forest { return f })
+}
+
+// stageClock reports each finished BCC stage as one Metrics phase.
+type stageClock struct {
+	met  *Metrics
+	last time.Time
+}
+
+func (st *stageClock) done() {
+	now := time.Now()
+	st.met.addPhase(now.Sub(st.last).Microseconds())
+	st.last = now
+}
+
+// bccRun is the shared body of BCC and BCCFromForest: result allocation,
+// the empty graph, cancellation, and the labeling stages on the forest
+// that forest() supplies.
+func bccRun(g *graph.Graph, opt Options, forest func(*stageClock) *euler.Forest) (BCCResult, *Metrics, error) {
 	defer attachRuntimeTracer(opt)()
 	met := NewMetrics(opt, "bcc")
 	cl := NewCanceler(opt, met)
@@ -93,158 +99,155 @@ func BCCFromForest(g *graph.Graph, f *euler.Forest, opt Options) (BCCResult, *Me
 		ArcLabel: make([]uint32, len(g.Edges)),
 		IsArt:    make([]bool, g.N),
 	}
-	parallel.Fill(res.ArcLabel, graph.None)
 	if g.N == 0 {
 		return res, met, cl.Poll()
 	}
-	if err := labelFromForest(g, f, &res, met, cl); err != nil {
+	if err := cl.Poll(); err != nil {
+		return BCCResult{}, met, err
+	}
+	st := &stageClock{met: met, last: time.Now()}
+	if err := labelFromForest(g, forest(st), &res, st, cl); err != nil {
 		return BCCResult{}, met, err
 	}
 	return res, met, nil
 }
 
+// vertexRec is everything the arc sweeps need to know about an arc's far
+// endpoint, in one 16-byte record: an arc costs one random cache line
+// instead of one each in Parent, Pre and Size.
+type vertexRec struct {
+	pre, last uint32 // preorder interval of the vertex's subtree
+	parent    uint32
+	label     uint32 // skeleton component, compacted in the label stage
+}
+
+// above reports whether a's subtree contains the vertex with preorder pre.
+func (a *vertexRec) above(pre uint32) bool { return a.pre <= pre && pre <= a.last }
+
 // labelFromForest runs stages (3)-(5) plus label compaction, polling cl
 // at every stage boundary (each stage is a handful of flat parallel
-// passes; the passes themselves drain through cl's token).
-func labelFromForest(g *graph.Graph, f *euler.Forest, res *BCCResult, met *Metrics, cl *Canceler) error {
+// passes; the passes themselves drain through cl's token). Only two of
+// the passes are over arcs: the sweep before the fence test and the sweep
+// that writes the result.
+func labelFromForest(g *graph.Graph, f *euler.Forest, res *BCCResult, st *stageClock, cl *Canceler) error {
 	n := g.N
-
-	// isTree marks arcs that realize a parent/child relation.
-	isTree := func(u, w uint32) bool {
-		return f.Parent[u] == w || f.Parent[w] == u
-	}
+	rec := make([]vertexRec, n)
+	parallel.For(n, 0, func(v int) {
+		rec[v] = vertexRec{pre: f.Pre[v], last: f.Last(uint32(v)), parent: f.Parent[v]}
+	})
 
 	// (3) per-vertex local aggregates in preorder position: the vertex's
-	// own preorder plus the preorders of its non-tree neighbors.
+	// own preorder plus the preorders of its non-tree neighbors. The same
+	// sweep takes the skeleton's unrelated non-tree edges (5), which do
+	// not depend on the fence test. Ancestor back edges are accounted for
+	// by low/high instead.
+	uf := conn.NewUnionFind(n)
 	localLow := make([]uint32, n)
 	localHigh := make([]uint32, n)
 	parallel.ForCancel(cl.Token(), n, 64, func(ui int) {
 		u := uint32(ui)
-		lo := f.Pre[u]
-		hi := f.Pre[u]
-		for e := g.Offsets[u]; e < g.Offsets[u+1]; e++ {
-			w := g.Edges[e]
-			if isTree(u, w) {
-				continue
+		ru := rec[u]
+		lo, hi := ru.pre, ru.pre
+		for _, w := range g.Edges[g.Offsets[u]:g.Offsets[u+1]] {
+			rw := &rec[w]
+			if rw.parent == u || ru.parent == w {
+				continue // an arc that realizes a parent/child relation
 			}
-			pw := f.Pre[w]
+			pw := rw.pre
 			if pw < lo {
 				lo = pw
 			}
 			if pw > hi {
 				hi = pw
 			}
+			if w > u && !ru.above(pw) && !rw.above(ru.pre) {
+				uf.Union(u, w)
+			}
 		}
-		localLow[f.Pre[u]] = lo
-		localHigh[f.Pre[u]] = hi
+		localLow[ru.pre] = lo
+		localHigh[ru.pre] = hi
 	})
+	st.met.AddEdges(int64(len(g.Edges)))
 	if err := cl.Poll(); err != nil {
 		return err
 	}
 	lowR := rmq.NewMin(localLow)
 	highR := rmq.NewMax(localHigh)
-	met.AddEdges(int64(len(g.Edges)))
+	st.done()
 
-	// (4) fence test per non-root vertex, against the parent's interval.
-	fence := make([]bool, n)
+	// (4) fence test per non-root vertex, against the parent's interval;
+	// a tree edge that is not a fence joins the skeleton (5).
 	parallel.ForCancel(cl.Token(), n, 256, func(vi int) {
 		v := uint32(vi)
-		p := f.Parent[v]
-		if p == graph.None {
+		rv := rec[v]
+		if rv.parent == graph.None {
 			return
 		}
-		low := lowR.Query(int(f.First(v)), int(f.Last(v)))
-		high := highR.Query(int(f.First(v)), int(f.Last(v)))
-		fence[v] = low >= f.First(p) && high <= f.Last(p)
+		rp := &rec[rv.parent]
+		low := lowR.Query(int(rv.pre), int(rv.last))
+		high := highR.Query(int(rv.pre), int(rv.last))
+		if low < rp.pre || high > rp.last {
+			uf.Union(v, rv.parent)
+		}
 	})
-
-	// (5) skeleton connectivity: unrelated non-tree edges + non-fence tree
-	// edges. Ancestor back edges are already accounted for by low/high.
 	if err := cl.Poll(); err != nil {
 		return err
 	}
-	uf := conn.NewUnionFind(n)
-	parallel.ForCancel(cl.Token(), n, 64, func(ui int) {
-		u := uint32(ui)
-		for e := g.Offsets[u]; e < g.Offsets[u+1]; e++ {
-			w := g.Edges[e]
-			if w <= u || isTree(u, w) {
-				continue
-			}
-			if !f.IsAncestor(u, w) && !f.IsAncestor(w, u) {
-				uf.Union(u, w)
-			}
-		}
-	})
-	parallel.For(n, 0, func(vi int) {
-		v := uint32(vi)
-		if p := f.Parent[v]; p != graph.None && !fence[v] {
-			uf.Union(v, p)
-		}
-	})
+	st.done()
 
 	// Labels: tree arc (p(v), v) -> skeleton component of v; non-tree arc
 	// -> skeleton component of its deeper endpoint (for unrelated
-	// endpoints the components coincide). Component ids are skeleton
-	// roots, compacted afterwards.
+	// endpoints the components coincide). So every arc carries the label
+	// of one of its endpoints, and labels are found, marked used and
+	// compacted to [0, NumBCC) per vertex, not per arc. A component id is
+	// its skeleton root r, and it is in use iff r itself carries an arc
+	// with it: a non-root vertex does (its parent edge). A forest root is
+	// alone in its skeleton component — every child edge of a root is a
+	// fence, no vertex is unrelated to it — so its id is in use only by
+	// its own self-loops.
+	used := make([]uint32, n)
+	parallel.ForCancel(cl.Token(), n, 0, func(vi int) {
+		v := uint32(vi)
+		l := uf.Find(v)
+		rec[v].label = l
+		if l == v && (rec[v].parent != graph.None || hasSelfLoop(g, v)) {
+			used[v] = 1
+		}
+	})
 	if err := cl.Poll(); err != nil {
 		return err
 	}
+	res.NumBCC = int(parallel.Scan(used)) // exclusive: used[r] = compact id of r
+	parallel.For(n, 0, func(v int) { rec[v].label = used[rec[v].label] })
+
+	// The result sweep: every arc label written once, and u is an
+	// articulation point iff its arcs carry two distinct labels.
 	parallel.ForCancel(cl.Token(), n, 64, func(ui int) {
 		u := uint32(ui)
-		for e := g.Offsets[u]; e < g.Offsets[u+1]; e++ {
-			w := g.Edges[e]
-			switch {
-			case f.Parent[w] == u:
-				res.ArcLabel[e] = uf.Find(w)
-			case f.Parent[u] == w:
-				res.ArcLabel[e] = uf.Find(u)
-			case f.IsAncestor(u, w): // u above w: w's side owns the edge
-				res.ArcLabel[e] = uf.Find(w)
-			default:
-				res.ArcLabel[e] = uf.Find(u)
+		ru := rec[u]
+		lo, hi := g.Offsets[u], g.Offsets[u+1]
+		for e := lo; e < hi; e++ {
+			l := ru.label
+			if rw := &rec[g.Edges[e]]; ru.above(rw.pre) { // u above w: w's side owns the edge
+				l = rw.label
+			}
+			res.ArcLabel[e] = l
+			if l != res.ArcLabel[lo] {
+				res.IsArt[u] = true
 			}
 		}
 	})
-
-	// Compact labels to [0, NumBCC) and detect articulation points
-	// (vertices incident to >= 2 distinct BCCs). The compaction reads
-	// every arc label, so a canceled labeling pass must surface first.
-	if err := cl.Poll(); err != nil {
-		return err
-	}
-	labelUsed := make([]atomic.Uint32, n)
-	parallel.ForRange(len(res.ArcLabel), 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if l := res.ArcLabel[i]; l != graph.None {
-				labelUsed[l].Store(1)
-			}
-		}
-	})
-	remap := make([]uint32, n)
-	parallel.For(n, 0, func(i int) { remap[i] = labelUsed[i].Load() })
-	total := parallel.Scan(remap) // exclusive; remap[l] = compact id
-	res.NumBCC = int(total)
-	parallel.ForRange(len(res.ArcLabel), 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if res.ArcLabel[i] != graph.None {
-				res.ArcLabel[i] = remap[res.ArcLabel[i]]
-			}
-		}
-	})
-	parallel.For(n, 64, func(vi int) {
-		v := uint32(vi)
-		lo, hi := g.Offsets[v], g.Offsets[v+1]
-		if hi-lo < 2 {
-			return
-		}
-		first := res.ArcLabel[lo]
-		for e := lo + 1; e < hi; e++ {
-			if res.ArcLabel[e] != first {
-				res.IsArt[v] = true
-				return
-			}
-		}
-	})
+	st.met.AddEdges(int64(len(g.Edges)))
+	st.done()
 	return cl.Poll()
+}
+
+// hasSelfLoop reports whether v is its own neighbor.
+func hasSelfLoop(g *graph.Graph, v uint32) bool {
+	for _, w := range g.Edges[g.Offsets[v]:g.Offsets[v+1]] {
+		if w == v {
+			return true
+		}
+	}
+	return false
 }

@@ -209,7 +209,7 @@ type Metrics struct {
 	EdgesVisited  int64 // total edge relaxations/inspections
 	VerticesTaken int64 // frontier entries extracted (incl. stale)
 	MaxFrontier   int64 // largest extracted frontier
-	Phases        int64 // SCC outer rounds / SSSP threshold phases
+	Phases        int64 // SCC outer rounds / SSSP threshold phases / BCC stages
 
 	// FrontierSizes is the per-round frontier size series, recorded only
 	// when Options.RecordFrontiers is set. The paper's §2.1 claims VGC
@@ -274,11 +274,4 @@ func (m *Metrics) addPhase(detail int64) {
 func (m *Metrics) AddBottomUp() {
 	atomic.AddInt64(&m.BottomUp, 1)
 	m.tracer.DirectionSwitch(m.algo, atomic.LoadInt64(&m.Rounds))
-}
-
-// SetPhases stores the phase count for algorithms whose structure is fixed
-// up front.
-func (m *Metrics) SetPhases(k int64) {
-	atomic.StoreInt64(&m.Phases, k)
-	m.tracer.Phase(m.algo, k, -1)
 }

@@ -224,6 +224,73 @@ func TestBCCOnSymmetrizedDirected(t *testing.T) {
 	bccEquivalent(t, "weblike-sym", g, got)
 }
 
+// TestBCCSelfLoopOnRoot: labels are marked used and compacted per vertex,
+// and the label of a forest root (the minimum id of its component) is on
+// no tree edge — only the root's own self-loops carry it, so a per-vertex
+// used set must not lose it. Next to it, a two-vertex component joined by
+// a triple edge is one BCC. The oracle takes simple graphs only: it sees
+// the same edges with loops and duplicates dropped, and is compared arc by
+// arc through the endpoints.
+func TestBCCSelfLoopOnRoot(t *testing.T) {
+	edges := []graph.Edge{
+		{U: 0, V: 0}, {U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 2}, // loops on the root and on a leaf
+		{U: 3, V: 4}, {U: 3, V: 4}, {U: 4, V: 3}, // triple edge
+		{U: 5, V: 5}, // a loop is all of vertex 5's component; 6 is isolated
+	}
+	g := graph.FromEdges(7, edges, false, graph.BuildOptions{KeepSelfLoops: true, KeepDuplicates: true})
+	simple := graph.FromEdges(7, edges, false, graph.BuildOptions{})
+	want := seq.HopcroftTarjanBCC(simple)
+	wantLabel := map[[2]uint32]uint32{}
+	for u := uint32(0); u < uint32(simple.N); u++ {
+		for e := simple.Offsets[u]; e < simple.Offsets[u+1]; e++ {
+			wantLabel[[2]uint32{u, simple.Edges[e]}] = want.ArcLabel[e]
+		}
+	}
+
+	got, _, _ := BCC(g, Options{})
+	loop := map[uint32]uint32{} // vertex -> label of its self-loops
+	fwd, bwd := map[uint32]uint32{}, map[uint32]uint32{}
+	for u := uint32(0); u < uint32(g.N); u++ {
+		for e := g.Offsets[u]; e < g.Offsets[u+1]; e++ {
+			w, l := g.Edges[e], got.ArcLabel[e]
+			if l >= uint32(got.NumBCC) {
+				t.Fatalf("arc %d->%d: label %d outside [0,%d)", u, w, l, got.NumBCC)
+			}
+			if w == u {
+				loop[u] = l
+				continue
+			}
+			o := wantLabel[[2]uint32{u, w}]
+			if x, ok := fwd[l]; ok && x != o {
+				t.Fatalf("arc %d->%d: label %d spans oracle components %d and %d", u, w, l, x, o)
+			}
+			if y, ok := bwd[o]; ok && y != l {
+				t.Fatalf("arc %d->%d: oracle component %d split into %d and %d", u, w, o, y, l)
+			}
+			fwd[l], bwd[o] = o, l
+		}
+	}
+	if len(fwd) != want.NumBCC || want.NumBCC != 3 {
+		t.Fatalf("%d components over the proper edges, oracle %d, want 3", len(fwd), want.NumBCC)
+	}
+	// The loops on roots 0 and 5 are components of their own; the loop on
+	// leaf 2 belongs with the edge to its parent.
+	if _, shared := fwd[loop[0]]; shared || loop[0] == loop[5] {
+		t.Fatalf("root loop labels %d and %d are not components of their own", loop[0], loop[5])
+	}
+	if _, shared := fwd[loop[5]]; shared || got.NumBCC != want.NumBCC+2 {
+		t.Fatalf("NumBCC = %d with root loop labels %d, %d; want %d", got.NumBCC, loop[0], loop[5], want.NumBCC+2)
+	}
+	if loop[2] != bwd[wantLabel[[2]uint32{2, 1}]] {
+		t.Fatalf("leaf loop labeled %d, its parent edge %d", loop[2], bwd[wantLabel[[2]uint32{2, 1}]])
+	}
+	for _, v := range []int{1, 3, 4, 6} { // the loop-free vertices
+		if got.IsArt[v] != want.IsArtPort[v] {
+			t.Fatalf("articulation[%d] = %v, oracle %v", v, got.IsArt[v], want.IsArtPort[v])
+		}
+	}
+}
+
 // --- SSSP ---
 
 func TestSSSPMatchesDijkstra(t *testing.T) {

@@ -128,6 +128,39 @@ func TestTracePhasesSCC(t *testing.T) {
 	}
 }
 
+// TestTracePhasesBCC: FAST-BCC has no frontier rounds; it reports its five
+// stages — forest, euler, sweep, fence, label — as phases, each traced
+// with its wall time in microseconds, and the arcs its two sweeps visit.
+func TestTracePhasesBCC(t *testing.T) {
+	g := gen.TriGrid(30, 30)
+	tr := trace.New()
+	_, met, _ := BCC(g, Options{Tracer: tr})
+	if met.Phases != 5 || met.Rounds != 0 {
+		t.Fatalf("BCC ran %d phases and %d rounds, want 5 and 0", met.Phases, met.Rounds)
+	}
+	if want := int64(2 * len(g.Edges)); met.EdgesVisited != want {
+		t.Fatalf("EdgesVisited = %d, two sweeps over %d arcs are %d", met.EdgesVisited, len(g.Edges), want)
+	}
+	var phases int64
+	for _, ev := range tr.EventsFor("bcc") {
+		if ev.Kind == trace.KindPhase {
+			phases++
+			if ev.A != phases {
+				t.Fatalf("phase event %d has index %d", phases, ev.A)
+			}
+			if ev.B < 0 {
+				t.Fatalf("phase %d carries detail %d, want its duration in µs", phases, ev.B)
+			}
+		}
+	}
+	if phases != met.Phases {
+		t.Fatalf("traced %d phases, Metrics says %d", phases, met.Phases)
+	}
+	if got := tr.CounterValue(trace.CtrPhases); got != met.Phases {
+		t.Fatalf("phases counter = %d, Metrics says %d", got, met.Phases)
+	}
+}
+
 // TestTraceSharedAcrossAlgos: one tracer threaded through several runs must
 // keep the per-algo series separable and the totals additive.
 func TestTraceSharedAcrossAlgos(t *testing.T) {

@@ -19,3 +19,7 @@ func benchForest(b *testing.B, rows, cols int) {
 func BenchmarkBuildGridTree(b *testing.B) { benchForest(b, 300, 300) }
 func BenchmarkBuildWideTree(b *testing.B) { benchForest(b, 10, 9000) }
 func BenchmarkBuildPathTree(b *testing.B) { benchForest(b, 1, 90000) }
+
+// The benchmark's road-sized grid (490 000 vertices, 10⁶ arcs): the size
+// at which list ranking leaves the cache.
+func BenchmarkBuildGrid700(b *testing.B) { benchForest(b, 700, 700) }

@@ -1,13 +1,16 @@
 // Package euler roots a spanning forest without BFS or DFS: it builds the
 // Euler circuit of each tree from arc-adjacency, breaks it at a canonical
-// root, and list-ranks the circuit by parallel pointer jumping. From arc
-// ranks it derives, for every vertex, its parent, preorder number, and
-// subtree size — the ingredients FAST-BCC and Tarjan–Vishkin consume.
+// root, and list-ranks the circuit. From arc ranks it derives, for every
+// vertex, its parent, preorder number, and subtree size — the ingredients
+// FAST-BCC and Tarjan–Vishkin consume.
 //
-// Pointer jumping is O(m log m) work (the classic textbook variant rather
-// than the work-optimal sampling one); for this library's scales the log
-// factor is irrelevant and the implementation stays allocation-lean and
-// obviously correct.
+// Ranking is by sampling (rank): the list heads plus a fixed 1-in-64 hash
+// class of arcs split every circuit into segments that are walked
+// independently, only the ≈ nArcs/64 sampled arcs are ranked by pointer
+// jumping, and a second walk writes the positions. That is O(nArcs) work
+// and two passes of dependent reads; pointer jumping over the whole
+// circuit is ⌈log₂ nArcs⌉ passes, which on a road-sized forest (10⁶ arcs,
+// out of cache) was over a third of a BCC.
 package euler
 
 import (
@@ -60,130 +63,22 @@ func Build(n int, treeEdges []graph.Edge) *Forest {
 	nt := len(treeEdges)
 	nArcs := 2 * nt
 
-	// Component labels (minimum id per tree) via union-find over the
-	// forest edges only.
-	uf := conn.NewUnionFind(n)
-	parallel.For(nt, 0, func(i int) { uf.Union(treeEdges[i].U, treeEdges[i].V) })
-	parallel.For(n, 0, func(v int) { f.Comp[v] = uf.Find(uint32(v)) })
-
-	// Arc 2i is U->V of edge i; arc 2i+1 is its twin V->U.
-	arcSrc := func(a uint32) uint32 {
-		if a&1 == 0 {
-			return treeEdges[a/2].U
-		}
-		return treeEdges[a/2].V
-	}
-
-	// Group arcs by source vertex (CSR over the forest).
-	deg := make([]int64, n)
-	parallel.For(nArcs, 0, func(a int) {
-		atomic.AddInt64(&deg[arcSrc(uint32(a))], 1)
-	})
-	off := make([]int64, n+1)
-	var run int64
-	for v := 0; v < n; v++ {
-		off[v] = run
-		run += deg[v]
-	}
-	off[n] = run
-	bySrc := make([]uint32, nArcs) // arc ids grouped by source
-	slot := make([]uint32, nArcs)  // position of each arc in bySrc
-	cursor := make([]int64, n)
-	parallel.Copy(cursor, off[:n])
-	parallel.For(nArcs, 0, func(ai int) {
-		a := uint32(ai)
-		s := arcSrc(a)
-		at := atomic.AddInt64(&cursor[s], 1) - 1
-		bySrc[at] = a
-		slot[a] = uint32(at)
-	})
-
-	// Euler circuit successor: succ(a) = the arc after twin(a) among the
-	// arcs leaving head(a) (= src(twin(a))), cyclically.
-	succ := make([]uint32, nArcs)
-	parallel.For(nArcs, 0, func(ai int) {
-		a := uint32(ai)
-		t := a ^ 1
-		s := arcSrc(t)
-		lo, hi := off[s], off[s+1]
-		k := int64(slot[t]) + 1
-		if k == hi {
-			k = lo
-		}
-		succ[a] = bySrc[k]
-	})
-
-	// Choose the canonical root of each tree (its minimum id = component
-	// label) and break the circuit at the root's first outgoing arc.
-	rootArc := make([]uint32, n) // indexed by component label; nilArc if none
-	parallel.Fill(rootArc, nilArc)
-	parallel.For(n, 0, func(v int) {
-		if f.Comp[v] == uint32(v) && off[v] < off[v+1] {
-			rootArc[v] = bySrc[off[v]]
-		}
-	})
-	// Cut: the arc whose successor is the root arc becomes a tail.
-	parallel.For(nArcs, 0, func(ai int) {
-		a := uint32(ai)
-		s := arcSrc(succ[a])
-		if f.Comp[s] == s && succ[a] == rootArc[s] {
-			succ[a] = nilArc
-		}
-	})
-
-	// List ranking by pointer jumping: dist(a) = #arcs strictly after a.
-	dist := make([]uint32, nArcs)
-	parallel.For(nArcs, 0, func(a int) {
-		if succ[a] != nilArc {
-			dist[a] = 1
-		}
-	})
-	nsucc := make([]uint32, nArcs)
-	ndist := make([]uint32, nArcs)
-	for span := 1; span < nArcs; span *= 2 {
-		parallel.For(nArcs, 0, func(ai int) {
-			a := uint32(ai)
-			s := succ[a]
-			if s == nilArc {
-				nsucc[a] = nilArc
-				ndist[a] = dist[a]
-				return
-			}
-			ndist[a] = dist[a] + dist[s]
-			nsucc[a] = succ[s]
-		})
-		succ, nsucc = nsucc, succ
-		dist, ndist = ndist, dist
-	}
-
-	// Tour positions: pos(a) = dist(rootArc of its component) - dist(a).
-	// Equivalently tourLen - 1 - dist(a), with tourLen = 2 * (treeSize-1).
-	pos := make([]uint32, nArcs)
-	parallel.For(nArcs, 0, func(ai int) {
-		a := uint32(ai)
-		r := rootArc[f.Comp[arcSrc(a)]]
-		pos[a] = dist[r] - dist[a]
-	})
+	f.Roots = components(treeEdges, f.Comp)
+	nc := len(f.Roots)
+	succ, heads, tails := circuit(treeEdges, f.Comp, f.Roots)
+	pos, _ := rank(succ, heads) // pos(a) = number of arcs before a on its tour
 
 	// Component ordering: dense index per component in ascending label
 	// order, with vertex- and tour-base offsets.
-	compRoots := parallel.PackIndex(n, func(v int) bool { return f.Comp[v] == uint32(v) })
-	f.Roots = compRoots
-	nc := len(compRoots)
 	compIdx := make([]uint32, n) // component label -> dense index
-	parallel.For(nc, 0, func(i int) { compIdx[compRoots[i]] = uint32(i) })
+	parallel.For(nc, 0, func(i int) { compIdx[f.Roots[i]] = uint32(i) })
 	compSize := make([]int64, nc) // vertices per component
 	tourLen := make([]int64, nc)  // arcs per component tour
 	parallel.For(nc, 0, func(i int) {
-		r := compRoots[i]
-		if rootArc[r] == nilArc {
-			compSize[i] = 1
-			tourLen[i] = 0
-		} else {
-			tl := int64(dist[rootArc[r]]) + 1
-			tourLen[i] = tl
-			compSize[i] = tl/2 + 1
+		if tails[i] != nilArc {
+			tourLen[i] = int64(pos[tails[i]]) + 1
 		}
+		compSize[i] = tourLen[i]/2 + 1
 	})
 	vertexBase := make([]int64, nc)
 	parallel.Copy(vertexBase, compSize)
@@ -196,7 +91,7 @@ func Build(n int, treeEdges []graph.Edge) *Forest {
 	// direction with the smaller tour position is the "down" arc.
 	down := make([]uint32, nArcs) // per global tour slot: 1 if a down arc
 	gpos := func(a uint32) int64 {
-		return tourBase[compIdx[f.Comp[arcSrc(a)]]] + int64(pos[a])
+		return tourBase[compIdx[f.Comp[arcSrc(treeEdges, a)]]] + int64(pos[a])
 	}
 	parallel.For(nt, 0, func(i int) {
 		a := uint32(2 * i) // U->V
@@ -249,6 +144,195 @@ func Build(n int, treeEdges []graph.Edge) *Forest {
 		f.Pre[child] = uint32(vertexBase[ci]) + before
 	})
 	return f
+}
+
+// components labels every vertex with the minimum id of its tree — the
+// tree's canonical root — by union-find over the forest edges, and
+// returns the roots in ascending order.
+func components(treeEdges []graph.Edge, comp []uint32) (roots []uint32) {
+	n := len(comp)
+	uf := conn.NewUnionFind(n)
+	parallel.For(len(treeEdges), 0, func(i int) { uf.Union(treeEdges[i].U, treeEdges[i].V) })
+	parallel.For(n, 0, func(v int) { comp[v] = uf.Find(uint32(v)) })
+	return parallel.PackIndex(n, func(v int) bool { return comp[v] == uint32(v) })
+}
+
+// arcSrc returns the source of arc a: arc 2i is U->V of edge i, arc 2i+1
+// its twin V->U.
+func arcSrc(treeEdges []graph.Edge, a uint32) uint32 {
+	if a&1 == 0 {
+		return treeEdges[a/2].U
+	}
+	return treeEdges[a/2].V
+}
+
+// circuit threads the Euler circuit of every tree through its arcs and
+// breaks it at the tree's root: succ[a] is the arc after a, nilArc after
+// the last. heads[i] and tails[i] are the first and last arc of the tour
+// of the tree rooted at roots[i], nilArc for a tree without edges.
+func circuit(treeEdges []graph.Edge, comp, roots []uint32) (succ, heads, tails []uint32) {
+	n, nArcs := len(comp), 2*len(treeEdges)
+
+	// Group arcs by source vertex (CSR over the forest).
+	off := make([]int64, n+1)
+	parallel.For(nArcs, 0, func(a int) {
+		atomic.AddInt64(&off[arcSrc(treeEdges, uint32(a))], 1)
+	})
+	off[n] = parallel.Scan(off[:n])
+	bySrc := make([]uint32, nArcs) // arc ids grouped by source
+	slot := make([]uint32, nArcs)  // position of each arc in bySrc
+	cursor := make([]int64, n)
+	parallel.Copy(cursor, off[:n])
+	parallel.For(nArcs, 0, func(ai int) {
+		a := uint32(ai)
+		at := atomic.AddInt64(&cursor[arcSrc(treeEdges, a)], 1) - 1
+		bySrc[at] = a
+		slot[a] = uint32(at)
+	})
+
+	// succ(a) = the arc after twin(a) among the arcs leaving head(a)
+	// (= src(twin(a))), cyclically — except where that wraps around to the
+	// first outgoing arc of a root: that arc heads the tour, and a, the
+	// twin of the root's last outgoing arc, ends it.
+	succ = make([]uint32, nArcs)
+	parallel.For(nArcs, 0, func(ai int) {
+		a := uint32(ai)
+		t := a ^ 1
+		s := arcSrc(treeEdges, t)
+		k := int64(slot[t]) + 1
+		if k == off[s+1] {
+			if comp[s] == s {
+				succ[a] = nilArc
+				return
+			}
+			k = off[s]
+		}
+		succ[a] = bySrc[k]
+	})
+	heads = make([]uint32, len(roots))
+	tails = make([]uint32, len(roots))
+	parallel.For(len(roots), 0, func(i int) {
+		heads[i], tails[i] = nilArc, nilArc
+		if r := roots[i]; off[r] < off[r+1] {
+			heads[i], tails[i] = bySrc[off[r]], bySrc[off[r+1]-1]^1
+		}
+	})
+	return succ, heads, tails
+}
+
+// sampleGap is the reciprocal of the sampling rate: one arc in 64 is a
+// splitter. A constant, not a tunable — at 64 the reduced list is small
+// enough that ranking it costs a millisecond or two on 10⁶ arcs, and the
+// segments are short enough that a few thousand of them balance across
+// any worker count.
+const sampleGap = 64
+
+// sampled reports whether arc a is in the splitter hash class. The class
+// is a hash of the arc id, not the id's low bits: ids follow the order the
+// tree edges were found in, and on a path given in order the low bits
+// would sample only one direction of the tour.
+func sampled(a uint32) bool {
+	a ^= a >> 16
+	a *= 0x7feb352d
+	a ^= a >> 15
+	a *= 0x846ca68b
+	a ^= a >> 16
+	return a%sampleGap == 0
+}
+
+// rank list-ranks the nilArc-terminated lists that succ threads through
+// the arcs and that start at heads (a nilArc head is an empty list):
+// pos[a] is the number of arcs before a on its list. reads counts the succ
+// (and reduced-list link) dereferences made, the work measure
+// TestRankWorkBound pins.
+//
+// Walks start at every sampled arc and at every head, and stop at the
+// next sampled arc or the tail, so each arc is stepped over once per
+// walk. Heads must start walks — a list shorter than the sample gap may
+// hold no sampled arc at all — but need no ranking: a head's position is
+// 0. So the reduced list holds the sampled arcs only, however many lists
+// there are. It is ranked by pointer jumping along predecessor links,
+// each weighted with the length of the segment it spans, which leaves in
+// w the position of every sampled arc; its ⌈log₂⌉ factor applies to
+// nArcs/64 elements, and it keeps the span polylogarithmic where one
+// sequential pass over the sampled arcs of a long path would not.
+func rank(succ, heads []uint32) (pos []uint32, reads int64) {
+	nArcs := len(succ)
+	pos = make([]uint32, nArcs)
+	starts := parallel.PackIndex(nArcs, func(a int) bool { return sampled(uint32(a)) })
+	ns := len(starts)
+	starts = append(starts, parallel.Pack(heads, func(i int) bool {
+		return heads[i] != nilArc && !sampled(heads[i])
+	})...)
+	// Until the last walk overwrites it, pos holds the reduced-list index
+	// of each sampled arc.
+	parallel.For(ns, 0, func(i int) { pos[starts[i]] = uint32(i) })
+
+	var total atomic.Int64
+	link := make([]uint32, ns) // previous sampled arc on the list, by index
+	w := make([]uint32, ns)    // arcs from link[i] (or from the head) to i
+	parallel.Fill(link, nilArc)
+	parallel.ForRange(len(starts), 0, func(lo, hi int) {
+		steps := 0
+		for i := lo; i < hi; i++ {
+			a, l := starts[i], uint32(0)
+			for {
+				a = succ[a]
+				l++
+				if a == nilArc || sampled(a) {
+					break
+				}
+			}
+			steps += int(l)
+			if a == nilArc {
+				continue
+			}
+			j := pos[a]
+			w[j] = l
+			if i < ns {
+				link[j] = uint32(i)
+			}
+		}
+		total.Add(int64(steps))
+	})
+
+	nlink := make([]uint32, ns)
+	nw := make([]uint32, ns)
+	for span := 1; span < ns; span *= 2 {
+		parallel.For(ns, 0, func(i int) {
+			p := link[i]
+			if p == nilArc {
+				nlink[i], nw[i] = nilArc, w[i]
+				return
+			}
+			nlink[i], nw[i] = link[p], w[i]+w[p]
+		})
+		link, nlink = nlink, link
+		w, nw = nw, w
+		total.Add(int64(ns))
+	}
+
+	parallel.ForRange(len(starts), 0, func(lo, hi int) {
+		steps := 0
+		for i := lo; i < hi; i++ {
+			a, at := starts[i], uint32(0)
+			if i < ns {
+				at = w[i]
+			}
+			first := at
+			for {
+				pos[a] = at
+				at++
+				a = succ[a]
+				if a == nilArc || sampled(a) {
+					break
+				}
+			}
+			steps += int(at - first)
+		}
+		total.Add(int64(steps))
+	})
+	return pos, total.Load()
 }
 
 func arcParentOf(e graph.Edge, child uint32) uint32 {

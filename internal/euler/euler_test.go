@@ -77,7 +77,10 @@ func checkForest(t *testing.T, n int, tree []graph.Edge, f *Forest) {
 			t.Fatalf("Size[%d]=%d, children sum %d", v, f.Size[v], childSum[v])
 		}
 	}
-	// Ancestor queries vs parent-walking on a sample.
+	// Ancestor queries vs parent-walking, all pairs: small forests only.
+	if n > 2000 {
+		return
+	}
 	for v := uint32(0); v < uint32(n); v++ {
 		anc := map[uint32]bool{v: true}
 		for u := v; f.Parent[u] != graph.None; {
@@ -214,7 +217,7 @@ func TestRandomForests(t *testing.T) {
 }
 
 func TestDeepTree(t *testing.T) {
-	// 100k-vertex path: pointer jumping must handle long lists.
+	// 100k-vertex path: one list of 200k arcs, thousands of segments.
 	n := 100000
 	tree := make([]graph.Edge, n-1)
 	for i := range tree {

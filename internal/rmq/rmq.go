@@ -77,22 +77,16 @@ func build(vals []uint32, combine func(a, b uint32) uint32) *RMQ {
 		r.rows = rows
 		r.table = make([]uint32, rows*nblocks)
 		parallel.For(nblocks, 0, func(b int) {
-			lo := b * blockSize
-			hi := min(lo+blockSize, n)
-			r.table[b] = r.suffix[lo] // whole-block aggregate
-			_ = hi
+			r.table[b] = r.suffix[b*blockSize] // whole-block aggregate
 		})
 		for row := 1; row < rows; row++ {
 			span := 1 << row
 			prev := r.table[(row-1)*nblocks:]
 			cur := r.table[row*nblocks:]
 			parallel.For(nblocks, 0, func(b int) {
+				cur[b] = prev[b] // a span running past the end is never queried
 				if b+span <= nblocks {
 					cur[b] = combine(prev[b], prev[b+span/2])
-				} else if b+span/2 <= nblocks {
-					cur[b] = prev[b]
-				} else {
-					cur[b] = prev[b]
 				}
 			})
 		}

@@ -65,6 +65,10 @@ if [ "$short" = 1 ]; then
     echo '== SSSP work bound'
     # Uncached: the bound is on what a nondeterministic schedule visits.
     go test -run 'TestSSSPWorkBound' -count=1 ./internal/core
+    echo '== list-ranking work bound'
+    # The count is the same on every schedule; uncached so it is the code
+    # in the tree that is counted.
+    go test -run 'TestRankWorkBound' -count=1 ./internal/euler
     echo '== SCC on every representation'
     # Uncached for the same reason: which label claims a vertex first is
     # the schedule's choice, the partition must not be.
@@ -85,7 +89,8 @@ echo '== tier-1 across schedules'
 for procs in 1 2 4; do
     GOMAXPROCS=$procs go test -count=3 \
         ./internal/parallel ./internal/hashbag ./internal/ldd ./internal/conn \
-        ./internal/core ./internal/msbfs ./internal/delta ./internal/serve
+        ./internal/euler ./internal/core ./internal/msbfs ./internal/delta \
+        ./internal/serve
 done
 
 echo '== coverage ratchet'
@@ -146,8 +151,8 @@ fi
 
 echo '== race stress tier'
 go test -race -run Stress -count=3 \
-    ./internal/hashbag ./internal/parallel ./internal/conn ./internal/core \
-    ./internal/msbfs ./internal/serve ./internal/delta
+    ./internal/hashbag ./internal/parallel ./internal/conn ./internal/euler \
+    ./internal/core ./internal/msbfs ./internal/serve ./internal/delta
 # The scheduler conformance suite under -race: one pass over every
 # primitive x worker-count x grain x size cell catches ordering bugs the
 # stress loops' fixed shapes miss.

@@ -112,20 +112,21 @@ func TestRepresentationDifferential(t *testing.T) {
 						t.Fatalf("%s src=%d: %v", oname, src, err)
 					}
 					requireSame(t, got, want, "%s src=%d dist", oname, src)
-				}
-				// The tree variant shares BFS's driver and push body.
-				dist, parent, _, err := core.BFSTree(rc.a, src, core.Options{})
-				if err != nil {
-					t.Fatalf("tree src=%d: %v", src, err)
-				}
-				requireSame(t, dist, want, "tree src=%d dist", src)
-				for v, p := range parent {
-					if p == graph.None {
-						if uint32(v) != src && want[v] != graph.InfDist {
-							t.Fatalf("tree src=%d: reached vertex %d has no parent", src, v)
+					// The tree variant is BFS plus a parent pass through
+					// ScanIn, so it runs every route too.
+					dist, parent, _, err := core.BFSTree(rc.a, src, opt)
+					if err != nil {
+						t.Fatalf("tree %s src=%d: %v", oname, src, err)
+					}
+					requireSame(t, dist, want, "tree %s src=%d dist", oname, src)
+					for v, p := range parent {
+						if p == graph.None {
+							if uint32(v) != src && want[v] != graph.InfDist {
+								t.Fatalf("tree %s src=%d: reached vertex %d has no parent", oname, src, v)
+							}
+						} else if want[p]+1 != want[v] || rc.truth.FindArc(p, uint32(v)) == ^uint64(0) {
+							t.Fatalf("tree %s src=%d: parent[%d] = %d is not a BFS-tree arc", oname, src, v, p)
 						}
-					} else if want[p]+1 != want[v] || rc.truth.FindArc(p, uint32(v)) == ^uint64(0) {
-						t.Fatalf("tree src=%d: parent[%d] = %d is not a BFS-tree arc", src, v, p)
 					}
 				}
 			}

@@ -12,9 +12,6 @@ func TestBFSTreeInvariants(t *testing.T) {
 		for name, g := range testGraphs(directed) {
 			want := seq.BFS(g, 0)
 			for oname, opt := range optionMatrix() {
-				if oname == "nodiropt" {
-					continue // BFSTree has no direction optimization
-				}
 				dist, parent, _, _ := BFSTree(g, 0, opt)
 				for v := range want {
 					if dist[v] != want[v] {

@@ -59,9 +59,10 @@ type Options struct {
 	// ablation benchmarks use as the "no VGC" configuration.
 	Tau int
 
-	// DisableHashBag replaces hash-bag frontiers with flat dense frontier
-	// arrays (a full n-sized scan per round) — the ablation the hash bag
-	// is measured against.
+	// DisableHashBag replaces BFS's (and BFSTree's) hash-bag frontiers with
+	// flat dense frontier arrays (a full n-sized scan per round) — the
+	// ablation the hash bag is measured against. Only BFS reads it: SSSP,
+	// point-to-point, reachability, SCC and k-core always use hash bags.
 	DisableHashBag bool
 
 	// DisableDirectionOpt turns off the Beamer-style bottom-up switch in

@@ -45,7 +45,7 @@ func overlayTwin(t *testing.T, g *graph.Graph, seed int64) (*graph.Overlay, *gra
 	return o, o.Materialize()
 }
 
-// TestOverlayBFSMatchesPlain drives both bfsScans directions: the
+// TestOverlayBFSMatchesPlain drives both BFS round bodies: the
 // "pull" row forces a bottom-up cut of one so the lazy overlay transpose
 // is exercised on every graph, "push" pins the top-down-only route, and
 // "novgc" spills every discovered vertex through the shared frontier.

@@ -17,6 +17,10 @@ import (
 // interleave on the same cores. Each query's distances are checked against
 // the sequential oracle. Under -race this is the closest approximation of
 // the production serving scenario: many traversals in flight at once.
+// The option rows push every discovery through the bucket ring (Tau 1,
+// with hash bags and with the flat frontier) or pull every round, so the
+// one-lap emptiness test that ends a run is read right after rounds whose
+// inserts raced; on the directed graph BFSTree runs beside them.
 func TestStressBFSConcurrentQueries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test; skipped with -short")
@@ -29,6 +33,7 @@ func TestStressBFSConcurrentQueries(t *testing.T) {
 		gen.ER(2500, 7000, false, 11),
 		gen.ER(2000, 4000, true, 12),
 	}
+	opts := []Options{{}, {Tau: 1}, {Tau: 1, DisableHashBag: true}, {DenseFrac: 1e-9}}
 	for gi, g := range graphs {
 		srcs := []uint32{0, uint32(g.N / 3), uint32(g.N - 1)}
 		want := make([][]uint32, len(srcs))
@@ -36,20 +41,43 @@ func TestStressBFSConcurrentQueries(t *testing.T) {
 			want[i] = seq.BFS(g, s)
 		}
 		var wg sync.WaitGroup
-		errc := make(chan string, len(srcs)*2)
-		for rep := 0; rep < 2; rep++ {
+		errc := make(chan string, len(opts)*len(srcs)*2)
+		for _, opt := range opts {
 			for i, s := range srcs {
 				wg.Add(1)
-				go func(i int, s uint32) {
+				go func() {
 					defer wg.Done()
-					dist, _, _ := BFS(g, s, Options{})
+					dist, _, _ := BFS(g, s, opt)
 					for v := range dist {
 						if dist[v] != want[i][v] {
 							errc <- "distance mismatch"
 							return
 						}
 					}
-				}(i, s)
+				}()
+				if !g.Directed {
+					continue
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					dist, parent, _, _ := BFSTree(g, s, opt)
+					for v := range dist {
+						if dist[v] != want[i][v] {
+							errc <- "BFSTree distance mismatch"
+							return
+						}
+						if p := parent[v]; p == graph.None {
+							if uint32(v) != s && dist[v] != graph.InfDist {
+								errc <- "BFSTree left a reached vertex without a parent"
+								return
+							}
+						} else if dist[p]+1 != dist[v] || g.FindArc(p, uint32(v)) == ^uint64(0) {
+							errc <- "BFSTree parent is not a tree arc"
+							return
+						}
+					}
+				}()
 			}
 		}
 		wg.Wait()

@@ -26,10 +26,11 @@ package graph
 //     discriminant is a bool, not a nil check.
 //   - A Scanner is handed out as a pointer to its own cache lines: every
 //     scanned vertex reads this header, and a run allocates it next to the
-//     small objects its workers hammer with atomics (pending counters,
-//     metrics, loop chunk cursors), so an unpadded header — whether
-//     captured by value in a round closure or moved to the heap — shared a
-//     line with one of them and cost the plain-CSR kernels 3–13 %.
+//     small objects its workers hammer with atomics (metrics, loop chunk
+//     cursors; BFS's pending counter when this was measured), so an
+//     unpadded header — whether captured by value in a round closure or
+//     moved to the heap — shared a line with one of them and cost the
+//     plain-CSR kernels 3–13 %.
 //   - Scratch stays on the chunk's stack: the decode targets are concrete
 //     pointers, not an interface, and buffers travel by value, so escape
 //     analysis can see that a buffer only flows to the returned list. A

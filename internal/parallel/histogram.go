@@ -37,66 +37,6 @@ func Histogram(keys []uint32, k int) []int64 {
 	return out
 }
 
-// CountingSortByKey stably sorts the indices [0, n) of keys (values in
-// [0, k)) by key. It returns the permutation (positions grouped by key,
-// original order preserved within a key) and the k+1 group offsets — the
-// "semisort" primitive used to group edges by endpoint.
-func CountingSortByKey(keys []uint32, k int) (perm []uint32, offsets []int64) {
-	n := len(keys)
-	perm = make([]uint32, n)
-	offsets = make([]int64, k+1)
-	if n == 0 {
-		return perm, offsets
-	}
-	p := Workers()
-	grain := defaultGrain(n, p)
-	chunks := (n + grain - 1) / grain
-	if chunks <= 1 || k > 1<<16 {
-		counts := make([]int64, k+1)
-		for _, key := range keys {
-			counts[key+1]++
-		}
-		for i := 0; i < k; i++ {
-			counts[i+1] += counts[i]
-		}
-		copy(offsets, counts)
-		cursor := make([]int64, k)
-		copy(cursor, counts[:k])
-		for i, key := range keys {
-			perm[cursor[key]] = uint32(i)
-			cursor[key]++
-		}
-		return perm, offsets
-	}
-	// Column-major scan over per-chunk histograms keeps the sort stable.
-	local := make([]int64, chunks*k)
-	ForRange(n, grain, func(lo, hi int) {
-		h := local[(lo/grain)*k : (lo/grain)*k+k]
-		for i := lo; i < hi; i++ {
-			h[keys[i]]++
-		}
-	})
-	var total int64
-	for key := 0; key < k; key++ {
-		offsets[key] = total
-		for c := 0; c < chunks; c++ {
-			v := local[c*k+key]
-			local[c*k+key] = total
-			total += v
-		}
-	}
-	offsets[k] = total
-	ForRange(n, grain, func(lo, hi int) {
-		h := local[(lo/grain)*k : (lo/grain)*k+k]
-		for i := lo; i < hi; i++ {
-			key := keys[i]
-			perm[h[key]] = uint32(i)
-			h[key]++
-		}
-	})
-	return perm, offsets
-}
-
 // RandomPermutation returns a deterministic pseudo-random permutation of
 // [0, n): indices sorted by a hash of (seed, i). Ties are impossible for
 // distinct i because the comparison falls back to the index.

@@ -3,7 +3,6 @@ package parallel
 import (
 	"math/rand/v2"
 	"testing"
-	"testing/quick"
 )
 
 func TestHistogram(t *testing.T) {
@@ -31,69 +30,6 @@ func TestHistogramLargeKeyRange(t *testing.T) {
 	got := Histogram(keys, 100000)
 	if got[99999] != 2 || got[0] != 1 || got[5] != 1 {
 		t.Fatal("large-range histogram wrong")
-	}
-}
-
-func TestCountingSortByKey(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 4))
-	for _, n := range []int{0, 1, 50, 77777} {
-		k := 32
-		keys := make([]uint32, n)
-		for i := range keys {
-			keys[i] = rng.Uint32N(uint32(k))
-		}
-		perm, offsets := CountingSortByKey(keys, k)
-		if len(perm) != n || offsets[k] != int64(n) {
-			t.Fatalf("n=%d: shape wrong", n)
-		}
-		// Grouped by key, stable within groups, and a real permutation.
-		seen := make([]bool, n)
-		for key := 0; key < k; key++ {
-			prev := int64(-1)
-			for at := offsets[key]; at < offsets[key+1]; at++ {
-				i := perm[at]
-				if seen[i] {
-					t.Fatalf("duplicate index %d", i)
-				}
-				seen[i] = true
-				if keys[i] != uint32(key) {
-					t.Fatalf("index %d with key %d in group %d", i, keys[i], key)
-				}
-				if int64(i) <= prev {
-					t.Fatalf("instability in group %d", key)
-				}
-				prev = int64(i)
-			}
-		}
-		for i := 0; i < n; i++ {
-			if !seen[i] {
-				t.Fatalf("index %d missing", i)
-			}
-		}
-	}
-}
-
-func TestCountingSortQuick(t *testing.T) {
-	f := func(raw []uint8) bool {
-		keys := make([]uint32, len(raw))
-		for i, r := range raw {
-			keys[i] = uint32(r) % 16
-		}
-		perm, offsets := CountingSortByKey(keys, 16)
-		if offsets[16] != int64(len(keys)) {
-			return false
-		}
-		for key := 0; key < 16; key++ {
-			for at := offsets[key]; at < offsets[key+1]; at++ {
-				if keys[perm[at]] != uint32(key) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -144,8 +144,10 @@ func BFS(g Adjacency, src uint32, opt Options) ([]uint32, *Metrics, error) {
 }
 
 // BFSTree returns hop distances and a BFS-tree parent per reached vertex
-// (None for the source and unreached vertices). Distance/parent pairs are
-// updated with a single packed CAS, so the tree is always consistent.
+// (None for the source and unreached vertices). It runs BFS, then picks for
+// each reached vertex an in-neighbor one hop closer to the source, so the
+// tree is consistent with the distances; on a directed graph that pass
+// builds the transpose even when direction optimization is off.
 func BFSTree(g Adjacency, src uint32, opt Options) (dist, parent []uint32, met *Metrics, err error) {
 	return core.BFSTree(g, src, opt)
 }

@@ -69,10 +69,12 @@ if [ "$short" = 1 ]; then
     # The count is the same on every schedule; uncached so it is the code
     # in the tree that is counted.
     go test -run 'TestRankWorkBound' -count=1 ./internal/euler
-    echo '== SCC on every representation'
-    # Uncached for the same reason: which label claims a vertex first is
-    # the schedule's choice, the partition must not be.
-    go test -run 'TestRepresentationDifferential/scc' -count=1 ./internal/bench
+    echo '== SCC and BFS on every representation'
+    # Uncached for the same reason: which label claims a vertex first and
+    # which task installs a BFS distance first (and so which round finds an
+    # empty bucket ring) are the schedule's choice; partitions, distances
+    # and BFS-tree parents must not be.
+    go test -run 'TestRepresentationDifferential/^(scc|bfs)$' -count=1 ./internal/bench
     echo 'short checks passed'
     exit 0
 fi

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"pasgal/internal/gen"
 	"pasgal/internal/graph"
+	"pasgal/internal/parallel"
 	"pasgal/internal/seq"
 )
 
@@ -127,8 +130,63 @@ func sccPartitionsEqual(t *testing.T, name string, g *graph.Graph, got []uint32,
 	}
 }
 
+// triangleChain returns t directed triangles chained forward (the last
+// vertex of triangle i points at the first of triangle i+1): a DAG of t
+// three-vertex SCCs that trimming cannot peel, so every SCC round after
+// the first picks k > 1 pivots among a large live set.
+func triangleChain(t int) *graph.Graph {
+	edges := make([]graph.Edge, 0, 4*t)
+	for i := 0; i < t; i++ {
+		a := uint32(3 * i)
+		edges = append(edges, graph.Edge{U: a, V: a + 1}, graph.Edge{U: a + 1, V: a + 2}, graph.Edge{U: a + 2, V: a})
+		if i+1 < t {
+			edges = append(edges, graph.Edge{U: a + 2, V: a + 3})
+		}
+	}
+	return graph.FromEdges(3*t, edges, true, graph.BuildOptions{})
+}
+
+// TestPickPivotsMatchesSort checks SCC's pivot choice against sorting the
+// live set by pivotHash: the same vertices in the same order, for random
+// ascending live sets of 1 to 10⁴ vertices and k at both ends, and live
+// left as it was.
+func TestPickPivotsMatchesSort(t *testing.T) {
+	old := parallel.SetWorkers(4)
+	defer parallel.SetWorkers(old)
+	rng := rand.New(rand.NewPCG(7, 8))
+	for _, size := range []int{1, 2, 3, 4, 7, 64, 100, 1000, 4095, 4097, 10000} {
+		for trial := 0; trial < 4; trial++ {
+			live := make([]uint32, 0, size)
+			for v := uint32(0); len(live) < size; v++ {
+				if rng.IntN(3) == 0 {
+					live = append(live, v)
+				}
+			}
+			seed := rng.Uint64()
+			ref := slices.Clone(live)
+			slices.SortFunc(ref, func(a, b uint32) int {
+				return cmp.Compare(pivotHash(seed, a), pivotHash(seed, b))
+			})
+			before := slices.Clone(live)
+			for _, k := range []int{1, 2, 3, size / 3, size - 1, size} {
+				if k < 1 || k > size {
+					continue
+				}
+				if got := pickPivots(live, k, seed); !slices.Equal(got, ref[:k]) {
+					t.Fatalf("size %d trial %d k %d: pivots %v, want %v", size, trial, k, got, ref[:k])
+				}
+				if !slices.Equal(live, before) {
+					t.Fatalf("size %d trial %d k %d: live reordered", size, trial, k)
+				}
+			}
+		}
+	}
+}
+
 func TestSCCMatchesTarjan(t *testing.T) {
-	for name, g := range testGraphs(true) {
+	gs := testGraphs(true)
+	gs["triangles"] = triangleChain(2000)
+	for name, g := range gs {
 		for oname, opt := range optionMatrix() {
 			if oname == "nodiropt" {
 				continue // not applicable to SCC

@@ -12,7 +12,7 @@ import (
 // paper's §2.1 primitive in isolation: a reachability search needs no BFS
 // order, so the VGC local search visits vertices in arbitrary multi-hop
 // order. It is propagate's single-label, unfiltered case: every source
-// carries label 0 and a vertex is reached once its label is no longer None.
+// carries label 0 and a vertex is reached once its stored word is not 0.
 //
 // Every graph.Adjacency representation is accepted. A source at or past
 // the vertex count is an error.
@@ -31,12 +31,12 @@ func Reachable(a graph.Adjacency, srcs []uint32, opt Options) ([]bool, *Metrics,
 			return nil, met, err
 		}
 	}
-	label := make([]atomic.Uint32, n)
-	parallel.For(n, 0, func(i int) { label[i].Store(graph.None) })
+	label := make([]atomic.Uint32, n) // zero: unreached, see propagate
 	bag := hashbag.New(max(64, 2*len(srcs)))
 	bag.SetTracer(opt.Tracer)
 	for _, s := range srcs {
-		if label[s].Swap(0) != 0 { // a duplicate source is scanned once
+		// Label 0, stored complemented; a duplicate source is scanned once.
+		if label[s].Swap(^uint32(0)) == 0 {
 			bag.Insert(s)
 		}
 	}
@@ -44,7 +44,7 @@ func Reachable(a graph.Adjacency, srcs []uint32, opt Options) ([]bool, *Metrics,
 		return nil, met, err
 	}
 	out := make([]bool, n)
-	parallel.For(n, 0, func(i int) { out[i] = label[i].Load() != graph.None })
+	parallel.For(n, 0, func(i int) { out[i] = label[i].Load() != 0 })
 	return out, met, nil
 }
 
@@ -53,15 +53,19 @@ func Reachable(a graph.Adjacency, srcs []uint32, opt Options) ([]bool, *Metrics,
 // extracted vertex runs a local search of up to tau arcs along sc that
 // write-mins the vertex's label into its neighbors, queueing each
 // neighbor whose label dropped (locally while the budget lasts, into bag
-// after). label holds graph.None at unreached vertices; the caller seeds
-// the source labels and bag. On return bag is empty and can be reseeded.
+// after). The caller seeds the source labels and bag. On return bag is
+// empty and can be reseeded.
+//
+// label[v] stores ^l for label l, and 0 means unreached: a write-min on l
+// is a write-max on the stored word, and a freshly made array needs no
+// fill. Label None would store 0, so it cannot be a label.
 //
 // A non-nil comp confines the search to subproblems: an arc u→w is
 // followed only if w is unsettled (comp[w] == None) and sub[w] == sub[u].
 // The filter is two slices the chunk reads behind a loop-invariant bool,
 // not a func: a closure called per arc does not inline into the chunk
 // closure (DESIGN.md §2.9). It is asked only about an arc that would
-// lower label[w], so most arcs cost one load and one compare either way.
+// lower w's label, so most arcs cost one load and one compare either way.
 //
 // The error is the run's cancellation, polled before every round and once
 // after the last: a canceled round skips inserts, so the bag can drain
@@ -98,7 +102,7 @@ func propagate(sc *graph.Scanner, label []atomic.Uint32, bag *hashbag.Bag,
 						edgeCount++
 						for {
 							old := label[w].Load()
-							if lu >= old {
+							if lu <= old { // stored words: w's label is <= u's
 								break
 							}
 							if filtered && (comp[w] != graph.None || sub[w] != su) {

@@ -65,7 +65,9 @@ func TestReachableVGCReducesRounds(t *testing.T) {
 // three labels seeded into a directed ring whose sub array splits it in
 // two halves, with one settled vertex. A label must stop at the split and
 // at the settled vertex, and where two labels reach the same vertex the
-// smaller one must be the one left standing.
+// smaller one must be the one left standing. Labels are stored
+// complemented: label 0, the smallest, stores ^0 and must spread, and the
+// zeroed words of a fresh array must read as unreached and stay 0.
 func TestPropagateFilterAndWriteMin(t *testing.T) {
 	const n, half, settled = 200, 100, 150
 	ring := gen.Cycle(n, true)
@@ -77,14 +79,13 @@ func TestPropagateFilterAndWriteMin(t *testing.T) {
 			for v := range label {
 				comp[v] = graph.None
 				sub[v] = uint64(v / half)
-				label[v].Store(graph.None)
 			}
 			comp[settled] = settled
 			bag := hashbag.New(0)
 			// Label 1 starts behind label 0 and overtakes nothing; label 2
 			// owns the other half up to the settled vertex.
 			for l, s := range map[uint32]uint32{0: 30, 1: 10, 2: 120} {
-				label[s].Store(l)
+				label[s].Store(^l)
 				bag.Insert(s)
 			}
 			met := NewMetrics(Options{}, "test")
@@ -95,17 +96,17 @@ func TestPropagateFilterAndWriteMin(t *testing.T) {
 				t.Fatalf("%s tau=%d: bag empty = %v after %d rounds", name, tau, bag.Empty(), met.Rounds)
 			}
 			for v := 0; v < n; v++ {
-				want := uint32(graph.None)
+				want := uint32(0) // unreached
 				switch {
 				case v >= 10 && v < 30:
-					want = 1
+					want = ^uint32(1)
 				case v >= 30 && v < half:
-					want = 0 // both 0 and 1 reach here
+					want = ^uint32(0) // both 0 and 1 reach here
 				case v >= 120 && v < settled:
-					want = 2
+					want = ^uint32(2)
 				}
 				if got := label[v].Load(); got != want {
-					t.Fatalf("%s tau=%d: label[%d] = %d, want %d", name, tau, v, got, want)
+					t.Fatalf("%s tau=%d: stored label[%d] = %#x, want %#x", name, tau, v, got, want)
 				}
 			}
 		}

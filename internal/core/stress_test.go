@@ -92,7 +92,8 @@ func TestStressBFSConcurrentQueries(t *testing.T) {
 // pressure: every discovered vertex goes back through the shared hash bag)
 // on random directed graphs, plain and compressed (where every worker
 // decodes into its own chunk scratch), and cross-checks the component
-// count against the sequential Kosaraju oracle.
+// count against the sequential Kosaraju oracle. The last row is a chain of
+// triangles, where every round after the first picks several pivots.
 func TestStressSCCUnderRace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test; skipped with -short")
@@ -100,13 +101,17 @@ func TestStressSCCUnderRace(t *testing.T) {
 	old := parallel.SetWorkers(16)
 	defer parallel.SetWorkers(old)
 	rng := rand.New(rand.NewPCG(21, 4))
+	var graphs []*graph.Graph
 	for trial := 0; trial < 3; trial++ {
 		n := 500 + rng.IntN(1500)
-		g := gen.ER(n, 3*n, true, uint64(trial)+40)
+		graphs = append(graphs, gen.ER(n, 3*n, true, uint64(trial)+40))
+	}
+	graphs = append(graphs, triangleChain(1000))
+	for gi, g := range graphs {
 		_, wantCount := seq.KosarajuSCC(g)
 		for name, a := range map[string]graph.Adjacency{"plain": g, "pz": graph.Compress(g)} {
 			if _, gotCount, _, _ := SCC(a, Options{Tau: 1}); gotCount != wantCount {
-				t.Fatalf("trial %d %s: %d SCCs, oracle has %d", trial, name, gotCount, wantCount)
+				t.Fatalf("graph %d %s: %d SCCs, oracle has %d", gi, name, gotCount, wantCount)
 			}
 		}
 	}

@@ -75,6 +75,10 @@ if [ "$short" = 1 ]; then
     # empty bucket ring) are the schedule's choice; partitions, distances
     # and BFS-tree parents must not be.
     go test -run 'TestRepresentationDifferential/^(scc|bfs)$' -count=1 ./internal/bench
+    echo '== SCC pivot choice and label encoding'
+    # Uncached: the selection runs parallel reductions and packs, and the
+    # label search's write-max race is the schedule's.
+    go test -run '^(TestPickPivotsMatchesSort|TestPropagateFilterAndWriteMin)$' -count=1 ./internal/core
     echo 'short checks passed'
     exit 0
 fi

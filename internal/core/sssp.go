@@ -14,13 +14,25 @@ const InfWeight = ^uint64(0)
 
 // StepPolicy chooses the next processing threshold in the stepping
 // framework (Dong et al.): given a sample of the active tentative
-// distances (sorted ascending) and the total number of active vertices, it
-// returns θ — vertices with dist <= θ are processed this phase.
+// distances (sorted ascending), the total number of active vertices and
+// what the previous phase did, it returns θ — vertices with dist <= θ are
+// processed this phase. A policy is a pure function of its arguments.
 type StepPolicy interface {
 	// Threshold picks θ >= sample[0]. sample is non-empty and sorted.
-	Threshold(sample []uint64, active int) uint64
+	Threshold(sample []uint64, active int, last LastPhase) uint64
 	// Name identifies the policy in benchmark output.
 	Name() string
+}
+
+// LastPhase is what the stepping driver reports to the policy about the
+// phase before the one it is choosing θ for. Before the first phase (the
+// source alone, at θ = 0) it is {Width: 0, Taken: 1}.
+type LastPhase struct {
+	// Width is the previous phase's θ − sample[0].
+	Width uint64
+	// Taken is the number of frontier entries the previous phase
+	// extracted: the sum of its rounds' frontier sizes.
+	Taken int
 }
 
 // DeltaStepping processes vertices in fixed-width distance bands, like
@@ -32,7 +44,7 @@ type DeltaStepping struct{ Delta uint64 }
 // for tentative distances within Δ of MaxUint64 the band-end product
 // wraps in uint64 and would return θ < sample[0], stalling the phase
 // loop's progress guarantee.
-func (p DeltaStepping) Threshold(sample []uint64, active int) uint64 {
+func (p DeltaStepping) Threshold(sample []uint64, active int, _ LastPhase) uint64 {
 	d := p.Delta
 	if d == 0 {
 		d = 1
@@ -49,28 +61,46 @@ func (p DeltaStepping) Threshold(sample []uint64, active int) uint64 {
 func (DeltaStepping) Name() string { return "delta" }
 
 // RhoStepping aims to process the ~Rho closest active vertices per phase —
-// the paper's ρ-stepping, PASGAL's default SSSP configuration.
+// the paper's ρ-stepping, PASGAL's default SSSP configuration. Rho <= 0
+// selects the default, 2^14.
 type RhoStepping struct{ Rho int }
 
-// Threshold implements StepPolicy.
-func (p RhoStepping) Threshold(sample []uint64, active int) uint64 {
+// Threshold implements StepPolicy. θ is the smaller of two bounds:
+//
+//   - The ρ-th smallest active distance, estimated through the sample, or
+//     the largest sampled distance when ρ >= active. Vertices discovered
+//     past it wait for a later phase: an unbounded θ would degrade the
+//     phase into asynchronous Bellman–Ford with unbounded re-work.
+//   - sample[0] + w, saturated to InfWeight, where the band width w follows
+//     the previous phase: 2·last.Width (at least 1) when it extracted fewer
+//     than ρ/2 entries, last.Width/2 when it extracted more than 2ρ, and
+//     last.Width otherwise. The first bound caps where a phase starts, not
+//     what it drains: the vertices a phase discovers under θ join it, so on
+//     a low-diameter graph one θ = max(sample) band can hold most of the
+//     graph and be drained with far more re-relaxation than ρ entries at a
+//     time. The width feedback holds each phase near ρ extractions.
+func (p RhoStepping) Threshold(sample []uint64, active int, last LastPhase) uint64 {
 	rho := p.Rho
 	if rho <= 0 {
 		rho = 1 << 14
 	}
-	if rho >= active {
-		// Process everything currently active, but not vertices
-		// discovered later this phase: an unbounded θ would degrade the
-		// phase into asynchronous Bellman–Ford with unbounded re-work.
-		return sample[len(sample)-1]
+	theta := sample[len(sample)-1]
+	if rho < active {
+		// Index of the ρ-th smallest active distance.
+		theta = sample[min(len(sample)*rho/active, len(sample)-1)]
 	}
-	// Index of the ρ-th smallest active distance, estimated through the
-	// sample.
-	idx := len(sample) * rho / active
-	if idx >= len(sample) {
-		idx = len(sample) - 1
+	w := last.Width
+	switch {
+	case 2*last.Taken < rho:
+		w = max(1, min(w, InfWeight/2)*2)
+	case last.Taken-rho > rho: // last.Taken > 2ρ without overflow
+		w /= 2
 	}
-	return sample[idx]
+	// theta >= sample[0], so the sum cannot wrap when it is taken.
+	if w < theta-sample[0] {
+		theta = sample[0] + w
+	}
+	return theta
 }
 
 // Name implements StepPolicy.
@@ -80,7 +110,7 @@ func (RhoStepping) Name() string { return "rho" }
 type BellmanFordPolicy struct{}
 
 // Threshold implements StepPolicy.
-func (BellmanFordPolicy) Threshold([]uint64, int) uint64 { return InfWeight }
+func (BellmanFordPolicy) Threshold([]uint64, int, LastPhase) uint64 { return InfWeight }
 
 // Name implements StepPolicy.
 func (BellmanFordPolicy) Name() string { return "bf" }
@@ -190,6 +220,7 @@ func stepping(algo string, a graph.Adjacency, src, dst uint32, policy StepPolicy
 	f := []uint32{src} // this round's frontier: every entry has dist <= theta
 	var carry []uint32 // far entries kept across phases
 	theta := uint64(0) // process dist <= theta; first phase handles src only
+	var last LastPhase // the running phase's width and extractions so far
 
 	sc := graph.ScanOut(a)
 	for {
@@ -219,13 +250,14 @@ func stepping(algo string, a graph.Adjacency, src, dst uint32, policy StepPolicy
 				sample = append(sample, dist[live[i]].Load())
 			}
 			slices.Sort(sample)
-			theta = policy.Threshold(sample, len(live))
+			theta = policy.Threshold(sample, len(live), last)
 			if theta < sample[0] {
 				// Guarantees progress, and with it that θ only ever grows
 				// (sample[0] is a live distance, hence past the old θ):
 				// the first-discovery rule below rests on that.
 				theta = sample[0]
 			}
+			last = LastPhase{Width: theta - sample[0]}
 			f = parallel.Pack(live, func(i int) bool { return dist[live[i]].Load() <= theta })
 			carry = parallel.Pack(live, func(i int) bool { return dist[live[i]].Load() > theta })
 			continue
@@ -237,6 +269,7 @@ func stepping(algo string, a graph.Adjacency, src, dst uint32, policy StepPolicy
 		// turned every atomic Load/CAS below into a call (+22 % on the
 		// social graph).
 		met.Round(len(f))
+		last.Taken += len(f)
 		// Multi-hop local expansion is only sound under a finite θ: it
 		// bounds how wrong an eagerly-expanded tentative distance can be.
 		// With θ = ∞ (Bellman–Ford policy) every improvement round-trips

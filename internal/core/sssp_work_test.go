@@ -17,8 +17,59 @@ import (
 // monotone-θ invariant rest on.
 type zeroPolicy struct{}
 
-func (zeroPolicy) Threshold([]uint64, int) uint64 { return 0 }
-func (zeroPolicy) Name() string                   { return "zero" }
+func (zeroPolicy) Threshold([]uint64, int, LastPhase) uint64 { return 0 }
+func (zeroPolicy) Name() string                              { return "zero" }
+
+// lastRecorder is ρ-stepping that keeps what the driver reports at each
+// phase boundary and the width of the θ band it then returned. The driver
+// calls Threshold from its coordinator goroutine only.
+type lastRecorder struct {
+	RhoStepping
+	lasts  []LastPhase
+	widths []uint64
+}
+
+func (p *lastRecorder) Threshold(sample []uint64, active int, last LastPhase) uint64 {
+	theta := p.RhoStepping.Threshold(sample, active, last)
+	p.lasts = append(p.lasts, last)
+	p.widths = append(p.widths, theta-sample[0])
+	return theta
+}
+
+// TestSSSPReportsLastPhase checks what the stepping driver hands the policy
+// at each phase boundary: the width of the θ band it chose at the previous
+// boundary (the source's phase has width 0), and the frontier entries that
+// phase extracted, summed here from the run's round and phase events.
+func TestSSSPReportsLastPhase(t *testing.T) {
+	g := gen.AddUniformWeights(gen.SocialRMAT(12, 8, true, 3), 1, 1<<8, 3)
+	src := uint32(parallel.MaxIndex(g.N, func(i int) int { return g.Degree(uint32(i)) }))
+	rec := &lastRecorder{RhoStepping: RhoStepping{Rho: 64}}
+	tr := trace.New()
+	if _, _, err := SSSP(g, src, rec, Options{Tracer: tr}); err != nil {
+		t.Fatal(err)
+	}
+	taken := []int{0} // per phase; rounds before the first phase event are the source's
+	for _, ev := range tr.EventsFor("sssp") {
+		switch ev.Kind {
+		case trace.KindPhase:
+			taken = append(taken, 0)
+		case trace.KindRound:
+			taken[len(taken)-1] += int(ev.B)
+		}
+	}
+	if len(rec.lasts) != len(taken)-1 || len(rec.lasts) < 4 {
+		t.Fatalf("%d Threshold calls for %d phase events; want one per phase, and several", len(rec.lasts), len(taken)-1)
+	}
+	for i, last := range rec.lasts {
+		want := LastPhase{Width: 0, Taken: taken[i]}
+		if i > 0 {
+			want.Width = rec.widths[i-1]
+		}
+		if last != want || last.Taken <= 0 {
+			t.Errorf("phase %d: driver reported %+v, want %+v", i+1, last, want)
+		}
+	}
+}
 
 // farInserts sums, over a traced run's phase events, the first-discovery
 // entries each phase boundary drained from the far bag.
@@ -39,8 +90,11 @@ func farInserts(tr *trace.Tracer, algo string) int64 {
 // inserts. Before the scan stamps the ρ-stepping rows visited 4.3–5.4·m
 // here (7.3·m at the repository benchmark's scale): the bags are multisets
 // and a vertex extracted twice at one distance re-scanned its whole arc
-// list. The same rows run PointToPoint to a few targets, whose pruning
-// bound widens the first-discovery rule.
+// list. With the stamps but before ρ-stepping sized its θ band from the
+// previous phase they visited 1.77–2.45·m: a θ = max(live) band held most
+// of the graph and was drained at one fixed θ. They now visit ≈ 1.0·m and
+// are held to 1.3·m. The same rows run PointToPoint to a few targets, whose
+// pruning bound widens the first-discovery rule.
 func TestSSSPWorkBound(t *testing.T) {
 	social := gen.SocialRMAT(14, 14, true, 1)
 	graphs := []struct {
@@ -56,15 +110,15 @@ func TestSSSPWorkBound(t *testing.T) {
 		{"max-weights", maxWeightTestGraph(200), false},
 	}
 	policies := []struct {
-		name    string
-		pol     StepPolicy
-		bounded bool
+		name  string
+		pol   StepPolicy
+		bound float64 // arcs visited ≤ bound·m on the bounded graphs; 0: unbounded
 	}{
-		{"rho", RhoStepping{}, true},
-		{"delta-64", DeltaStepping{Delta: 1 << 6}, true},
-		{"delta-max", DeltaStepping{Delta: math.MaxUint64}, false},
-		{"bf", BellmanFordPolicy{}, false},
-		{"zero", zeroPolicy{}, false},
+		{"rho", RhoStepping{}, 1.3},
+		{"delta-64", DeltaStepping{Delta: 1 << 6}, 4},
+		{"delta-max", DeltaStepping{Delta: math.MaxUint64}, 0},
+		{"bf", BellmanFordPolicy{}, 0},
+		{"zero", zeroPolicy{}, 0},
 	}
 	for _, gc := range graphs {
 		// A maximum-degree source reaches the bulk of a power-law graph.
@@ -91,8 +145,8 @@ func TestSSSPWorkBound(t *testing.T) {
 				if ins > n {
 					t.Errorf("%s: %d far-bag inserts on %d vertices: not first-discovery only", row, ins, n)
 				}
-				if gc.bounded && pc.bounded && met.EdgesVisited > 4*m {
-					t.Errorf("%s: visited %d arcs, bound 4·m = %d", row, met.EdgesVisited, 4*m)
+				if limit := int64(pc.bound * float64(m)); gc.bounded && pc.bound > 0 && met.EdgesVisited > limit {
+					t.Errorf("%s: visited %d arcs, bound %.1f·m = %d", row, met.EdgesVisited, pc.bound, limit)
 				}
 				t.Logf("%s: %d rounds, %d phases, %.2f·m arcs, %d far inserts",
 					row, met.Rounds, met.Phases, float64(met.EdgesVisited)/float64(m), ins)

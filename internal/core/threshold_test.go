@@ -30,7 +30,7 @@ func TestDeltaSteppingThresholdSaturates(t *testing.T) {
 		{"delta MaxUint64", math.MaxUint64, 12345, InfWeight},
 	}
 	for _, tc := range cases {
-		got := DeltaStepping{Delta: tc.delta}.Threshold([]uint64{tc.sample}, 1)
+		got := DeltaStepping{Delta: tc.delta}.Threshold([]uint64{tc.sample}, 1, LastPhase{})
 		if got != tc.want {
 			t.Errorf("%s: Threshold(%d, delta=%d) = %d, want %d",
 				tc.name, tc.sample, tc.delta, got, tc.want)
@@ -38,6 +38,73 @@ func TestDeltaSteppingThresholdSaturates(t *testing.T) {
 		if got < tc.sample {
 			t.Errorf("%s: θ = %d < sample[0] = %d violates the progress guarantee",
 				tc.name, got, tc.sample)
+		}
+	}
+}
+
+// TestRhoSteppingThresholdWidth pins ρ-stepping's band-width feedback: θ is
+// the ρ-quantile (or max-sample) θ capped at sample[0] + w, where w is the
+// previous phase's width doubled (at least 1) when it extracted fewer than
+// ρ/2 entries, halved when it extracted more than 2ρ, kept otherwise. The
+// Δ-stepping and Bellman–Ford policies ignore the previous phase.
+func TestRhoSteppingThresholdWidth(t *testing.T) {
+	const top = math.MaxUint64
+	spread := []uint64{10, 20, 300}
+	cases := []struct {
+		name   string
+		rho    int
+		sample []uint64
+		active int
+		last   LastPhase
+		want   uint64
+	}{
+		{"source phase: width 0 doubles to 1", 100, spread, 3, LastPhase{0, 1}, 11},
+		{"below ρ/2: ×2", 100, spread, 3, LastPhase{8, 49}, 26},
+		{"at ρ/2: unchanged", 100, spread, 3, LastPhase{8, 50}, 18},
+		{"at 2ρ: unchanged", 100, spread, 3, LastPhase{8, 200}, 18},
+		{"above 2ρ: ÷2", 100, spread, 3, LastPhase{8, 201}, 14},
+		{"above 2ρ: ÷2 down to 0 gives sample[0]", 100, spread, 3, LastPhase{1, 500}, 10},
+		{"width 0, in between: stays 0", 100, spread, 3, LastPhase{0, 100}, 10},
+		{"doubling step never below 1", 100, spread, 3, LastPhase{0, 0}, 11},
+		{"default ρ = 2^14: 8191 extractions are below ρ/2", 0, spread, 3, LastPhase{8, 8191}, 26},
+		{"default ρ = 2^14: 8192 are not", 0, spread, 3, LastPhase{8, 8192}, 18},
+		{"doubling a huge width saturates", 100, []uint64{5, 1 << 40}, 2, LastPhase{top - 3, 0}, 1 << 40},
+		{"sample[0] + w wraps: saturates to today's θ", 100, []uint64{top - 10, top - 2}, 2, LastPhase{100, 100}, top - 2},
+		{"cap wider than the live spread: today's θ (road)", 100, []uint64{1000, 1010, 1020}, 3, LastPhase{40, 10}, 1020},
+		{"ρ < active, cap wider: the ρ-quantile", 100, []uint64{0, 50, 60, 70, 80, 90, 95, 99, 120, 130}, 1000, LastPhase{400, 100}, 50},
+		{"ρ < active, cap narrower", 100, []uint64{0, 50, 60, 70, 80, 90, 95, 99, 120, 130}, 1000, LastPhase{2, 201}, 1},
+	}
+	for _, tc := range cases {
+		p := RhoStepping{Rho: tc.rho}
+		got := p.Threshold(tc.sample, tc.active, tc.last)
+		if got != tc.want {
+			t.Errorf("%s: Threshold(%v, %d, %+v) = %d, want %d", tc.name, tc.sample, tc.active, tc.last, got, tc.want)
+		}
+		if got < tc.sample[0] {
+			t.Errorf("%s: θ = %d < sample[0] = %d violates the progress guarantee", tc.name, got, tc.sample[0])
+		}
+		// A kept infinite width (ρ extractions) leaves the first bound
+		// alone: the θ this policy returned before it took the previous
+		// phase into account.
+		rho := tc.rho
+		if rho == 0 {
+			rho = 1 << 14
+		}
+		uncapped := p.Threshold(tc.sample, tc.active, LastPhase{Width: top, Taken: rho})
+		if got > uncapped {
+			t.Errorf("%s: θ = %d past the uncapped θ %d", tc.name, got, uncapped)
+		}
+	}
+
+	lasts := []LastPhase{{}, {0, 1}, {1, 0}, {8, 1 << 20}, {top, 0}, {top / 3, 1 << 14}}
+	for _, sample := range [][]uint64{{7}, {0, 5, 9}, {top - 5, top - 1}} {
+		for _, p := range []StepPolicy{DeltaStepping{Delta: 4}, DeltaStepping{Delta: top}, BellmanFordPolicy{}} {
+			want := p.Threshold(sample, len(sample), LastPhase{})
+			for _, last := range lasts {
+				if got := p.Threshold(sample, len(sample), last); got != want {
+					t.Errorf("%s: Threshold(%v, last=%+v) = %d, want %d as with no previous phase", p.Name(), sample, last, got, want)
+				}
+			}
 		}
 	}
 }

@@ -62,9 +62,10 @@ if [ "$short" = 1 ]; then
     echo '== scheduler conformance suite'
     go test -run 'Conformance|PanicPropagation|SchedStatsMatchTracer' -count=1 \
         ./internal/parallel
-    echo '== SSSP work bound'
+    echo '== SSSP work bound, thresholds and phase bound'
     # Uncached: the bound is on what a nondeterministic schedule visits.
-    go test -run 'TestSSSPWorkBound' -count=1 ./internal/core
+    go test -run 'TestSSSPWorkBound|TestRhoSteppingThresholdWidth|TestSSSPMaxWeightBoundedPhases' \
+        -count=1 ./internal/core
     echo '== list-ranking work bound'
     # The count is the same on every schedule; uncached so it is the code
     # in the tree that is counted.

@@ -13,22 +13,79 @@ import (
 const InfWeight = ^uint64(0)
 
 // StepPolicy chooses the next processing threshold in the stepping
-// framework (Dong et al.): given a sample of the active tentative
-// distances (sorted ascending), the total number of active vertices and
-// what the previous phase did, it returns θ — vertices with dist <= θ are
-// processed this phase. A policy is a pure function of its arguments.
+// framework (Dong et al.): given the live far set — its size and a sample
+// of its tentative distances — and what the previous phase did, it returns
+// θ: vertices with dist <= θ are processed this phase. A policy is a pure
+// function of its arguments.
 type StepPolicy interface {
-	// Threshold picks θ >= sample[0]. sample is non-empty and sorted.
-	Threshold(sample []uint64, active int, last LastPhase) uint64
+	// Threshold picks θ >= live.Min(). live is non-empty.
+	Threshold(live Live, last LastPhase) uint64
 	// Name identifies the policy in benchmark output.
 	Name() string
+}
+
+// liveSampleCap bounds the distances a Live samples.
+const liveSampleCap = 1024
+
+// Live is the live far set as a phase boundary hands it to the policy:
+// its size and a stride sample of at most 1 024 of its tentative
+// distances, every (|live|/1024 + 1)-th entry in far-set order. The sample
+// is sorted only when a quantile is asked for, so a policy that needs the
+// extremes alone (Δ-stepping's Min, ρ-stepping's Max when ρ >= Len) costs
+// no sort.
+type Live struct {
+	n        int
+	min, max uint64
+	s        *liveSample
+}
+
+// liveSample is the sample a Live and its copies share, so the one sort
+// is shared too.
+type liveSample struct {
+	d      []uint64
+	sorted bool
+}
+
+// newLive wraps a non-empty stride sample of n live distances.
+func newLive(sample []uint64, n int) Live {
+	lo, hi := sample[0], sample[0]
+	for _, d := range sample[1:] {
+		lo = min(lo, d)
+		hi = max(hi, d)
+	}
+	return Live{n: n, min: lo, max: hi, s: &liveSample{d: sample}}
+}
+
+// Len is |live|, the number of live far entries.
+func (l Live) Len() int { return l.n }
+
+// Min is the smallest sampled distance. Every live distance lies past the
+// previous phase's θ, so θ >= Min guarantees progress.
+func (l Live) Min() uint64 { return l.min }
+
+// Max is the largest sampled distance.
+func (l Live) Max() uint64 { return l.max }
+
+// Quantile estimates the rank-th smallest live distance: the sorted
+// sample's entry at index len·rank/Len, clamped to the sample. The first
+// call sorts the sample.
+func (l Live) Quantile(rank int) uint64 {
+	d := l.s.d
+	if !l.s.sorted {
+		slices.Sort(d)
+		l.s.sorted = true
+	}
+	if rank >= l.n {
+		return d[len(d)-1]
+	}
+	return d[len(d)*max(rank, 0)/l.n]
 }
 
 // LastPhase is what the stepping driver reports to the policy about the
 // phase before the one it is choosing θ for. Before the first phase (the
 // source alone, at θ = 0) it is {Width: 0, Taken: 1}.
 type LastPhase struct {
-	// Width is the previous phase's θ − sample[0].
+	// Width is the previous phase's θ − live.Min().
 	Width uint64
 	// Taken is the number of frontier entries the previous phase
 	// extracted: the sum of its rounds' frontier sizes.
@@ -39,17 +96,17 @@ type LastPhase struct {
 // Meyer & Sanders' Δ-stepping.
 type DeltaStepping struct{ Delta uint64 }
 
-// Threshold implements StepPolicy: the end of sample[0]'s Δ-band,
-// (sample[0]/Δ + 1)·Δ, saturated to InfWeight. The saturation matters:
-// for tentative distances within Δ of MaxUint64 the band-end product
-// wraps in uint64 and would return θ < sample[0], stalling the phase
-// loop's progress guarantee.
-func (p DeltaStepping) Threshold(sample []uint64, active int, _ LastPhase) uint64 {
+// Threshold implements StepPolicy: the end of live.Min()'s Δ-band,
+// (Min/Δ + 1)·Δ, saturated to InfWeight. The saturation matters: for
+// tentative distances within Δ of MaxUint64 the band-end product wraps in
+// uint64 and would return θ < Min, stalling the phase loop's progress
+// guarantee.
+func (p DeltaStepping) Threshold(live Live, _ LastPhase) uint64 {
 	d := p.Delta
 	if d == 0 {
 		d = 1
 	}
-	q := sample[0] / d
+	q := live.Min() / d
 	if q >= InfWeight/d {
 		// (q+1)*d would exceed (or wrap past) MaxUint64.
 		return InfWeight
@@ -67,27 +124,27 @@ type RhoStepping struct{ Rho int }
 
 // Threshold implements StepPolicy. θ is the smaller of two bounds:
 //
-//   - The ρ-th smallest active distance, estimated through the sample, or
-//     the largest sampled distance when ρ >= active. Vertices discovered
-//     past it wait for a later phase: an unbounded θ would degrade the
-//     phase into asynchronous Bellman–Ford with unbounded re-work.
-//   - sample[0] + w, saturated to InfWeight, where the band width w follows
-//     the previous phase: 2·last.Width (at least 1) when it extracted fewer
-//     than ρ/2 entries, last.Width/2 when it extracted more than 2ρ, and
-//     last.Width otherwise. The first bound caps where a phase starts, not
-//     what it drains: the vertices a phase discovers under θ join it, so on
-//     a low-diameter graph one θ = max(sample) band can hold most of the
-//     graph and be drained with far more re-relaxation than ρ entries at a
-//     time. The width feedback holds each phase near ρ extractions.
-func (p RhoStepping) Threshold(sample []uint64, active int, last LastPhase) uint64 {
+//   - live.Quantile(ρ), the ρ-th smallest live distance estimated through
+//     the sample, or live.Max() when ρ >= live.Len() — then the sample is
+//     never sorted. Vertices discovered past it wait for a later phase: an
+//     unbounded θ would degrade the phase into asynchronous Bellman–Ford
+//     with unbounded re-work.
+//   - live.Min() + w, saturated to InfWeight, where the band width w
+//     follows the previous phase: 2·last.Width (at least 1) when it
+//     extracted fewer than ρ/2 entries, last.Width/2 when it extracted more
+//     than 2ρ, and last.Width otherwise. The first bound caps where a phase
+//     starts, not what it drains: the vertices a phase discovers under θ
+//     join it, so on a low-diameter graph one θ = Max band can hold most of
+//     the graph and be drained with far more re-relaxation than ρ entries
+//     at a time. The width feedback holds each phase near ρ extractions.
+func (p RhoStepping) Threshold(live Live, last LastPhase) uint64 {
 	rho := p.Rho
 	if rho <= 0 {
 		rho = 1 << 14
 	}
-	theta := sample[len(sample)-1]
-	if rho < active {
-		// Index of the ρ-th smallest active distance.
-		theta = sample[min(len(sample)*rho/active, len(sample)-1)]
+	theta := live.Max()
+	if rho < live.Len() {
+		theta = live.Quantile(rho)
 	}
 	w := last.Width
 	switch {
@@ -96,9 +153,9 @@ func (p RhoStepping) Threshold(sample []uint64, active int, last LastPhase) uint
 	case last.Taken-rho > rho: // last.Taken > 2ρ without overflow
 		w /= 2
 	}
-	// theta >= sample[0], so the sum cannot wrap when it is taken.
-	if w < theta-sample[0] {
-		theta = sample[0] + w
+	// theta >= live.Min(), so the sum cannot wrap when it is taken.
+	if lo := live.Min(); w < theta-lo {
+		theta = lo + w
 	}
 	return theta
 }
@@ -110,7 +167,7 @@ func (RhoStepping) Name() string { return "rho" }
 type BellmanFordPolicy struct{}
 
 // Threshold implements StepPolicy.
-func (BellmanFordPolicy) Threshold([]uint64, int, LastPhase) uint64 { return InfWeight }
+func (BellmanFordPolicy) Threshold(Live, LastPhase) uint64 { return InfWeight }
 
 // Name implements StepPolicy.
 func (BellmanFordPolicy) Name() string { return "bf" }
@@ -138,6 +195,119 @@ func SSSP(a graph.Adjacency, src uint32, policy StepPolicy, opt Options) ([]uint
 	out := make([]uint64, len(dist))
 	parallel.For(len(dist), 0, func(i int) { out[i] = dist[i].Load() })
 	return out, met, nil
+}
+
+// farEntry is a live far-set vertex with the distance the phase boundary
+// read for it. No relaxation runs at a boundary, so d stays exact until the
+// boundary hands the entries on.
+type farEntry struct {
+	v uint32
+	d uint64
+}
+
+// boundary is the phase boundary's working memory. Every buffer in it is
+// dead by the next boundary — the frontier it produced has been drained
+// and the carry read again — so one set, grown to the largest far set,
+// serves every phase of a run.
+type boundary struct {
+	live, spare []farEntry // the live pairs; scratch for the parallel pass and the split
+	verts       []uint32   // the next frontier and carry, back to back
+}
+
+// liveFar returns the entries of cand that still need a scan and lie under
+// bound, as (v, dist[v]) pairs in cand's order, and the largest of their
+// distances. It reads dist[v] and scanned[v] once per entry: inline on the
+// caller below parallel.SeqCutoff (every phase of a large-diameter graph),
+// in parallel above it.
+func (b *boundary) liveFar(cand []uint32, dist, scanned []atomic.Uint64, bound uint64) ([]farEntry, uint64) {
+	if len(cand) < parallel.SeqCutoff {
+		var top uint64
+		b.live, top = keepLive(slices.Grow(b.live[:0], len(cand)), cand, dist, scanned, bound)
+		return b.live, top
+	}
+	return b.liveFarParallel(cand, dist, scanned, bound)
+}
+
+// keepLive appends the live entries of cand to live and returns it with
+// their largest distance (0 when none is live).
+func keepLive(live []farEntry, cand []uint32, dist, scanned []atomic.Uint64, bound uint64) ([]farEntry, uint64) {
+	top := uint64(0)
+	for _, v := range cand {
+		if d := dist[v].Load(); d < scanned[v].Load() && d < bound {
+			live = append(live, farEntry{v, d})
+			top = max(top, d)
+		}
+	}
+	return live, top
+}
+
+// liveFarParallel is liveFar's parallel path: every chunk filters its
+// slice of cand into its own slice of the scratch buffer, and the chunks
+// are then copied together in order.
+func (b *boundary) liveFarParallel(cand []uint32, dist, scanned []atomic.Uint64, bound uint64) ([]farEntry, uint64) {
+	n := len(cand)
+	grain := max(1, n/(8*parallel.Workers()))
+	chunks := (n + grain - 1) / grain
+	b.spare = slices.Grow(b.spare[:0], n)[:n]
+	scratch := b.spare
+	counts := make([]int, chunks)
+	tops := make([]uint64, chunks)
+	parallel.ForRange(n, grain, func(lo, hi int) {
+		kept, top := keepLive(scratch[lo:lo:hi], cand[lo:hi], dist, scanned, bound)
+		counts[lo/grain], tops[lo/grain] = len(kept), top
+	})
+	at := make([]int, chunks)
+	total := 0
+	for c, k := range counts {
+		at[c] = total
+		total += k
+	}
+	b.live = slices.Grow(b.live[:0], total)[:total]
+	live := b.live
+	parallel.ForRange(n, grain, func(lo, hi int) {
+		c := lo / grain
+		copy(live[at[c]:], scratch[lo:lo+counts[c]])
+	})
+	return live, slices.Max(tops)
+}
+
+// sampleLive hands a non-empty live set to the policy: every
+// (|live|/1024 + 1)-th distance, in live's order.
+func sampleLive(live []farEntry) Live {
+	stride := len(live)/liveSampleCap + 1
+	sample := make([]uint64, 0, min(len(live), liveSampleCap))
+	for i := 0; i < len(live); i += stride {
+		sample = append(sample, live[i].d)
+	}
+	return newLive(sample, len(live))
+}
+
+// split splits the live set by d <= theta into the next frontier and the
+// next carry, each in live's order. top is the largest live distance: when
+// theta reaches it the frontier is all of live and nothing is partitioned.
+func (b *boundary) split(live []farEntry, theta, top uint64) (f, carry []uint32) {
+	near := len(live)
+	if theta < top {
+		b.spare = slices.Grow(b.spare[:0], len(live))[:len(live)]
+		parts := b.spare
+		near = int(parallel.PartitionByKey(parts, live, 2, func(e farEntry) uint32 {
+			if e.d <= theta {
+				return 0
+			}
+			return 1
+		})[1])
+		live = parts
+	}
+	b.verts = slices.Grow(b.verts[:0], len(live))[:len(live)]
+	vs := b.verts
+	if len(live) < parallel.SeqCutoff {
+		for i, e := range live {
+			vs[i] = e.v
+		}
+	} else {
+		parallel.For(len(live), 0, func(i int) { vs[i] = live[i].v })
+	}
+	return vs[:near:near], vs[near:]
 }
 
 // claimScan stamps u as scanned at tentative distance du and reports
@@ -176,10 +346,11 @@ func claimScan(stamp *atomic.Uint64, du uint64) bool {
 //     second extraction skips the arc list. dist[v] < scanned[v] is
 //     exactly "v still needs a scan".
 //   - The far set is the carry list plus the far bag's fresh discoveries.
-//     A phase boundary packs the two down to the live entries (still need a
-//     scan, and closer than dst), samples θ from those alone, and splits
-//     them by θ into the next round's frontier and the next carry. Nothing
-//     is re-hashed into a bag.
+//     A phase boundary reads each entry's distance once (liveFar), keeps
+//     the live ones (still need a scan, and closer than dst) as (v, d)
+//     pairs, samples θ from those alone, and splits them by θ into the next
+//     round's frontier and the next carry (split). Nothing is re-hashed
+//     into a bag.
 //   - A relaxation that lands past θ inserts into the far bag only when it
 //     is the search's first discovery of the vertex (see the insert site).
 func stepping(algo string, a graph.Adjacency, src, dst uint32, policy StepPolicy, opt Options) ([]atomic.Uint64, *Metrics, error) {
@@ -221,6 +392,7 @@ func stepping(algo string, a graph.Adjacency, src, dst uint32, policy StepPolicy
 	var carry []uint32 // far entries kept across phases
 	theta := uint64(0) // process dist <= theta; first phase handles src only
 	var last LastPhase // the running phase's width and extractions so far
+	var bd boundary
 
 	sc := graph.ScanOut(a)
 	for {
@@ -235,31 +407,21 @@ func stepping(algo string, a graph.Adjacency, src, dst uint32, policy StepPolicy
 			// at its current distance, so every live entry lies past it.
 			fresh := far.Extract()
 			carry = append(carry, fresh...)
-			live := parallel.Pack(carry, func(i int) bool {
-				v := carry[i]
-				d := dist[v].Load()
-				return d < scanned[v].Load() && d < bound.Load()
-			})
+			live, top := bd.liveFar(carry, dist, scanned, bound.Load())
 			if len(live) == 0 {
 				break
 			}
 			met.addPhase(int64(len(fresh)))
-			sample := make([]uint64, 0, 1024)
-			stride := len(live)/cap(sample) + 1
-			for i := 0; i < len(live); i += stride {
-				sample = append(sample, dist[live[i]].Load())
-			}
-			slices.Sort(sample)
-			theta = policy.Threshold(sample, len(live), last)
-			if theta < sample[0] {
+			lv := sampleLive(live)
+			theta = policy.Threshold(lv, last)
+			if theta < lv.Min() {
 				// Guarantees progress, and with it that θ only ever grows
-				// (sample[0] is a live distance, hence past the old θ):
-				// the first-discovery rule below rests on that.
-				theta = sample[0]
+				// (Min is a live distance, hence past the old θ): the
+				// first-discovery rule below rests on that.
+				theta = lv.Min()
 			}
-			last = LastPhase{Width: theta - sample[0]}
-			f = parallel.Pack(live, func(i int) bool { return dist[live[i]].Load() <= theta })
-			carry = parallel.Pack(live, func(i int) bool { return dist[live[i]].Load() > theta })
+			last = LastPhase{Width: theta - lv.Min()}
+			f, carry = bd.split(live, theta, top)
 			continue
 		}
 		// Process the frontier — the only place the graph is scanned. The

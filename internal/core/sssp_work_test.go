@@ -13,26 +13,31 @@ import (
 )
 
 // zeroPolicy always asks for θ = 0: every phase falls through to the
-// θ >= sample[0] clamp, the one line the stepping loop's progress and its
+// θ >= live.Min() clamp, the one line the stepping loop's progress and its
 // monotone-θ invariant rest on.
 type zeroPolicy struct{}
 
-func (zeroPolicy) Threshold([]uint64, int, LastPhase) uint64 { return 0 }
-func (zeroPolicy) Name() string                              { return "zero" }
+func (zeroPolicy) Threshold(Live, LastPhase) uint64 { return 0 }
+func (zeroPolicy) Name() string                     { return "zero" }
 
 // lastRecorder is ρ-stepping that keeps what the driver reports at each
-// phase boundary and the width of the θ band it then returned. The driver
-// calls Threshold from its coordinator goroutine only.
+// phase boundary, the width of the θ band it then returned, and how many
+// phases sorted their sample (asked for a quantile). The driver calls
+// Threshold from its coordinator goroutine only.
 type lastRecorder struct {
 	RhoStepping
 	lasts  []LastPhase
 	widths []uint64
+	sorts  int
 }
 
-func (p *lastRecorder) Threshold(sample []uint64, active int, last LastPhase) uint64 {
-	theta := p.RhoStepping.Threshold(sample, active, last)
+func (p *lastRecorder) Threshold(live Live, last LastPhase) uint64 {
+	theta := p.RhoStepping.Threshold(live, last)
 	p.lasts = append(p.lasts, last)
-	p.widths = append(p.widths, theta-sample[0])
+	p.widths = append(p.widths, theta-live.Min())
+	if live.s.sorted {
+		p.sorts++
+	}
 	return theta
 }
 
@@ -68,6 +73,35 @@ func TestSSSPReportsLastPhase(t *testing.T) {
 		if last != want || last.Taken <= 0 {
 			t.Errorf("phase %d: driver reported %+v, want %+v", i+1, last, want)
 		}
+	}
+}
+
+// TestSSSPSortsOnlyForQuantiles pins the sort-free phase boundary: ρ-stepping
+// reads Live.Max when ρ >= |live| and sorts the sample only for a
+// quantile. On a grid smaller than ρ no phase may sort; with ρ = 64 the
+// wavefront outgrows ρ and some phase must. A driver or policy that sorts
+// every sample again fails the first half.
+func TestSSSPSortsOnlyForQuantiles(t *testing.T) {
+	g := gen.AddUniformWeights(gen.SampledGrid(60, 60, .94, false, 5), 1, 1<<8, 5)
+	want := seq.Dijkstra(g, 0)
+	for _, tc := range []struct {
+		rho    int
+		sorted bool
+	}{{0, false}, {64, true}} {
+		rec := &lastRecorder{RhoStepping: RhoStepping{Rho: tc.rho}}
+		got, met, err := SSSP(g, 0, rec, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range want {
+			if got[v] != want[v] {
+				t.Fatalf("ρ=%d: dist[%d] = %d, Dijkstra says %d", tc.rho, v, got[v], want[v])
+			}
+		}
+		if (rec.sorts > 0) != tc.sorted {
+			t.Errorf("ρ=%d: %d of %d phases sorted their sample, want sorting: %v", tc.rho, rec.sorts, met.Phases, tc.sorted)
+		}
+		t.Logf("ρ=%d: %d phases, %d sorted", tc.rho, met.Phases, rec.sorts)
 	}
 }
 

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"pasgal/internal/graph"
@@ -30,7 +32,7 @@ func TestDeltaSteppingThresholdSaturates(t *testing.T) {
 		{"delta MaxUint64", math.MaxUint64, 12345, InfWeight},
 	}
 	for _, tc := range cases {
-		got := DeltaStepping{Delta: tc.delta}.Threshold([]uint64{tc.sample}, 1, LastPhase{})
+		got := DeltaStepping{Delta: tc.delta}.Threshold(newLive([]uint64{tc.sample}, 1), LastPhase{})
 		if got != tc.want {
 			t.Errorf("%s: Threshold(%d, delta=%d) = %d, want %d",
 				tc.name, tc.sample, tc.delta, got, tc.want)
@@ -76,7 +78,7 @@ func TestRhoSteppingThresholdWidth(t *testing.T) {
 	}
 	for _, tc := range cases {
 		p := RhoStepping{Rho: tc.rho}
-		got := p.Threshold(tc.sample, tc.active, tc.last)
+		got := p.Threshold(newLive(tc.sample, tc.active), tc.last)
 		if got != tc.want {
 			t.Errorf("%s: Threshold(%v, %d, %+v) = %d, want %d", tc.name, tc.sample, tc.active, tc.last, got, tc.want)
 		}
@@ -90,7 +92,7 @@ func TestRhoSteppingThresholdWidth(t *testing.T) {
 		if rho == 0 {
 			rho = 1 << 14
 		}
-		uncapped := p.Threshold(tc.sample, tc.active, LastPhase{Width: top, Taken: rho})
+		uncapped := p.Threshold(newLive(tc.sample, tc.active), LastPhase{Width: top, Taken: rho})
 		if got > uncapped {
 			t.Errorf("%s: θ = %d past the uncapped θ %d", tc.name, got, uncapped)
 		}
@@ -99,9 +101,9 @@ func TestRhoSteppingThresholdWidth(t *testing.T) {
 	lasts := []LastPhase{{}, {0, 1}, {1, 0}, {8, 1 << 20}, {top, 0}, {top / 3, 1 << 14}}
 	for _, sample := range [][]uint64{{7}, {0, 5, 9}, {top - 5, top - 1}} {
 		for _, p := range []StepPolicy{DeltaStepping{Delta: 4}, DeltaStepping{Delta: top}, BellmanFordPolicy{}} {
-			want := p.Threshold(sample, len(sample), LastPhase{})
+			want := p.Threshold(newLive(sample, len(sample)), LastPhase{})
 			for _, last := range lasts {
-				if got := p.Threshold(sample, len(sample), last); got != want {
+				if got := p.Threshold(newLive(sample, len(sample)), last); got != want {
 					t.Errorf("%s: Threshold(%v, last=%+v) = %d, want %d as with no previous phase", p.Name(), sample, last, got, want)
 				}
 			}
@@ -162,6 +164,99 @@ func TestSSSPMaxWeightBoundedPhases(t *testing.T) {
 		if met.Phases > maxPhases {
 			t.Fatalf("%s: %d phases on a %d-vertex graph (bound %d): threshold not advancing",
 				pol.Name(), met.Phases, g.N, maxPhases)
+		}
+	}
+}
+
+// parentThreshold is θ as the policies computed it from a sorted stride
+// sample and |live| before they read a Live. TestThresholdParity holds the
+// Live-based policies to it bit for bit.
+func parentThreshold(p StepPolicy, sample []uint64, active int, last LastPhase) uint64 {
+	switch p := p.(type) {
+	case DeltaStepping:
+		d := p.Delta
+		if d == 0 {
+			d = 1
+		}
+		q := sample[0] / d
+		if q >= InfWeight/d {
+			return InfWeight
+		}
+		return (q + 1) * d
+	case RhoStepping:
+		rho := p.Rho
+		if rho <= 0 {
+			rho = 1 << 14
+		}
+		theta := sample[len(sample)-1]
+		if rho < active {
+			theta = sample[min(len(sample)*rho/active, len(sample)-1)]
+		}
+		w := last.Width
+		switch {
+		case 2*last.Taken < rho:
+			w = max(1, min(w, InfWeight/2)*2)
+		case last.Taken-rho > rho:
+			w /= 2
+		}
+		if w < theta-sample[0] {
+			theta = sample[0] + w
+		}
+		return theta
+	case BellmanFordPolicy:
+		return InfWeight
+	}
+	panic("parentThreshold: unknown policy")
+}
+
+// TestThresholdParity checks that every policy returns the θ it returned
+// when the driver sorted a stride sample at every boundary: the same
+// sample, read through Live.Min, Max and Quantile instead. The live sizes
+// straddle the 1 024-entry sample (stride 1 → 2) and ρ = 2^14 (the
+// quantile branch switching on), and the last-phase rows cover each branch
+// of the width rule.
+func TestThresholdParity(t *testing.T) {
+	const top = math.MaxUint64
+	policies := []StepPolicy{
+		RhoStepping{}, RhoStepping{Rho: 64}, RhoStepping{Rho: 1 << 20},
+		DeltaStepping{Delta: 0}, DeltaStepping{Delta: 64}, DeltaStepping{Delta: 1 << 63}, DeltaStepping{Delta: top},
+		BellmanFordPolicy{},
+	}
+	var lasts []LastPhase
+	for _, w := range []uint64{0, 1, 37, 5000, top - 3, top} {
+		for _, taken := range []int{0, 1, 31, 32, 33, 128, 129, 8191, 8192, 1 << 15, 1<<15 + 1, 1 << 21, 1<<21 + 1} {
+			lasts = append(lasts, LastPhase{Width: w, Taken: taken})
+		}
+	}
+	rng := rand.New(rand.NewPCG(7, 33))
+	for _, base := range []uint64{0, 1 << 20, top - 1<<14} {
+		for _, n := range []int{1, 675, 1024, 1025, 2048, 16384, 16385, 50000} {
+			live := make([]farEntry, n)
+			for i := range live {
+				live[i] = farEntry{v: uint32(i), d: base + rng.Uint64N(1<<13)} // duplicates at every size past 8 K
+			}
+			// The parent's sample: every stride-th distance, then sorted.
+			sample := make([]uint64, 0, 1024)
+			stride := n/cap(sample) + 1
+			for i := 0; i < n; i += stride {
+				sample = append(sample, live[i].d)
+			}
+			slices.Sort(sample)
+			lv := sampleLive(live)
+			if lv.Len() != n || lv.Min() != sample[0] || lv.Max() != sample[len(sample)-1] {
+				t.Fatalf("base %d, |live| %d: Live{Len %d, Min %d, Max %d}, want {%d, %d, %d}",
+					base, n, lv.Len(), lv.Min(), lv.Max(), n, sample[0], sample[len(sample)-1])
+			}
+			for _, p := range policies {
+				for _, last := range lasts {
+					want := parentThreshold(p, sample, n, last)
+					// A fresh Live per call: each starts from the unsorted sample.
+					if got := p.Threshold(sampleLive(live), last); got != want {
+						t.Fatalf("%s %+v, base %d, |live| %d, last %+v: θ = %d, the sorted sample gives %d",
+							p.Name(), p, base, n, last, got, want)
+					}
+				}
+			}
 		}
 	}
 }

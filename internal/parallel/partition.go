@@ -12,10 +12,12 @@ import "sort"
 // scan: for equal keys, earlier chunks receive earlier output slots, and
 // within a chunk the scatter walks the input left to right.
 
-// partitionSeqCutoff is the input size below which the partitioning
-// primitives run a plain sequential counting sort: below it the per-chunk
-// histograms and extra parallel launches cost more than they save.
-const partitionSeqCutoff = 1 << 12
+// SeqCutoff is the input size below which the partitioning primitives run
+// a plain sequential counting sort: below it the per-chunk histograms and
+// extra parallel launches cost more than they save. It is exported so a
+// caller that filters a slice right before partitioning it (the stepping
+// SSSP's phase boundary) runs both passes inline under the same size.
+const SeqCutoff = 1 << 12
 
 // ScanChunkCursors turns per-chunk key counts (row-major: counts[c*k+d] is
 // chunk c's count of key d) into per-chunk scatter cursors: the start slot
@@ -82,7 +84,7 @@ func PartitionByKey[T any](dst, src []T, k int, key func(T) uint32) []int64 {
 		grain = (n + maxChunks - 1) / maxChunks
 	}
 	chunks := (n + grain - 1) / grain
-	if chunks <= 1 || n < partitionSeqCutoff || k > 1<<16 {
+	if chunks <= 1 || n < SeqCutoff || k > 1<<16 {
 		// Sequential counting sort: for tiny inputs the launches dominate,
 		// and for huge key ranges the per-chunk histogram copies would.
 		for i := 0; i < n; i++ {
@@ -144,7 +146,7 @@ func PartitionByBits(dst, src []uint64, k int, shift uint) []int64 {
 		grain = (n + maxChunks - 1) / maxChunks
 	}
 	chunks := (n + grain - 1) / grain
-	if chunks <= 1 || n < partitionSeqCutoff || k > 1<<16 {
+	if chunks <= 1 || n < SeqCutoff || k > 1<<16 {
 		for i := 0; i < n; i++ {
 			offsets[(src[i]>>shift)+1]++
 		}
@@ -215,7 +217,7 @@ func CountSortByKey[T any](recs []T, key func(T) uint64, maxKey uint64) []T {
 				return a
 			})
 	}
-	if n < partitionSeqCutoff || maxKey == 0 {
+	if n < SeqCutoff || maxKey == 0 {
 		// Tiny input (or all keys equal): a stable comparison sort beats
 		// the radix scratch allocations.
 		copy(out, recs)

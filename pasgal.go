@@ -84,15 +84,21 @@ type BCCResult = core.BCCResult
 // BellmanFordPolicy.
 type StepPolicy = core.StepPolicy
 
+// Live is the live far set as StepPolicy.Threshold sees it: its size, the
+// min and max of a stride sample of at most 1 024 of its distances, and a
+// Quantile that sorts that sample on its first call only.
+type Live = core.Live
+
 // LastPhase is the previous stepping phase as StepPolicy.Threshold sees it:
 // its θ band width and the frontier entries it extracted.
 type LastPhase = core.LastPhase
 
 // RhoStepping processes the ~ρ closest active vertices per phase (PASGAL's
-// default SSSP policy): θ is the ρ-quantile of the active distances, capped
-// at the nearest one plus a band width that doubles after a phase that
-// extracted fewer than ρ/2 entries and halves after one that extracted
-// more than 2ρ. Rho <= 0 selects ρ = 2^14.
+// default SSSP policy): θ is the ρ-quantile of the active distances (the
+// sampled maximum, with no sort, when ρ >= |live|), capped at the nearest
+// one plus a band width that doubles after a phase that extracted fewer
+// than ρ/2 entries and halves after one that extracted more than 2ρ.
+// Rho <= 0 selects ρ = 2^14.
 type RhoStepping = core.RhoStepping
 
 // DeltaStepping processes fixed-width distance bands.

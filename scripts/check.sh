@@ -62,9 +62,10 @@ if [ "$short" = 1 ]; then
     echo '== scheduler conformance suite'
     go test -run 'Conformance|PanicPropagation|SchedStatsMatchTracer' -count=1 \
         ./internal/parallel
-    echo '== SSSP work bound, thresholds and phase bound'
-    # Uncached: the bound is on what a nondeterministic schedule visits.
-    go test -run 'TestSSSPWorkBound|TestRhoSteppingThresholdWidth|TestSSSPMaxWeightBoundedPhases' \
+    echo '== SSSP work bound, thresholds, phase bound and phase boundary'
+    # Uncached: the bound is on what a nondeterministic schedule visits,
+    # and the boundary's parallel far-set pass is the schedule's to chunk.
+    go test -run 'TestSSSPWorkBound|TestRhoSteppingThresholdWidth|TestSSSPMaxWeightBoundedPhases|TestThresholdParity|TestPhaseBoundaryHelpers|TestSSSPSortsOnlyForQuantiles' \
         -count=1 ./internal/core
     echo '== list-ranking work bound'
     # The count is the same on every schedule; uncached so it is the code

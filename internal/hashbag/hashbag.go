@@ -41,7 +41,6 @@ const (
 type Bag struct {
 	levels [maxLevels]atomic.Pointer[[]uint32]
 	active atomic.Int32
-	est    atomic.Int64
 	// nonEmpty is a flag, not an insert count: the first insert after a
 	// reset stores 1 and every other insert only loads it, so inserting
 	// workers do not write a shared cache line. No caller needs more than
@@ -49,6 +48,12 @@ type Bag struct {
 	nonEmpty atomic.Uint32
 	initLen  int
 	tracer   *trace.Tracer
+	// est is the one field inserts write: one in 2^sampleShift bumps it.
+	// The pad keeps it 64 bytes from active and nonEmpty, which every
+	// insert loads, so a bump does not pull their line away from the other
+	// workers (TestBagLayout).
+	_   [64]byte
+	est atomic.Int64
 }
 
 // SetTracer attaches a tracer to the bag (nil detaches). Resizes emit

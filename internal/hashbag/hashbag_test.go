@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"pasgal/internal/parallel"
 )
@@ -185,6 +186,29 @@ func TestParallelInsertViaRuntime(t *testing.T) {
 	for i := range got {
 		if got[i] != uint32(i) {
 			t.Fatalf("missing %d", i)
+		}
+	}
+}
+
+// TestBagLayout pins the padding around est, the field one insert in
+// 2^sampleShift writes: no byte of it may lie within a cache line (64
+// bytes) of active or nonEmpty, which every insert loads, wherever the
+// allocator places the Bag.
+func TestBagLayout(t *testing.T) {
+	var b Bag
+	est := int(unsafe.Offsetof(b.est))
+	estEnd := est + int(unsafe.Sizeof(b.est))
+	for _, f := range []struct {
+		name      string
+		off, size uintptr
+	}{
+		{"active", unsafe.Offsetof(b.active), unsafe.Sizeof(b.active)},
+		{"nonEmpty", unsafe.Offsetof(b.nonEmpty), unsafe.Sizeof(b.nonEmpty)},
+	} {
+		lo, hi := int(f.off), int(f.off+f.size)
+		// The distance between the closest two bytes of the two ranges.
+		if d := max(lo-(estEnd-1), est-(hi-1)); d < 64 {
+			t.Errorf("est [%d,%d) lies within 64 bytes of %s [%d,%d)", est, estEnd, f.name, lo, hi)
 		}
 	}
 }

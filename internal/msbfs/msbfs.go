@@ -22,7 +22,9 @@
 // every lane is final before hop d+1 starts.
 //
 // The engine plugs into the library substrate end to end: loops run on
-// internal/parallel with chunk-claim cancellation (ForRangeCancel),
+// internal/parallel with chunk-claim cancellation (ForRangeCancel, and
+// Collect for the rounds, whose next frontier has one writer per entry
+// and so is built from per-chunk lists rather than a concurrent set),
 // core.Options is normalized on entry, Options.Ctx cancels at every
 // round and group boundary, and the run reports core.Metrics plus trace
 // counters (CtrLaneScans counts shared edge scans; each advanced up to 64
@@ -39,7 +41,6 @@ import (
 
 	"pasgal/internal/core"
 	"pasgal/internal/graph"
-	"pasgal/internal/hashbag"
 	"pasgal/internal/parallel"
 )
 
@@ -266,23 +267,22 @@ func runGroup(a graph.Adjacency, st *state, srcs []uint32, sk *sink, opt core.Op
 	denseCut := opt.DenseCut(n)
 	tr := opt.Tracer
 
-	bag := hashbag.New(max(64, 2*len(srcs)))
-	bag.SetTracer(tr)
-
 	// Both are declared before they are assigned so that the round loop's
 	// pull(...)/push(...) stay real calls: go1.24 inlines a closure literal
 	// that is only ever called directly, and the chunk closures nested in
 	// the inlined copy are then compiled without inlining of their own —
-	// every atomic Load/CAS in the scan becomes a function call.
-	var pull func(active uint64)
-	var push func(front []uint32, active uint64)
+	// every atomic Load/CAS in the scan becomes a function call. Each
+	// returns the next frontier, one entry per vertex whose next word it
+	// took off zero, concatenated in chunk order (parallel.Collect).
+	var pull func(active uint64) []uint32
+	var push func(front []uint32, active uint64) []uint32
 	out := graph.ScanOut(a)
 	// The pull body exists only when a pull round can happen, so a
 	// push-only run never builds the transpose behind ScanIn.
 	if denseCut != math.MaxInt64 {
 		in := graph.ScanIn(a)
-		pull = func(active uint64) {
-			parallel.ForRangeCancel(cl.Token(), n, 0, func(lo, hi int) {
+		pull = func(active uint64) []uint32 {
+			return parallel.Collect(cl.Token(), n, 0, func(lo, hi int, next []uint32) []uint32 {
 				var scans int64
 				nbuf := in.Scratch()
 				for vi := lo; vi < hi; vi++ {
@@ -301,16 +301,17 @@ func runGroup(a graph.Adjacency, st *state, srcs []uint32, sk *sink, opt core.Op
 					}
 					if nb := acc & want; nb != 0 {
 						st.next[v].Store(nb)
-						bag.Insert(v)
+						next = append(next, v)
 					}
 				}
 				met.AddEdges(scans)
 				tr.LaneScans(scans)
+				return next
 			})
 		}
 	}
-	push = func(front []uint32, active uint64) {
-		parallel.ForRangeCancel(cl.Token(), len(front), 16, func(lo, hi int) {
+	push = func(front []uint32, active uint64) []uint32 {
+		return parallel.Collect(cl.Token(), len(front), 16, func(lo, hi int, next []uint32) []uint32 {
 			var scans int64
 			nbuf := out.Scratch()
 			for i := lo; i < hi; i++ {
@@ -340,7 +341,7 @@ func runGroup(a graph.Adjacency, st *state, srcs []uint32, sk *sink, opt core.Op
 						old := st.next[w].Load()
 						if st.next[w].CompareAndSwap(old, old|diff) {
 							if old == 0 {
-								bag.Insert(w) // first setter owns the list entry
+								next = append(next, w) // first setter owns the list entry
 							}
 							break
 						}
@@ -349,6 +350,7 @@ func runGroup(a graph.Adjacency, st *state, srcs []uint32, sk *sink, opt core.Op
 			}
 			met.AddEdges(scans)
 			tr.LaneScans(scans)
+			return next
 		})
 	}
 
@@ -386,19 +388,19 @@ func runGroup(a graph.Adjacency, st *state, srcs []uint32, sk *sink, opt core.Op
 		d++
 		met.Round(len(front))
 
+		var newFront []uint32
 		if int64(len(front)) >= denseCut {
 			// Pull (bottom-up): every vertex missing active lanes unions its
 			// in-neighbors' frontier words — no atomics, v is the sole
 			// writer of next[v] this round.
 			met.AddBottomUp()
-			pull(active)
+			newFront = pull(active)
 		} else {
 			// Push (top-down): one scan of the frontier's out-edges advances
 			// every active lane at once.
-			push(front, active)
+			newFront = push(front, active)
 		}
 
-		newFront := bag.Extract()
 		// Settle barrier, two joins: clear the old frontier words first (a
 		// vertex can be in both lists on a cycle), then fold next into
 		// seen/cur and record distances — each vertex in exactly one chunk,

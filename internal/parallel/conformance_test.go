@@ -395,3 +395,114 @@ func TestConformanceHistogram(t *testing.T) {
 		})
 	}
 }
+
+// TestConformanceCollect checks the chunk-ordered list primitive against a
+// sequential concatenation: each index runs once in a grain-aligned chunk,
+// a chunk may emit nothing (nil) or several entries per index, and the
+// result is the chunks' lists in chunk order. It also checks the
+// ForRangeCancel contract Collect inherits: a pre-fired token runs no
+// chunk, a mid-loop fire drains, and a body panic propagates.
+func TestConformanceCollect(t *testing.T) {
+	// emit is the per-index body: nothing for indices in a 1-in-4 class
+	// (whole chunks come back nil at grain 1), the index itself otherwise,
+	// and a second copy of every seventh index.
+	emit := func(out []uint32, i int) []uint32 {
+		switch {
+		case i%4 == 3:
+		case i%7 == 0:
+			out = append(out, uint32(i), uint32(i))
+		default:
+			out = append(out, uint32(i))
+		}
+		return out
+	}
+	for _, p := range []int{1, 2, 4} {
+		withWorkers(t, p, func() {
+			for _, grain := range []int{0, 1, 16} {
+				sizes := []int{0, 1, grain - 1, grain, grain + 1, 100000}
+				slices.Sort(sizes)
+				for _, n := range slices.Compact(sizes) {
+					if n < 0 {
+						continue
+					}
+					name := fmt.Sprintf("p=%d/n=%d/g=%d", p, n, grain)
+					var want []uint32
+					for i := 0; i < n; i++ {
+						want = emit(want, i)
+					}
+					visits := make([]int32, n)
+					got := Collect(nil, n, grain, func(lo, hi int, out []uint32) []uint32 {
+						if lo < 0 || hi > n || lo >= hi {
+							panic(fmt.Sprintf("%s: bad chunk [%d,%d)", name, lo, hi))
+						}
+						if grain > 0 && (lo%grain != 0 || hi != min(lo+grain, n)) {
+							panic(fmt.Sprintf("%s: chunk [%d,%d) not grain-aligned", name, lo, hi))
+						}
+						if out != nil {
+							panic(fmt.Sprintf("%s: chunk [%d,%d) handed a non-nil list", name, lo, hi))
+						}
+						for i := lo; i < hi; i++ {
+							atomic.AddInt32(&visits[i], 1)
+							out = emit(out, i)
+						}
+						return out
+					})
+					for i, v := range visits {
+						if v != 1 {
+							t.Fatalf("%s: index %d visited %d times", name, i, v)
+						}
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s: got %d entries, want the %d of the sequential concatenation", name, len(got), len(want))
+					}
+				}
+			}
+
+			c := NewCancel()
+			c.Fire(nil)
+			var ran atomic.Int64
+			if got := Collect(c, 100000, 16, func(lo, hi int, out []uint32) []uint32 {
+				ran.Add(1)
+				return append(out, uint32(lo))
+			}); got != nil || ran.Load() != 0 {
+				t.Fatalf("p=%d: pre-fired token ran %d chunks and returned %d entries", p, ran.Load(), len(got))
+			}
+
+			// Mid-loop fire: the drained chunks emit nothing, so the result
+			// is the emitted lists of the chunks that ran, still in order.
+			const n, grain = 1 << 18, 64
+			c = NewCancel()
+			ran.Store(0)
+			got := Collect(c, n, grain, func(lo, hi int, out []uint32) []uint32 {
+				if ran.Add(1) >= 8 {
+					c.Fire(nil)
+				}
+				return append(out, uint32(lo/grain))
+			})
+			if !c.Canceled() {
+				t.Fatalf("p=%d: token did not fire", p)
+			}
+			if len(got) != int(ran.Load()) || int64(len(got)) > int64(8+p) {
+				t.Fatalf("p=%d: %d chunks ran, %d entries came back (bound %d): drain did not bound the work",
+					p, ran.Load(), len(got), 8+p)
+			}
+			if !slices.IsSorted(got) {
+				t.Fatalf("p=%d: drained result not in chunk order: %v", p, got)
+			}
+
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("p=%d: a chunk's panic did not propagate", p)
+					}
+				}()
+				Collect(nil, 100000, 16, func(lo, hi int, out []uint32) []uint32 {
+					if lo == 50000 {
+						panic("boom")
+					}
+					return out
+				})
+			}()
+		})
+	}
+}

@@ -62,6 +62,14 @@ if [ "$short" = 1 ]; then
     echo '== scheduler conformance suite'
     go test -run 'Conformance|PanicPropagation|SchedStatsMatchTracer' -count=1 \
         ./internal/parallel
+    echo '== MS-BFS rows and the BFS frontier hand-off'
+    # Uncached: a round's next frontier is the chunks' lists in chunk
+    # order, and which chunk's list holds a pushed vertex is decided by
+    # which CAS wins, so the order is the schedule's; the rows must not
+    # depend on it. The hand-off test races inserts against a handed list.
+    go test -run '^(TestRunMatchesSequentialOracle|TestRunReachableMatchesOracle|TestRunDirectionOptEquivalence|TestRunSelfLoopsAndMultiEdges)$' \
+        -count=1 ./internal/msbfs
+    go test -run '^TestFrontierSetHandOff$' -count=1 ./internal/core
     echo '== SSSP work bound, thresholds, phase bound and phase boundary'
     # Uncached: the bound is on what a nondeterministic schedule visits,
     # and the boundary's parallel far-set pass is the schedule's to chunk.

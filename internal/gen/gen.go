@@ -33,25 +33,16 @@ func rndFloat(seed, i, j uint64) float64 {
 	return float64(rnd(seed, i, j)>>11) / float64(1<<53)
 }
 
-// AddUniformWeights returns a copy of g with uniform integer weights in
-// [lo, hi] assigned deterministically per arc; both arcs of an undirected
-// edge receive the same weight.
+// AddUniformWeights returns a copy of g whose arc (u, v) stores
+// graph.UniformWeight(u, v, lo, hi, seed), as graph.UniformWeights scans it.
 func AddUniformWeights(g *graph.Graph, lo, hi uint32, seed uint64) *graph.Graph {
 	if hi < lo {
 		panic("gen: AddUniformWeights with hi < lo")
 	}
-	span := uint64(hi-lo) + 1
 	w := make([]uint32, len(g.Edges))
-	parallel.For(g.N, 64, func(ui int) {
-		u := uint32(ui)
+	parallel.For(g.N, 64, func(u int) {
 		for e := g.Offsets[u]; e < g.Offsets[u+1]; e++ {
-			v := g.Edges[e]
-			// Key on the unordered pair so both arcs agree.
-			a, b := u, v
-			if a > b {
-				a, b = b, a
-			}
-			w[e] = lo + uint32(rnd(seed, uint64(a), uint64(b))%span)
+			w[e] = graph.UniformWeight(uint32(u), g.Edges[e], lo, hi, seed)
 		}
 	})
 	return &graph.Graph{

@@ -1,6 +1,8 @@
 package gen
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"pasgal/internal/graph"
@@ -211,6 +213,34 @@ func TestAddUniformWeights(t *testing.T) {
 	for i := range w.Weights {
 		if w.Weights[i] != w2.Weights[i] {
 			t.Fatal("weights not deterministic")
+		}
+	}
+}
+
+// TestAddUniformWeightsGolden pins the (seed, endpoints) → weight rule:
+// pasgal-serve derives sssp/p2p weights for unweighted graphs from it at
+// scan time and clients' oracles rebuild them with AddUniformWeights, so
+// a value may never change. The spans cover the serving default (a power
+// of two), an odd span, and the full uint32 range.
+func TestAddUniformWeightsGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		g      *graph.Graph
+		lo, hi uint32
+		seed   uint64
+		want   []uint32
+	}{
+		{"grid3x3", Grid2D(3, 3, false, 1), 1, 1 << 8, 1, []uint32{
+			0x16, 0x8f, 0x16, 0x91, 0x52, 0x91, 0xa6, 0x8f, 0x5b, 0x15, 0x52, 0x5b,
+			0x77, 0xce, 0xa6, 0x77, 0x5d, 0x15, 0x50, 0xce, 0x50, 0xa1, 0x5d, 0xa1}},
+		{"cycle7", Cycle(7, true), 3, 12, 99, []uint32{0x9, 0x6, 0x8, 0xb, 0x3, 0x3, 0x4}},
+		{"star5", Star(5), 0, math.MaxUint32, 7, []uint32{
+			0xdc94b477, 0x52d7baa7, 0x960147f9, 0x18a5f4dc,
+			0xdc94b477, 0x52d7baa7, 0x960147f9, 0x18a5f4dc}},
+	} {
+		got := AddUniformWeights(tc.g, tc.lo, tc.hi, tc.seed).Weights
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: weights %#v, want %#v", tc.name, got, tc.want)
 		}
 	}
 }

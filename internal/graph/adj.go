@@ -50,7 +50,7 @@ type Adjacency interface {
 	DegreeOf(v uint32) int
 
 	// sealed restricts implementations to this package: ScanOut/ScanIn
-	// switch over exactly {*Graph, *Compressed, *Overlay}.
+	// switch over exactly {*Graph, *Compressed, *Overlay, *uniform}.
 	sealed()
 }
 

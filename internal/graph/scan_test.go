@@ -10,7 +10,9 @@ import (
 // for each representation of the same arc set, ScanOut must list exactly
 // the plain graph's out-neighbors (and weights) and ScanIn exactly its
 // transpose's, with scratch reused across vertices the way a kernel task
-// reuses it (and too small for the longer lists).
+// reuses it (and too small for the longer lists). Under UniformWeights an
+// unweighted representation's Arcs must carry UniformWeight of each arc,
+// for a power-of-two span and an odd one; a weighted one is returned as is.
 func TestScannerMatchesPlain(t *testing.T) {
 	for _, directed := range []bool{true, false} {
 		for _, weighted := range []bool{true, false} {
@@ -27,26 +29,42 @@ func TestScannerMatchesPlain(t *testing.T) {
 				"overlay-empty":   {EmptyOverlay(base), base},
 				"overlay-patched": {o, o.Materialize()},
 			} {
-				for dir, sides := range map[string]struct {
-					sc    *Scanner
-					truth *Graph
-				}{
-					"out": {ScanOut(rc.a), rc.truth},
-					"in":  {ScanIn(rc.a), rc.truth.Transpose()},
-				} {
-					nbuf, abuf, wbuf := make([]uint32, 0, 4), sides.sc.Scratch(), sides.sc.Scratch()
-					for v := uint32(0); int(v) < base.N; v++ {
-						want := sides.truth.Neighbors(v)
-						if got := sides.sc.Neighbors(v, nbuf); !slices.Equal(got, want) {
-							t.Fatalf("%s/%s directed=%v: Neighbors(%d) = %v, want %v", name, dir, directed, v, got, want)
+				for _, hi := range []uint32{0, 1 << 8, 1000} { // 0: stored weights only
+					a := rc.a
+					if hi != 0 {
+						if a = UniformWeights(rc.a, 1, hi, 7); weighted && a != rc.a {
+							t.Fatalf("%s: UniformWeights wrapped a weighted graph", name)
 						}
-						if !weighted {
-							continue
-						}
-						nbrs, wts := sides.sc.Arcs(v, abuf, wbuf)
-						if !slices.Equal(nbrs, want) || !slices.Equal(wts, sides.truth.NeighborWeights(v)) {
-							t.Fatalf("%s/%s directed=%v: Arcs(%d) = %v / %v, want %v / %v",
-								name, dir, directed, v, nbrs, wts, want, sides.truth.NeighborWeights(v))
+					}
+					for dir, sides := range map[string]struct {
+						sc    *Scanner
+						truth *Graph
+					}{
+						"out": {ScanOut(a), rc.truth},
+						"in":  {ScanIn(a), rc.truth.Transpose()},
+					} {
+						nbuf, abuf, wbuf := make([]uint32, 0, 4), make([]uint32, 0, 4), make([]uint32, 0, 4)
+						for v := uint32(0); int(v) < base.N; v++ {
+							want := sides.truth.Neighbors(v)
+							if got := sides.sc.Neighbors(v, nbuf); !slices.Equal(got, want) {
+								t.Fatalf("%s/%s directed=%v hi=%d: Neighbors(%d) = %v, want %v", name, dir, directed, hi, v, got, want)
+							}
+							var wantW []uint32
+							switch {
+							case weighted:
+								wantW = sides.truth.NeighborWeights(v)
+							case hi == 0:
+								continue
+							default:
+								for _, x := range want {
+									wantW = append(wantW, UniformWeight(v, x, 1, hi, 7))
+								}
+							}
+							nbrs, wts := sides.sc.Arcs(v, abuf, wbuf)
+							if !slices.Equal(nbrs, want) || !slices.Equal(wts, wantW) {
+								t.Fatalf("%s/%s directed=%v hi=%d: Arcs(%d) = %v / %v, want %v / %v",
+									name, dir, directed, hi, v, nbrs, wts, want, wantW)
+							}
 						}
 					}
 				}

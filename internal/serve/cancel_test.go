@@ -161,7 +161,7 @@ func TestCancelServeNoGoroutineLeak(t *testing.T) {
 		t.Skip("goroutine settle sweep; skipped with -short")
 	}
 	s := slowServer(t, 100_000)
-	// Warm up: worker pool, coalescer loop, lazy weighted variant.
+	// Warm up: worker pool, coalescer loop.
 	if rec := do(s, context.Background(), "/query/bfs?graph=chain&src=0"); rec.Code != http.StatusOK {
 		t.Fatalf("warmup: status %d", rec.Code)
 	}

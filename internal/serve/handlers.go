@@ -33,7 +33,7 @@ type BFSResponse struct {
 	Dist    []uint32 `json:"dist,omitempty"`
 }
 
-// SSSPResponse answers /query/sssp (distances on the weighted variant).
+// SSSPResponse answers /query/sssp (weighted distances; see handleSSSP).
 // ?summary=1 omits the Dist array.
 type SSSPResponse struct {
 	Graph   string   `json:"graph"`
@@ -81,8 +81,8 @@ type P2PResponse struct {
 	Dist      uint64 `json:"dist"`
 }
 
-// UpdateEdge is one edge in an /update batch. W is ignored on deletes
-// and on unweighted graphs.
+// UpdateEdge is one edge in an /update batch. W is ignored on deletes and
+// must be 0 on an unweighted graph, whose weights come from the seed.
 type UpdateEdge struct {
 	U uint32 `json:"u"`
 	V uint32 `json:"v"`
@@ -304,14 +304,6 @@ func (q *query) end() {
 	q.leave()
 }
 
-// wgv returns the weighted variant of the query's pinned view.
-func (q *query) wgv() graph.Adjacency {
-	if q.sn != nil {
-		return q.sg.wgAt(q.view, q.epoch)
-	}
-	return q.sg.wg()
-}
-
 // parseOptions builds the per-request algorithm options from the base
 // configuration plus the recognized override parameters.
 func (s *Server) parseOptions(params map[string][]string) (core.Options, error) {
@@ -524,8 +516,8 @@ func (s *Server) handleBFS(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSSSP serves /query/sssp?graph=G&src=V: shortest-path distances on
-// the weighted variant (unweighted graphs get deterministic uniform
-// weights at first use).
+// the pinned view, whose arcs weigh graph.UniformWeight under the weight
+// seed when the graph stores no weights.
 func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 	q, ok := s.begin(w, r, "sssp")
 	if !ok {
@@ -544,7 +536,7 @@ func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 	var dist []uint64
 	err = q.run(func() error {
 		var runErr error
-		dist, _, runErr = core.SSSP(q.wgv(), src, nil, q.opt)
+		dist, _, runErr = core.SSSP(graph.UniformWeights(q.view, 1, 1<<8, q.sg.weightSeed), src, nil, q.opt)
 		return runErr
 	})
 	if err != nil {
@@ -693,7 +685,7 @@ func (s *Server) handleReachable(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleP2P serves /query/p2p?graph=G&src=U&dst=V: the shortest-path
-// distance from src to dst on the weighted variant, with goal-directed
+// distance from src to dst, weighted as in handleSSSP, with goal-directed
 // pruning.
 func (s *Server) handleP2P(w http.ResponseWriter, r *http.Request) {
 	q, ok := s.begin(w, r, "p2p")
@@ -719,7 +711,7 @@ func (s *Server) handleP2P(w http.ResponseWriter, r *http.Request) {
 	var dist uint64
 	err = q.run(func() error {
 		var runErr error
-		dist, _, runErr = core.PointToPoint(q.wgv(), src, dst, nil, q.opt)
+		dist, _, runErr = core.PointToPoint(graph.UniformWeights(q.view, 1, 1<<8, q.sg.weightSeed), src, dst, nil, q.opt)
 		return runErr
 	})
 	if err != nil {
@@ -771,6 +763,12 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		batch = append(batch, delta.Update{U: e.U, V: e.V, Op: delta.Delete})
 	}
 	for _, e := range req.Inserts {
+		if e.W != 0 && !sg.g.HasWeights() {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf(
+				"insert (%d,%d) sets w on unweighted graph %q: its sssp/p2p weights come from the weight seed",
+				e.U, e.V, name))
+			return
+		}
 		batch = append(batch, delta.Update{U: e.U, V: e.V, W: e.W, Op: delta.Insert})
 	}
 	res, err := sg.store.Apply(batch)

@@ -37,7 +37,6 @@ import (
 
 	"pasgal/internal/core"
 	"pasgal/internal/delta"
-	"pasgal/internal/gen"
 	"pasgal/internal/graph"
 	"pasgal/internal/msbfs"
 	"pasgal/internal/parallel"
@@ -88,11 +87,10 @@ type Config struct {
 	// replaced by a server-private tracer that feeds /metrics.
 	Opt core.Options
 
-	// WeightSeed seeds the deterministic uniform weights attached to
-	// unweighted graphs for sssp/p2p queries; 0 selects 1. The generated
-	// weight of an edge depends only on (seed, endpoints), so per-epoch
-	// weighted rebuilds of a mutable graph keep surviving edges' weights
-	// stable across mutations.
+	// WeightSeed seeds the weights in [1, 256] sssp/p2p see on an
+	// unweighted graph (0 selects 1): graph.UniformWeight of (seed,
+	// endpoints), hashed at scan time, so no weighted copy exists and an
+	// edge keeps its weight across representations and mutations.
 	WeightSeed uint64
 
 	// Mutable serves every plain-CSR graph through a delta.Store: queries
@@ -113,11 +111,11 @@ type Config struct {
 // same name re-registered over different data, gets fresh keys.
 var graphIdent atomic.Uint64
 
-// servedGraph is one loaded graph plus its lazily built serving variants.
-// The graph may be any graph.Adjacency representation: plain CSR,
-// compressed (possibly a read-only mmap view), or — when served mutable —
-// a delta.Store publishing Overlay epochs. pg is the plain form when
-// there is one — kcore, the one algorithm not yet written over
+// servedGraph is one loaded graph, with no weighted copy: sssp/p2p scan
+// it through graph.UniformWeights. It may be any graph.Adjacency: plain
+// CSR, compressed (possibly a read-only mmap view), or — when served
+// mutable — a delta.Store publishing Overlay epochs. pg is the plain form
+// when there is one — kcore, the one algorithm not yet written over
 // graph.Scanner, requires it and refuses the other representations
 // instead of silently inflating a multi-gigabyte plain copy inside a
 // request handler.
@@ -129,68 +127,10 @@ type servedGraph struct {
 	coal  *msbfs.Coalescer // nil when coalescing is disabled
 	store *delta.Store     // non-nil iff the graph is served mutable
 
-	weightSeed uint64
-	wOnce      sync.Once
-	weighted   graph.Adjacency // g, or g + deterministic uniform weights
+	weightSeed uint64 // UniformWeights seed for sssp/p2p on an unweighted graph
 	sOnce      sync.Once
 	sym        *graph.Graph // pg, or pg.Symmetrized() for kcore
-
-	// Per-epoch weighted variant for mutable graphs: rebuilt when a
-	// query's pinned epoch moves past the cached one. Weight generation
-	// keys on (seed, endpoints), so edges surviving a mutation keep
-	// their weights across rebuilds.
-	wMu     sync.Mutex
-	wEpoch  uint64
-	wForEp  graph.Adjacency
-	updates atomic.Int64 // /update batches accepted
-}
-
-// wg returns the weighted serving variant (for sssp/p2p): the graph
-// itself when it carries weights, otherwise a deterministically weighted
-// copy built on first use. A compressed unweighted graph round-trips
-// through decompression so the weighted variant keeps the compressed
-// memory profile.
-func (sg *servedGraph) wg() graph.Adjacency {
-	sg.wOnce.Do(func() {
-		if sg.g.HasWeights() {
-			sg.weighted = sg.g
-			return
-		}
-		if sg.pg != nil {
-			sg.weighted = gen.AddUniformWeights(sg.pg, 1, 1<<8, sg.weightSeed)
-			return
-		}
-		c := sg.g.(*graph.Compressed)
-		sg.weighted = graph.Compress(
-			gen.AddUniformWeights(c.Decompress(), 1, 1<<8, sg.weightSeed))
-	})
-	return sg.weighted
-}
-
-// wgAt returns the weighted variant of a mutable graph's pinned view.
-// The last epoch's build is cached: steady query traffic between
-// updates pays the materialize+weight cost once.
-func (sg *servedGraph) wgAt(view graph.Adjacency, epoch uint64) graph.Adjacency {
-	if view.HasWeights() {
-		return view
-	}
-	sg.wMu.Lock()
-	defer sg.wMu.Unlock()
-	if sg.wForEp != nil && sg.wEpoch == epoch {
-		return sg.wForEp
-	}
-	var pg *graph.Graph
-	switch v := view.(type) {
-	case *graph.Graph:
-		pg = v
-	case *graph.Overlay:
-		pg = v.Materialize()
-	default:
-		panic(fmt.Sprintf("serve: unexpected mutable view %T", view))
-	}
-	sg.wEpoch = epoch
-	sg.wForEp = gen.AddUniformWeights(pg, 1, 1<<8, sg.weightSeed)
-	return sg.wForEp
+	updates    atomic.Int64 // /update batches accepted
 }
 
 // plain returns the plain-CSR form, or a client error for kcore, which
@@ -311,15 +251,11 @@ func NewAdj(graphs map[string]graph.Adjacency, cfg Config) (*Server, error) {
 		byAlgo:   make(map[string]*atomic.Int64, len(Algos)),
 		started:  time.Now(),
 	}
-	seed := cfg.WeightSeed
-	if seed == 0 {
-		seed = 1
-	}
 	for name, g := range graphs {
 		if name == "" {
 			return nil, errors.New("serve: empty graph name")
 		}
-		sg := &servedGraph{name: name, ident: graphIdent.Add(1), g: g, weightSeed: seed}
+		sg := &servedGraph{name: name, ident: graphIdent.Add(1), g: g, weightSeed: max(cfg.WeightSeed, 1)}
 		switch t := g.(type) {
 		case *graph.Graph:
 			if t == nil {

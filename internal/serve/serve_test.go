@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -74,14 +75,35 @@ func wantStatus(t *testing.T, url string, want int) {
 	}
 }
 
-// oracleWeighted mirrors the server's lazy weighting: the graph itself
-// when weighted, else the same deterministic uniform weights New attaches
-// (WeightSeed defaults to 1).
+// oracleWeighted stores the weights the server computes at scan time:
+// the graph itself when weighted, else the same deterministic uniform
+// weights (WeightSeed defaults to 1).
 func oracleWeighted(g *graph.Graph) *graph.Graph {
 	if g.Weighted() {
 		return g
 	}
 	return gen.AddUniformWeights(g, 1, 1<<8, 1)
+}
+
+// checkWeighted requires name's sssp answers from three sources, and its
+// p2p answers from them to the mirrored vertex, to equal Dijkstra's on
+// want value for value.
+func checkWeighted(t *testing.T, base, name string, want *graph.Graph) {
+	t.Helper()
+	for _, src := range []uint32{0, uint32(want.N / 2), uint32(want.N - 1)} {
+		wantD := seq.Dijkstra(want, src)
+		var sr SSSPResponse
+		u := fmt.Sprintf("%s/query/sssp?graph=%s&src=%d", base, name, src)
+		if st, _ := getJSON(t, u, &sr); st != http.StatusOK || !slices.Equal(sr.Dist, wantD) {
+			t.Fatalf("%s: sssp from %d: status %d, distances differ from Dijkstra's", name, src, st)
+		}
+		dst := uint32(want.N-1) - src
+		var pr P2PResponse
+		u = fmt.Sprintf("%s/query/p2p?graph=%s&src=%d&dst=%d", base, name, src, dst)
+		if st, _ := getJSON(t, u, &pr); st != http.StatusOK || pr.Dist != wantD[dst] {
+			t.Fatalf("%s: p2p %d->%d: status %d, dist %d, Dijkstra %d", name, src, dst, st, pr.Dist, wantD[dst])
+		}
+	}
 }
 
 // samePartition reports whether two labelings induce the same partition.
@@ -419,9 +441,10 @@ func TestServeMetricsAccounting(t *testing.T) {
 
 // TestServeCompressedGraph serves the same graph twice — plain CSR and
 // compressed — through NewAdj and checks that every compressed-capable
-// endpoint answers byte-equivalently on both, that scc/kcore refuse the
-// compressed representation with a clear 400, and that /graphs marks the
-// representation.
+// endpoint (scc included) answers byte-equivalently on both, that sssp
+// and p2p on the compressed one match Dijkstra on the stored-weight
+// oracle, that kcore refuses the compressed representation with a clear
+// 400, and that /graphs marks the representation.
 func TestServeCompressedGraph(t *testing.T) {
 	g := gen.SocialRMAT(10, 8, true, 42)
 	s, err := NewAdj(map[string]graph.Adjacency{
@@ -471,6 +494,7 @@ func TestServeCompressedGraph(t *testing.T) {
 	// SCC labels are a function of (arc set, options), not of the
 	// representation the searches scan.
 	sameOnBoth("/query/scc?graph=%s")
+	checkWeighted(t, hs.URL, "zc", oracleWeighted(g))
 
 	// kcore is unsupported on compressed: clear client error, not a 500.
 	st, body := getJSON(t, hs.URL+"/query/kcore?graph=zc", nil)

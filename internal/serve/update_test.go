@@ -172,6 +172,9 @@ func TestUpdateEndpointContract(t *testing.T) {
 	if scc.Components != wantN || wantN == 1 || !samePartition(scc.Labels, wantL) {
 		t.Fatalf("scc after update: %d components, Tarjan on the epoch %d", scc.Components, wantN)
 	}
+	// sssp/p2p on that epoch: the overlay's arcs, added ones included,
+	// weigh what AddUniformWeights stores for its materialized arc set.
+	checkWeighted(t, hs.URL, "ring", epochWeighted(s, "ring"))
 
 	// sssp works across epochs: surviving edges keep their generated
 	// weights, so distances only change where the structure did.
@@ -179,8 +182,25 @@ func TestUpdateEndpointContract(t *testing.T) {
 	if st, _ := getJSON(t, hs.URL+"/query/sssp?graph=grid&src=0", &ssspBefore); st != http.StatusOK {
 		t.Fatalf("sssp: %d", st)
 	}
-	if st, _ := postUpdate(t, hs.URL, "grid", UpdateRequest{Inserts: []UpdateEdge{{U: 0, V: 63, W: 1}}}); st != http.StatusOK {
-		t.Fatalf("weighted insert: %d", st)
+	// A weight on an insert into an unweighted graph is refused, and
+	// nothing in its batch applies: weights there come from the seed.
+	epoch := func() uint64 {
+		sn := s.graphs["grid"].store.Snapshot()
+		defer sn.Release()
+		return sn.Epoch()
+	}
+	e0 := epoch()
+	if st, _ := postUpdate(t, hs.URL, "grid", UpdateRequest{
+		Deletes: []UpdateEdge{{U: 0, V: 1}},
+		Inserts: []UpdateEdge{{U: 0, V: 63, W: 1}},
+	}); st != http.StatusBadRequest {
+		t.Fatalf("insert with w on an unweighted graph: %d, want 400", st)
+	}
+	if e := epoch(); e != e0 {
+		t.Fatalf("refused batch published epoch %d over %d", e, e0)
+	}
+	if st, _ := postUpdate(t, hs.URL, "grid", UpdateRequest{Inserts: []UpdateEdge{{U: 0, V: 63}}}); st != http.StatusOK {
+		t.Fatalf("shortcut insert: %d", st)
 	}
 	var ssspAfter SSSPResponse
 	if st, _ := getJSON(t, hs.URL+"/query/sssp?graph=grid&src=0", &ssspAfter); st != http.StatusOK {
@@ -193,6 +213,7 @@ func TestUpdateEndpointContract(t *testing.T) {
 		t.Fatalf("surviving edge weight moved across epochs: %d -> %d",
 			ssspBefore.Dist[1], ssspAfter.Dist[1])
 	}
+	checkWeighted(t, hs.URL, "grid", epochWeighted(s, "grid"))
 
 	// Metrics and inventory reflect the mutation.
 	var met MetricsResponse
@@ -210,6 +231,13 @@ func TestUpdateEndpointContract(t *testing.T) {
 	if !gi.Mutable || gi.Epoch != us.Epoch {
 		t.Fatalf("graph info wrong: %+v", gi)
 	}
+}
+
+// epochWeighted is the stored-weight oracle of name's current epoch.
+func epochWeighted(s *Server, name string) *graph.Graph {
+	sn := s.graphs[name].store.Snapshot()
+	defer sn.Release()
+	return gen.AddUniformWeights(sn.Adj().(*graph.Overlay).Materialize(), 1, 1<<8, 1)
 }
 
 // TestUpdateRejectedOnImmutableServer: without Config.Mutable the

@@ -43,6 +43,23 @@ if grep -rnE 'case \*graph\.(Compressed|Overlay)' internal/core internal/conn in
     exit 1
 fi
 
+echo '== no weighted or plain copies in the daemon'
+# sssp/p2p weigh an unweighted graph at scan time (graph.UniformWeights);
+# a Materialize or Decompress in the serving layer means a request is
+# building a second graph again.
+if grep -nE 'Materialize\(\)|Decompress\(\)' $(ls internal/serve/*.go | grep -v '_test\.go$'); then
+    echo 'graph copy in internal/serve: scan the served view instead' >&2
+    exit 1
+fi
+
+echo '== Scanner.Neighbors inlines'
+# Every kernel's per-vertex call; its cost sits at the budget's edge
+# (see the Scanner comment), so a field or branch added there shows here.
+if ! go build -gcflags=-m ./internal/graph 2>&1 | grep -q 'can inline (\*Scanner)\.Neighbors'; then
+    echo 'graph.(*Scanner).Neighbors no longer inlines' >&2
+    exit 1
+fi
+
 echo '== go vet'
 go vet ./...
 

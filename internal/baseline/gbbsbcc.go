@@ -32,7 +32,7 @@ func GBBSBCCOpt(g *graph.Graph, opt core.Options) (core.BCCResult, *core.Metrics
 	defer cl.Close()
 	n := g.N
 	if n == 0 {
-		res, _, err := core.BCCFromForest(g, euler.Build(0, nil), opt)
+		res, _, err := core.BCCFromForest(g, euler.Build(0, nil, nil), opt)
 		if perr := cl.Poll(); perr != nil {
 			err = perr
 		}
@@ -42,13 +42,14 @@ func GBBSBCCOpt(g *graph.Graph, opt core.Options) (core.BCCResult, *core.Metrics
 	// BFS spanning forest.
 	parent := make([]atomic.Uint32, n)
 	parallel.For(n, 0, func(i int) { parent[i].Store(graph.None) })
-	visited := make([]bool, n)
+	comp := make([]uint32, n) // each vertex's BFS start, the minimum id of its tree; None until reached
+	parallel.Fill(comp, graph.None)
 	var tree []graph.Edge
 	for start := 0; start < n; start++ {
-		if visited[start] {
+		if comp[start] != graph.None {
 			continue
 		}
-		visited[start] = true
+		comp[start] = uint32(start)
 		if g.Degree(uint32(start)) == 0 {
 			continue // isolated vertex: no tree edges, no BFS to run
 		}
@@ -81,7 +82,7 @@ func GBBSBCCOpt(g *graph.Graph, opt core.Options) (core.BCCResult, *core.Metrics
 			})
 			next := parallel.Pack(outv, func(i int) bool { return outv[i] != graph.None })
 			for _, v := range next {
-				visited[v] = true
+				comp[v] = uint32(start)
 				tree = append(tree, graph.Edge{U: parent[v].Load(), V: v})
 			}
 			frontier = next
@@ -93,7 +94,7 @@ func GBBSBCCOpt(g *graph.Graph, opt core.Options) (core.BCCResult, *core.Metrics
 	if err := cl.Poll(); err != nil {
 		return core.BCCResult{}, met, err
 	}
-	f := euler.Build(n, tree)
+	f := euler.Build(n, tree, comp)
 	res, met2, err := core.BCCFromForest(g, f, opt)
 	if err != nil {
 		return core.BCCResult{}, met, err

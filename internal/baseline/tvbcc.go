@@ -46,8 +46,8 @@ func TarjanVishkinBCCOpt(g *graph.Graph, opt core.Options) (core.BCCResult, *cor
 	if n == 0 {
 		return res, met, 0, cl.Poll()
 	}
-	tree, _, _ := conn.SpanningForest(g)
-	f := euler.Build(n, tree)
+	tree, comp, _ := conn.SpanningForest(g)
+	f := euler.Build(n, tree, comp)
 
 	isTree := func(u, w uint32) bool {
 		return f.Parent[u] == w || f.Parent[w] == u
@@ -84,8 +84,7 @@ func TarjanVishkinBCCOpt(g *graph.Graph, opt core.Options) (core.BCCResult, *cor
 	if err := cl.Poll(); err != nil {
 		return core.BCCResult{}, met, 0, err
 	}
-	lowR := rmq.NewMin(localLow)
-	highR := rmq.NewMax(localHigh)
+	lowHigh := rmq.New(localLow, localHigh)
 	met.AddEdges(int64(len(g.Edges)))
 
 	// Materialize the auxiliary edge list. Aux node of tree edge
@@ -122,8 +121,7 @@ func TarjanVishkinBCCOpt(g *graph.Graph, opt core.Options) (core.BCCResult, *cor
 		if p == graph.None {
 			continue
 		}
-		low := lowR.Query(int(f.First(v)), int(f.Last(v)))
-		high := highR.Query(int(f.First(v)), int(f.Last(v)))
+		low, high := lowHigh.Query(int(f.First(v)), int(f.Last(v)))
 		if low < f.First(p) || high > f.Last(p) {
 			aux = append(aux, graph.Edge{U: v, V: p})
 		}

@@ -12,15 +12,13 @@ import (
 	"pasgal/internal/seq"
 )
 
-// diffShape is one entry of the differential-testing table: a graph plus
-// the degeneracies it carries. Shapes with self-loops or parallel edges
-// violate the sorted/deduplicated adjacency invariant the biconnectivity
-// algorithms rely on, so BCC is skipped there (the other problems must
-// still agree — extra arcs only add redundant relaxations).
+// diffShape is one entry of the differential-testing table: a graph, some
+// of them with self-loops or parallel edges. Every problem runs on every
+// shape; extra arcs only add redundant relaxations, and the BCC oracle
+// states the labels loops and parallel arcs get.
 type diffShape struct {
-	name    string
-	g       *graph.Graph
-	skipBCC bool
+	name string
+	g    *graph.Graph
 }
 
 // loopyEdges builds an edge list laced with self-loops and duplicates on
@@ -81,14 +79,11 @@ func diffShapes(seed uint64) []diffShape {
 		{name: "hypercube", g: gen.Hypercube(8)},
 		{name: "random-tree", g: gen.Tree(500, seed+11)},
 		{name: "self-loops-dir",
-			g:       graph.FromEdges(120, loopyEdges(120, seed+12, true, false), true, loopOpt),
-			skipBCC: true},
+			g: graph.FromEdges(120, loopyEdges(120, seed+12, true, false), true, loopOpt)},
 		{name: "multi-edges-dir",
-			g:       graph.FromEdges(120, loopyEdges(120, seed+13, false, true), true, dupOpt),
-			skipBCC: true},
+			g: graph.FromEdges(120, loopyEdges(120, seed+13, false, true), true, dupOpt)},
 		{name: "loops-and-dups",
-			g:       graph.FromEdges(150, loopyEdges(150, seed+14, true, true), false, bothOpt),
-			skipBCC: true},
+			g: graph.FromEdges(150, loopyEdges(150, seed+14, true, true), false, bothOpt)},
 	}
 }
 
@@ -180,12 +175,9 @@ func TestDifferentialSCC(t *testing.T) {
 }
 
 // TestDifferentialBCC cross-checks the parallel BCC implementations against
-// Hopcroft–Tarjan on every clean shape (symmetrized where directed).
+// Hopcroft–Tarjan on every shape (symmetrized where directed).
 func TestDifferentialBCC(t *testing.T) {
 	for _, sh := range diffShapes(0xBCC) {
-		if sh.skipBCC {
-			continue
-		}
 		sh := sh
 		t.Run(sh.name, func(t *testing.T) {
 			sym := sh.g.Symmetrized()
@@ -377,6 +369,20 @@ func equalDists(a, b []uint64) bool {
 	return true
 }
 
+// hasLoopOrParallelArc reports whether g has a self-loop or two arcs
+// with the same ends (adjacency lists are sorted, so copies are adjacent).
+func hasLoopOrParallelArc(g *graph.Graph) bool {
+	for u := uint32(0); u < uint32(g.N); u++ {
+		nbrs := g.Neighbors(u)
+		for i, w := range nbrs {
+			if w == u || i > 0 && nbrs[i-1] == w {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // TestDifferentialShapeInventory pins the size of the shape matrix so a
 // careless edit cannot silently shrink the suite's coverage.
 func TestDifferentialShapeInventory(t *testing.T) {
@@ -394,7 +400,7 @@ func TestDifferentialShapeInventory(t *testing.T) {
 		if sh.g.Directed {
 			directed++
 		}
-		if sh.skipBCC {
+		if hasLoopOrParallelArc(sh.g) {
 			degenerate++
 		}
 		if sh.g.N == 0 {

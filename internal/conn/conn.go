@@ -84,23 +84,79 @@ func (uf *UnionFind) Connected(a, b uint32) bool {
 	}
 }
 
-// forEachForwardEdge applies visit to every undirected edge {u, v} with
-// u < v, fully in parallel. It is the shared edge-scan of Components and
-// SpanningForest. Chunked so the graph.Scanner's decode scratch is
-// allocated per chunk, not per vertex.
-func forEachForwardEdge(a graph.Adjacency, visit func(u, v uint32)) {
+// The sampled union's two constants, fixed like euler's sampleGap:
+// LinkK first arcs per vertex give a k-out sample whose largest set is,
+// on any graph with a giant component, almost all of it; sampleSize
+// vertices are enough to name that set's root. FAST-BCC's skeleton links
+// the same LinkK arcs per vertex first.
+const (
+	LinkK      = 2
+	sampleSize = 1024
+)
+
+// unite runs union over every undirected edge of a, doing the work only
+// where it can change the answer (Afforest/ConnectIt-style sampling,
+// Dhulipala–Hong–Shun): every vertex links its first LinkK arcs, then
+// PluralityRoot names the largest set of that sample, and only vertices
+// outside it scan the rest of their arcs. record, if non-nil, is called
+// once for every union that wins, with the root it re-pointed.
+//
+// No edge is lost. Both arcs of {u, v} are in the graph, and sets only
+// ever merge, so if neither u nor v linked the edge, each was in the
+// giant's set when it was checked: u and v are connected anyway.
+func unite(a graph.Adjacency, uf *UnionFind, record func(loser, u, v uint32)) {
 	sc := graph.ScanOut(a)
-	parallel.ForRange(a.NumVertices(), 64, func(lo, hi int) {
+	n := a.NumVertices()
+	link := func(u uint32, nbrs []uint32) {
+		for _, v := range nbrs {
+			if loser, won := uf.link(u, v); won && record != nil {
+				record(loser, u, v)
+			}
+		}
+	}
+	parallel.ForRange(n, 64, func(lo, hi int) {
 		nbuf := sc.Scratch()
 		for ui := lo; ui < hi; ui++ {
+			nbrs := sc.Neighbors(uint32(ui), nbuf)
+			link(uint32(ui), nbrs[:min(LinkK, len(nbrs))])
+		}
+	})
+	r := uf.PluralityRoot()
+	parallel.ForRange(n, 64, func(lo, hi int) {
+		nbuf := sc.Scratch()
+		giant := uf.Find(r) // r may have been linked under a smaller root since
+		for ui := lo; ui < hi; ui++ {
 			u := uint32(ui)
-			for _, v := range sc.Neighbors(u, nbuf) {
-				if u < v { // each undirected edge once
-					visit(u, v)
-				}
+			if uf.Find(u) == giant {
+				continue
+			}
+			if nbrs := sc.Neighbors(u, nbuf); len(nbrs) > LinkK {
+				link(u, nbrs[LinkK:])
 			}
 		}
 	})
+}
+
+// PluralityRoot returns the root held by the most of a fixed sample of
+// sampleSize elements, spread by Fibonacci hashing (every element of a
+// smaller set). It is a guess at the largest set's root, and a wrong guess
+// costs work only: callers skip an element's remaining edges when it is
+// already in this root's set, which is correct for any root.
+func (uf *UnionFind) PluralityRoot() uint32 {
+	n := uint64(len(uf.parent))
+	votes := map[uint32]int{}
+	best := uint32(0)
+	for i := uint64(0); i < min(n, sampleSize); i++ {
+		v := i
+		if n > sampleSize {
+			v = (i * 0x9e3779b97f4a7c15 >> 32) % n
+		}
+		r := uf.Find(uint32(v))
+		if votes[r]++; votes[r] > votes[best] {
+			best = r
+		}
+	}
+	return best
 }
 
 // Components returns, for every vertex of g, the minimum vertex id of its
@@ -114,7 +170,7 @@ func Components(a graph.Adjacency) ([]uint32, int) {
 	}
 	n := a.NumVertices()
 	uf := NewUnionFind(n)
-	forEachForwardEdge(a, func(u, v uint32) { uf.Union(u, v) })
+	unite(a, uf, nil)
 	labels := make([]uint32, n)
 	parallel.For(n, 0, func(i int) { labels[i] = uf.Find(uint32(i)) })
 	// Roots are minima because unions always link larger roots under
@@ -124,9 +180,10 @@ func Components(a graph.Adjacency) ([]uint32, int) {
 }
 
 // SpanningForest returns a spanning forest of g as a list of tree edges
-// (n - #components of them) plus the component labeling. Which forest is
-// produced depends on the parallel schedule; all are valid. Every
-// graph.Adjacency representation is accepted.
+// (n - #components of them) plus the component labeling, the minimum
+// vertex id of each component. Which forest is produced depends on the
+// parallel schedule; all are valid. Every graph.Adjacency representation
+// is accepted.
 func SpanningForest(a graph.Adjacency) ([]graph.Edge, []uint32, int) {
 	if a.IsDirected() {
 		panic("conn: SpanningForest requires an undirected graph")
@@ -136,11 +193,7 @@ func SpanningForest(a graph.Adjacency) ([]graph.Edge, []uint32, int) {
 	// A tree edge is stored at the root its union re-pointed, so recording
 	// it shares no counter; the used slots are the non-roots.
 	slots := make([]graph.Edge, n)
-	forEachForwardEdge(a, func(u, v uint32) {
-		if loser, won := uf.link(u, v); won {
-			slots[loser] = graph.Edge{U: u, V: v}
-		}
-	})
+	unite(a, uf, func(loser, u, v uint32) { slots[loser] = graph.Edge{U: u, V: v} })
 	labels := make([]uint32, n)
 	parallel.For(n, 0, func(i int) { labels[i] = uf.Find(uint32(i)) })
 	treeEdges := parallel.Pack(slots, func(v int) bool { return labels[v] != uint32(v) })

@@ -36,7 +36,8 @@ type BCCResult struct {
 //  5. connectivity over the skeleton: non-fence tree edges plus non-tree
 //     edges between *unrelated* vertices (back edges to ancestors
 //     contribute through the low/high values instead, exactly as in
-//     Tarjan–Vishkin's auxiliary-graph conditions). The BCC of tree edge
+//     Tarjan–Vishkin's auxiliary-graph conditions), sampled as
+//     conn.SpanningForest samples the graph. The BCC of tree edge
 //     (p(v), v) is v's skeleton component; a non-tree edge belongs to the
 //     component of its deeper endpoint.
 //
@@ -44,9 +45,10 @@ type BCCResult struct {
 // synchronization chains and no Θ(m) auxiliary graph, the two failure modes
 // of GBBS-style and Tarjan–Vishkin-style biconnectivity respectively.
 // The arcs are swept twice (labelFromForest), so Metrics.EdgesVisited is
-// 2·len(g.Edges); Rounds stays 0 and each stage is one Metrics phase —
-// forest, euler, sweep, fence, label — whose trace detail is its wall
-// time in microseconds.
+// 2·len(g.Edges), not counting the skeleton remainder's reads; Rounds
+// stays 0 and each stage is one Metrics phase — forest, euler, sweep,
+// fence (with the skeleton's remainder pass), label — whose trace detail
+// is its wall time in microseconds.
 // A non-nil opt.Ctx makes the run cancellable: on cancellation BCC
 // returns (zero BCCResult, partial Metrics, ErrCanceled/ErrDeadline).
 func BCC(g *graph.Graph, opt Options) (BCCResult, *Metrics, error) {
@@ -56,9 +58,9 @@ func BCC(g *graph.Graph, opt Options) (BCCResult, *Metrics, error) {
 	opt = opt.Normalized()
 	return bccRun(g, opt, func(st *stageClock) *euler.Forest {
 		// (1) + (2): rooted spanning forest, no BFS.
-		tree, _, _ := conn.SpanningForest(g)
+		tree, comp, _ := conn.SpanningForest(g)
 		st.done()
-		f := euler.Build(g.N, tree)
+		f := euler.Build(g.N, tree, comp)
 		st.done()
 		return f
 	})
@@ -124,11 +126,24 @@ type vertexRec struct {
 // above reports whether a's subtree contains the vertex with preorder pre.
 func (a *vertexRec) above(pre uint32) bool { return a.pre <= pre && pre <= a.last }
 
+// unrelated reports whether neither of a and b is an ancestor of the other.
+func unrelated(a, b *vertexRec) bool { return !a.above(b.pre) && !b.above(a.pre) }
+
 // labelFromForest runs stages (3)-(5) plus label compaction, polling cl
 // at every stage boundary (each stage is a handful of flat parallel
-// passes; the passes themselves drain through cl's token). Only two of
-// the passes are over arcs: the sweep before the fence test and the sweep
-// that writes the result.
+// passes; the passes themselves drain through cl's token). Two of the
+// passes are over all arcs: the sweep before the fence test and the sweep
+// that writes the result. The skeleton's remainder pass reads the arcs of
+// the vertices outside its largest set only.
+//
+// The skeleton's unrelated edges are united the way conn.SpanningForest
+// unites the graph's: the sweep links at most conn.LinkK unrelated arcs
+// per vertex, and after the fence test adds the non-fence tree edges, the
+// remainder pass scans the other unrelated arcs of only those vertices
+// that are not in the set of the sample's plurality root r. No skeleton
+// edge is lost: sets only merge, so if an unrelated edge {u, w} is skipped
+// by both endpoints, each endpoint was in r's set when it was checked, and
+// u and w are connected anyway.
 func labelFromForest(g *graph.Graph, f *euler.Forest, res *BCCResult, st *stageClock, cl *Canceler) error {
 	n := g.N
 	rec := make([]vertexRec, n)
@@ -138,9 +153,9 @@ func labelFromForest(g *graph.Graph, f *euler.Forest, res *BCCResult, st *stageC
 
 	// (3) per-vertex local aggregates in preorder position: the vertex's
 	// own preorder plus the preorders of its non-tree neighbors. The same
-	// sweep takes the skeleton's unrelated non-tree edges (5), which do
-	// not depend on the fence test. Ancestor back edges are accounted for
-	// by low/high instead.
+	// sweep links the vertex's first unrelated non-tree edges into the
+	// skeleton (5); they do not depend on the fence test. Ancestor back
+	// edges are accounted for by low/high instead.
 	uf := conn.NewUnionFind(n)
 	localLow := make([]uint32, n)
 	localHigh := make([]uint32, n)
@@ -148,20 +163,16 @@ func labelFromForest(g *graph.Graph, f *euler.Forest, res *BCCResult, st *stageC
 		u := uint32(ui)
 		ru := rec[u]
 		lo, hi := ru.pre, ru.pre
+		linked := 0
 		for _, w := range g.Edges[g.Offsets[u]:g.Offsets[u+1]] {
 			rw := &rec[w]
 			if rw.parent == u || ru.parent == w {
 				continue // an arc that realizes a parent/child relation
 			}
-			pw := rw.pre
-			if pw < lo {
-				lo = pw
-			}
-			if pw > hi {
-				hi = pw
-			}
-			if w > u && !ru.above(pw) && !rw.above(ru.pre) {
+			lo, hi = min(lo, rw.pre), max(hi, rw.pre)
+			if linked < conn.LinkK && unrelated(&ru, rw) {
 				uf.Union(u, w)
+				linked++
 			}
 		}
 		localLow[ru.pre] = lo
@@ -171,8 +182,7 @@ func labelFromForest(g *graph.Graph, f *euler.Forest, res *BCCResult, st *stageC
 	if err := cl.Poll(); err != nil {
 		return err
 	}
-	lowR := rmq.NewMin(localLow)
-	highR := rmq.NewMax(localHigh)
+	lowHigh := rmq.New(localLow, localHigh)
 	st.done()
 
 	// (4) fence test per non-root vertex, against the parent's interval;
@@ -184,10 +194,36 @@ func labelFromForest(g *graph.Graph, f *euler.Forest, res *BCCResult, st *stageC
 			return
 		}
 		rp := &rec[rv.parent]
-		low := lowR.Query(int(rv.pre), int(rv.last))
-		high := highR.Query(int(rv.pre), int(rv.last))
+		low, high := lowHigh.Query(int(rv.pre), int(rv.last))
 		if low < rp.pre || high > rp.last {
 			uf.Union(v, rv.parent)
+		}
+	})
+	if err := cl.Poll(); err != nil {
+		return err
+	}
+
+	// (5) the remainder: the unrelated arcs the sweep did not link, of the
+	// vertices outside the plurality root's set.
+	r := uf.PluralityRoot()
+	parallel.ForRangeCancel(cl.Token(), n, 64, func(lo, hi int) {
+		giant := uf.Find(r) // r may have been linked under a smaller root since
+		for ui := lo; ui < hi; ui++ {
+			u := uint32(ui)
+			if uf.Find(u) == giant {
+				continue
+			}
+			ru := rec[u]
+			linked := 0
+			for _, w := range g.Edges[g.Offsets[u]:g.Offsets[u+1]] {
+				rw := &rec[w]
+				if rw.parent == u || ru.parent == w || !unrelated(&ru, rw) {
+					continue
+				}
+				if linked++; linked > conn.LinkK { // the sweep linked the first LinkK
+					uf.Union(u, w)
+				}
+			}
 		}
 	})
 	if err := cl.Poll(); err != nil {

@@ -106,7 +106,7 @@ func cancelCases(dg, ug *graph.Graph) []cancelCase {
 			return met, err
 		}},
 		{"BCCFromForest", func(t *testing.T, opt Options) (*Metrics, error) {
-			f := euler.Build(ug.N, spanningTreeOf(ug))
+			f := euler.Build(ug.N, spanningTreeOf(ug), make([]uint32, ug.N)) // one tree, rooted at 0
 			res, met, err := BCCFromForest(ug, f, opt)
 			if err != nil && (res.ArcLabel != nil || res.NumBCC != 0) {
 				t.Error("BCCFromForest returned a result alongside its error")

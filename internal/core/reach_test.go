@@ -124,8 +124,8 @@ func TestBCCFromForestDirect(t *testing.T) {
 		t.Fatalf("NumBCC %d want %d", direct.NumBCC, want.NumBCC)
 	}
 
-	tree, _, _ := conn.SpanningForest(g)
-	f := euler.Build(g.N, tree)
+	tree, comp, _ := conn.SpanningForest(g)
+	f := euler.Build(g.N, tree, comp)
 	viaForest, met, _ := BCCFromForest(g, f, Options{})
 	if viaForest.NumBCC != want.NumBCC {
 		t.Fatalf("BCCFromForest NumBCC %d want %d", viaForest.NumBCC, want.NumBCC)
@@ -140,7 +140,7 @@ func TestBCCFromForestDirect(t *testing.T) {
 	}
 	// Empty graph path.
 	empty := graph.FromEdges(0, nil, false, graph.BuildOptions{})
-	res, _, _ := BCCFromForest(empty, euler.Build(0, nil), Options{})
+	res, _, _ := BCCFromForest(empty, euler.Build(0, nil, nil), Options{})
 	if res.NumBCC != 0 {
 		t.Fatal("empty BCCFromForest")
 	}

@@ -9,10 +9,10 @@ import (
 
 func benchForest(b *testing.B, rows, cols int) {
 	g := gen.Grid2D(rows, cols, false, 1)
-	tree, _, _ := conn.SpanningForest(g)
+	tree, comp, _ := conn.SpanningForest(g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Build(g.N, tree)
+		Build(g.N, tree, comp)
 	}
 }
 

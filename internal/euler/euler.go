@@ -16,7 +16,6 @@ package euler
 import (
 	"sync/atomic"
 
-	"pasgal/internal/conn"
 	"pasgal/internal/graph"
 	"pasgal/internal/parallel"
 )
@@ -48,14 +47,16 @@ const nilArc = ^uint32(0)
 
 // Build roots the forest given by treeEdges over n vertices. treeEdges must
 // be acyclic (a forest); vertices not covered by any edge become singleton
-// components.
-func Build(n int, treeEdges []graph.Edge) *Forest {
+// components. comp labels every vertex with the minimum vertex id of its
+// tree — the labels conn.SpanningForest returns with the edges — and
+// becomes the Forest's Comp.
+func Build(n int, treeEdges []graph.Edge, comp []uint32) *Forest {
 	f := &Forest{
 		N:      n,
 		Parent: make([]uint32, n),
 		Pre:    make([]uint32, n),
 		Size:   make([]uint32, n),
-		Comp:   make([]uint32, n),
+		Comp:   comp,
 	}
 	if n == 0 {
 		return f
@@ -63,15 +64,16 @@ func Build(n int, treeEdges []graph.Edge) *Forest {
 	nt := len(treeEdges)
 	nArcs := 2 * nt
 
-	f.Roots = components(treeEdges, f.Comp)
+	f.Roots = parallel.PackIndex(n, func(v int) bool { return comp[v] == uint32(v) })
 	nc := len(f.Roots)
-	succ, heads, tails := circuit(treeEdges, f.Comp, f.Roots)
-	pos, _ := rank(succ, heads) // pos(a) = number of arcs before a on its tour
-
 	// Component ordering: dense index per component in ascending label
-	// order, with vertex- and tour-base offsets.
+	// order.
 	compIdx := make([]uint32, n) // component label -> dense index
 	parallel.For(nc, 0, func(i int) { compIdx[f.Roots[i]] = uint32(i) })
+	succ, heads, tails := circuit(treeEdges, comp, f.Roots, compIdx)
+	pos, _ := rank(succ, heads) // pos(a) = number of arcs before a on its tour
+
+	// Vertex- and tour-base offsets per component.
 	compSize := make([]int64, nc) // vertices per component
 	tourLen := make([]int64, nc)  // arcs per component tour
 	parallel.For(nc, 0, func(i int) {
@@ -146,17 +148,6 @@ func Build(n int, treeEdges []graph.Edge) *Forest {
 	return f
 }
 
-// components labels every vertex with the minimum id of its tree — the
-// tree's canonical root — by union-find over the forest edges, and
-// returns the roots in ascending order.
-func components(treeEdges []graph.Edge, comp []uint32) (roots []uint32) {
-	n := len(comp)
-	uf := conn.NewUnionFind(n)
-	parallel.For(len(treeEdges), 0, func(i int) { uf.Union(treeEdges[i].U, treeEdges[i].V) })
-	parallel.For(n, 0, func(v int) { comp[v] = uf.Find(uint32(v)) })
-	return parallel.PackIndex(n, func(v int) bool { return comp[v] == uint32(v) })
-}
-
 // arcSrc returns the source of arc a: arc 2i is U->V of edge i, arc 2i+1
 // its twin V->U.
 func arcSrc(treeEdges []graph.Edge, a uint32) uint32 {
@@ -169,25 +160,21 @@ func arcSrc(treeEdges []graph.Edge, a uint32) uint32 {
 // circuit threads the Euler circuit of every tree through its arcs and
 // breaks it at the tree's root: succ[a] is the arc after a, nilArc after
 // the last. heads[i] and tails[i] are the first and last arc of the tour
-// of the tree rooted at roots[i], nilArc for a tree without edges.
-func circuit(treeEdges []graph.Edge, comp, roots []uint32) (succ, heads, tails []uint32) {
+// of the tree rooted at roots[i] (compIdx maps a root to its i), nilArc
+// for a tree without edges.
+//
+// Each vertex's arcs are threaded into a list by one atomic swap per arc:
+// the arc takes the list head's place and points at the previous head.
+// The order within a list is the schedule's, and any order is a valid
+// rotation: the circuit visits each vertex's arcs in its list order.
+func circuit(treeEdges []graph.Edge, comp, roots, compIdx []uint32) (succ, heads, tails []uint32) {
 	n, nArcs := len(comp), 2*len(treeEdges)
-
-	// Group arcs by source vertex (CSR over the forest).
-	off := make([]int64, n+1)
-	parallel.For(nArcs, 0, func(a int) {
-		atomic.AddInt64(&off[arcSrc(treeEdges, uint32(a))], 1)
-	})
-	off[n] = parallel.Scan(off[:n])
-	bySrc := make([]uint32, nArcs) // arc ids grouped by source
-	slot := make([]uint32, nArcs)  // position of each arc in bySrc
-	cursor := make([]int64, n)
-	parallel.Copy(cursor, off[:n])
+	head := make([]uint32, n) // first arc out of each vertex
+	nxt := make([]uint32, nArcs)
+	parallel.Fill(head, nilArc)
 	parallel.For(nArcs, 0, func(ai int) {
 		a := uint32(ai)
-		at := atomic.AddInt64(&cursor[arcSrc(treeEdges, a)], 1) - 1
-		bySrc[at] = a
-		slot[a] = uint32(at)
+		nxt[a] = atomic.SwapUint32(&head[arcSrc(treeEdges, a)], a)
 	})
 
 	// succ(a) = the arc after twin(a) among the arcs leaving head(a)
@@ -195,27 +182,22 @@ func circuit(treeEdges []graph.Edge, comp, roots []uint32) (succ, heads, tails [
 	// first outgoing arc of a root: that arc heads the tour, and a, the
 	// twin of the root's last outgoing arc, ends it.
 	succ = make([]uint32, nArcs)
+	heads = make([]uint32, len(roots))
+	tails = make([]uint32, len(roots))
+	parallel.For(len(roots), 0, func(i int) { heads[i], tails[i] = head[roots[i]], nilArc })
 	parallel.For(nArcs, 0, func(ai int) {
 		a := uint32(ai)
 		t := a ^ 1
-		s := arcSrc(treeEdges, t)
-		k := int64(slot[t]) + 1
-		if k == off[s+1] {
+		next := nxt[t]
+		if next == nilArc {
+			s := arcSrc(treeEdges, t)
 			if comp[s] == s {
-				succ[a] = nilArc
-				return
+				tails[compIdx[s]] = a
+			} else {
+				next = head[s]
 			}
-			k = off[s]
 		}
-		succ[a] = bySrc[k]
-	})
-	heads = make([]uint32, len(roots))
-	tails = make([]uint32, len(roots))
-	parallel.For(len(roots), 0, func(i int) {
-		heads[i], tails[i] = nilArc, nilArc
-		if r := roots[i]; off[r] < off[r+1] {
-			heads[i], tails[i] = bySrc[off[r]], bySrc[off[r+1]-1]^1
-		}
+		succ[a] = next
 	})
 	return succ, heads, tails
 }

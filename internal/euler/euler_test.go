@@ -7,6 +7,34 @@ import (
 	"pasgal/internal/graph"
 )
 
+// minLabels labels every vertex with the minimum id of its tree, the
+// labels Build takes from its caller, by a sequential union–find.
+func minLabels(n int, tree []graph.Edge) []uint32 {
+	parent := make([]uint32, n)
+	for i := range parent {
+		parent[i] = uint32(i)
+	}
+	var find func(v uint32) uint32
+	find = func(v uint32) uint32 {
+		if parent[v] != v {
+			parent[v] = find(parent[v])
+		}
+		return parent[v]
+	}
+	for _, e := range tree {
+		a, b := find(e.U), find(e.V)
+		parent[max(a, b)] = min(a, b)
+	}
+	comp := make([]uint32, n)
+	for v := range comp {
+		comp[v] = find(uint32(v))
+	}
+	return comp
+}
+
+// build is Build with the labels its callers already hold.
+func build(n int, tree []graph.Edge) *Forest { return Build(n, tree, minLabels(n, tree)) }
+
 // checkForest verifies all structural invariants of a rooted forest built
 // from the given tree edges:
 //   - Pre is a permutation of [0,n)
@@ -101,7 +129,7 @@ func TestPathTree(t *testing.T) {
 	for i := range tree {
 		tree[i] = graph.Edge{U: uint32(i), V: uint32(i + 1)}
 	}
-	f := Build(n, tree)
+	f := build(n, tree)
 	checkForest(t, n, tree, f)
 	// Rooted at 0, the path's preorder is the identity.
 	for v := 0; v < n; v++ {
@@ -123,7 +151,7 @@ func TestStarTree(t *testing.T) {
 	for i := range tree {
 		tree[i] = graph.Edge{U: 0, V: uint32(i + 1)}
 	}
-	f := Build(n, tree)
+	f := build(n, tree)
 	checkForest(t, n, tree, f)
 	if f.Size[0] != uint32(n) || f.Pre[0] != 0 {
 		t.Fatal("star root wrong")
@@ -138,7 +166,7 @@ func TestStarTree(t *testing.T) {
 func TestForestWithIsolatedVertices(t *testing.T) {
 	// Vertices 0-2 form a path, 3 is isolated, 4-5 an edge.
 	tree := []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 4, V: 5}}
-	f := Build(6, tree)
+	f := build(6, tree)
 	checkForest(t, 6, tree, f)
 	if len(f.Roots) != 3 {
 		t.Fatalf("roots = %v", f.Roots)
@@ -153,11 +181,11 @@ func TestForestWithIsolatedVertices(t *testing.T) {
 }
 
 func TestEmptyAndSingle(t *testing.T) {
-	f := Build(0, nil)
+	f := build(0, nil)
 	if f.N != 0 {
 		t.Fatal("empty forest")
 	}
-	f = Build(1, nil)
+	f = build(1, nil)
 	checkForest(t, 1, nil, f)
 	if f.Size[0] != 1 || f.Pre[0] != 0 {
 		t.Fatal("single vertex wrong")
@@ -181,7 +209,7 @@ func TestRandomTrees(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		n := 2 + rng.IntN(200)
 		tree := randomTree(rng, n)
-		f := Build(n, tree)
+		f := build(n, tree)
 		checkForest(t, n, tree, f)
 	}
 }
@@ -208,7 +236,7 @@ func TestRandomForests(t *testing.T) {
 			}
 			base += s
 		}
-		f := Build(n, tree)
+		f := build(n, tree)
 		checkForest(t, n, tree, f)
 		if len(f.Roots) != len(sizes) {
 			t.Fatalf("trial %d: %d roots, want %d", trial, len(f.Roots), len(sizes))
@@ -223,7 +251,7 @@ func TestDeepTree(t *testing.T) {
 	for i := range tree {
 		tree[i] = graph.Edge{U: uint32(i), V: uint32(i + 1)}
 	}
-	f := Build(n, tree)
+	f := build(n, tree)
 	if f.Pre[n-1] != uint32(n-1) || f.Size[0] != uint32(n) {
 		t.Fatal("deep path wrong")
 	}
@@ -231,7 +259,7 @@ func TestDeepTree(t *testing.T) {
 
 func TestFirstLastAccessors(t *testing.T) {
 	tree := []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}}
-	f := Build(3, tree)
+	f := build(3, tree)
 	for v := uint32(0); v < 3; v++ {
 		if f.First(v) != f.Pre[v] {
 			t.Fatalf("First(%d) = %d, Pre = %d", v, f.First(v), f.Pre[v])

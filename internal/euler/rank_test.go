@@ -84,9 +84,16 @@ func rankShapes() []rankShape {
 
 // lists is the input Build hands to rank for s.
 func (s rankShape) lists() (succ, heads []uint32) {
-	comp := make([]uint32, s.n)
-	roots := components(s.tree, comp)
-	succ, heads, _ = circuit(s.tree, comp, roots)
+	comp := minLabels(s.n, s.tree)
+	roots := make([]uint32, 0)
+	compIdx := make([]uint32, s.n)
+	for v := range comp {
+		if comp[v] == uint32(v) {
+			compIdx[v] = uint32(len(roots))
+			roots = append(roots, uint32(v))
+		}
+	}
+	succ, heads, _ = circuit(s.tree, comp, roots, compIdx)
 	return succ, heads
 }
 
@@ -115,7 +122,7 @@ func TestRankMatchesSequentialWalk(t *testing.T) {
 				t.Fatalf("%s: pos[%d] = %d, sequential walk says %d", s.name, a, got[a], want[a])
 			}
 		}
-		checkForest(t, s.n, s.tree, Build(s.n, s.tree))
+		checkForest(t, s.n, s.tree, build(s.n, s.tree))
 	}
 }
 

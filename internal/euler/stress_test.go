@@ -32,8 +32,8 @@ func TestStressBuildUnderRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tree, _, _ := conn.SpanningForest(g)
-			f := euler.Build(g.N, tree)
+			tree, comp, _ := conn.SpanningForest(g)
+			f := euler.Build(g.N, tree, comp)
 			if len(f.Roots) != comps {
 				t.Errorf("forest has %d roots, graph %d components", len(f.Roots), comps)
 			}

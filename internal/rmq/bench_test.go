@@ -5,26 +5,26 @@ import (
 	"testing"
 )
 
-func BenchmarkBuild(b *testing.B) {
-	rng := rand.New(rand.NewPCG(1, 1))
-	vals := make([]uint32, 1<<20)
-	for i := range vals {
-		vals[i] = rng.Uint32()
+func randomPair(rng *rand.Rand, n int) (lo, hi []uint32) {
+	lo, hi = make([]uint32, n), make([]uint32, n)
+	for i := range lo {
+		lo[i], hi[i] = rng.Uint32(), rng.Uint32()
 	}
+	return lo, hi
+}
+
+func BenchmarkBuild(b *testing.B) {
+	lo, hi := randomPair(rand.New(rand.NewPCG(1, 1)), 1<<20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		NewMin(vals)
+		New(lo, hi)
 	}
 }
 
 func BenchmarkQuery(b *testing.B) {
 	rng := rand.New(rand.NewPCG(2, 2))
 	n := 1 << 20
-	vals := make([]uint32, n)
-	for i := range vals {
-		vals[i] = rng.Uint32()
-	}
-	r := NewMin(vals)
+	r := New(randomPair(rng, n))
 	// Pre-draw query ranges so the RNG is out of the hot loop.
 	qs := make([][2]int, 4096)
 	for i := range qs {

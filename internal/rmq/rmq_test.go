@@ -6,42 +6,65 @@ import (
 	"testing/quick"
 )
 
-func bruteMin(vals []uint32, lo, hi int) uint32 {
-	acc := vals[lo]
-	for i := lo + 1; i <= hi; i++ {
-		if vals[i] < acc {
-			acc = vals[i]
-		}
+func bruteMinMax(lo, hi []uint32, l, h int) (uint32, uint32) {
+	mn, mx := lo[l], hi[l]
+	for i := l + 1; i <= h; i++ {
+		mn, mx = min(mn, lo[i]), max(mx, hi[i])
 	}
-	return acc
+	return mn, mx
 }
 
-func bruteMax(vals []uint32, lo, hi int) uint32 {
-	acc := vals[lo]
-	for i := lo + 1; i <= hi; i++ {
-		if vals[i] > acc {
-			acc = vals[i]
+// fills are the value patterns the exhaustive sweep runs: random, and
+// monotone in both directions so a range's extremes sit at its ends.
+var fills = []struct {
+	name string
+	gen  func(rng *rand.Rand, n int) (lo, hi []uint32)
+}{
+	{"random", func(rng *rand.Rand, n int) ([]uint32, []uint32) {
+		lo, hi := make([]uint32, n), make([]uint32, n)
+		for i := range lo {
+			lo[i], hi[i] = rng.Uint32N(1000), rng.Uint32N(1000)
 		}
-	}
-	return acc
+		return lo, hi
+	}},
+	{"ascending", func(_ *rand.Rand, n int) ([]uint32, []uint32) {
+		lo, hi := make([]uint32, n), make([]uint32, n)
+		for i := range lo {
+			lo[i], hi[i] = uint32(i), uint32(i+1)
+		}
+		return lo, hi
+	}},
+	{"descending", func(_ *rand.Rand, n int) ([]uint32, []uint32) {
+		lo, hi := make([]uint32, n), make([]uint32, n)
+		for i := range lo {
+			lo[i], hi[i] = uint32(n-i), uint32(2*n-i)
+		}
+		return lo, hi
+	}},
+	{"opposed", func(_ *rand.Rand, n int) ([]uint32, []uint32) {
+		lo, hi := make([]uint32, n), make([]uint32, n)
+		for i := range lo {
+			lo[i], hi[i] = uint32(n-i), uint32(i)
+		}
+		return lo, hi
+	}},
 }
 
+// TestRMQExhaustiveSmall checks every (l, h) at sizes on both sides of the
+// 32-element block and of the sparse table's row boundaries.
 func TestRMQExhaustiveSmall(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 1))
-	for _, n := range []int{1, 2, 31, 32, 33, 64, 100, 257} {
-		vals := make([]uint32, n)
-		for i := range vals {
-			vals[i] = rng.Uint32N(1000)
-		}
-		mn := NewMin(vals)
-		mx := NewMax(vals)
-		for lo := 0; lo < n; lo++ {
-			for hi := lo; hi < n; hi++ {
-				if got, want := mn.Query(lo, hi), bruteMin(vals, lo, hi); got != want {
-					t.Fatalf("n=%d min[%d,%d] = %d, want %d", n, lo, hi, got, want)
-				}
-				if got, want := mx.Query(lo, hi), bruteMax(vals, lo, hi); got != want {
-					t.Fatalf("n=%d max[%d,%d] = %d, want %d", n, lo, hi, got, want)
+	for _, f := range fills {
+		for _, n := range []int{1, 31, 32, 33, 64, 65, 1000} {
+			lo, hi := f.gen(rng, n)
+			r := New(lo, hi)
+			for l := 0; l < n; l++ {
+				mn, mx := lo[l], hi[l]
+				for h := l; h < n; h++ {
+					mn, mx = min(mn, lo[h]), max(mx, hi[h])
+					if gl, gh := r.Query(l, h); gl != mn || gh != mx {
+						t.Fatalf("%s n=%d [%d,%d] = (%d,%d), want (%d,%d)", f.name, n, l, h, gl, gh, mn, mx)
+					}
 				}
 			}
 		}
@@ -51,20 +74,17 @@ func TestRMQExhaustiveSmall(t *testing.T) {
 func TestRMQRandomLarge(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2, 2))
 	n := 100000
-	vals := make([]uint32, n)
-	for i := range vals {
-		vals[i] = rng.Uint32()
+	lo, hi := make([]uint32, n), make([]uint32, n)
+	for i := range lo {
+		lo[i], hi[i] = rng.Uint32(), rng.Uint32()
 	}
-	mn := NewMin(vals)
-	mx := NewMax(vals)
+	r := New(lo, hi)
 	for q := 0; q < 2000; q++ {
-		lo := rng.IntN(n)
-		hi := lo + rng.IntN(n-lo)
-		if got, want := mn.Query(lo, hi), bruteMin(vals, lo, hi); got != want {
-			t.Fatalf("min[%d,%d] = %d, want %d", lo, hi, got, want)
-		}
-		if got, want := mx.Query(lo, hi), bruteMax(vals, lo, hi); got != want {
-			t.Fatalf("max[%d,%d] = %d, want %d", lo, hi, got, want)
+		l := rng.IntN(n)
+		h := l + rng.IntN(n-l)
+		wl, wh := bruteMinMax(lo, hi, l, h)
+		if gl, gh := r.Query(l, h); gl != wl || gh != wh {
+			t.Fatalf("[%d,%d] = (%d,%d), want (%d,%d)", l, h, gl, gh, wl, wh)
 		}
 	}
 }
@@ -74,12 +94,18 @@ func TestRMQQuick(t *testing.T) {
 		if len(raw) == 0 {
 			return true
 		}
-		lo := int(a) % len(raw)
-		hi := int(b) % len(raw)
-		if lo > hi {
-			lo, hi = hi, lo
+		l := int(a) % len(raw)
+		h := int(b) % len(raw)
+		if l > h {
+			l, h = h, l
 		}
-		return NewMin(raw).Query(lo, hi) == bruteMin(raw, lo, hi)
+		rev := make([]uint32, len(raw))
+		for i, v := range raw {
+			rev[len(raw)-1-i] = v
+		}
+		gl, gh := New(raw, rev).Query(l, h)
+		wl, wh := bruteMinMax(raw, rev, l, h)
+		return gl == wl && gh == wh
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -87,7 +113,7 @@ func TestRMQQuick(t *testing.T) {
 }
 
 func TestRMQPanicsOutOfRange(t *testing.T) {
-	r := NewMin([]uint32{1, 2, 3})
+	r := New([]uint32{1, 2, 3}, []uint32{4, 5, 6})
 	for _, q := range [][2]int{{2, 1}, {-1, 0}, {0, 3}} {
 		func() {
 			defer func() {
@@ -98,72 +124,43 @@ func TestRMQPanicsOutOfRange(t *testing.T) {
 			r.Query(q[0], q[1])
 		}()
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic for arrays of different lengths")
+		}
+	}()
+	New([]uint32{1}, nil)
 }
 
 // TestRMQStructuredTable sweeps adversarial value patterns that random
-// fills never produce — sorted runs, plateaus of duplicates, sawtooth
-// block boundaries — at the query extremes (point, prefix, suffix, full
-// range) for both the min and max structures.
+// fills never produce — plateaus of duplicates, sawtooth block boundaries,
+// alternating extremes — at the query extremes (point, prefix, suffix,
+// full range).
 func TestRMQStructuredTable(t *testing.T) {
 	patterns := []struct {
 		name string
-		gen  func(n int) []uint32
+		gen  func(i int) uint32
 	}{
-		{"ascending", func(n int) []uint32 {
-			v := make([]uint32, n)
-			for i := range v {
-				v[i] = uint32(i)
+		{"constant", func(int) uint32 { return 7 }},
+		{"sawtooth", func(i int) uint32 { return uint32(i % 13) }},
+		{"extremes", func(i int) uint32 {
+			if i%2 == 0 {
+				return 0
 			}
-			return v
-		}},
-		{"descending", func(n int) []uint32 {
-			v := make([]uint32, n)
-			for i := range v {
-				v[i] = uint32(n - i)
-			}
-			return v
-		}},
-		{"constant", func(n int) []uint32 {
-			v := make([]uint32, n)
-			for i := range v {
-				v[i] = 7
-			}
-			return v
-		}},
-		{"sawtooth", func(n int) []uint32 {
-			v := make([]uint32, n)
-			for i := range v {
-				v[i] = uint32(i % 13)
-			}
-			return v
-		}},
-		{"extremes", func(n int) []uint32 {
-			v := make([]uint32, n)
-			for i := range v {
-				if i%2 == 0 {
-					v[i] = 0
-				} else {
-					v[i] = ^uint32(0)
-				}
-			}
-			return v
+			return ^uint32(0)
 		}},
 	}
 	for _, p := range patterns {
 		for _, n := range []int{1, 2, 33, 64, 129} {
-			vals := p.gen(n)
-			mn, mx := NewMin(vals), NewMax(vals)
-			queries := [][2]int{
-				{0, 0}, {n - 1, n - 1}, {0, n - 1},
-				{0, n / 2}, {n / 2, n - 1},
+			lo, hi := make([]uint32, n), make([]uint32, n)
+			for i := range lo {
+				lo[i], hi[i] = p.gen(i), p.gen(i+1)
 			}
-			for _, q := range queries {
-				lo, hi := q[0], q[1]
-				if got, want := mn.Query(lo, hi), bruteMin(vals, lo, hi); got != want {
-					t.Fatalf("%s n=%d min[%d,%d] = %d, want %d", p.name, n, lo, hi, got, want)
-				}
-				if got, want := mx.Query(lo, hi), bruteMax(vals, lo, hi); got != want {
-					t.Fatalf("%s n=%d max[%d,%d] = %d, want %d", p.name, n, lo, hi, got, want)
+			r := New(lo, hi)
+			for _, q := range [][2]int{{0, 0}, {n - 1, n - 1}, {0, n - 1}, {0, n / 2}, {n / 2, n - 1}} {
+				wl, wh := bruteMinMax(lo, hi, q[0], q[1])
+				if gl, gh := r.Query(q[0], q[1]); gl != wl || gh != wh {
+					t.Fatalf("%s n=%d %v = (%d,%d), want (%d,%d)", p.name, n, q, gl, gh, wl, wh)
 				}
 			}
 		}

@@ -15,8 +15,14 @@ const noArc = ^uint64(0)
 
 // HopcroftTarjanBCC computes biconnected components with the classic
 // Hopcroft–Tarjan algorithm, implemented iteratively. g must be symmetric
-// (undirected), deduplicated, and self-loop-free — the invariants
-// graph.FromEdges establishes.
+// (undirected). Self-loops and parallel arcs, which graph.FromEdges keeps
+// only on request, follow the rules core.BCC states:
+//   - a self-loop at a DFS root (the minimum id of its component) is a
+//     component of its own, one per root however many loops it has, and
+//     makes the root an articulation point if the root has other edges;
+//   - a self-loop anywhere else carries the label of the vertex's parent
+//     edge, which is the same on every spanning tree rooted there;
+//   - parallel arcs share a label.
 func HopcroftTarjanBCC(g *graph.Graph) BCCResult {
 	if g.Directed {
 		panic("seq: HopcroftTarjanBCC requires an undirected graph")
@@ -52,12 +58,13 @@ func HopcroftTarjanBCC(g *graph.Graph) BCCResult {
 	}
 	sarcStack := make([]sarc, 0, 1024)
 
-	// popComponent pops arcs up to and including entryArc, assigning them
-	// (and their reverse arcs) a fresh component label.
+	// popComponent pops arcs up to and including entryArc (the whole stack
+	// for noArc), assigning them (and their reverse arcs) a fresh
+	// component label.
 	popComponent := func(entryArc uint64) {
 		id := count
 		count++
-		for {
+		for len(sarcStack) > 0 {
 			se := sarcStack[len(sarcStack)-1]
 			sarcStack = sarcStack[:len(sarcStack)-1]
 			label[se.e] = id
@@ -90,6 +97,13 @@ func HopcroftTarjanBCC(g *graph.Graph) BCCResult {
 					continue // don't traverse the edge we came in on
 				}
 				w := g.Edges[e]
+				if w == v {
+					// A self-loop: on the stack above v's entry arc, so it
+					// leaves with the component of v's parent edge, or at
+					// a root with the loops' own component below.
+					sarcStack = append(sarcStack, sarc{v, e})
+					continue
+				}
 				if disc[w] == unset {
 					// Tree edge: push and descend.
 					sarcStack = append(sarcStack, sarc{v, e})
@@ -117,9 +131,14 @@ func HopcroftTarjanBCC(g *graph.Graph) BCCResult {
 			fin := *f
 			frames = frames[:len(frames)-1]
 			if len(frames) == 0 {
-				// Root: articulation iff it has >= 2 DFS children.
-				if fin.children >= 2 {
+				// Root: articulation iff it has >= 2 DFS children, or a
+				// child and self-loops, which are all that is left on the
+				// stack.
+				if fin.children >= 2 || fin.children == 1 && len(sarcStack) > 0 {
 					artic[fin.v] = true
+				}
+				if len(sarcStack) > 0 {
+					popComponent(noArc)
 				}
 				continue
 			}
@@ -135,6 +154,16 @@ func HopcroftTarjanBCC(g *graph.Graph) BCCResult {
 				if pf.entryArc != noArc {
 					artic[pf.v] = true
 				}
+			}
+		}
+	}
+	// Only parallel arcs are left unlabeled. The DFS labels every copy
+	// from the deeper endpoint, and the first copy from the other; the
+	// first copy is what FindArc returns.
+	for u := uint32(0); u < uint32(n); u++ {
+		for e := g.Offsets[u]; e < g.Offsets[u+1]; e++ {
+			if label[e] == graph.None {
+				label[e] = label[g.FindArc(u, g.Edges[e])]
 			}
 		}
 	}

@@ -268,6 +268,66 @@ func TestBCCArticulationSemantics(t *testing.T) {
 	}
 }
 
+// TestBCCLoopsAndParallelArcs pins the labels the oracle gives self-loops
+// and parallel arcs: a loop at a component's minimum vertex is a component
+// of its own, a loop elsewhere goes with the vertex's parent edge, and the
+// copies of an edge share its label.
+func TestBCCLoopsAndParallelArcs(t *testing.T) {
+	edges := []graph.Edge{
+		{U: 0, V: 0}, {U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 2}, // a path with loops on its root and its leaf
+		{U: 3, V: 4}, {U: 3, V: 4}, {U: 4, V: 3}, // a triple edge
+		{U: 5, V: 5}, {U: 5, V: 5}, // a vertex with only loops; 6 is isolated
+		{U: 7, V: 8}, {U: 8, V: 9}, {U: 9, V: 8}, {U: 9, V: 7}, {U: 9, V: 9}, // a triangle, one side doubled, a loop off the root
+	}
+	g := graph.FromEdges(10, edges, false, graph.BuildOptions{KeepSelfLoops: true, KeepDuplicates: true})
+	res := HopcroftTarjanBCC(g)
+	label := func(u, v uint32) uint32 {
+		l := graph.None
+		for e := g.Offsets[u]; e < g.Offsets[u+1]; e++ {
+			if g.Edges[e] != v {
+				continue
+			}
+			if l != graph.None && res.ArcLabel[e] != l {
+				t.Fatalf("copies of arc %d->%d labeled %d and %d", u, v, l, res.ArcLabel[e])
+			}
+			l = res.ArcLabel[e]
+		}
+		if l == graph.None {
+			t.Fatalf("arc %d->%d unlabeled", u, v)
+		}
+		return l
+	}
+	for u := uint32(0); u < uint32(g.N); u++ {
+		for _, v := range g.Neighbors(u) {
+			if label(u, v) != label(v, u) {
+				t.Fatalf("edge {%d,%d}: the two directions differ", u, v)
+			}
+		}
+	}
+	distinct := []uint32{label(0, 0), label(0, 1), label(1, 2), label(3, 4), label(5, 5), label(7, 8)}
+	seen := map[uint32]bool{}
+	for _, l := range distinct {
+		if seen[l] {
+			t.Fatalf("labels %v: two components share one", distinct)
+		}
+		seen[l] = true
+	}
+	if res.NumBCC != len(distinct) {
+		t.Fatalf("NumBCC = %d, want %d", res.NumBCC, len(distinct))
+	}
+	if label(2, 2) != label(1, 2) {
+		t.Fatal("the leaf's loop does not carry its parent edge's label")
+	}
+	if label(9, 9) != label(7, 8) || label(8, 9) != label(7, 8) || label(9, 7) != label(7, 8) {
+		t.Fatal("the triangle, its doubled side and its loop are not one component")
+	}
+	for v, want := range []bool{true, true, false, false, false, false, false, false, false, false} {
+		if res.IsArtPort[v] != want {
+			t.Fatalf("articulation[%d] = %v, want %v", v, res.IsArtPort[v], want)
+		}
+	}
+}
+
 func boolInt(b bool) int {
 	if b {
 		return 1

@@ -96,6 +96,12 @@ if [ "$short" = 1 ]; then
     # The count is the same on every schedule; uncached so it is the code
     # in the tree that is counted.
     go test -run 'TestRankWorkBound' -count=1 ./internal/euler
+    echo '== BCC and sampled connectivity'
+    # Uncached: the spanning forest, and so the skeleton's sample, belong
+    # to the schedule; the arc partition must not depend on them.
+    go test -run '^TestDifferentialBCC$' -count=1 ./internal/bench
+    go test -run '^(TestSampledComponents|TestSampledSpanningForest|TestPluralityRoot)$' -count=1 ./internal/conn
+    go test -run '^(TestBCCSampledSkeletonManyBlocks|TestBCCSkeletonRemainderOnStarForest)$' -count=1 ./internal/core
     echo '== SCC and BFS on every representation'
     # Uncached for the same reason: which label claims a vertex first and
     # which task installs a BFS distance first (and so which round finds an

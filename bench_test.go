@@ -82,12 +82,12 @@ func BenchmarkTab4BFS(b *testing.B) {
 		})
 		b.Run(name+"/GBBS", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				baseline.GBBSBFS(g, src)
+				baseline.GBBSBFS(g, src, core.Options{})
 			}
 		})
 		b.Run(name+"/GAPBS", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				baseline.GAPBSBFS(g, src)
+				baseline.GAPBSBFS(g, src, core.Options{})
 			}
 		})
 		b.Run(name+"/SeqQueue", func(b *testing.B) {
@@ -112,12 +112,12 @@ func BenchmarkTab3SCC(b *testing.B) {
 		})
 		b.Run(name+"/GBBS", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				baseline.GBBSSCC(g)
+				baseline.GBBSSCC(g, core.Options{})
 			}
 		})
 		b.Run(name+"/Multistep", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				baseline.MultistepSCC(g)
+				baseline.MultistepSCC(g, core.Options{})
 			}
 		})
 		b.Run(name+"/Tarjan", func(b *testing.B) {
@@ -140,12 +140,12 @@ func BenchmarkTab2BCC(b *testing.B) {
 		})
 		b.Run(name+"/GBBS", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				baseline.GBBSBCC(g)
+				baseline.GBBSBCC(g, core.Options{})
 			}
 		})
 		b.Run(name+"/TV", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				baseline.TarjanVishkinBCC(g)
+				baseline.TarjanVishkinBCC(g, core.Options{})
 			}
 		})
 		b.Run(name+"/HopcroftTarjan", func(b *testing.B) {
@@ -174,7 +174,7 @@ func BenchmarkSSSP(b *testing.B) {
 		})
 		b.Run(name+"/DeltaStep", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				baseline.DeltaSteppingSSSP(g, src, 1<<15)
+				baseline.DeltaSteppingSSSP(g, src, 1<<15, core.Options{})
 			}
 		})
 		b.Run(name+"/Dijkstra", func(b *testing.B) {
@@ -202,7 +202,7 @@ func BenchmarkFig1SCCScaling(b *testing.B) {
 				old := parallel.SetWorkers(p)
 				defer parallel.SetWorkers(old)
 				for i := 0; i < b.N; i++ {
-					baseline.GBBSSCC(g)
+					baseline.GBBSSCC(g, core.Options{})
 				}
 			})
 		}

@@ -329,82 +329,73 @@ func TestCLIErrors(t *testing.T) {
 }
 
 // TestCLIVetJSON is the golden-output test for pasgal-vet -json: the
-// machine-readable findings for the xa/xb cross-package fixture must match
-// exactly — rule, position, message, and function are a stable contract
-// for editor and CI integrations. A second run over the escape fixture
-// checks the callPath field renders the multi-hop chain.
+// machine-readable findings for the mixed fixture must match exactly —
+// file, position, rule, message, and function are a stable contract for
+// editor and CI integrations, and no finding carries a field beyond them.
 func TestCLIVetJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
 	bins := buildTools(t)
-	vet := filepath.Join(bins, "pasgal-vet")
-
-	runVet := func(pattern string) []map[string]any {
-		t.Helper()
-		cmd := exec.Command(vet, "-json", pattern)
-		out, err := cmd.Output()
-		// Findings are expected: exit status 1, not 0 and not 2.
-		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
-			t.Fatalf("pasgal-vet -json %s: err=%v, want exit 1\n%s", pattern, err, out)
-		}
-		var findings []map[string]any
-		if err := json.Unmarshal(out, &findings); err != nil {
-			t.Fatalf("invalid JSON from pasgal-vet: %v\n%s", err, out)
-		}
-		return findings
+	root, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	got := runVet("./internal/lint/testdata/src/xa")
+	const pattern = "./internal/lint/testdata/src/mixed"
+	out, err := exec.Command(filepath.Join(bins, "pasgal-vet"), "-json", pattern).Output()
+	// Findings are expected: exit status 1, not 0 and not 2.
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+		t.Fatalf("pasgal-vet -json %s: err=%v, want exit 1\n%s", pattern, err, out)
+	}
+	var got []map[string]any
+	if err := json.Unmarshal(out, &got); err != nil {
+		t.Fatalf("invalid JSON from pasgal-vet: %v\n%s", err, out)
+	}
+
+	// Messages cite the atomic access by absolute path.
+	src := filepath.Join(root, "internal/lint/testdata/src/mixed/mixed.go")
 	want := []map[string]any{
 		{
-			"file":     "internal/lint/testdata/src/xa/xa.go",
-			"line":     float64(12),
+			"file":     "internal/lint/testdata/src/mixed/mixed.go",
+			"line":     float64(22),
 			"col":      float64(2),
-			"rule":     "xpkg-mixed-access",
-			"message":  "N is accessed atomically in pasgal/internal/lint/testdata/src/xb (internal/lint/testdata/src/xb/xb.go:12) but plainly written here; the packages race through the shared object",
-			"function": "lint/testdata/src/xa.badReset",
+			"rule":     "mixed-access",
+			"message":  "hits is accessed atomically (e.g. " + src + ":21:19) but plainly written here",
+			"function": "bad",
 		},
 		{
-			"file":     "internal/lint/testdata/src/xa/xa.go",
-			"line":     float64(18),
-			"col":      float64(7),
-			"rule":     "xpkg-mixed-access",
-			"message":  "N is accessed atomically in pasgal/internal/lint/testdata/src/xb (internal/lint/testdata/src/xb/xb.go:12) but plainly read here inside a goroutine/parallel closure",
-			"function": "lint/testdata/src/xa.badPeek",
+			"file":     "internal/lint/testdata/src/mixed/mixed.go",
+			"line":     float64(23),
+			"col":      float64(2),
+			"rule":     "mixed-access",
+			"message":  "hits is accessed atomically (e.g. " + src + ":21:19) but plainly written here",
+			"function": "bad",
+		},
+		{
+			"file":     "internal/lint/testdata/src/mixed/mixed.go",
+			"line":     float64(35),
+			"col":      float64(8),
+			"rule":     "mixed-access",
+			"message":  "global is accessed atomically (e.g. " + src + ":38:19) but plainly read here inside a goroutine/parallel closure",
+			"function": "badConcurrentRead",
 		},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("got %d findings, want %d:\n%v", len(got), len(want), got)
 	}
 	for i := range want {
+		if _, ok := got[i]["callPath"]; ok {
+			t.Errorf("finding %d has a callPath key: %v", i, got[i])
+		}
+		if len(got[i]) != len(want[i]) {
+			t.Errorf("finding %d has keys %v, want exactly those of %v", i, got[i], want[i])
+		}
 		for k, v := range want[i] {
 			if got[i][k] != v {
 				t.Errorf("finding %d %s = %v, want %v", i, k, got[i][k], v)
 			}
 		}
-	}
-
-	// The escape fixture's chained case must carry a two-hop call path:
-	// closure -> relay -> escapedep.Bump.
-	var chained map[string]any
-	for _, f := range runVet("./internal/lint/testdata/src/escape") {
-		if f["function"] == "badChained" {
-			chained = f
-		}
-	}
-	if chained == nil {
-		t.Fatal("no finding for badChained in the escape fixture")
-	}
-	path, _ := chained["callPath"].([]any)
-	if len(path) != 2 {
-		t.Fatalf("badChained callPath = %v, want 2 hops", chained["callPath"])
-	}
-	if s, _ := path[0].(string); !strings.Contains(s, "escape.relay") {
-		t.Errorf("hop 0 = %v, want the relay helper", path[0])
-	}
-	if s, _ := path[1].(string); !strings.Contains(s, "escapedep.Bump") {
-		t.Errorf("hop 1 = %v, want the cross-package writer", path[1])
 	}
 }
 

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"pasgal/internal/lint"
 )
@@ -32,7 +31,6 @@ func main() {
 	rules := flag.String("rules", "", "comma-separated subset of rules to run (default: all)")
 	tests := flag.Bool("tests", false, "also analyze in-package _test.go files")
 	list := flag.Bool("list", false, "list the available rules and exit")
-	timing := flag.Bool("time", false, "print engine phase and per-package timings to stderr")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: pasgal-vet [flags] [patterns ...]\n\nPASGAL concurrency vet: %s\n\nFlags:\n",
 			strings.Join(lint.AnalyzerNames(), ", "))
@@ -61,18 +59,10 @@ func main() {
 		}
 	}
 
-	res, err := lint.RunResult(flag.Args(), opts)
+	findings, err := lint.Run(flag.Args(), opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pasgal-vet: %v\n", err)
 		os.Exit(2)
-	}
-	findings := res.Findings
-
-	if *timing {
-		fmt.Fprintln(os.Stderr, "pasgal-vet timings:")
-		for _, tm := range res.Timings {
-			fmt.Fprintf(os.Stderr, "  %-40s %s\n", tm.Name, tm.Dur.Round(10*time.Microsecond))
-		}
 	}
 
 	if *jsonOut {

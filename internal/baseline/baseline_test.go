@@ -50,7 +50,7 @@ func TestGBBSBFSMatchesSequential(t *testing.T) {
 	for _, directed := range []bool{false, true} {
 		for name, g := range suite(directed) {
 			want := seq.BFS(g, 0)
-			got, met := GBBSBFS(g, 0)
+			got, met, _ := GBBSBFS(g, 0, core.Options{})
 			for v := range want {
 				if got[v] != want[v] {
 					t.Fatalf("%s: dist[%d] = %d, want %d", name, v, got[v], want[v])
@@ -67,7 +67,7 @@ func TestGAPBSBFSMatchesSequential(t *testing.T) {
 	for _, directed := range []bool{false, true} {
 		for name, g := range suite(directed) {
 			want := seq.BFS(g, 0)
-			got, _ := GAPBSBFS(g, 0)
+			got, _, _ := GAPBSBFS(g, 0, core.Options{})
 			for v := range want {
 				if got[v] != want[v] {
 					t.Fatalf("%s: dist[%d] = %d, want %d", name, v, got[v], want[v])
@@ -83,8 +83,8 @@ func TestBFSBaselinesRandomSources(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		src := uint32(rng.IntN(g.N))
 		want := seq.BFS(g, src)
-		g1, _ := GBBSBFS(g, src)
-		g2, _ := GAPBSBFS(g, src)
+		g1, _, _ := GBBSBFS(g, src, core.Options{})
+		g2, _, _ := GAPBSBFS(g, src, core.Options{})
 		for v := range want {
 			if g1[v] != want[v] || g2[v] != want[v] {
 				t.Fatalf("src %d vertex %d: gbbs=%d gapbs=%d want=%d",
@@ -97,11 +97,11 @@ func TestBFSBaselinesRandomSources(t *testing.T) {
 // Direction optimization must fire on a dense social graph.
 func TestBFSBaselinesBottomUpTriggers(t *testing.T) {
 	g := gen.SocialRMAT(12, 16, false, 8)
-	_, met := GBBSBFS(g, 0)
+	_, met, _ := GBBSBFS(g, 0, core.Options{})
 	if met.BottomUp == 0 {
 		t.Fatal("GBBS BFS never went bottom-up on a social graph")
 	}
-	_, met = GAPBSBFS(g, 0)
+	_, met, _ = GAPBSBFS(g, 0, core.Options{})
 	if met.BottomUp == 0 {
 		t.Fatal("GAPBS BFS never went bottom-up on a social graph")
 	}
@@ -112,7 +112,7 @@ func TestBFSBaselinesBottomUpTriggers(t *testing.T) {
 func TestGBBSSCCMatchesTarjan(t *testing.T) {
 	for name, g := range suite(true) {
 		want, wantCount := seq.TarjanSCC(g)
-		got, count, _ := GBBSSCC(g)
+		got, count, _, _ := GBBSSCC(g, core.Options{})
 		if count != wantCount {
 			t.Fatalf("%s: count = %d, want %d", name, count, wantCount)
 		}
@@ -123,7 +123,7 @@ func TestGBBSSCCMatchesTarjan(t *testing.T) {
 func TestMultistepSCCMatchesTarjan(t *testing.T) {
 	for name, g := range suite(true) {
 		want, wantCount := seq.TarjanSCC(g)
-		got, count, _ := MultistepSCC(g)
+		got, count, _, _ := MultistepSCC(g, core.Options{})
 		if count != wantCount {
 			t.Fatalf("%s: count = %d, want %d", name, count, wantCount)
 		}
@@ -139,9 +139,9 @@ func TestSCCBaselinesRandom(t *testing.T) {
 		want, wantCount := seq.TarjanSCC(g)
 		for _, impl := range []struct {
 			name string
-			run  func(*graph.Graph) ([]uint32, int, *core.Metrics)
+			run  func(*graph.Graph, core.Options) ([]uint32, int, *core.Metrics, error)
 		}{{"gbbs", GBBSSCC}, {"multistep", MultistepSCC}} {
-			got, count, _ := impl.run(g)
+			got, count, _, _ := impl.run(g, core.Options{})
 			if count != wantCount {
 				t.Fatalf("trial %d %s: count %d want %d", trial, impl.name, count, wantCount)
 			}
@@ -186,7 +186,7 @@ func bccEquivalent(t *testing.T, name string, g *graph.Graph, got core.BCCResult
 
 func TestTarjanVishkinBCC(t *testing.T) {
 	for name, g := range suite(false) {
-		got, _, auxBytes := TarjanVishkinBCC(g)
+		got, _, auxBytes, _ := TarjanVishkinBCC(g, core.Options{})
 		bccEquivalent(t, name, g, got)
 		if len(g.Edges) > 0 && auxBytes <= 0 {
 			t.Fatalf("%s: aux bytes not reported", name)
@@ -196,7 +196,7 @@ func TestTarjanVishkinBCC(t *testing.T) {
 
 func TestGBBSBCC(t *testing.T) {
 	for name, g := range suite(false) {
-		got, met := GBBSBCC(g)
+		got, met, _ := GBBSBCC(g, core.Options{})
 		bccEquivalent(t, name, g, got)
 		if name == "chain" && met.Rounds < 1400 {
 			t.Fatalf("BFS-tree BCC should take ~n rounds on a chain, got %d", met.Rounds)
@@ -209,9 +209,9 @@ func TestBCCBaselinesRandom(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		n := 1 + rng.IntN(200)
 		g := gen.ER(n, rng.IntN(3*n+1), false, uint64(800+trial))
-		tv, _, _ := TarjanVishkinBCC(g)
+		tv, _, _, _ := TarjanVishkinBCC(g, core.Options{})
 		bccEquivalent(t, "tv", g, tv)
-		gb, _ := GBBSBCC(g)
+		gb, _, _ := GBBSBCC(g, core.Options{})
 		bccEquivalent(t, "gbbs", g, gb)
 	}
 }
@@ -224,7 +224,7 @@ func TestDeltaSteppingMatchesDijkstra(t *testing.T) {
 			wg := gen.AddUniformWeights(g, 1, 50, 9)
 			want := seq.Dijkstra(wg, 0)
 			for _, delta := range []uint64{0, 1, 7, 100} {
-				got, _ := DeltaSteppingSSSP(wg, 0, delta)
+				got, _, _ := DeltaSteppingSSSP(wg, 0, delta, core.Options{})
 				for v := range want {
 					if got[v] != want[v] {
 						t.Fatalf("%s delta=%d: dist[%d] = %d, want %d",
@@ -238,7 +238,7 @@ func TestDeltaSteppingMatchesDijkstra(t *testing.T) {
 
 func TestDeltaSteppingEmptyGraph(t *testing.T) {
 	g := gen.AddUniformWeights(graph.FromEdges(3, nil, true, graph.BuildOptions{}), 1, 1, 1)
-	got, _ := DeltaSteppingSSSP(g, 1, 0)
+	got, _, _ := DeltaSteppingSSSP(g, 1, 0, core.Options{})
 	if got[1] != 0 || got[0] != core.InfWeight {
 		t.Fatalf("empty graph distances wrong: %v", got)
 	}
@@ -249,7 +249,7 @@ func TestGBBSBellmanFordMatchesDijkstra(t *testing.T) {
 		for name, g := range suite(directed) {
 			wg := gen.AddUniformWeights(g, 1, 500, 10)
 			want := seq.Dijkstra(wg, 0)
-			got, met := GBBSBellmanFordSSSP(wg, 0)
+			got, met, _ := GBBSBellmanFordSSSP(wg, 0, core.Options{})
 			for v := range want {
 				if got[v] != want[v] {
 					t.Fatalf("%s: dist[%d] = %d, want %d", name, v, got[v], want[v])
@@ -264,7 +264,7 @@ func TestGBBSBellmanFordMatchesDijkstra(t *testing.T) {
 
 func TestGBBSBellmanFordEmpty(t *testing.T) {
 	g := gen.AddUniformWeights(graph.FromEdges(2, nil, true, graph.BuildOptions{}), 1, 1, 1)
-	got, _ := GBBSBellmanFordSSSP(g, 0)
+	got, _, _ := GBBSBellmanFordSSSP(g, 0, core.Options{})
 	if got[0] != 0 || got[1] != core.InfWeight {
 		t.Fatal("empty BF wrong")
 	}

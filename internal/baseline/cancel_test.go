@@ -11,10 +11,10 @@ import (
 	"pasgal/internal/graph"
 )
 
-// baselineCancelCases enumerates every cancellable baseline entry point
-// (the ...Opt variants; the plain variants have no Options and therefore
-// no way to carry a context). dg must be directed and weighted, ug
-// undirected and weighted.
+// baselineCancelCases enumerates every baseline entry point; each takes
+// Options and so can carry a context. The case names keep the "Opt"
+// suffix the entry points once had, so the subtest names stay stable.
+// dg must be directed and weighted, ug undirected and weighted.
 func baselineCancelCases(dg, ug *graph.Graph) []struct {
 	name string
 	run  func(t *testing.T, opt core.Options) (*core.Metrics, error)
@@ -24,56 +24,56 @@ func baselineCancelCases(dg, ug *graph.Graph) []struct {
 		run  func(t *testing.T, opt core.Options) (*core.Metrics, error)
 	}{
 		{"GBBSBFSOpt", func(t *testing.T, opt core.Options) (*core.Metrics, error) {
-			dist, met, err := GBBSBFSOpt(dg, 0, opt)
+			dist, met, err := GBBSBFS(dg, 0, opt)
 			if err != nil && dist != nil {
 				t.Error("returned a distance slice alongside the error")
 			}
 			return met, err
 		}},
 		{"GAPBSBFSOpt", func(t *testing.T, opt core.Options) (*core.Metrics, error) {
-			dist, met, err := GAPBSBFSOpt(dg, 0, opt)
+			dist, met, err := GAPBSBFS(dg, 0, opt)
 			if err != nil && dist != nil {
 				t.Error("returned a distance slice alongside the error")
 			}
 			return met, err
 		}},
 		{"GBBSSCCOpt", func(t *testing.T, opt core.Options) (*core.Metrics, error) {
-			comp, count, met, err := GBBSSCCOpt(dg, opt)
+			comp, count, met, err := GBBSSCC(dg, opt)
 			if err != nil && (comp != nil || count != 0) {
 				t.Error("returned a result alongside the error")
 			}
 			return met, err
 		}},
 		{"MultistepSCCOpt", func(t *testing.T, opt core.Options) (*core.Metrics, error) {
-			comp, count, met, err := MultistepSCCOpt(dg, opt)
+			comp, count, met, err := MultistepSCC(dg, opt)
 			if err != nil && (comp != nil || count != 0) {
 				t.Error("returned a result alongside the error")
 			}
 			return met, err
 		}},
 		{"GBBSBCCOpt", func(t *testing.T, opt core.Options) (*core.Metrics, error) {
-			res, met, err := GBBSBCCOpt(ug, opt)
+			res, met, err := GBBSBCC(ug, opt)
 			if err != nil && (res.ArcLabel != nil || res.NumBCC != 0) {
 				t.Error("returned a result alongside the error")
 			}
 			return met, err
 		}},
 		{"TarjanVishkinBCCOpt", func(t *testing.T, opt core.Options) (*core.Metrics, error) {
-			res, met, _, err := TarjanVishkinBCCOpt(ug, opt)
+			res, met, _, err := TarjanVishkinBCC(ug, opt)
 			if err != nil && (res.ArcLabel != nil || res.NumBCC != 0) {
 				t.Error("returned a result alongside the error")
 			}
 			return met, err
 		}},
 		{"GBBSBellmanFordSSSPOpt", func(t *testing.T, opt core.Options) (*core.Metrics, error) {
-			dist, met, err := GBBSBellmanFordSSSPOpt(ug, 0, opt)
+			dist, met, err := GBBSBellmanFordSSSP(ug, 0, opt)
 			if err != nil && dist != nil {
 				t.Error("returned a distance slice alongside the error")
 			}
 			return met, err
 		}},
 		{"DeltaSteppingSSSPOpt", func(t *testing.T, opt core.Options) (*core.Metrics, error) {
-			dist, met, err := DeltaSteppingSSSPOpt(ug, 0, 8, opt)
+			dist, met, err := DeltaSteppingSSSP(ug, 0, 8, opt)
 			if err != nil && dist != nil {
 				t.Error("returned a distance slice alongside the error")
 			}

@@ -48,16 +48,10 @@ func (r *bucketRing) take(b int) []uint32 {
 // synchronous bucket processing and no VGC: every relaxation round-trips
 // through the shared buckets, one global synchronization per inner round.
 // delta <= 0 picks a heuristic Δ (average edge weight).
-func DeltaSteppingSSSP(g *graph.Graph, src uint32, delta uint64) ([]uint64, *core.Metrics) {
-	// Without a ctx in Options the run cannot be canceled.
-	out, met, _ := DeltaSteppingSSSPOpt(g, src, delta, core.Options{})
-	return out, met
-}
-
-// DeltaSteppingSSSPOpt is DeltaSteppingSSSP with Options plumbing (ctx,
-// tracer, and metric options only; Δ remains this baseline's own
-// parameter).
-func DeltaSteppingSSSPOpt(g *graph.Graph, src uint32, delta uint64, opt core.Options) ([]uint64, *core.Metrics, error) {
+//
+// Of opt, only the ctx, tracer, and metric options apply; Δ remains this
+// baseline's own parameter.
+func DeltaSteppingSSSP(g *graph.Graph, src uint32, delta uint64, opt core.Options) ([]uint64, *core.Metrics, error) {
 	if !g.Weighted() {
 		panic("baseline: DeltaSteppingSSSP requires a weighted graph")
 	}
@@ -141,7 +135,7 @@ func DeltaSteppingSSSPOpt(g *graph.Graph, src uint32, delta uint64, opt core.Opt
 		}
 		met.AddPhase()
 	}
-	// Final check before materializing (see GBBSBFSOpt).
+	// Final check before materializing (see GBBSBFS).
 	if err := cl.Poll(); err != nil {
 		return nil, met, err
 	}

@@ -12,15 +12,10 @@ import (
 // hysteresis): top-down rounds until the frontier's edge mass exceeds
 // 1/alpha of the unexplored edges, then bitmap-based bottom-up rounds until
 // the frontier shrinks below n/beta.
-func GAPBSBFS(g *graph.Graph, src uint32) ([]uint32, *core.Metrics) {
-	// Without a ctx in Options the run cannot be canceled.
-	out, met, _ := GAPBSBFSOpt(g, src, core.Options{})
-	return out, met
-}
-
-// GAPBSBFSOpt is GAPBSBFS with Options plumbing (ctx, tracer, and metric
-// options only; alpha/beta stay fixed at GAPBS's published constants).
-func GAPBSBFSOpt(g *graph.Graph, src uint32, opt core.Options) ([]uint32, *core.Metrics, error) {
+//
+// Of opt, only the ctx, tracer, and metric options apply; alpha/beta stay
+// fixed at GAPBS's published constants.
+func GAPBSBFS(g *graph.Graph, src uint32, opt core.Options) ([]uint32, *core.Metrics, error) {
 	const alpha, beta = 15, 18
 	met := core.NewMetrics(opt, "gapbs-bfs")
 	cl := core.NewCanceler(opt, met)
@@ -118,7 +113,7 @@ func GAPBSBFSOpt(g *graph.Graph, src uint32, opt core.Options) ([]uint32, *core.
 		edgesRemaining -= frontierEdges
 		frontier = next
 	}
-	// Final check before materializing (see GBBSBFSOpt).
+	// Final check before materializing (see GBBSBFS).
 	if err := cl.Poll(); err != nil {
 		return nil, met, err
 	}

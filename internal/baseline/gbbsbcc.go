@@ -15,15 +15,9 @@ import (
 // attributes to GBBS), after which the labeling stages are shared with
 // FAST-BCC. Components are processed one BFS at a time, as a BFS-based
 // system must.
-func GBBSBCC(g *graph.Graph) (core.BCCResult, *core.Metrics) {
-	// Without a ctx in Options the run cannot be canceled.
-	res, met, _ := GBBSBCCOpt(g, core.Options{})
-	return res, met
-}
-
-// GBBSBCCOpt is GBBSBCC with Options plumbing (ctx, tracer, and metric
-// options only).
-func GBBSBCCOpt(g *graph.Graph, opt core.Options) (core.BCCResult, *core.Metrics, error) {
+//
+// Of opt, only the ctx, tracer, and metric options apply.
+func GBBSBCC(g *graph.Graph, opt core.Options) (core.BCCResult, *core.Metrics, error) {
 	if g.Directed {
 		panic("baseline: GBBSBCC requires an undirected graph")
 	}

@@ -20,15 +20,10 @@ import (
 // with CAS visits and a scan-allocated output, switching to a bottom-up
 // sweep when the frontier covers enough of the edge set (direction
 // optimization). One global synchronization per hop.
-func GBBSBFS(g *graph.Graph, src uint32) ([]uint32, *core.Metrics) {
-	// Without a ctx in Options the run cannot be canceled.
-	out, met, _ := GBBSBFSOpt(g, src, core.Options{})
-	return out, met
-}
-
-// GBBSBFSOpt is GBBSBFS with Options plumbing (only the ctx, tracer, and
-// metric options apply; the algorithmic knobs are PASGAL's, not GBBS's).
-func GBBSBFSOpt(g *graph.Graph, src uint32, opt core.Options) ([]uint32, *core.Metrics, error) {
+//
+// Of opt, only the ctx, tracer, and metric options apply; the algorithmic
+// knobs are PASGAL's, not GBBS's.
+func GBBSBFS(g *graph.Graph, src uint32, opt core.Options) ([]uint32, *core.Metrics, error) {
 	met := core.NewMetrics(opt, "gbbs-bfs")
 	cl := core.NewCanceler(opt, met)
 	defer cl.Close()

@@ -15,15 +15,9 @@ import (
 // hop, no VGC, no hash bags. On large-diameter graphs this pays Θ(D)
 // synchronizations per search, which is precisely the behavior Figure 1
 // contrasts PASGAL against.
-func GBBSSCC(g *graph.Graph) ([]uint32, int, *core.Metrics) {
-	// Without a ctx in Options the run cannot be canceled.
-	comp, count, met, _ := GBBSSCCOpt(g, core.Options{})
-	return comp, count, met
-}
-
-// GBBSSCCOpt is GBBSSCC with Options plumbing (ctx, tracer, and metric
-// options only).
-func GBBSSCCOpt(g *graph.Graph, opt core.Options) ([]uint32, int, *core.Metrics, error) {
+//
+// Of opt, only the ctx, tracer, and metric options apply.
+func GBBSSCC(g *graph.Graph, opt core.Options) ([]uint32, int, *core.Metrics, error) {
 	if !g.Directed {
 		panic("baseline: GBBSSCC requires a directed graph")
 	}

@@ -13,15 +13,9 @@ import (
 // vertices), one global round per relaxation wave. Work-inefficient
 // relative to Δ-stepping on heavy-tailed weight ranges but simple and
 // level-synchronous — the profile of GBBS's general-weight SSSP.
-func GBBSBellmanFordSSSP(g *graph.Graph, src uint32) ([]uint64, *core.Metrics) {
-	// Without a ctx in Options the run cannot be canceled.
-	out, met, _ := GBBSBellmanFordSSSPOpt(g, src, core.Options{})
-	return out, met
-}
-
-// GBBSBellmanFordSSSPOpt is GBBSBellmanFordSSSP with Options plumbing
-// (ctx, tracer, and metric options only).
-func GBBSBellmanFordSSSPOpt(g *graph.Graph, src uint32, opt core.Options) ([]uint64, *core.Metrics, error) {
+//
+// Of opt, only the ctx, tracer, and metric options apply.
+func GBBSBellmanFordSSSP(g *graph.Graph, src uint32, opt core.Options) ([]uint64, *core.Metrics, error) {
 	if !g.Weighted() {
 		panic("baseline: GBBSBellmanFordSSSP requires a weighted graph")
 	}
@@ -78,7 +72,7 @@ func GBBSBellmanFordSSSPOpt(g *graph.Graph, src uint32, opt core.Options) ([]uin
 		frontier = parallel.Pack(outv, func(i int) bool { return outv[i] != graph.None })
 		parallel.For(len(frontier), 0, func(i int) { inNext[frontier[i]].Store(0) })
 	}
-	// Final check before materializing (see GBBSBFSOpt).
+	// Final check before materializing (see GBBSBFS).
 	if err := cl.Poll(); err != nil {
 		return nil, met, err
 	}

@@ -18,15 +18,9 @@ const multistepSeqCutoff = 256
 // reachability sweep from a single high-degree pivot (level-synchronous
 // BFS), then rounds of max-color propagation with per-color backward
 // sweeps, finishing the tail sequentially with Tarjan's algorithm.
-func MultistepSCC(g *graph.Graph) ([]uint32, int, *core.Metrics) {
-	// Without a ctx in Options the run cannot be canceled.
-	comp, count, met, _ := MultistepSCCOpt(g, core.Options{})
-	return comp, count, met
-}
-
-// MultistepSCCOpt is MultistepSCC with Options plumbing (ctx, tracer, and
-// metric options only).
-func MultistepSCCOpt(g *graph.Graph, opt core.Options) ([]uint32, int, *core.Metrics, error) {
+//
+// Of opt, only the ctx, tracer, and metric options apply.
+func MultistepSCC(g *graph.Graph, opt core.Options) ([]uint32, int, *core.Metrics, error) {
 	if !g.Directed {
 		panic("baseline: MultistepSCC requires a directed graph")
 	}
@@ -221,7 +215,7 @@ func MultistepSCCOpt(g *graph.Graph, opt core.Options) ([]uint32, int, *core.Met
 		}
 	}
 
-	// Final check before counting (see GBBSSCCOpt).
+	// Final check before counting (see GBBSSCC).
 	if err := cl.Poll(); err != nil {
 		return nil, 0, met, err
 	}

@@ -22,15 +22,9 @@ import (
 // while FAST-BCC (O(n) auxiliary space) survives. AuxBytes in the returned
 // metrics-side value reports the materialized size so the benchmark harness
 // can chart the space blow-up.
-func TarjanVishkinBCC(g *graph.Graph) (core.BCCResult, *core.Metrics, int64) {
-	// Without a ctx in Options the run cannot be canceled.
-	res, met, auxBytes, _ := TarjanVishkinBCCOpt(g, core.Options{})
-	return res, met, auxBytes
-}
-
-// TarjanVishkinBCCOpt is TarjanVishkinBCC with Options plumbing (ctx,
-// tracer, and metric options only).
-func TarjanVishkinBCCOpt(g *graph.Graph, opt core.Options) (core.BCCResult, *core.Metrics, int64, error) {
+//
+// Of opt, only the ctx, tracer, and metric options apply.
+func TarjanVishkinBCC(g *graph.Graph, opt core.Options) (core.BCCResult, *core.Metrics, int64, error) {
 	if g.Directed {
 		panic("baseline: TarjanVishkinBCC requires an undirected graph")
 	}

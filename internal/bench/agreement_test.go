@@ -25,8 +25,8 @@ func TestAllImplementationsAgree(t *testing.T) {
 			want := seq.BFS(g, src)
 			for name, run := range map[string]func() []uint32{
 				"pasgal": func() []uint32 { d, _, _ := core.BFS(g, src, core.Options{}); return d },
-				"gbbs":   func() []uint32 { d, _ := baseline.GBBSBFS(g, src); return d },
-				"gapbs":  func() []uint32 { d, _ := baseline.GAPBSBFS(g, src); return d },
+				"gbbs":   func() []uint32 { d, _, _ := baseline.GBBSBFS(g, src, core.Options{}); return d },
+				"gapbs":  func() []uint32 { d, _, _ := baseline.GAPBSBFS(g, src, core.Options{}); return d },
 			} {
 				got := run()
 				for v := range want {
@@ -42,8 +42,8 @@ func TestAllImplementationsAgree(t *testing.T) {
 				wantC, wantN := seq.TarjanSCC(g)
 				for name, run := range map[string]func() ([]uint32, int){
 					"pasgal":   func() ([]uint32, int) { c, n, _, _ := core.SCC(g, core.Options{}); return c, n },
-					"gbbs":     func() ([]uint32, int) { c, n, _ := baseline.GBBSSCC(g); return c, n },
-					"multi":    func() ([]uint32, int) { c, n, _ := baseline.MultistepSCC(g); return c, n },
+					"gbbs":     func() ([]uint32, int) { c, n, _, _ := baseline.GBBSSCC(g, core.Options{}); return c, n },
+					"multi":    func() ([]uint32, int) { c, n, _, _ := baseline.MultistepSCC(g, core.Options{}); return c, n },
 					"kosaraju": func() ([]uint32, int) { return seq.KosarajuSCC(g) },
 				} {
 					gotC, gotN := run()
@@ -61,8 +61,8 @@ func TestAllImplementationsAgree(t *testing.T) {
 			wantB := seq.HopcroftTarjanBCC(sym)
 			for name, run := range map[string]func() core.BCCResult{
 				"pasgal": func() core.BCCResult { r, _, _ := core.BCC(sym, core.Options{}); return r },
-				"gbbs":   func() core.BCCResult { r, _ := baseline.GBBSBCC(sym); return r },
-				"tv":     func() core.BCCResult { r, _, _ := baseline.TarjanVishkinBCC(sym); return r },
+				"gbbs":   func() core.BCCResult { r, _, _ := baseline.GBBSBCC(sym, core.Options{}); return r },
+				"tv":     func() core.BCCResult { r, _, _, _ := baseline.TarjanVishkinBCC(sym, core.Options{}); return r },
 			} {
 				got := run()
 				if got.NumBCC != wantB.NumBCC {
@@ -85,7 +85,7 @@ func TestAllImplementationsAgree(t *testing.T) {
 					d, _, _ := core.SSSP(wg, src, core.DeltaStepping{Delta: 500}, core.Options{})
 					return d
 				},
-				"base": func() []uint64 { d, _ := baseline.DeltaSteppingSSSP(wg, src, 500); return d },
+				"base": func() []uint64 { d, _, _ := baseline.DeltaSteppingSSSP(wg, src, 500, core.Options{}); return d },
 			} {
 				got := run()
 				for v := range wantD {

@@ -118,8 +118,8 @@ func TestDifferentialBFS(t *testing.T) {
 						d, _, _ := core.BFS(sh.g, src, core.Options{DisableHashBag: true})
 						return d
 					},
-					"gbbs":  func() []uint32 { d, _ := baseline.GBBSBFS(sh.g, src); return d },
-					"gapbs": func() []uint32 { d, _ := baseline.GAPBSBFS(sh.g, src); return d },
+					"gbbs":  func() []uint32 { d, _, _ := baseline.GBBSBFS(sh.g, src, core.Options{}); return d },
+					"gapbs": func() []uint32 { d, _, _ := baseline.GAPBSBFS(sh.g, src, core.Options{}); return d },
 				}
 				for name, run := range impls {
 					got := run()
@@ -158,8 +158,8 @@ func TestDifferentialSCC(t *testing.T) {
 					c, n, _, _ := core.SCC(sh.g, core.Options{TrimRounds: -1})
 					return c, n
 				},
-				"gbbs":      func() ([]uint32, int) { c, n, _ := baseline.GBBSSCC(sh.g); return c, n },
-				"multistep": func() ([]uint32, int) { c, n, _ := baseline.MultistepSCC(sh.g); return c, n },
+				"gbbs":      func() ([]uint32, int) { c, n, _, _ := baseline.GBBSSCC(sh.g, core.Options{}); return c, n },
+				"multistep": func() ([]uint32, int) { c, n, _, _ := baseline.MultistepSCC(sh.g, core.Options{}); return c, n },
 			}
 			for name, run := range impls {
 				gotC, gotN := run()
@@ -184,8 +184,8 @@ func TestDifferentialBCC(t *testing.T) {
 			want := seq.HopcroftTarjanBCC(sym)
 			impls := map[string]func() core.BCCResult{
 				"core": func() core.BCCResult { r, _, _ := core.BCC(sym, core.Options{}); return r },
-				"gbbs": func() core.BCCResult { r, _ := baseline.GBBSBCC(sym); return r },
-				"tv":   func() core.BCCResult { r, _, _ := baseline.TarjanVishkinBCC(sym); return r },
+				"gbbs": func() core.BCCResult { r, _, _ := baseline.GBBSBCC(sym, core.Options{}); return r },
+				"tv":   func() core.BCCResult { r, _, _, _ := baseline.TarjanVishkinBCC(sym, core.Options{}); return r },
 			}
 			for name, run := range impls {
 				got := run()
@@ -233,11 +233,11 @@ func TestDifferentialSSSP(t *testing.T) {
 						return d
 					},
 					"deltastep": func() []uint64 {
-						d, _ := baseline.DeltaSteppingSSSP(wg, src, 512)
+						d, _, _ := baseline.DeltaSteppingSSSP(wg, src, 512, core.Options{})
 						return d
 					},
 					"gbbs-bf": func() []uint64 {
-						d, _ := baseline.GBBSBellmanFordSSSP(wg, src)
+						d, _, _ := baseline.GBBSBellmanFordSSSP(wg, src, core.Options{})
 						return d
 					},
 				}

@@ -473,5 +473,5 @@ func seqComponents(g *graph.Graph) int {
 }
 
 // gbbsSCCForFig and multistepForFig keep Fig1's timing closures tidy.
-func gbbsSCCForFig(g *graph.Graph)   { _, _, _ = baseline.GBBSSCC(g) }
-func multistepForFig(g *graph.Graph) { _, _, _ = baseline.MultistepSCC(g) }
+func gbbsSCCForFig(g *graph.Graph)   { _, _, _, _ = baseline.GBBSSCC(g, core.Options{}) }
+func multistepForFig(g *graph.Graph) { _, _, _, _ = baseline.MultistepSCC(g, core.Options{}) }

@@ -32,7 +32,7 @@ func Memory(c Config) {
 	for _, s := range c.registry() {
 		g := c.build(s).Symmetrized()
 		aP := allocDelta(func() { core.BCC(g, core.Options{}) })
-		aT := allocDelta(func() { baseline.TarjanVishkinBCC(g) })
+		aT := allocDelta(func() { baseline.TarjanVishkinBCC(g, core.Options{}) })
 		aH := allocDelta(func() { seq.HopcroftTarjanBCC(g) })
 		ratio := "-"
 		if aP > 0 {

@@ -90,8 +90,8 @@ func Fig1Model(c Config) {
 		}
 		for _, im := range []impl{
 			{"PASGAL", func() *core.Metrics { _, _, m, _ := core.SCC(g, core.Options{}); return m }},
-			{"GBBS", func() *core.Metrics { _, _, m := baseline.GBBSSCC(g); return m }},
-			{"Multistep", func() *core.Metrics { _, _, m := baseline.MultistepSCC(g); return m }},
+			{"GBBS", func() *core.Metrics { _, _, m, _ := baseline.GBBSSCC(g, core.Options{}); return m }},
+			{"Multistep", func() *core.Metrics { _, _, m, _ := baseline.MultistepSCC(g, core.Options{}); return m }},
 		} {
 			met := im.run()
 			row := []string{name, im.name, fmtCount(int(met.EdgesVisited)),

@@ -70,9 +70,9 @@ func RunBFSOpt(name, category string, g *graph.Graph, reps int, opt core.Options
 	var met *core.Metrics
 	res.Times["PASGAL"] = timed(reps, func() { _, met, _ = core.BFS(g, src, opt) })
 	res.Metrics["PASGAL"] = met
-	res.Times["GBBS"] = timed(reps, func() { _, met, _ = baseline.GBBSBFSOpt(g, src, opt) })
+	res.Times["GBBS"] = timed(reps, func() { _, met, _ = baseline.GBBSBFS(g, src, opt) })
 	res.Metrics["GBBS"] = met
-	res.Times["GAPBS"] = timed(reps, func() { _, met, _ = baseline.GAPBSBFSOpt(g, src, opt) })
+	res.Times["GAPBS"] = timed(reps, func() { _, met, _ = baseline.GAPBSBFS(g, src, opt) })
 	res.Metrics["GAPBS"] = met
 	res.Times["SeqQueue*"] = timed(reps, func() { seq.BFS(g, src) })
 	return res
@@ -92,9 +92,9 @@ func RunSCCOpt(name, category string, g *graph.Graph, reps int, opt core.Options
 	var met *core.Metrics
 	res.Times["PASGAL"] = timed(reps, func() { _, _, met, _ = core.SCC(g, opt) })
 	res.Metrics["PASGAL"] = met
-	res.Times["GBBS"] = timed(reps, func() { _, _, met, _ = baseline.GBBSSCCOpt(g, opt) })
+	res.Times["GBBS"] = timed(reps, func() { _, _, met, _ = baseline.GBBSSCC(g, opt) })
 	res.Metrics["GBBS"] = met
-	res.Times["Multistep"] = timed(reps, func() { _, _, met, _ = baseline.MultistepSCCOpt(g, opt) })
+	res.Times["Multistep"] = timed(reps, func() { _, _, met, _ = baseline.MultistepSCC(g, opt) })
 	res.Metrics["Multistep"] = met
 	res.Times["Tarjan*"] = timed(reps, func() { seq.TarjanSCC(g) })
 	return res
@@ -116,10 +116,10 @@ func RunBCCOpt(name, category string, g *graph.Graph, reps int, opt core.Options
 	var met *core.Metrics
 	res.Times["PASGAL"] = timed(reps, func() { _, met, _ = core.BCC(sym, opt) })
 	res.Metrics["PASGAL"] = met
-	res.Times["GBBS"] = timed(reps, func() { _, met, _ = baseline.GBBSBCCOpt(sym, opt) })
+	res.Times["GBBS"] = timed(reps, func() { _, met, _ = baseline.GBBSBCC(sym, opt) })
 	res.Metrics["GBBS"] = met
 	var auxBytes int64
-	res.Times["TV"] = timed(reps, func() { _, met, auxBytes, _ = baseline.TarjanVishkinBCCOpt(sym, opt) })
+	res.Times["TV"] = timed(reps, func() { _, met, auxBytes, _ = baseline.TarjanVishkinBCC(sym, opt) })
 	res.Metrics["TV"] = met
 	res.Extra["TV aux"] = byteSize(auxBytes)
 	res.Times["HopcroftTarjan*"] = timed(reps, func() { seq.HopcroftTarjanBCC(sym) })
@@ -151,11 +151,11 @@ func RunSSSPOpt(name, category string, g *graph.Graph, reps int, opt core.Option
 	})
 	res.Metrics["PASGAL-delta"] = met
 	res.Times["DeltaStep"] = timed(reps, func() {
-		_, met, _ = baseline.DeltaSteppingSSSPOpt(wg, src, 1<<15, opt)
+		_, met, _ = baseline.DeltaSteppingSSSP(wg, src, 1<<15, opt)
 	})
 	res.Metrics["DeltaStep"] = met
 	res.Times["GBBS-BF"] = timed(reps, func() {
-		_, met, _ = baseline.GBBSBellmanFordSSSPOpt(wg, src, opt)
+		_, met, _ = baseline.GBBSBellmanFordSSSP(wg, src, opt)
 	})
 	res.Metrics["GBBS-BF"] = met
 	res.Times["Dijkstra*"] = timed(reps, func() { seq.Dijkstra(wg, src) })

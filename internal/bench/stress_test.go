@@ -53,8 +53,8 @@ func TestStressDifferential(t *testing.T) {
 		want := seq.BFS(g, src)
 		for name, got := range map[string][]uint32{
 			"core":  first3(core.BFS(g, src, opt)),
-			"gbbs":  first2(baseline.GBBSBFS(g, src)),
-			"gapbs": first2(baseline.GAPBSBFS(g, src)),
+			"gbbs":  first3(baseline.GBBSBFS(g, src, core.Options{})),
+			"gapbs": first3(baseline.GAPBSBFS(g, src, core.Options{})),
 		} {
 			for v := range want {
 				if got[v] != want[v] {
@@ -89,7 +89,5 @@ func TestStressDifferential(t *testing.T) {
 		}
 	}
 }
-
-func first2[A, B any](a A, _ B) A { return a }
 
 func first3[A, B, C any](a A, _ B, _ C) A { return a }

@@ -581,7 +581,6 @@ func (s *Store) maybeCompact() {
 	s.mu.Unlock()
 	go func() {
 		defer s.bgWG.Done()
-		//pasgal:vet ignore=escape-to-parallel -- the flagged writes build the brand-new CSR inside graph.FromEdges, local to this goroutine until published under s.mu
 		_, _ = s.Compact() // a close racing in drops the compaction by design
 		s.mu.Lock()
 		s.compacting = false

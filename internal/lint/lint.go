@@ -7,13 +7,12 @@
 // primitives — the hash-bag frontier, CAS-based union–find, and the
 // fork-join runtime in internal/parallel — exactly the code where a single
 // non-atomic access silently corrupts results under contention. The
-// analyzers here encode the concurrency idioms those primitives rely on:
+// analyzers here encode the idioms those primitives and the serving layer
+// rely on, where neither `go vet` nor the race tier looks:
 //
 //   - mixed-access: a struct field or package-level variable accessed via
 //     sync/atomic in one place and by a plain write (or a plain read inside
 //     a goroutine/parallel closure) elsewhere in the same package.
-//   - atomic-copy: an atomic.Int64/Int32/Uint32/... value copied by value
-//     (assigned, passed, returned, or ranged over) instead of by pointer.
 //   - parallel-capture: a closure passed to parallel.For / parallel.ForRange /
 //     parallel.Do (or launched with `go`) that assigns to a variable declared
 //     outside the closure without atomics.
@@ -24,6 +23,14 @@
 //     Metrics.Round/AddPhase/AddBottomUp) inside a function holding a
 //     core.Canceler that never calls Poll — a canceled context could not
 //     stop that loop.
+//   - epoch-misuse: an epoch snapshot used after its Release, or held
+//     open across an explicit Compact (the internal/delta pinning
+//     protocol; see docs/UPDATES.md).
+//   - sentinel-error-compare: a sentinel error compared with == or != where
+//     errors.Is is needed, so a wrapped error slips past the check.
+//
+// Each rule sees one type-checked package at a time (Analyze); Run loads
+// the matched packages and analyzes them in parallel.
 //
 // Findings on provably safe hot paths are suppressed with an allowlist
 // comment on the flagged line or the line above it:
@@ -39,16 +46,13 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Finding is one diagnostic produced by an analyzer. File/Line/Col are
 // the stable machine-readable position (File is module-root-relative, so
 // output is reproducible across checkouts); Pos keeps the absolute
 // position for human-facing text output. Function names the declaration
-// containing the finding; CallPath, set only on interprocedural findings,
-// walks from the reported site to the function that performs the racy
-// access, one "func (file:line)" hop per element.
+// containing the finding.
 type Finding struct {
 	Pos      token.Position `json:"-"`
 	File     string         `json:"file"`
@@ -57,15 +61,10 @@ type Finding struct {
 	Rule     string         `json:"rule"`
 	Message  string         `json:"message"`
 	Function string         `json:"function,omitempty"`
-	CallPath []string       `json:"callPath,omitempty"`
 }
 
 func (f Finding) String() string {
-	s := fmt.Sprintf("%s:%d:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Rule, f.Message)
-	if len(f.CallPath) > 0 {
-		s += "\n\tcall path: " + strings.Join(f.CallPath, " -> ")
-	}
-	return s
+	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Rule, f.Message)
 }
 
 // sortFindings orders findings by position, then rule, for stable output.
@@ -90,7 +89,6 @@ func sortFindings(out []Finding) {
 // library is stubbed or faked) leave the affected expressions with invalid
 // types, and the analyzers fall back to syntactic matching there.
 type Package struct {
-	Dir   string
 	Path  string
 	Fset  *token.FileSet
 	Files []*ast.File
@@ -98,29 +96,22 @@ type Package struct {
 	Info  *types.Info
 }
 
-// Analyzer is one vet rule. Package-local rules set Run and see one
-// type-checked package at a time; interprocedural rules set RunModule and
-// see the whole module — call graph and propagated summaries included.
-// Exactly one of the two is non-nil.
+// Analyzer is one vet rule: Run sees one type-checked package at a time.
 type Analyzer struct {
-	Name      string
-	Doc       string
-	Run       func(pkg *Package) []Finding
-	RunModule func(mod *Module) []Finding
+	Name string
+	Doc  string
+	Run  func(pkg *Package) []Finding
 }
 
 // Analyzers returns the full rule suite in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		MixedAccessAnalyzer(),
-		AtomicCopyAnalyzer(),
 		ParallelCaptureAnalyzer(),
 		WaitGroupAnalyzer(),
 		CancelPollAnalyzer(),
 		EpochMisuseAnalyzer(),
 		SentinelErrorAnalyzer(),
-		EscapeToParallelAnalyzer(),
-		XPkgMixedAccessAnalyzer(),
 	}
 }
 
@@ -159,11 +150,10 @@ func AnalyzerNames() []string {
 	return names
 }
 
-// Analyze runs the selected package-local analyzers (all of them when
-// rules is empty) over pkg and returns the surviving findings sorted by
-// position, with //pasgal:vet ignore= suppressions already applied.
-// Interprocedural rules need a whole module and only run through
-// Module.Analyze.
+// Analyze runs the selected analyzers (all of them when rules is empty)
+// over pkg and returns the surviving findings sorted by position, with
+// //pasgal:vet ignore= suppressions already applied. It is the only code
+// that runs rules.
 func Analyze(pkg *Package, rules []string) []Finding {
 	enabled := map[string]bool{}
 	for _, r := range rules {
@@ -172,9 +162,6 @@ func Analyze(pkg *Package, rules []string) []Finding {
 	ig := collectIgnores(pkg)
 	var out []Finding
 	for _, a := range Analyzers() {
-		if a.Run == nil {
-			continue
-		}
 		if len(enabled) > 0 && !enabled[a.Name] {
 			continue
 		}

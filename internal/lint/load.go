@@ -46,9 +46,6 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// Fset exposes the loader's shared file set (needed to render positions).
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // findModule walks up from dir to the enclosing go.mod and returns the
 // module root directory and module path.
 func findModule(dir string) (root, modPath string, err error) {
@@ -171,7 +168,6 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 		}
 	}
 	p := &Package{
-		Dir:   dir,
 		Path:  l.importPathFor(dir),
 		Fset:  l.fset,
 		Files: files,

@@ -210,14 +210,3 @@ func classifyAccess(stack []ast.Node) accessKind {
 	}
 	return accessRead
 }
-
-// innermostFuncLit returns the nearest enclosing function literal on the
-// stack, or nil.
-func innermostFuncLit(stack []ast.Node) *ast.FuncLit {
-	for i := len(stack) - 1; i >= 0; i-- {
-		if lit, ok := stack[i].(*ast.FuncLit); ok {
-			return lit
-		}
-	}
-	return nil
-}

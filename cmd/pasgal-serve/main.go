@@ -51,10 +51,9 @@ func main() {
 	directed := flag.Bool("directed", true, "treat file input as directed")
 	mmap := flag.Bool("mmap", false, "memory-map a .pz graph instead of reading it (O(page-in) startup; arc data faults in on demand)")
 	workers := flag.Int("workers", 0, "worker count (0 = GOMAXPROCS)")
-	maxConc := flag.Int("max-concurrent", 0, "admission bound on concurrent computations (0 = worker count)")
+	maxConc := flag.Int("max-concurrent", 0, "admission bound on concurrent computations (0 = one at a time, each on the whole worker pool)")
 	cacheEntries := flag.Int("cache", serve.DefaultCacheEntries, "result cache entries (negative disables)")
 	maxTimeout := flag.Duration("max-timeout", serve.DefaultMaxTimeout, "cap on per-query ?timeout= and the implicit deadline")
-	coalesceWait := flag.Duration("coalesce-wait", 0, "coalescer flush latency bound (0 = library default)")
 	coalesce := flag.Bool("coalesce", true, "group-commit single-source bfs/reachable into shared MS-BFS runs")
 	tau := flag.Int("tau", 0, "VGC budget for served queries (0 = default)")
 	mutable := flag.Bool("mutable", false, "serve graphs through epoch-snapshot delta stores; POST /update applies insert/delete batches (plain CSR only)")
@@ -142,7 +141,6 @@ func main() {
 		MaxConcurrent:   *maxConc,
 		CacheEntries:    *cacheEntries,
 		MaxTimeout:      *maxTimeout,
-		CoalesceWait:    *coalesceWait,
 		DisableCoalesce: !*coalesce,
 		Opt:             core.Options{Tau: *tau},
 		Mutable:         *mutable,

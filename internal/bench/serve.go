@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
-	"time"
 
 	"pasgal/internal/graph"
 	"pasgal/internal/serve"
@@ -39,12 +38,10 @@ func TableServe(c Config) []Result {
 	}
 	for _, s := range queriesSpecs() {
 		g := c.build(s)
-		// A 10ms flush window (vs the 2ms serving default) lets staggered
-		// arrivals fill lane groups during engine-idle gaps; the bench
-		// measures throughput under saturation, where that latency bound
-		// is far below the queueing delay anyway.
+		// Lane groups fill while their sources queue for the admission
+		// slot, so the width follows the client concurrency.
 		srv, err := serve.New(map[string]*graph.Graph{s.Name: g},
-			serve.Config{Opt: c.options(), CoalesceWait: 10 * time.Millisecond})
+			serve.Config{Opt: c.options()})
 		if err != nil {
 			fmt.Fprintf(c.Out, "serve: %v\n", err)
 			continue

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/token"
+	"path/filepath"
 	"strings"
 )
 
@@ -74,4 +75,22 @@ func (ig *ignoreSet) suppressed(f Finding) bool {
 // position is a small helper converting a token.Pos to a Finding position.
 func (p *Package) position(pos token.Pos) token.Position {
 	return p.Fset.Position(pos)
+}
+
+// cite formats pos as file:line:col for a finding's message, with the file
+// module-relative like Finding.File, so the text is the same in every
+// checkout.
+func (p *Package) cite(pos token.Pos) string {
+	ps := p.Fset.Position(pos)
+	ps.Filename = moduleRelative(p.Root, ps.Filename)
+	return ps.String()
+}
+
+// moduleRelative returns file relative to the module root, slash-separated,
+// or file itself when it lies outside root (or root is unknown).
+func moduleRelative(root, file string) string {
+	if rel, err := filepath.Rel(root, file); err == nil && !filepath.IsAbs(rel) {
+		return filepath.ToSlash(rel)
+	}
+	return file
 }

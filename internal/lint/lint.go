@@ -90,6 +90,7 @@ func sortFindings(out []Finding) {
 // types, and the analyzers fall back to syntactic matching there.
 type Package struct {
 	Path  string
+	Root  string // module root directory; messages cite files relative to it
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package

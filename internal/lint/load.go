@@ -169,6 +169,7 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 	}
 	p := &Package{
 		Path:  l.importPathFor(dir),
+		Root:  l.ModuleRoot,
 		Fset:  l.fset,
 		Files: files,
 	}

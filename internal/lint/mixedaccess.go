@@ -110,7 +110,7 @@ func runMixedAccess(pkg *Package) []Finding {
 					Rule: "mixed-access",
 					Message: fmt.Sprintf(
 						"%s is accessed atomically (e.g. %s) but plainly %s here%s",
-						key.Name(), pkg.position(atomicAt), verb, where),
+						key.Name(), pkg.cite(atomicAt), verb, where),
 				})
 			}
 			return true

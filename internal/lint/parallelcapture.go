@@ -95,6 +95,6 @@ func capturedFinding(pkg *Package, id *ast.Ident, v *types.Var) Finding {
 		Rule: "parallel-capture",
 		Message: fmt.Sprintf(
 			"captured variable %s (declared at %s) is assigned inside a goroutine/parallel closure; use an atomic, a per-chunk slot, or a post-join reduction",
-			id.Name, pkg.position(v.Pos())),
+			id.Name, pkg.cite(v.Pos())),
 	}
 }

@@ -50,7 +50,7 @@ func Run(patterns []string, opts Options) ([]Finding, error) {
 	perPkg := make([][]Finding, len(pkgs))
 	parallel.For(len(pkgs), 1, func(i int) {
 		fs := Analyze(pkgs[i], opts.Rules)
-		annotate(loader.ModuleRoot, pkgs[i], fs)
+		annotate(pkgs[i], fs)
 		perPkg[i] = fs
 	})
 	var findings []Finding
@@ -63,14 +63,10 @@ func Run(patterns []string, opts Options) ([]Finding, error) {
 
 // annotate fills each of pkg's findings with its module-relative file
 // path, line, column and enclosing function.
-func annotate(root string, pkg *Package, findings []Finding) {
+func annotate(pkg *Package, findings []Finding) {
 	for i := range findings {
 		f := &findings[i]
-		if rel, err := filepath.Rel(root, f.Pos.Filename); err == nil && !filepath.IsAbs(rel) {
-			f.File = filepath.ToSlash(rel)
-		} else {
-			f.File = f.Pos.Filename
-		}
+		f.File = moduleRelative(pkg.Root, f.Pos.Filename)
 		f.Line = f.Pos.Line
 		f.Col = f.Pos.Column
 		f.Function = enclosingFunc(pkg, f)

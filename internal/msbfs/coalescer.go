@@ -14,71 +14,51 @@ import (
 // ErrClosed is returned by Submit after Close.
 var ErrClosed = errors.New("msbfs: coalescer closed")
 
-// DefaultMaxWait is the Coalescer's default flush latency bound.
-const DefaultMaxWait = 2 * time.Millisecond
-
-// CoalescerOptions tunes a Coalescer. The zero value selects defaults.
+// CoalescerOptions configures a Coalescer. The zero value runs batches
+// with default options and no gate.
 type CoalescerOptions struct {
-	// MaxBatch flushes a batch as soon as this many requests are queued;
-	// <= 0 selects LaneWidth (64), one full lane group. Values above 64
-	// are allowed — the batch just spans multiple groups.
-	MaxBatch int
-
-	// MaxWait bounds how long a queued request waits for lane-mates before
-	// a timer flushes a partial batch; <= 0 selects DefaultMaxWait.
-	MaxWait time.Duration
-
 	// Opt is threaded into every batch run. Opt.Ctx applies to the batch
 	// as a whole; per-request deadlines go through Submit's ctx (which
 	// only abandons the wait — the batch itself keeps running for the
 	// lane-mates).
 	Opt core.Options
 
-	// Gate, when non-nil, brackets every batch run: it is called right
-	// before the engine run and must return the matching release
-	// function, which runs right after. A serving daemon uses it to
-	// charge one scheduler admission slot per flushed batch rather than
-	// one per queued query — the whole point of coalescing under
-	// admission control. The gate takes no context and may block: a
-	// flushed batch must run for its lane-mates regardless of any one
-	// submitter's cancellation.
+	// Gate, when non-nil, is acquired before each batch is taken from the
+	// queue and must return the matching release function, which runs
+	// right after the engine run. A serving daemon passes its admission
+	// slot: one slot per batch of up to LaneWidth queries, and the time
+	// spent waiting for it is the batching window. The gate takes no
+	// context and may block: a batch must run for its lane-mates
+	// regardless of any one submitter's cancellation.
 	Gate func() (release func())
 }
 
 // Coalescer is the batching front door for single-source callers: it
-// queues concurrent BFS requests against one graph and flushes them as
-// lane groups through Run, so independent callers share edge scans
-// without coordinating. It is the admission path a serving daemon would
-// put in front of the engine.
+// queues concurrent BFS requests against one graph and runs them as lane
+// groups through Run, so independent callers share edge scans without
+// coordinating.
 //
-// Batching is group-commit: while the engine is idle, a batch flushes
-// when it reaches MaxBatch requests or when the oldest queued request has
-// waited MaxWait, whichever comes first. While a batch run is in flight,
-// arrivals are NOT time-sliced into further small batches — they
-// accumulate, and the finishing run drains the whole accumulated queue as
-// its successor (spanning multiple lane groups if more than MaxBatch
-// piled up). Under sustained concurrent load this drives the achieved
-// batch width toward the client concurrency instead of toward
-// arrival-rate x MaxWait. The flush runs on the goroutine that completed
-// the batch (or the timer goroutine for partial batches); lane-mates
-// block in Submit until their row is ready.
+// Batching is group commit with the gate as the window. A Submit that
+// finds no flusher active starts one: the flusher acquires the Gate,
+// takes up to LaneWidth queued requests, runs them, releases the gate,
+// and repeats while requests remain. Arrivals during the gate wait or a
+// run join the next take, so the batch width follows how long requests
+// queue, not a clock. Without a Gate a lone Submit runs at once.
+// Releasing the gate between groups lets a caller queued on the same gate
+// take its turn. Lane-mates block in Submit until their row is ready.
 type Coalescer struct {
 	g    graph.Adjacency
 	opts CoalescerOptions
 
-	mu      sync.Mutex
-	queue   []request
-	timer   *time.Timer
-	timerOn bool
-	running int // batch runs in flight; arrivals accumulate while > 0
-	closed  bool
+	mu       sync.Mutex
+	queue    []request
+	flushing bool // a flusher is active; it drains the queue before clearing this
+	closed   bool
+	queries  int64
+	batches  int64
 
-	// inflight tracks running flushes so Close can wait them out.
-	inflight sync.WaitGroup
-
-	statMu  sync.Mutex
-	queries int64
-	batches int64
+	// flusher tracks the active flusher so Close can wait it out.
+	flusher sync.WaitGroup
 }
 
 type request struct {
@@ -87,19 +67,20 @@ type request struct {
 }
 
 type result struct {
-	dist []uint32
-	err  error
+	row Row
+	err error
 }
 
-// NewCoalescer returns a Coalescer serving BFS queries against g (either
+// Row is one Submit answer: the distance row and the span of the batch
+// run that computed it (gate held, from the engine's start to its end).
+type Row struct {
+	Dist       []uint32
+	Start, End time.Time
+}
+
+// NewCoalescer returns a Coalescer serving BFS queries against g (any
 // graph representation).
 func NewCoalescer(g graph.Adjacency, opts CoalescerOptions) *Coalescer {
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = LaneWidth
-	}
-	if opts.MaxWait <= 0 {
-		opts.MaxWait = DefaultMaxWait
-	}
 	return &Coalescer{g: g, opts: opts}
 }
 
@@ -108,8 +89,15 @@ func NewCoalescer(g graph.Adjacency, opts CoalescerOptions) *Coalescer {
 // done ctx abandons the wait with ctx's cause; the batch itself still
 // completes for the other lanes. Safe for concurrent use.
 func (c *Coalescer) Submit(ctx context.Context, src uint32) ([]uint32, error) {
+	r, err := c.SubmitRow(ctx, src)
+	return r.Dist, err
+}
+
+// SubmitRow is Submit returning the Row, which also carries the batch
+// run's span.
+func (c *Coalescer) SubmitRow(ctx context.Context, src uint32) (Row, error) {
 	if n := c.g.NumVertices(); int(src) >= n {
-		return nil, fmt.Errorf("msbfs: source %d out of range [0, %d)", src, n)
+		return Row{}, fmt.Errorf("msbfs: source %d out of range [0, %d)", src, n)
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -118,133 +106,95 @@ func (c *Coalescer) Submit(ctx context.Context, src uint32) ([]uint32, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, ErrClosed
+		return Row{}, ErrClosed
 	}
 	c.queue = append(c.queue, request{src: src, done: done})
-	var batch []request
-	switch {
-	case c.running > 0:
-		// Group-commit: a batch is running; the request rides the queue
-		// and the finishing run drains it. No timer needed — the drain
-		// is triggered by completion, not by time.
-	case len(c.queue) >= c.opts.MaxBatch:
-		batch = c.takeLocked()
-	case !c.timerOn:
-		c.timerOn = true
-		if c.timer == nil {
-			c.timer = time.AfterFunc(c.opts.MaxWait, c.flushTimer)
-		} else {
-			c.timer.Reset(c.opts.MaxWait)
-		}
+	flush := !c.flushing
+	if flush {
+		c.flushing = true
+		c.flusher.Add(1)
 	}
 	c.mu.Unlock()
-	if batch != nil {
-		// The request that filled the batch runs it: no handoff latency,
-		// and back-pressure lands on the caller generating the load.
-		c.runBatch(batch)
+	if flush {
+		// The flusher runs beside its submitter, so that submitter can
+		// abandon its wait like any lane-mate while the batch waits for
+		// the gate or runs.
+		go c.flush()
 	}
 	select {
 	case r := <-done:
-		return r.dist, r.err
+		return r.row, r.err
 	case <-ctx.Done():
-		return nil, context.Cause(ctx)
+		return Row{}, context.Cause(ctx)
 	}
 }
 
-// Close flushes any queued requests, waits for in-flight batches, and
-// fails all future Submits with ErrClosed.
+// Close fails all future Submits with ErrClosed and waits until the
+// active flusher, if any, has run every queued request.
 func (c *Coalescer) Close() {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
 	c.closed = true
-	batch := c.takeLocked()
 	c.mu.Unlock()
-	if batch != nil {
-		c.runBatch(batch)
-	}
-	c.inflight.Wait()
+	c.flusher.Wait()
 }
 
-// Stats reports how many queries were accepted and how many batch runs
+// Stats reports how many queries were answered and how many batch runs
 // served them; queries/batches is the achieved scan-sharing factor.
 func (c *Coalescer) Stats() (queries, batches int64) {
-	c.statMu.Lock()
-	defer c.statMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.queries, c.batches
 }
 
-// takeLocked claims the queued requests (nil if none), disarms the
-// pending timer, and marks a run in flight. Caller holds c.mu and must
-// runBatch any non-nil return.
-func (c *Coalescer) takeLocked() []request {
-	if c.timerOn {
-		c.timer.Stop() // best effort; a fired flushTimer finds an empty queue
-		c.timerOn = false
-	}
-	if len(c.queue) == 0 {
-		return nil
-	}
-	batch := c.queue
-	c.queue = nil
-	c.running++
-	c.inflight.Add(1)
-	return batch
-}
-
-func (c *Coalescer) flushTimer() {
-	c.mu.Lock()
-	c.timerOn = false
-	var batch []request
-	// While a run is in flight its completion drains the queue; flushing
-	// here would time-slice the accumulating group.
-	if c.running == 0 {
-		batch = c.takeLocked()
-	}
-	c.mu.Unlock()
-	if batch != nil {
-		c.runBatch(batch)
-	}
-}
-
-// runBatch runs batch and then, group-commit style, any requests that
-// accumulated while it was running — as one successor batch each round,
-// until the queue drains.
-func (c *Coalescer) runBatch(batch []request) {
-	for batch != nil {
-		c.runOne(batch)
+// flush is the flusher's loop: gate, take up to one lane group, run,
+// release, until the queue is empty. The queue is non-empty on entry and
+// only this loop empties it, so every take finds work.
+func (c *Coalescer) flush() {
+	defer c.flusher.Done()
+	for {
+		release := func() {}
+		if c.opts.Gate != nil {
+			release = c.opts.Gate()
+		}
 		c.mu.Lock()
-		c.running--
-		batch = nil
-		if !c.closed {
-			batch = c.takeLocked()
+		k := min(len(c.queue), LaneWidth)
+		batch := c.queue[:k:k]
+		c.queue = c.queue[k:]
+		c.mu.Unlock()
+		c.run(batch)
+		release()
+		c.mu.Lock()
+		idle := len(c.queue) == 0
+		if idle {
+			c.queue = nil
+			c.flushing = false
 		}
 		c.mu.Unlock()
+		if idle {
+			return
+		}
 	}
 }
 
-func (c *Coalescer) runOne(batch []request) {
-	defer c.inflight.Done()
+// run runs one batch and hands every submitter its row.
+func (c *Coalescer) run(batch []request) {
 	srcs := make([]uint32, len(batch))
 	for i, r := range batch {
 		srcs[i] = r.src
 	}
-	if c.opts.Gate != nil {
-		release := c.opts.Gate()
-		defer release()
-	}
+	start := time.Now()
 	rows, _, err := Run(c.g, srcs, c.opts.Opt)
-	c.statMu.Lock()
+	end := time.Now()
+	// Count before answering, so a submitter reading Stats sees its batch.
+	c.mu.Lock()
 	c.queries += int64(len(batch))
 	c.batches++
-	c.statMu.Unlock()
+	c.mu.Unlock()
 	for i, r := range batch {
-		if err != nil {
-			r.done <- result{err: err}
-		} else {
-			r.done <- result{dist: rows[i]}
+		res := result{row: Row{Start: start, End: end}, err: err}
+		if err == nil {
+			res.row.Dist = rows[i]
 		}
+		r.done <- res
 	}
 }

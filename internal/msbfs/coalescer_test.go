@@ -3,18 +3,20 @@ package msbfs
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"pasgal/internal/core"
 	"pasgal/internal/gen"
+	"pasgal/internal/graph"
 	"pasgal/internal/seq"
 )
 
 func TestCoalescerSingleQuery(t *testing.T) {
 	g := gen.Chain(500, true)
-	c := NewCoalescer(g, CoalescerOptions{MaxWait: time.Millisecond})
+	c := NewCoalescer(g, CoalescerOptions{})
 	defer c.Close()
 	dist, err := c.Submit(context.Background(), 3)
 	if err != nil {
@@ -28,27 +30,65 @@ func TestCoalescerSingleQuery(t *testing.T) {
 	}
 }
 
-// TestCoalescerBatchesConcurrentQueries pins the whole point of the
-// Coalescer: many concurrent submitters share far fewer engine runs, and
-// every one still gets its own correct row.
-func TestCoalescerBatchesConcurrentQueries(t *testing.T) {
-	g := gen.ER(800, 4000, true, 33)
-	c := NewCoalescer(g, CoalescerOptions{MaxBatch: 16, MaxWait: 50 * time.Millisecond})
-	defer c.Close()
-	const queries = 64
+// heldGate is a one-slot Gate the test holds closed: a flusher blocks in
+// it until the test calls open, so every source submitted meanwhile is
+// queued when the batch is taken.
+type heldGate chan struct{}
+
+func holdGate() heldGate {
+	g := make(heldGate, 1)
+	g <- struct{}{}
+	return g
+}
+
+func (g heldGate) gate() func() {
+	g <- struct{}{}
+	return func() { <-g }
+}
+
+func (g heldGate) open() { <-g }
+
+// waitQueued polls until k requests are queued behind the held gate.
+func waitQueued(t *testing.T, c *Coalescer, k int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		c.mu.Lock()
+		queued := len(c.queue)
+		c.mu.Unlock()
+		if queued == k {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d requests queued, want %d", queued, k)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// submitAll submits k distinct sources from k goroutines and returns a
+// wait function yielding their rows and errors.
+func submitAll(c *Coalescer, n, k int) func() ([][]uint32, []error) {
+	dists := make([][]uint32, k)
+	errs := make([]error, k)
 	var wg sync.WaitGroup
-	errs := make([]error, queries)
-	dists := make([][]uint32, queries)
-	for i := 0; i < queries; i++ {
-		i := i
+	for i := 0; i < k; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			dists[i], errs[i] = c.Submit(context.Background(), uint32(i*11%g.N))
+			dists[i], errs[i] = c.Submit(context.Background(), uint32(i*11%n))
 		}()
 	}
-	wg.Wait()
-	for i := 0; i < queries; i++ {
+	return func() ([][]uint32, []error) {
+		wg.Wait()
+		return dists, errs
+	}
+}
+
+// checkRows compares every submitted row against the sequential oracle.
+func checkRows(t *testing.T, g *graph.Graph, dists [][]uint32, errs []error) {
+	t.Helper()
+	for i := range dists {
 		if errs[i] != nil {
 			t.Fatalf("query %d: %v", i, errs[i])
 		}
@@ -59,31 +99,42 @@ func TestCoalescerBatchesConcurrentQueries(t *testing.T) {
 			}
 		}
 	}
-	q, b := c.Stats()
-	if q != queries {
-		t.Fatalf("Stats queries = %d, want %d", q, queries)
-	}
-	if b < 1 || b > queries {
-		t.Fatalf("Stats batches = %d out of range [1, %d]", b, queries)
+}
+
+// TestCoalescerBatchesConcurrentQueries pins the whole point of the
+// Coalescer: sources that queue while the gate is held share one run per
+// lane group, and every submitter still gets its own correct row.
+func TestCoalescerBatchesConcurrentQueries(t *testing.T) {
+	g := gen.ER(800, 4000, true, 33)
+	for _, tc := range []struct{ k, batches int }{{40, 1}, {65, 2}} {
+		t.Run(fmt.Sprintf("k=%d", tc.k), func(t *testing.T) {
+			hg := holdGate()
+			c := NewCoalescer(g, CoalescerOptions{Gate: hg.gate})
+			defer c.Close()
+			wait := submitAll(c, g.N, tc.k)
+			waitQueued(t, c, tc.k)
+			hg.open()
+			dists, errs := wait()
+			checkRows(t, g, dists, errs)
+			if q, b := c.Stats(); q != int64(tc.k) || b != int64(tc.batches) {
+				t.Fatalf("Stats = (%d, %d), want (%d, %d)", q, b, tc.k, tc.batches)
+			}
+		})
 	}
 }
 
-// TestCoalescerTimerFlush: a lone request must not wait for lane-mates
-// that never come — the MaxWait timer flushes it.
-func TestCoalescerTimerFlush(t *testing.T) {
+// TestCoalescerLoneSubmit: with the gate free, a lone request runs at
+// once as a batch of one; nothing waits for lane-mates that never come.
+func TestCoalescerLoneSubmit(t *testing.T) {
 	g := gen.Chain(100, false)
-	c := NewCoalescer(g, CoalescerOptions{MaxBatch: 64, MaxWait: 2 * time.Millisecond})
+	c := NewCoalescer(g, CoalescerOptions{Gate: make(heldGate, 1).gate})
 	defer c.Close()
-	start := time.Now()
 	dist, err := c.Submit(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dist[99] != 99 {
 		t.Fatalf("dist[99] = %d, want 99", dist[99])
-	}
-	if waited := time.Since(start); waited > 2*time.Second {
-		t.Fatalf("single query took %v; timer flush did not fire", waited)
 	}
 	if _, b := c.Stats(); b != 1 {
 		t.Fatalf("batches = %d, want 1", b)
@@ -103,22 +154,28 @@ func TestCoalescerValidatesSource(t *testing.T) {
 	}
 }
 
-// TestCoalescerSubmitCtxAbandon: a caller whose ctx dies while waiting
-// gets the ctx cause; the coalescer itself stays usable.
+// TestCoalescerSubmitCtxAbandon: a caller whose ctx dies while its batch
+// waits for the gate gets the ctx cause; the batch still runs for the
+// lane-mate, and the coalescer stays usable.
 func TestCoalescerSubmitCtxAbandon(t *testing.T) {
 	g := gen.Chain(100, false)
-	c := NewCoalescer(g, CoalescerOptions{MaxBatch: 64, MaxWait: time.Hour})
+	hg := holdGate()
+	c := NewCoalescer(g, CoalescerOptions{Gate: hg.gate})
 	defer c.Close()
+	wait := submitAll(c, g.N, 1)
+	waitQueued(t, c, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := c.Submit(ctx, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	// A later submit on a live ctx still works (the abandoned request
-	// flushes with this batch or the hour timer; MaxBatch 1 forces it now).
-	c2 := NewCoalescer(g, CoalescerOptions{MaxBatch: 1})
-	defer c2.Close()
-	if _, err := c2.Submit(context.Background(), 1); err != nil {
+	hg.open()
+	dists, errs := wait()
+	checkRows(t, g, dists, errs)
+	if q, b := c.Stats(); q != 2 || b != 1 {
+		t.Fatalf("Stats = (%d, %d), want (2, 1): the abandoned source rides the batch", q, b)
+	}
+	if _, err := c.Submit(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -129,59 +186,65 @@ func TestCoalescerBatchCtxCancel(t *testing.T) {
 	g := gen.Chain(100, false)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	c := NewCoalescer(g, CoalescerOptions{MaxBatch: 1, Opt: core.Options{Ctx: ctx}})
+	c := NewCoalescer(g, CoalescerOptions{Opt: core.Options{Ctx: ctx}})
 	defer c.Close()
 	if _, err := c.Submit(context.Background(), 0); !errors.Is(err, core.ErrCanceled) {
 		t.Fatalf("err = %v, want core.ErrCanceled", err)
 	}
 }
 
-// TestCoalescerClose: Close flushes queued work, then fails future
+// TestCoalescerClose: Close while the flusher waits on a held gate
+// returns only after every queued request has run, then fails future
 // submits with ErrClosed.
 func TestCoalescerClose(t *testing.T) {
-	g := gen.Chain(100, false)
-	c := NewCoalescer(g, CoalescerOptions{MaxBatch: 64, MaxWait: time.Hour})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var dist []uint32
-	var err error
+	g := gen.ER(300, 1200, true, 5)
+	hg := holdGate()
+	c := NewCoalescer(g, CoalescerOptions{Gate: hg.gate})
+	const k = 5
+	wait := submitAll(c, g.N, k)
+	waitQueued(t, c, k)
+	closed := make(chan struct{})
 	go func() {
-		defer wg.Done()
-		dist, err = c.Submit(context.Background(), 1)
+		c.Close()
+		close(closed)
 	}()
-	// Wait until the request is queued, then Close must flush it.
+	// Close must be blocked on the queued work until the gate opens.
 	for {
-		time.Sleep(time.Millisecond)
 		c.mu.Lock()
-		queued := len(c.queue)
+		isClosed := c.closed
 		c.mu.Unlock()
-		if queued == 1 {
+		if isClosed {
 			break
 		}
+		time.Sleep(time.Millisecond)
 	}
-	c.Close()
-	wg.Wait()
-	if err != nil {
-		t.Fatalf("queued request failed on Close: %v", err)
-	}
-	if dist[1] != 0 {
-		t.Fatalf("dist[1] = %d, want 0", dist[1])
+	select {
+	case <-closed:
+		t.Fatal("Close returned while requests were still queued behind the gate")
+	default:
 	}
 	if _, err := c.Submit(context.Background(), 0); !errors.Is(err, ErrClosed) {
-		t.Fatalf("err = %v after Close, want ErrClosed", err)
+		t.Fatalf("err = %v after Close began, want ErrClosed", err)
+	}
+	hg.open()
+	<-closed
+	dists, errs := wait()
+	checkRows(t, g, dists, errs)
+	if q, _ := c.Stats(); q != k {
+		t.Fatalf("queries = %d after Close, want %d", q, k)
 	}
 	c.Close() // idempotent
 }
 
-// TestStressCoalescer drives the coalescer from many goroutines at small
-// MaxBatch/MaxWait for the -race tier: submit path, timer path, and
-// stats must all be clean under contention.
+// TestStressCoalescer drives the coalescer from many goroutines through a
+// one-slot gate, as the daemon wires it, for the -race tier: submit path,
+// flusher hand-over, and stats must all be clean under contention.
 func TestStressCoalescer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test; skipped with -short")
 	}
 	g := gen.SocialRMAT(8, 8, true, 77)
-	c := NewCoalescer(g, CoalescerOptions{MaxBatch: 8, MaxWait: 100 * time.Microsecond})
+	c := NewCoalescer(g, CoalescerOptions{Gate: make(heldGate, 1).gate})
 	defer c.Close()
 	want := make(map[uint32][]uint32)
 	for s := 0; s < 16; s++ {
@@ -280,8 +343,6 @@ func TestCoalescerGate(t *testing.T) {
 	var acquires, releases, inGate int
 	maxInGate := 0
 	c := NewCoalescer(g, CoalescerOptions{
-		MaxBatch: 4,
-		MaxWait:  time.Millisecond,
 		Gate: func() func() {
 			mu.Lock()
 			acquires++

@@ -6,18 +6,18 @@ import (
 )
 
 // admission is the semaphore-based admission controller: at most cap
-// queries run their parallel computation at once, so p concurrent HTTP
-// requests cannot oversubscribe the p-worker scheduler. Requests past the
-// bound queue on the semaphore channel; a queued request whose context
-// dies (client disconnect, ?timeout=) abandons the wait without ever
-// holding a slot.
+// queries run their parallel computation at once (one by default, so
+// each kernel has the whole worker pool). Requests past the bound queue
+// on the semaphore channel in arrival order; a queued request whose
+// context dies (client disconnect, ?timeout=) abandons the wait without
+// ever holding a slot.
 //
 // Two acquisition paths exist on purpose. Direct queries acquire with
 // their request context. Coalesced batches acquire through acquireBatch —
-// no context, because a flushed batch must run for all its lane-mates
-// regardless of any single submitter's fate — and charge ONE slot for up
-// to 64 queries, which is exactly why coalescing multiplies throughput
-// under admission control.
+// no context, because a batch must run for all its lane-mates regardless
+// of any single submitter's fate — and charge ONE slot for up to 64
+// queries, which is exactly why coalescing multiplies throughput under
+// admission control.
 type admission struct {
 	cap int
 	sem chan struct{}

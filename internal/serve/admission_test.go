@@ -3,9 +3,14 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
+	"net/http"
 	"sync"
 	"testing"
 	"time"
+
+	"pasgal/internal/gen"
+	"pasgal/internal/graph"
 )
 
 // TestAdmissionBound: under heavy concurrent acquire/release churn the
@@ -103,5 +108,41 @@ func TestAdmissionBatchBlocks(t *testing.T) {
 	a.release()
 	if w := a.waited.Load(); w != 1 {
 		t.Fatalf("waited = %d, want 1", w)
+	}
+}
+
+// TestAdmissionDefaultsToOneSlot: a zero Config runs one kernel at a
+// time, so concurrent direct queries queue instead of splitting the
+// worker pool; MaxConcurrent still overrides the default.
+func TestAdmissionDefaultsToOneSlot(t *testing.T) {
+	g := gen.SocialRMAT(11, 8, true, 3)
+	metrics := func(url string) MetricsResponse {
+		t.Helper()
+		var mr MetricsResponse
+		if st, _ := getJSON(t, url+"/metrics", &mr); st != http.StatusOK {
+			t.Fatalf("/metrics status %d", st)
+		}
+		return mr
+	}
+	_, hs := newTestServer(t, map[string]*graph.Graph{"g": g}, Config{})
+	if c := metrics(hs.URL).Admission.Capacity; c != 1 {
+		t.Fatalf("zero Config: admission capacity %d, want 1", c)
+	}
+	var wg sync.WaitGroup
+	for src := 0; src < 2; src++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			wantStatus(t, fmt.Sprintf("%s/query/sssp?graph=g&src=%d&coalesce=off&cache=off", hs.URL, src), http.StatusOK)
+		}()
+	}
+	wg.Wait()
+	if adm := metrics(hs.URL).Admission; adm.Peak != 1 || adm.Admitted != 2 {
+		t.Fatalf("two concurrent sssp queries: peak %d admitted %d, want 1 and 2", adm.Peak, adm.Admitted)
+	}
+
+	_, hs2 := newTestServer(t, map[string]*graph.Graph{"g": g}, Config{MaxConcurrent: 2})
+	if c := metrics(hs2.URL).Admission.Capacity; c != 2 {
+		t.Fatalf("MaxConcurrent 2: admission capacity %d, want 2", c)
 	}
 }

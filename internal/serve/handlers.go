@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"pasgal/internal/core"
@@ -143,6 +144,7 @@ type MetricsResponse struct {
 	Cache         CacheStats             `json:"cache"`
 	Admission     AdmissionStats         `json:"admission"`
 	Coalescer     CoalescerStats         `json:"coalescer"`
+	Stages        map[string]StageStats  `json:"stages"`
 	Updates       map[string]UpdateStats `json:"updates,omitempty"`
 	Tracer        map[string]int64       `json:"tracer"`
 	Graphs        map[string]GraphInfo   `json:"graphs"`
@@ -197,6 +199,30 @@ type CoalescerStats struct {
 	Batches int64 `json:"batches"`
 }
 
+// StageStats sums one algo's computed answers (cache hits excluded) by
+// stage: WaitMs is the time spent queued for the admission slot, or in
+// the coalescer until the answer's batch started; ComputeMs is the kernel
+// or batch run. The same two figures ride each answer's Server-Timing
+// header.
+type StageStats struct {
+	Count     int64   `json:"count"`
+	WaitMs    float64 `json:"wait_ms"`
+	ComputeMs float64 `json:"compute_ms"`
+}
+
+// stageClock accumulates one algo's StageStats.
+type stageClock struct {
+	count, waitNs, computeNs atomic.Int64
+}
+
+func (c *stageClock) stats() StageStats {
+	return StageStats{
+		Count:     c.count.Load(),
+		WaitMs:    float64(c.waitNs.Load()) / 1e6,
+		ComputeMs: float64(c.computeNs.Load()) / 1e6,
+	}
+}
+
 // HealthResponse answers /healthz.
 type HealthResponse struct {
 	Status        string  `json:"status"`
@@ -220,6 +246,10 @@ type query struct {
 	useCache bool
 	coalesce bool // eligible for the coalesced single-source path
 	summary  bool // ?summary=1: omit the per-vertex result array
+
+	// The stage clock of a computed answer: wait is the admission (or
+	// coalescer) queueing, compute the kernel (or batch) run.
+	wait, compute time.Duration
 
 	// Mutable graphs: the pinned epoch snapshot the whole query answers
 	// from. sn stays nil for immutable graphs, where view == sg.g and
@@ -417,7 +447,8 @@ func (q *query) fail(w http.ResponseWriter, err error) {
 }
 
 // finish marshals resp, stores it in the cache under key (when the query
-// participates), and writes it with a cache-miss marker.
+// participates), and writes it with a cache-miss marker and the stage
+// clock, which it also adds to the algo's /metrics stages.
 func (q *query) finish(w http.ResponseWriter, key string, resp any) {
 	body, err := json.Marshal(resp)
 	if err != nil {
@@ -428,16 +459,40 @@ func (q *query) finish(w http.ResponseWriter, key string, resp any) {
 	if q.useCache {
 		q.s.cache.put(key, body)
 	}
+	st := q.s.stages[q.algo]
+	st.count.Add(1)
+	st.waitNs.Add(int64(q.wait))
+	st.computeNs.Add(int64(q.compute))
+	w.Header().Set("Server-Timing", fmt.Sprintf("wait;dur=%.3f, compute;dur=%.3f",
+		float64(q.wait)/1e6, float64(q.compute)/1e6))
 	writeBody(w, body, false)
 }
 
-// run executes fn under an admission slot bound to the query's context.
+// run executes fn under an admission slot bound to the query's context,
+// timing the wait for the slot and the run.
 func (q *query) run(fn func() error) error {
+	t0 := time.Now()
 	if err := q.s.adm.acquire(q.ctx); err != nil {
 		return err
 	}
 	defer q.s.adm.release()
-	return fn()
+	t1 := time.Now()
+	err := fn()
+	q.wait, q.compute = t1.Sub(t0), time.Since(t1)
+	return err
+}
+
+// submit answers a single-source query through the coalescer, timing the
+// wait until its batch started and the batch run.
+func (q *query) submit(src uint32) ([]uint32, error) {
+	q.s.coalesced.Add(1)
+	t0 := time.Now()
+	row, err := q.sg.coal.SubmitRow(q.ctx, src)
+	if err != nil {
+		return nil, typedErr(err)
+	}
+	q.wait, q.compute = row.Start.Sub(t0), row.End.Sub(row.Start)
+	return row.Dist, nil
 }
 
 // cached consults the result cache; on a hit the body is replayed
@@ -491,9 +546,7 @@ func (s *Server) handleBFS(w http.ResponseWriter, r *http.Request) {
 	}
 	var dist []uint32
 	if q.coalesce {
-		s.coalesced.Add(1)
-		dist, err = q.sg.coal.Submit(q.ctx, src)
-		err = typedErr(err)
+		dist, err = q.submit(src)
 	} else {
 		err = q.run(func() error {
 			var runErr error
@@ -649,10 +702,8 @@ func (s *Server) handleReachable(w http.ResponseWriter, r *http.Request) {
 	}
 	var reach []bool
 	if q.coalesce && len(srcs) == 1 {
-		s.coalesced.Add(1)
 		var dist []uint32
-		dist, err = q.sg.coal.Submit(q.ctx, srcs[0])
-		err = typedErr(err)
+		dist, err = q.submit(srcs[0])
 		if err == nil {
 			reach = make([]bool, len(dist))
 			for v, d := range dist {
@@ -834,6 +885,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			coalB += cb
 		}
 	}
+	stages := make(map[string]StageStats, len(s.stages))
+	for algo, c := range s.stages {
+		stages[algo] = c.stats()
+	}
 	tr := make(map[string]int64, len(metricsTracerCounters))
 	for _, c := range metricsTracerCounters {
 		tr[c.Name()] = s.tracer.CounterValue(c)
@@ -878,6 +933,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			Waited: s.adm.waited.Load(), Abandoned: s.adm.abandoned.Load(),
 		},
 		Coalescer: CoalescerStats{Enabled: coalesceOn, Queries: coalQ, Batches: coalB},
+		Stages:    stages,
 		Updates:   updates,
 		Tracer:    tr,
 		Graphs:    s.graphInfos(),

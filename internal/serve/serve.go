@@ -7,12 +7,14 @@
 //   - Options.Ctx + typed ErrCanceled/ErrDeadline bind every query to its
 //     HTTP request context: a client disconnect cancels the parallel run
 //     mid-flight (status 499), an expired ?timeout= maps to 504.
-//   - A semaphore-based admission controller bounds concurrent parallel
-//     computations so p queries do not oversubscribe the p-worker
-//     scheduler; queued requests abandon the wait when their context dies.
+//   - A semaphore-based admission controller runs one parallel kernel at
+//     a time by default, on the whole worker pool, in FIFO order; queued
+//     requests abandon the wait when their context dies.
 //   - Single-source BFS and reachability route through the msbfs.Coalescer:
-//     concurrent submitters group-commit into shared MS-BFS lane runs, and
-//     each flushed batch charges ONE admission slot for up to 64 queries.
+//     requests that queue while the admission slot is busy join one MS-BFS
+//     lane run, which charges ONE admission slot for up to 64 queries.
+//   - Every computed answer carries a Server-Timing header (admission or
+//     coalescer wait, then compute), summed per algo on /metrics.
 //   - A bounded LRU cache keyed on (graph, algo, sources, normalized
 //     options) replays byte-identical response bodies on hits.
 //   - trace.Tracer counters, cache hit/miss rates, and admission gauges
@@ -39,7 +41,6 @@ import (
 	"pasgal/internal/delta"
 	"pasgal/internal/graph"
 	"pasgal/internal/msbfs"
-	"pasgal/internal/parallel"
 	"pasgal/internal/trace"
 )
 
@@ -61,8 +62,10 @@ var Algos = []string{"bfs", "sssp", "scc", "kcore", "reachable", "p2p"}
 // Config tunes a Server. The zero value selects defaults.
 type Config struct {
 	// MaxConcurrent bounds concurrently executing parallel computations
-	// (the admission controller's capacity); <= 0 selects the worker-team
-	// size, so admitted queries never oversubscribe the scheduler.
+	// (the admission controller's capacity); <= 0 selects 1. Every kernel
+	// is written to use the whole worker pool, so by default each runs to
+	// completion at full speed while the next queues in FIFO order
+	// (docs/SERVING.md, "Run to completion").
 	MaxConcurrent int
 
 	// CacheEntries bounds the LRU result cache; 0 selects
@@ -72,10 +75,6 @@ type Config struct {
 	// MaxTimeout caps ?timeout= and is the implicit per-query deadline;
 	// <= 0 selects DefaultMaxTimeout.
 	MaxTimeout time.Duration
-
-	// CoalesceWait is the coalescer's flush latency bound; <= 0 selects
-	// msbfs.DefaultMaxWait.
-	CoalesceWait time.Duration
 
 	// DisableCoalesce turns off the coalesced single-source BFS /
 	// reachability path: every query runs its own traversal under its
@@ -189,6 +188,7 @@ type Server struct {
 	canceledQ    atomic.Int64
 	deadlinedQ   atomic.Int64
 	byAlgo       map[string]*atomic.Int64
+	stages       map[string]*stageClock
 	coalesced    atomic.Int64 // queries answered through the coalescer
 	cacheBypass  atomic.Int64 // queries that opted out of the cache
 	drainStarted atomic.Int64 // unix nanos, 0 while serving
@@ -229,7 +229,7 @@ func NewAdj(graphs map[string]graph.Adjacency, cfg Config) (*Server, error) {
 
 	maxConc := cfg.MaxConcurrent
 	if maxConc <= 0 {
-		maxConc = parallel.Workers()
+		maxConc = 1
 	}
 	cacheCap := cfg.CacheEntries
 	if cacheCap == 0 {
@@ -249,6 +249,7 @@ func NewAdj(graphs map[string]graph.Adjacency, cfg Config) (*Server, error) {
 		cache:    newResultCache(cacheCap),
 		cacheCap: cacheCap,
 		byAlgo:   make(map[string]*atomic.Int64, len(Algos)),
+		stages:   make(map[string]*stageClock, len(Algos)),
 		started:  time.Now(),
 	}
 	for name, g := range graphs {
@@ -293,10 +294,9 @@ func NewAdj(graphs map[string]graph.Adjacency, cfg Config) (*Server, error) {
 		// to different epochs, so the shared scan is unsound there.
 		if !cfg.DisableCoalesce && sg.store == nil {
 			sg.coal = msbfs.NewCoalescer(g, msbfs.CoalescerOptions{
-				MaxWait: cfg.CoalesceWait,
-				Opt:     opt,
-				// One admission slot per flushed batch: up to 64
-				// coalesced queries ride a single scheduler admission.
+				Opt: opt,
+				// One admission slot per batch: sources queue while the
+				// slot is busy, then up to 64 of them ride one admission.
 				Gate: func() func() {
 					s.adm.acquireBatch()
 					return s.adm.release
@@ -307,6 +307,7 @@ func NewAdj(graphs map[string]graph.Adjacency, cfg Config) (*Server, error) {
 	}
 	for _, algo := range Algos {
 		s.byAlgo[algo] = new(atomic.Int64)
+		s.stages[algo] = new(stageClock)
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/query/bfs", s.handleBFS)

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"pasgal/internal/core"
 	"pasgal/internal/gen"
@@ -516,5 +517,65 @@ func TestServeCompressedGraph(t *testing.T) {
 	}
 	if gr.Graphs["zc"].N != g.N || gr.Graphs["zc"].M != g.M() {
 		t.Fatalf("compressed inventory wrong: %+v", gr.Graphs["zc"])
+	}
+}
+
+// TestServeServerTiming: every computed answer carries a Server-Timing
+// header whose wait and compute fit inside the client-measured latency,
+// cache hits carry none, and /metrics stages count exactly the computed
+// answers per algo.
+func TestServeServerTiming(t *testing.T) {
+	g := gen.SocialRMAT(10, 8, true, 42)
+	_, hs := newTestServer(t, map[string]*graph.Graph{"g": g}, Config{})
+	get := func(path string) (timing, cache string, latency time.Duration) {
+		t.Helper()
+		start := time.Now()
+		resp, err := http.Get(hs.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		latency = time.Since(start)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		}
+		return resp.Header.Get("Server-Timing"), resp.Header.Get("X-Pasgal-Cache"), latency
+	}
+	for _, path := range []string{
+		"/query/sssp?graph=g&src=1",
+		"/query/sssp?graph=g&src=2",
+		"/query/bfs?graph=g&src=1",
+		"/query/bfs?graph=g&src=2&coalesce=off",
+		"/query/reachable?graph=g&src=3",
+	} {
+		timing, _, latency := get(path)
+		var wait, compute float64
+		if n, err := fmt.Sscanf(timing, "wait;dur=%g, compute;dur=%g", &wait, &compute); n != 2 || err != nil {
+			t.Fatalf("%s: Server-Timing %q does not hold wait and compute (%v)", path, timing, err)
+		}
+		if wait < 0 || compute <= 0 {
+			t.Fatalf("%s: Server-Timing %q", path, timing)
+		}
+		if ms := float64(latency) / 1e6; wait+compute > ms {
+			t.Fatalf("%s: wait %g + compute %g ms exceed the client's %g ms", path, wait, compute, ms)
+		}
+	}
+	if timing, cache, _ := get("/query/sssp?graph=g&src=1"); cache != "hit" || timing != "" {
+		t.Fatalf("repeated sssp: cache %q, Server-Timing %q; want a hit with no timing", cache, timing)
+	}
+	var mr MetricsResponse
+	if st, _ := getJSON(t, hs.URL+"/metrics", &mr); st != http.StatusOK {
+		t.Fatalf("/metrics status %d", st)
+	}
+	want := map[string]int64{"sssp": 2, "bfs": 2, "reachable": 1}
+	for _, algo := range Algos {
+		st := mr.Stages[algo]
+		if st.Count != want[algo] {
+			t.Fatalf("stages[%s].count = %d, want %d (stages %+v)", algo, st.Count, want[algo], mr.Stages)
+		}
+		if st.Count > 0 && st.ComputeMs <= 0 {
+			t.Fatalf("stages[%s] = %+v: no compute time", algo, st)
+		}
 	}
 }

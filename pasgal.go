@@ -243,12 +243,14 @@ func BatchedPointToPoint(g Adjacency, pairs [][2]uint32, opt Options) ([]uint32,
 // graph into shared MS-BFS lane groups; see msbfs.Coalescer.
 type Coalescer = msbfs.Coalescer
 
-// CoalescerOptions tunes a Coalescer (flush batch size and latency bound).
+// CoalescerOptions configures a Coalescer: the options its batch runs
+// use and the gate each batch acquires before it is taken.
 type CoalescerOptions = msbfs.CoalescerOptions
 
 // NewCoalescer returns a batching front door for BFS queries against g.
 // Submit queues one source and blocks until its distance row is ready;
-// requests arriving within the flush window share edge scans.
+// requests that queue while a batch waits for the gate or runs share the
+// next batch's edge scans.
 func NewCoalescer(g Adjacency, opts CoalescerOptions) *Coalescer {
 	return msbfs.NewCoalescer(g, opts)
 }

@@ -114,6 +114,13 @@ if [ "$short" = 1 ]; then
     # Uncached: the selection runs parallel reductions and packs, and the
     # label search's write-max race is the schedule's.
     go test -run '^(TestPickPivotsMatchesSort|TestPropagateFilterAndWriteMin)$' -count=1 ./internal/core
+    echo '== coalescer batches behind a held gate; one admission slot'
+    # Uncached: which submitter starts the flusher, and when each source
+    # joins the queue, depend on goroutine interleaving; the batch counts,
+    # the rows, and the admission peak must not.
+    go test -run '^(TestCoalescerBatchesConcurrentQueries|TestCoalescerLoneSubmit|TestCoalescerSubmitCtxAbandon|TestCoalescerClose)$' \
+        -count=1 ./internal/msbfs
+    go test -run '^TestAdmissionDefaultsToOneSlot$' -count=1 ./internal/serve
     echo 'short checks passed'
     exit 0
 fi
@@ -198,6 +205,10 @@ go test -race -run Stress -count=3 \
 # primitive x worker-count x grain x size cell catches ordering bugs the
 # stress loops' fixed shapes miss.
 go test -race -run 'Conformance|PanicPropagation' -count=1 ./internal/parallel
+# The coalescer suite under -race: its gate-held tests hand the queue
+# between submitters, the flusher and Close, which neither the Stress nor
+# the Cancel pattern selects.
+go test -race -run '^TestCoalescer' -count=1 ./internal/msbfs
 # Cancellation conformance under -race: pre-canceled contexts, expired
 # deadlines, and mid-run cancels across every entry point — the
 # fire/drain hand-off is exactly the kind of publication race -race sees

@@ -20,6 +20,9 @@ import (
 type cancelCase struct {
 	name string
 	run  func(t *testing.T, opt Options) (*Metrics, error)
+	// staged marks a run that is only a few stage boundaries long, too
+	// short for TestCancelMidRun's watcher to be sure to land in it.
+	staged bool
 }
 
 // cancelCases enumerates every public algorithm entry point in this
@@ -28,92 +31,109 @@ type cancelCase struct {
 func cancelCases(dg, ug *graph.Graph) []cancelCase {
 	pol := RhoStepping{}
 	return []cancelCase{
-		{"BFS", func(t *testing.T, opt Options) (*Metrics, error) {
+		{name: "BFS", run: func(t *testing.T, opt Options) (*Metrics, error) {
 			dist, met, err := BFS(dg, 0, opt)
 			if err != nil && dist != nil {
 				t.Error("BFS returned a distance slice alongside its error")
 			}
 			return met, err
 		}},
-		{"BFSTree", func(t *testing.T, opt Options) (*Metrics, error) {
+		{name: "BFSTree", run: func(t *testing.T, opt Options) (*Metrics, error) {
 			dist, parent, met, err := BFSTree(dg, 0, opt)
 			if err != nil && (dist != nil || parent != nil) {
 				t.Error("BFSTree returned a result alongside its error")
 			}
 			return met, err
 		}},
-		{"SCC", func(t *testing.T, opt Options) (*Metrics, error) {
+		{name: "SCC", run: func(t *testing.T, opt Options) (*Metrics, error) {
 			comp, count, met, err := SCC(dg, opt)
 			if err != nil && (comp != nil || count != 0) {
 				t.Error("SCC returned a result alongside its error")
 			}
 			return met, err
 		}},
-		{"BCC", func(t *testing.T, opt Options) (*Metrics, error) {
+		{name: "BCC", run: func(t *testing.T, opt Options) (*Metrics, error) {
 			res, met, err := BCC(ug, opt)
 			if err != nil && (res.ArcLabel != nil || res.IsArt != nil || res.NumBCC != 0) {
 				t.Error("BCC returned a result alongside its error")
 			}
 			return met, err
 		}},
-		{"SSSP", func(t *testing.T, opt Options) (*Metrics, error) {
+		{name: "SSSP", run: func(t *testing.T, opt Options) (*Metrics, error) {
 			dist, met, err := SSSP(ug, 0, pol, opt)
 			if err != nil && dist != nil {
 				t.Error("SSSP returned a distance slice alongside its error")
 			}
 			return met, err
 		}},
-		{"SSSPTree", func(t *testing.T, opt Options) (*Metrics, error) {
+		{name: "SSSPTree", run: func(t *testing.T, opt Options) (*Metrics, error) {
 			dist, parent, met, err := SSSPTree(ug, 0, pol, opt)
 			if err != nil && (dist != nil || parent != nil) {
 				t.Error("SSSPTree returned a result alongside its error")
 			}
 			return met, err
 		}},
-		{"PointToPoint", func(t *testing.T, opt Options) (*Metrics, error) {
+		{name: "PointToPoint", run: func(t *testing.T, opt Options) (*Metrics, error) {
 			d, met, err := PointToPoint(ug, 0, uint32(ug.N-1), pol, opt)
 			if err != nil && d != InfWeight {
 				t.Errorf("PointToPoint returned distance %d alongside its error, want InfWeight", d)
 			}
 			return met, err
 		}},
-		{"Reachable", func(t *testing.T, opt Options) (*Metrics, error) {
+		{name: "Reachable", run: func(t *testing.T, opt Options) (*Metrics, error) {
 			reach, met, err := Reachable(dg, []uint32{0}, opt)
 			if err != nil && reach != nil {
 				t.Error("Reachable returned a result alongside its error")
 			}
 			return met, err
 		}},
-		{"KCore", func(t *testing.T, opt Options) (*Metrics, error) {
+		{name: "KCore", run: func(t *testing.T, opt Options) (*Metrics, error) {
 			core, deg, met, err := KCore(ug, opt)
 			if err != nil && (core != nil || deg != 0) {
 				t.Error("KCore returned a result alongside its error")
 			}
 			return met, err
 		}},
-		{"Bridges", func(t *testing.T, opt Options) (*Metrics, error) {
+		{name: "Bridges", run: func(t *testing.T, opt Options) (*Metrics, error) {
 			br, n, met, err := Bridges(ug, opt)
 			if err != nil && (br != nil || n != 0) {
 				t.Error("Bridges returned a result alongside its error")
 			}
 			return met, err
 		}},
-		{"DensestSubgraph", func(t *testing.T, opt Options) (*Metrics, error) {
+		{name: "DensestSubgraph", run: func(t *testing.T, opt Options) (*Metrics, error) {
 			verts, density, met, err := DensestSubgraph(ug, opt)
 			if err != nil && (verts != nil || density != 0) {
 				t.Error("DensestSubgraph returned a result alongside its error")
 			}
 			return met, err
 		}},
-		{"BCCFromForest", func(t *testing.T, opt Options) (*Metrics, error) {
+		{name: "BCCFromForest", run: func(t *testing.T, opt Options) (*Metrics, error) {
 			f := euler.Build(ug.N, spanningTreeOf(ug), make([]uint32, ug.N)) // one tree, rooted at 0
 			res, met, err := BCCFromForest(ug, f, opt)
 			if err != nil && (res.ArcLabel != nil || res.NumBCC != 0) {
 				t.Error("BCCFromForest returned a result alongside its error")
 			}
 			return met, err
-		}},
+		}, staged: true},
 	}
+}
+
+// loopTrip is a context that reads as canceled from the first Err call
+// after tr has counted a parallel loop. Canceler.Poll consults Err at
+// every stage boundary, so the cancellation lands at the first boundary
+// past the run's first loop, with stages still ahead, and no goroutine
+// races the run to it.
+type loopTrip struct {
+	context.Context
+	tr *trace.Tracer
+}
+
+func (c loopTrip) Err() error {
+	if c.tr.CounterValue(trace.CtrLoops)+c.tr.CounterValue(trace.CtrInlineLoops) > 0 {
+		return context.Canceled
+	}
+	return c.Context.Err()
 }
 
 // spanningTreeOf returns the tree edges of a chain-shaped spanning tree
@@ -207,6 +227,9 @@ func TestCancelNilCtxCompletes(t *testing.T) {
 // BCC pipeline), then cancels. On the 200k-vertex chains with Tau = 1 every
 // algorithm has vastly more work left at that point, so the run must come
 // back with the typed error and a cancel trace event rather than a result.
+// A staged run (BCCFromForest: the forest is given, so only the labeling
+// stages run) can end before the watcher acts; its context trips
+// instead at the first stage boundary past a loop (loopTrip).
 func TestCancelMidRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mid-run cancellation sweep; skipped with -short")
@@ -225,9 +248,13 @@ func TestCancelMidRun(t *testing.T) {
 			tr := trace.New()
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
+			runCtx := context.Context(ctx)
+			if tc.staged {
+				runCtx = loopTrip{ctx, tr}
+			}
 			done := make(chan struct{})
 			go func() {
-				for {
+				for !tc.staged {
 					select {
 					case <-done:
 						return
@@ -244,7 +271,7 @@ func TestCancelMidRun(t *testing.T) {
 				}
 			}()
 			met, err := tc.run(t, Options{
-				Ctx: ctx, Tau: 1, Tracer: tr, TraceScheduler: true,
+				Ctx: runCtx, Tau: 1, Tracer: tr, TraceScheduler: true,
 			})
 			close(done)
 			if !errors.Is(err, ErrCanceled) {

@@ -307,3 +307,53 @@ func TestIncrementalConnectivityRequiresUndirected(t *testing.T) {
 		t.Fatal("directed store must be rejected")
 	}
 }
+
+// TestCompactMatchesFromEdges: the base Compact installs is byte-identical
+// to FromEdges over the effective arc set it replaces, for every
+// orientation and weighting, across random batch schedules.
+func TestCompactMatchesFromEdges(t *testing.T) {
+	for _, directed := range []bool{true, false} {
+		for _, weighted := range []bool{false, true} {
+			name := fmt.Sprintf("directed=%v/weighted=%v", directed, weighted)
+			t.Run(name, func(t *testing.T) {
+				for seed := uint64(1); seed <= 3; seed++ {
+					g := gen.ER(300*int(seed), 1500, directed, seed)
+					if weighted {
+						g = gen.AddUniformWeights(g, 1, 64, seed)
+					}
+					rng := rand.New(rand.NewSource(int64(seed)))
+					model := newTruthModel(g)
+					s := NewStore(g, Options{CompactFraction: -1})
+					for round := 0; round < 6; round++ {
+						batch := model.randomBatch(rng, 1+rng.Intn(g.N/2))
+						model.apply(batch)
+						if _, err := s.Apply(batch); err != nil {
+							t.Fatal(err)
+						}
+						if round%2 == 0 {
+							continue // let the patch grow across two batches
+						}
+						want := model.rebuild()
+						if _, err := s.Compact(); err != nil {
+							t.Fatal(err)
+						}
+						sn := s.Snapshot()
+						got, ok := sn.Adj().(*graph.Graph)
+						if !ok {
+							t.Fatalf("seed %d round %d: compacted view is %T, want *graph.Graph", seed, round, sn.Adj())
+						}
+						if err := got.Validate(); err != nil {
+							t.Fatal(err)
+						}
+						if got.Directed != want.Directed || !reflect.DeepEqual(got.Offsets, want.Offsets) ||
+							!reflect.DeepEqual(got.Edges, want.Edges) || !reflect.DeepEqual(got.Weights, want.Weights) {
+							t.Fatalf("seed %d round %d: compacted base differs from the FromEdges rebuild", seed, round)
+						}
+						sn.Release()
+					}
+					s.Close()
+				}
+			})
+		}
+	}
+}

@@ -530,11 +530,11 @@ func (s *Store) publish(view graph.Adjacency) uint64 {
 	return es.epoch
 }
 
-// Compact folds the current patch into a fresh base CSR through the
-// graph.FromEdges radix pipeline and publishes it as a new epoch.
-// Snapshots pinned on older epochs keep their overlay views — the old
-// base is captured inside them and is never modified. With an empty
-// patch it is a no-op.
+// Compact installs the overlay's Materialize as the next base CSR (its
+// merged per-vertex scans already emit sorted, deduplicated lists) and
+// publishes it as a new epoch. Snapshots pinned on older epochs keep
+// their overlay views — the old base is captured inside them and is
+// never modified. With an empty patch it is a no-op.
 func (s *Store) Compact() (uint64, error) {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
@@ -548,7 +548,7 @@ func (s *Store) Compact() (uint64, error) {
 	if s.ov.PatchArcs() == 0 {
 		return epoch, nil
 	}
-	newBase := graph.FromEdges(s.n, s.ov.Arcs(), s.directed, graph.BuildOptions{Weighted: s.weighted})
+	newBase := s.ov.Materialize()
 	s.base = newBase
 	s.ov = graph.EmptyOverlay(newBase)
 	newEpoch := s.publish(newBase)

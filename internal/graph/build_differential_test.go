@@ -3,6 +3,8 @@ package graph
 import (
 	"fmt"
 	"math/rand/v2"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -306,6 +308,179 @@ func TestBuildDifferentialParallelPath(t *testing.T) {
 			label := fmt.Sprintf("p8/%s/dups=%v", shape.name, keepDups)
 			checkAgainstReference(t, label, shape.n, shape.edges, true, opt)
 			checkAgainstReference(t, label+"/undirected", shape.n, shape.edges, false, opt)
+		}
+	}
+}
+
+// transposeOracle is the transpose as FromEdges builds it from the
+// reversed arc list: every arc kept, self-loops and duplicates included.
+func transposeOracle(g *Graph) *Graph {
+	return FromEdges(g.N, edgeList(g, true), true, BuildOptions{
+		Weighted: g.Weighted(), KeepSelfLoops: true, KeepDuplicates: true,
+	})
+}
+
+// symmetrizedOracle is the symmetrize as FromEdges builds it from the arc
+// list: self-loops dropped, one arc per neighbor with the smallest weight.
+func symmetrizedOracle(g *Graph) *Graph {
+	return FromEdges(g.N, edgeList(g, false), false, BuildOptions{Weighted: g.Weighted()})
+}
+
+// edgeList returns g's arcs as edges, reversed if asked.
+func edgeList(g *Graph, reversed bool) []Edge {
+	edges := make([]Edge, 0, g.M())
+	for u := uint32(0); int(u) < g.N; u++ {
+		for i := g.Offsets[u]; i < g.Offsets[u+1]; i++ {
+			e := Edge{U: u, V: g.Edges[i]}
+			if reversed {
+				e.U, e.V = e.V, e.U
+			}
+			if g.Weighted() {
+				e.W = g.Weights[i]
+			}
+			edges = append(edges, e)
+		}
+	}
+	return edges
+}
+
+// checkIdentical asserts byte-identical Offsets and Edges and the same
+// weights, compared as a multiset within each run of equal (u,v) arcs:
+// the order of duplicates' weights is unspecified (§2.8).
+func checkIdentical(t *testing.T, label string, got, want *Graph) {
+	t.Helper()
+	if got.N != want.N || got.Directed != want.Directed || got.Weighted() != want.Weighted() {
+		t.Fatalf("%s: shape n=%d directed=%v weighted=%v, want n=%d directed=%v weighted=%v",
+			label, got.N, got.Directed, got.Weighted(), want.N, want.Directed, want.Weighted())
+	}
+	if !slices.Equal(got.Offsets, want.Offsets) {
+		t.Fatalf("%s: Offsets differ", label)
+	}
+	if !slices.Equal(got.Edges, want.Edges) {
+		t.Fatalf("%s: Edges differ", label)
+	}
+	if !got.Weighted() {
+		return
+	}
+	for u := 0; u < got.N; u++ {
+		lo, hi := got.Offsets[u], got.Offsets[u+1]
+		for run := lo; run < hi; {
+			end := run + 1
+			for end < hi && got.Edges[end] == got.Edges[run] {
+				end++
+			}
+			a := slices.Clone(got.Weights[run:end])
+			b := slices.Clone(want.Weights[run:end])
+			slices.Sort(a)
+			slices.Sort(b)
+			if !slices.Equal(a, b) {
+				t.Fatalf("%s: weights of arc (%d,%d) = %v, want %v", label, u, got.Edges[run], a, b)
+			}
+			run = end
+		}
+	}
+}
+
+// derivedShapes are random multigraphs kept with their duplicates and
+// self-loops, every arc carrying its own weight, at the sizes the builders
+// branch on: n = 0 and 1, below seqBuildArcs, sparse (m < n, a single
+// counting range), the packed FromEdges route, and above 2^16 vertices.
+func derivedShapes() []*Graph {
+	rng := rand.New(rand.NewPCG(39, 4))
+	var gs []*Graph
+	for _, sz := range []struct{ n, m, hubs int }{
+		{0, 0, 0}, {1, 5, 0}, {40, 300, 0}, {3000, 1200, 0},
+		{9000, 40000, 3}, {70000, 200000, 5},
+	} {
+		edges := make([]Edge, sz.m)
+		for i := range edges {
+			u, v := uint32(rng.IntN(sz.n)), uint32(rng.IntN(sz.n))
+			switch {
+			case i%13 == 0:
+				v = u // self-loops
+			case i%7 == 0 && i > 0:
+				u, v = edges[i-1].U, edges[i-1].V // a duplicate of the previous arc
+			case sz.hubs > 0 && i%11 == 0:
+				u = uint32(rng.IntN(sz.hubs)) // long out-lists
+			case sz.hubs > 0 && i%17 == 0:
+				v = uint32(rng.IntN(sz.hubs)) // long in-lists
+			}
+			edges[i] = Edge{U: u, V: v, W: uint32(i)}
+		}
+		for _, weighted := range []bool{true, false} {
+			gs = append(gs, FromEdges(sz.n, edges, true, BuildOptions{
+				Weighted: weighted, KeepDuplicates: true, KeepSelfLoops: true,
+			}))
+		}
+	}
+	return gs
+}
+
+// TestTransposeDifferential pins the counting transpose, byte for byte,
+// to the FromEdges-built oracle at 1–4 workers.
+func TestTransposeDifferential(t *testing.T) {
+	for _, p := range []int{1, 2, 3, 4} {
+		old := parallel.SetWorkers(p)
+		for _, g := range derivedShapes() {
+			label := fmt.Sprintf("p%d/%v", p, g)
+			fresh := &Graph{N: g.N, Offsets: g.Offsets, Edges: g.Edges, Weights: g.Weights, Directed: true}
+			tr := fresh.Transpose()
+			if err := tr.Validate(); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			checkIdentical(t, label, tr, transposeOracle(g))
+			if tr.Transpose() != fresh {
+				t.Fatalf("%s: the transpose's own transpose is not g", label)
+			}
+		}
+		parallel.SetWorkers(old)
+	}
+}
+
+// TestSymmetrizedDifferential pins the merge symmetrize, byte for byte, to
+// the FromEdges-built oracle at 1–4 workers, and checks it leaves the
+// transpose cached on g.
+func TestSymmetrizedDifferential(t *testing.T) {
+	for _, p := range []int{1, 2, 3, 4} {
+		old := parallel.SetWorkers(p)
+		for _, g := range derivedShapes() {
+			label := fmt.Sprintf("p%d/%v", p, g)
+			fresh := &Graph{N: g.N, Offsets: g.Offsets, Edges: g.Edges, Weights: g.Weights, Directed: true}
+			s := fresh.Symmetrized()
+			if err := s.Validate(); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			checkIdentical(t, label, s, symmetrizedOracle(g))
+			if fresh.tr == nil {
+				t.Fatalf("%s: Symmetrized did not leave the transpose cached", label)
+			}
+		}
+		parallel.SetWorkers(old)
+	}
+}
+
+// TestTransposeAuxSpace bounds what one Transpose allocates beyond its
+// output: the counting rows (at most 4 bytes per arc) plus O(n).
+func TestTransposeAuxSpace(t *testing.T) {
+	old := parallel.SetWorkers(4)
+	defer parallel.SetWorkers(old)
+	rng := rand.New(rand.NewPCG(39, 5))
+	const n, m = 1 << 15, 1 << 19
+	edges := make([]Edge, m)
+	for i := range edges {
+		edges[i] = Edge{U: uint32(rng.IntN(n)), V: uint32(rng.IntN(n)), W: uint32(i)}
+	}
+	for _, weighted := range []bool{false, true} {
+		g := FromEdges(n, edges, true, BuildOptions{Weighted: weighted, KeepDuplicates: true})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tr := g.Transpose()
+		runtime.ReadMemStats(&after)
+		out := 8*len(tr.Offsets) + 4*len(tr.Edges) + 4*len(tr.Weights)
+		allowed := out + 4*g.M() + 8*n + 1<<16
+		if got := int(after.TotalAlloc - before.TotalAlloc); got > allowed {
+			t.Fatalf("weighted=%v: Transpose allocated %d bytes, want <= %d (output %d + 4m %d + O(n))",
+				weighted, got, allowed, out, 4*g.M())
 		}
 	}
 }

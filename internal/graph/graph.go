@@ -12,6 +12,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 	"sync"
@@ -192,7 +193,7 @@ func FromEdges(n int, edges []Edge, directed bool, opt BuildOptions) *Graph {
 				packed[i] = packArc(e.U, e.V, e.W)
 			})
 		}
-		return buildCSRPacked(n, packed, !undirected, opt, dropLoops, false)
+		return buildCSRPacked(n, packed, !undirected, opt, dropLoops)
 	}
 
 	arcs := edges
@@ -249,14 +250,14 @@ func buildCSR(n int, arcs []Edge, directed bool, opt BuildOptions, dropLoops boo
 //     final CSR slot. Buckets own disjoint Offsets/Edges ranges, so all
 //     stores are plain.
 //  3. Each adjacency list is sorted by destination: already-sorted lists
-//     (the transpose path's, by stability) cost one scan, short lists
+//     cost one scan, short lists
 //     shell sort in place, and hub lists take a linear LSD radix over
 //     (v,w) packed into uint64 — the step that used to go superlinear on
 //     power-law graphs. The duplicate census rides along in the same
 //     pass, so dedup needs no extra sweep before its compaction.
 //
 // Both scatter levels are stable (chunk-ordered cursors, left-to-right
-// walks), which is what lets the transpose path skip its sorts entirely.
+// walks), so duplicate arcs reach step 3 adjacent and in input order.
 func buildCSRBuckets(n int, arcs []Edge, directed bool, opt BuildOptions, dropLoops bool) *Graph {
 	vbits := uint(bits.Len(uint(n - 1)))
 	shift := vbits - topBucketBits // n > smallVertexRadix, so shift >= 3
@@ -358,14 +359,10 @@ func buildCSRBuckets(n int, arcs []Edge, directed bool, opt BuildOptions, dropLo
 // offsets, and its scatter writes destinations and weights straight into
 // their final slots. No arc is ever stored sorted in full; the CSR arrays
 // are the sort's last pass.
-//
-// presorted marks arc streams already ordered by destination within each
-// source (the transpose path: reversed arcs stream out in old-source
-// order, which is the new destination). Those skip the destination passes
-// and pay only the final grouping pass — partition stability guarantees
-// the order survives.
-func buildCSRPacked(n int, packed []uint64, directed bool, opt BuildOptions, dropLoops, presorted bool) *Graph {
-	shift := packedBucketShift(n)
+func buildCSRPacked(n int, packed []uint64, directed bool, opt BuildOptions, dropLoops bool) *Graph {
+	// n > smallVertexRadix on this route, so the shift is at least 3 and
+	// there are at most 2^topBucketBits source buckets.
+	shift := uint(bits.Len(uint(n-1))) - topBucketBits
 	k := ((n - 1) >> shift) + 1
 	tmp := make([]uint64, len(packed))
 	var topOff []int64
@@ -383,22 +380,6 @@ func buildCSRPacked(n int, packed []uint64, directed bool, opt BuildOptions, dro
 	} else {
 		topOff = parallel.PartitionByBits(tmp, packed, k, 48+shift)
 	}
-	return csrFromPackedBuckets(n, shift, tmp, topOff, directed, opt, presorted)
-}
-
-// packedBucketShift returns the source shift that buckets a packed build
-// into at most 2^topBucketBits source ranges. n > smallVertexRadix on
-// every packed route, so the shift is at least 3.
-func packedBucketShift(n int) uint {
-	return uint(bits.Len(uint(n-1))) - topBucketBits
-}
-
-// csrFromPackedBuckets finalizes a packed build whose arcs have already
-// been partitioned into source buckets: tmp[topOff[b]:topOff[b+1]] holds
-// bucket b's arcs (source ids in [b<<shift, (b+1)<<shift)), in input order.
-// Anything past topOff[k] (the dropped-self-loop trash group) is ignored.
-func csrFromPackedBuckets(n int, shift uint, tmp []uint64, topOff []int64, directed bool, opt BuildOptions, presorted bool) *Graph {
-	k := ((n - 1) >> shift) + 1
 	m := int(topOff[k]) // excludes the trash group
 
 	g := &Graph{N: n, Directed: directed}
@@ -416,7 +397,7 @@ func csrFromPackedBuckets(n int, shift uint, tmp []uint64, topOff []int64, direc
 			localN = n - lowU
 		}
 		seg := tmp[base:end]
-		if !presorted && len(seg) > 1 {
+		if len(seg) > 1 {
 			// Two stable passes over the 16 destination bits, L2-resident
 			// for typical bucket sizes.
 			scratch := make([]uint64, len(seg))
@@ -794,124 +775,186 @@ func (g *Graph) Transpose() *Graph {
 	return g.tr
 }
 
+// buildTranspose runs the counting transpose with counters wide enough for
+// any in-degree of g, and points the result's own cache back at g so the
+// round trip is free.
 func (g *Graph) buildTranspose() *Graph {
-	// Materialize the reversed arcs and run them through the same
-	// contention-free radix pipeline as FromEdges. A built graph's arc set
-	// is already filtered the way its BuildOptions asked for, so the
-	// transpose preserves it verbatim: keep self-loops and duplicates,
-	// carry weights along, no dedup pass. Reversed arcs stream out in
-	// old-source order — already sorted by the new destination — so the
-	// stable pipeline is told to skip its destination passes (presorted).
-	trOpt := BuildOptions{
-		Weighted:       g.Weights != nil,
-		KeepSelfLoops:  true,
-		KeepDuplicates: true,
+	var tr *Graph
+	if uint64(len(g.Edges)) <= math.MaxUint32 {
+		tr = countingTranspose[uint32](g)
+	} else {
+		tr = countingTranspose[uint64](g)
 	}
-	if g.N > smallVertexRadix && g.N <= 1<<packedBuildMaxVBits && len(g.Edges) >= seqBuildArcs {
-		tr := g.transposePacked(trOpt)
-		tr.trOnce.Do(func() { tr.tr = g })
-		return tr
-	}
-	arcs := make([]Edge, len(g.Edges))
-	parallel.For(g.N, 64, func(u int) {
-		lo, hi := g.Offsets[u], g.Offsets[u+1]
-		for i := lo; i < hi; i++ {
-			var w uint32
-			if g.Weights != nil {
-				w = g.Weights[i]
-			}
-			arcs[i] = Edge{U: g.Edges[i], V: uint32(u), W: w}
-		}
-	})
-	tr := buildCSR(g.N, arcs, true, trOpt, false)
-	// Point the transpose's own cache back at g so the round trip is
-	// free; firing its Once here keeps a later tr.Transpose() from
-	// rebuilding.
 	tr.trOnce.Do(func() { tr.tr = g })
 	return tr
 }
 
-// transposePacked builds the reverse graph through the packed bucket
-// pipeline, with the reversed-arc materialization fused into the top-level
-// partition: the count pass histograms g.Edges in place (4-byte sequential
-// reads, no closure), and the scatter packs each reversed arc the moment
-// it lands in its bucket — the arc array that FromEdges has to materialize
-// never exists here. ScanChunkCursors supplies the stable cursors between
-// the two passes. Reversed arcs stream out in old-source order, which is
-// the new destination, so the bucket finisher runs in presorted mode and
-// skips its destination passes.
-func (g *Graph) transposePacked(opt BuildOptions) *Graph {
-	m := len(g.Edges)
-	shift := packedBucketShift(g.N)
-	k := ((g.N - 1) >> shift) + 1
-	p := parallel.Workers()
-	maxChunks := 8 * p
-	grain := (m + maxChunks - 1) / maxChunks
-	if grain < 1 {
-		grain = 1
+// countingTranspose is one stable counting transpose. The sources split
+// into r contiguous ranges of about m/r arcs; each range counts its
+// destinations into a private row, one pass per vertex turns the rows into
+// per-range cursors and the in-degree, a scan gives the offsets, and each
+// range scatters its arcs in source order with plain stores. So in-lists
+// come out sorted by source, duplicates in input order, and every arc is
+// kept. r = min(workers, max(1, m/n)) keeps the r·n counters no larger
+// than the transpose's own Edges.
+func countingTranspose[C uint32 | uint64](g *Graph) *Graph {
+	n, m := g.N, len(g.Edges)
+	tr := &Graph{N: n, Offsets: make([]uint64, n+1), Edges: make([]uint32, m), Directed: true}
+	if g.Weights != nil {
+		tr.Weights = make([]uint32, m)
 	}
-	chunks := (m + grain - 1) / grain
-	counts := make([]int64, chunks*k)
-	col := make([]int64, chunks*k)
-	topOff := make([]int64, k+1)
-	parallel.For(chunks, 1, func(c int) {
-		lo, hi := c*grain, (c+1)*grain
-		if hi > m {
-			hi = m
-		}
-		h := counts[c*k : c*k+k]
-		for _, v := range g.Edges[lo:hi] {
-			h[v>>shift]++
-		}
-	})
-	parallel.ScanChunkCursors(counts, col, chunks, k, topOff)
-	tmp := make([]uint64, m)
-	parallel.For(chunks, 1, func(c int) {
-		lo, hi := c*grain, (c+1)*grain
-		if hi > m {
-			hi = m
-		}
-		h := counts[c*k : c*k+k]
-		// Locate the chunk's first source, then walk offsets alongside the
-		// arcs so each reversed arc packs with its source attached.
-		u := uint32(sort.Search(g.N, func(v int) bool { return g.Offsets[v+1] > uint64(lo) }))
-		for i := lo; i < hi; i++ {
-			for uint64(i) >= g.Offsets[u+1] {
-				u++
-			}
-			v := g.Edges[i]
-			var w uint32
-			if g.Weights != nil {
-				w = g.Weights[i]
-			}
-			d := v >> shift
-			tmp[h[d]] = packArc(v, u, w)
-			h[d]++
+	if n == 0 {
+		return tr
+	}
+	r := min(parallel.Workers(), max(1, m/n))
+	// Range i owns the sources [first[i], first[i+1]): those whose arcs
+	// start at or past arc i·m/r and before arc (i+1)·m/r.
+	first := make([]int, r+1)
+	for i := 1; i < r; i++ {
+		at := uint64(i) * uint64(m) / uint64(r)
+		first[i] = sort.Search(n, func(u int) bool { return g.Offsets[u] >= at })
+	}
+	first[r] = n
+	cnt := make([]C, r*n) // row i: range i's count, then its cursor, per destination
+	parallel.For(r, 1, func(i int) {
+		row := cnt[i*n : (i+1)*n]
+		for _, v := range g.Edges[g.Offsets[first[i]]:g.Offsets[first[i+1]]] {
+			row[v]++
 		}
 	})
-	return csrFromPackedBuckets(g.N, shift, tmp, topOff, true, opt, true)
+	parallel.For(n, 0, func(v int) {
+		var run C
+		for at := v; at < len(cnt); at += n {
+			c := cnt[at]
+			cnt[at] = run
+			run += c
+		}
+		tr.Offsets[v] = uint64(run)
+	})
+	tr.Offsets[n] = parallel.Scan(tr.Offsets[:n])
+	parallel.For(r, 1, func(i int) {
+		row := cnt[i*n : (i+1)*n]
+		for u := first[i]; u < first[i+1]; u++ {
+			for e := g.Offsets[u]; e < g.Offsets[u+1]; e++ {
+				v := g.Edges[e]
+				at := tr.Offsets[v] + uint64(row[v])
+				row[v]++
+				tr.Edges[at] = uint32(u)
+				if tr.Weights != nil {
+					tr.Weights[at] = g.Weights[e]
+				}
+			}
+		}
+	})
+	return tr
 }
 
-// Symmetrized returns the undirected version of g (u~v iff u->v or v->u).
-// For undirected graphs it returns g itself.
+// Symmetrized returns the undirected version of g (u~v iff u->v or v->u)
+// under FromEdges' default rules: self-loops dropped, one arc per
+// neighbor, carrying the smallest weight of the arcs it stands for. For
+// undirected graphs it returns g itself.
+//
+// It builds from g.Transpose(), which it leaves cached on g: one merge per
+// vertex of the sorted out- and in-lists writes into the out+in upper-bound
+// layout, and a compaction runs only if some arcs collapsed. It relies on
+// the package's sorted-list invariant, which Validate enforces on every
+// reader.
 func (g *Graph) Symmetrized() *Graph {
 	if !g.Directed {
 		return g
 	}
-	edges := make([]Edge, len(g.Edges))
-	parallel.For(g.N, 64, func(u int) {
-		lo, hi := g.Offsets[u], g.Offsets[u+1]
-		for i := lo; i < hi; i++ {
-			var w uint32
-			if g.Weights != nil {
-				w = g.Weights[i]
-			}
-			edges[i] = Edge{U: uint32(u), V: g.Edges[i], W: w}
+	tr := g.Transpose()
+	n, ub := g.N, 2*len(g.Edges)
+	s := &Graph{N: n, Offsets: make([]uint64, n+1), Edges: make([]uint32, ub)}
+	if g.Weights != nil {
+		s.Weights = make([]uint32, ub)
+	}
+	// Vertex v's slots start at g.Offsets[v] + tr.Offsets[v]; s.Offsets
+	// holds each merge's kept count until the scan.
+	parallel.For(n, 64, func(v int) {
+		lo, hi := g.Offsets[v], g.Offsets[v+1]
+		tlo, thi := tr.Offsets[v], tr.Offsets[v+1]
+		at, end := lo+tlo, hi+thi
+		var ow, aw, bw []uint32
+		if s.Weights != nil {
+			ow, aw, bw = s.Weights[at:end], g.Weights[lo:hi], tr.Weights[tlo:thi]
+		}
+		s.Offsets[v] = uint64(mergeSymmetric(uint32(v), s.Edges[at:end], ow,
+			g.Edges[lo:hi], aw, tr.Edges[tlo:thi], bw))
+	})
+	total := parallel.Scan(s.Offsets[:n])
+	s.Offsets[n] = total
+	if total == uint64(ub) {
+		return s // nothing collapsed: the upper-bound layout is the result
+	}
+	edges := make([]uint32, total)
+	var wts []uint32
+	if s.Weights != nil {
+		wts = make([]uint32, total)
+	}
+	parallel.For(n, 64, func(v int) {
+		at, k := s.Offsets[v], s.Offsets[v+1]-s.Offsets[v]
+		from := g.Offsets[v] + tr.Offsets[v]
+		copy(edges[at:at+k], s.Edges[from:from+k])
+		if wts != nil {
+			copy(wts[at:at+k], s.Weights[from:from+k])
 		}
 	})
-	return FromEdges(g.N, edges, false, BuildOptions{
-		Symmetrize: false, Weighted: g.Weights != nil,
-	})
+	s.Edges, s.Weights = edges, wts
+	return s
+}
+
+// mergeSymmetric merges v's sorted out-list a and in-list b into out,
+// dropping v itself and keeping one entry per neighbor. With weights (aw,
+// bw in, ow out; all nil when unweighted) a neighbor keeps the smallest
+// weight of the arcs it stands for. It returns the entries written. An
+// exhausted list reads as None, which is no vertex. Unweighted, the pick
+// and the keep are conditional moves, so a merge of random lists costs no
+// mispredictions.
+func mergeSymmetric(v uint32, out, ow, a, aw, b, bw []uint32) int {
+	k, i, j := 0, 0, 0
+	prev := None // the last neighbor kept
+	for i < len(a) || j < len(b) {
+		x, y := None, None
+		if i < len(a) {
+			x = a[i]
+		}
+		if j < len(b) {
+			y = b[j]
+		}
+		z := min(x, y)
+		var w uint32
+		if ow != nil {
+			if x <= y {
+				w = aw[i]
+			} else {
+				w = bw[j]
+			}
+		}
+		var step, fresh int
+		if x <= y {
+			step = 1
+		}
+		i += step
+		j += 1 - step
+		if z == v {
+			continue
+		}
+		if z != prev {
+			fresh = 1
+		}
+		out[k] = z // a duplicate's store lands past the kept entries
+		if ow != nil {
+			if fresh == 1 {
+				ow[k] = w
+			} else {
+				ow[k-1] = min(ow[k-1], w)
+			}
+		}
+		k += fresh
+		prev = z
+	}
+	return k
 }
 
 // ReverseArc returns the arc index of (v,u) given the arc index e of (u,v)

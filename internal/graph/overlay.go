@@ -346,47 +346,16 @@ func (o *Overlay) Transpose() *Overlay {
 		return o
 	}
 	o.trOnce.Do(func() {
-		tb := o.base.Transpose()
-		raddOff, radds, raddW := reversePatch(o.base.N, o.addOff, o.adds, o.addW)
-		rdelOff, rdels, _ := reversePatch(o.base.N, o.delOff, o.dels, nil)
-		tr := NewOverlay(tb, raddOff, radds, raddW, rdelOff, rdels)
+		// The patch arrays are CSR-shaped, so the counting transpose
+		// reverses them with every reversed list sorted.
+		n := o.base.N
+		ra := (&Graph{N: n, Offsets: o.addOff, Edges: o.adds, Weights: o.addW, Directed: true}).Transpose()
+		rd := (&Graph{N: n, Offsets: o.delOff, Edges: o.dels, Directed: true}).Transpose()
+		tr := NewOverlay(o.base.Transpose(), ra.Offsets, ra.Edges, ra.Weights, rd.Offsets, rd.Edges)
 		tr.trOnce.Do(func() { tr.tr = o })
 		o.tr = tr
 	})
 	return o.tr
-}
-
-// reversePatch reverses a CSR-shaped patch: arcs (u,v) become (v,u).
-// One stable counting scatter in (u,v) order leaves every reversed list
-// grouped by its new source and sorted by its new destination. Patches
-// are small relative to the base, so the pass is sequential.
-func reversePatch(n int, off []uint64, dst []uint32, w []uint32) ([]uint64, []uint32, []uint32) {
-	roff := make([]uint64, n+1)
-	for _, v := range dst {
-		roff[v+1]++
-	}
-	for v := 0; v < n; v++ {
-		roff[v+1] += roff[v]
-	}
-	rdst := make([]uint32, len(dst))
-	var rw []uint32
-	if w != nil {
-		rw = make([]uint32, len(dst))
-	}
-	cur := make([]uint64, n)
-	copy(cur, roff[:n])
-	for u := 0; u < n; u++ {
-		for i := off[u]; i < off[u+1]; i++ {
-			v := dst[i]
-			at := cur[v]
-			cur[v]++
-			rdst[at] = uint32(u)
-			if rw != nil {
-				rw[at] = w[i]
-			}
-		}
-	}
-	return roff, rdst, rw
 }
 
 // Materialize builds a fresh plain CSR graph with the overlay's
@@ -425,29 +394,6 @@ func (o *Overlay) Materialize() *Graph {
 		}
 	})
 	return g
-}
-
-// Arcs collects the overlay's effective arc set as an edge list. For
-// undirected overlays each edge is emitted once (u < v), the form
-// FromEdges expects; directed overlays emit every arc. Compaction feeds
-// this straight into the FromEdges radix pipeline.
-func (o *Overlay) Arcs() []Edge {
-	g := o.Materialize()
-	arcs := make([]Edge, len(g.Edges))
-	parallel.For(g.N, 64, func(u int) {
-		lo, hi := g.Offsets[u], g.Offsets[u+1]
-		for i := lo; i < hi; i++ {
-			var w uint32
-			if g.Weights != nil {
-				w = g.Weights[i]
-			}
-			arcs[i] = Edge{U: uint32(u), V: g.Edges[i], W: w}
-		}
-	})
-	if o.base.Directed {
-		return arcs
-	}
-	return parallel.Pack(arcs, func(i int) bool { return arcs[i].U < arcs[i].V })
 }
 
 // Validate checks the patch invariants against the base (test helper;

@@ -19,8 +19,8 @@ var ErrClosed = errors.New("msbfs: coalescer closed")
 type CoalescerOptions struct {
 	// Opt is threaded into every batch run. Opt.Ctx applies to the batch
 	// as a whole; per-request deadlines go through Submit's ctx (which
-	// only abandons the wait — the batch itself keeps running for the
-	// lane-mates).
+	// abandons the wait, and drops the source if its batch has not been
+	// taken yet — a taken batch keeps running for the lane-mates).
 	Opt core.Options
 
 	// Gate, when non-nil, is acquired before each batch is taken from the
@@ -40,12 +40,13 @@ type CoalescerOptions struct {
 //
 // Batching is group commit with the gate as the window. A Submit that
 // finds no flusher active starts one: the flusher acquires the Gate,
-// takes up to LaneWidth queued requests, runs them, releases the gate,
-// and repeats while requests remain. Arrivals during the gate wait or a
-// run join the next take, so the batch width follows how long requests
-// queue, not a clock. Without a Gate a lone Submit runs at once.
-// Releasing the gate between groups lets a caller queued on the same gate
-// take its turn. Lane-mates block in Submit until their row is ready.
+// takes up to LaneWidth queued requests whose submitters still wait, runs
+// them, releases the gate, and repeats while requests remain. Arrivals
+// during the gate wait or a run join the next take, so the batch width
+// follows how long requests queue, not a clock. Without a Gate a lone
+// Submit runs at once. Releasing the gate between groups lets a caller
+// queued on the same gate take its turn. Lane-mates block in Submit until
+// their row is ready.
 type Coalescer struct {
 	g    graph.Adjacency
 	opts CoalescerOptions
@@ -63,6 +64,7 @@ type Coalescer struct {
 
 type request struct {
 	src  uint32
+	ctx  context.Context // the submitter's; done means nobody waits for the row
 	done chan result
 }
 
@@ -86,8 +88,9 @@ func NewCoalescer(g graph.Adjacency, opts CoalescerOptions) *Coalescer {
 
 // Submit queues one BFS source and blocks until its distance row is ready
 // (hop distances from src; graph.InfDist marks unreachable vertices). A
-// done ctx abandons the wait with ctx's cause; the batch itself still
-// completes for the other lanes. Safe for concurrent use.
+// done ctx abandons the wait with ctx's cause: a source still queued is
+// dropped at take time, and a batch already taken still completes for the
+// other lanes. Safe for concurrent use.
 func (c *Coalescer) Submit(ctx context.Context, src uint32) ([]uint32, error) {
 	r, err := c.SubmitRow(ctx, src)
 	return r.Dist, err
@@ -108,7 +111,7 @@ func (c *Coalescer) SubmitRow(ctx context.Context, src uint32) (Row, error) {
 		c.mu.Unlock()
 		return Row{}, ErrClosed
 	}
-	c.queue = append(c.queue, request{src: src, done: done})
+	c.queue = append(c.queue, request{src: src, ctx: ctx, done: done})
 	flush := !c.flushing
 	if flush {
 		c.flushing = true
@@ -130,7 +133,8 @@ func (c *Coalescer) SubmitRow(ctx context.Context, src uint32) (Row, error) {
 }
 
 // Close fails all future Submits with ErrClosed and waits until the
-// active flusher, if any, has run every queued request.
+// active flusher, if any, has run every queued request that is still
+// waited for.
 func (c *Coalescer) Close() {
 	c.mu.Lock()
 	c.closed = true
@@ -148,7 +152,8 @@ func (c *Coalescer) Stats() (queries, batches int64) {
 
 // flush is the flusher's loop: gate, take up to one lane group, run,
 // release, until the queue is empty. The queue is non-empty on entry and
-// only this loop empties it, so every take finds work.
+// only this loop empties it. A take that finds only abandoned requests
+// releases the gate without a run.
 func (c *Coalescer) flush() {
 	defer c.flusher.Done()
 	for {
@@ -156,12 +161,9 @@ func (c *Coalescer) flush() {
 		if c.opts.Gate != nil {
 			release = c.opts.Gate()
 		}
-		c.mu.Lock()
-		k := min(len(c.queue), LaneWidth)
-		batch := c.queue[:k:k]
-		c.queue = c.queue[k:]
-		c.mu.Unlock()
-		c.run(batch)
+		if batch := c.take(); len(batch) > 0 {
+			c.run(batch)
+		}
 		release()
 		c.mu.Lock()
 		idle := len(c.queue) == 0
@@ -174,6 +176,23 @@ func (c *Coalescer) flush() {
 			return
 		}
 	}
+}
+
+// take removes up to LaneWidth live requests from the head of the queue,
+// dropping on the way those whose submitter's ctx is done: nobody waits
+// for their rows.
+func (c *Coalescer) take() []request {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var batch []request
+	i := 0
+	for ; i < len(c.queue) && len(batch) < LaneWidth; i++ {
+		if r := c.queue[i]; r.ctx.Err() == nil {
+			batch = append(batch, r)
+		}
+	}
+	c.queue = c.queue[i:]
+	return batch
 }
 
 // run runs one batch and hands every submitter its row.

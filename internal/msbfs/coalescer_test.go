@@ -155,8 +155,8 @@ func TestCoalescerValidatesSource(t *testing.T) {
 }
 
 // TestCoalescerSubmitCtxAbandon: a caller whose ctx dies while its batch
-// waits for the gate gets the ctx cause; the batch still runs for the
-// lane-mate, and the coalescer stays usable.
+// waits for the gate gets the ctx cause and its source is dropped; the
+// batch still runs for the lane-mate, and the coalescer stays usable.
 func TestCoalescerSubmitCtxAbandon(t *testing.T) {
 	g := gen.Chain(100, false)
 	hg := holdGate()
@@ -172,11 +172,53 @@ func TestCoalescerSubmitCtxAbandon(t *testing.T) {
 	hg.open()
 	dists, errs := wait()
 	checkRows(t, g, dists, errs)
-	if q, b := c.Stats(); q != 2 || b != 1 {
-		t.Fatalf("Stats = (%d, %d), want (2, 1): the abandoned source rides the batch", q, b)
+	if q, b := c.Stats(); q != 1 || b != 1 {
+		t.Fatalf("Stats = (%d, %d), want (1, 1): the abandoned source is dropped at take time", q, b)
 	}
 	if _, err := c.Submit(context.Background(), 1); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCoalescerAllAbandoned: a batch whose submitters have all gone
+// before the gate opens runs no engine pass; the gate is still released,
+// and a later live query is answered.
+func TestCoalescerAllAbandoned(t *testing.T) {
+	g := gen.Chain(100, false)
+	hg := holdGate()
+	c := NewCoalescer(g, CoalescerOptions{Gate: hg.gate})
+	defer c.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	errs := make(chan error, 3)
+	for s := uint32(0); s < 3; s++ {
+		go func() {
+			_, err := c.Submit(ctx, s)
+			errs <- err
+		}()
+	}
+	waitQueued(t, c, 3)
+	cancel()
+	for i := 0; i < 3; i++ {
+		if err := <-errs; !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	}
+	hg.open()
+	for flushing := true; flushing; {
+		c.mu.Lock()
+		flushing = c.flushing
+		c.mu.Unlock()
+		time.Sleep(time.Millisecond)
+	}
+	if q, b := c.Stats(); q != 0 || b != 0 {
+		t.Fatalf("Stats = (%d, %d), want (0, 0): the abandoned batch ran an engine pass", q, b)
+	}
+	// The flusher released the gate: a live query takes it and is answered.
+	if _, err := c.Submit(context.Background(), 5); err != nil {
+		t.Fatal(err)
+	}
+	if q, b := c.Stats(); q != 1 || b != 1 {
+		t.Fatalf("Stats = (%d, %d), want (1, 1)", q, b)
 	}
 }
 

@@ -118,7 +118,7 @@ if [ "$short" = 1 ]; then
     # Uncached: which submitter starts the flusher, and when each source
     # joins the queue, depend on goroutine interleaving; the batch counts,
     # the rows, and the admission peak must not.
-    go test -run '^(TestCoalescerBatchesConcurrentQueries|TestCoalescerLoneSubmit|TestCoalescerSubmitCtxAbandon|TestCoalescerClose)$' \
+    go test -run '^(TestCoalescerBatchesConcurrentQueries|TestCoalescerLoneSubmit|TestCoalescerSubmitCtxAbandon|TestCoalescerAllAbandoned|TestCoalescerClose)$' \
         -count=1 ./internal/msbfs
     go test -run '^TestAdmissionDefaultsToOneSlot$' -count=1 ./internal/serve
     echo 'short checks passed'
@@ -209,6 +209,12 @@ go test -race -run 'Conformance|PanicPropagation' -count=1 ./internal/parallel
 # between submitters, the flusher and Close, which neither the Stress nor
 # the Cancel pattern selects.
 go test -race -run '^TestCoalescer' -count=1 ./internal/msbfs
+# The derived-graph builders under -race at four Ps: each counting range
+# of the transpose owns one cursor row and the Edges slots it fills, each
+# symmetrize merge one vertex's upper-bound slots, so a range or merge
+# writing past its own shows here.
+GOMAXPROCS=4 go test -race -run '^(TestTransposeDifferential|TestSymmetrizedDifferential)$' -count=1 ./internal/graph
+GOMAXPROCS=4 go test -race -run '^TestCompactMatchesFromEdges$' -count=1 ./internal/delta
 # Cancellation conformance under -race: pre-canceled contexts, expired
 # deadlines, and mid-run cancels across every entry point — the
 # fire/drain hand-off is exactly the kind of publication race -race sees

@@ -18,7 +18,6 @@ import (
 	"testing"
 
 	"pasgal/internal/baseline"
-	"pasgal/internal/bench"
 	"pasgal/internal/core"
 	"pasgal/internal/gen"
 	"pasgal/internal/graph"
@@ -41,7 +40,7 @@ func benchGraph(name string) *graph.Graph {
 	if g, ok := benchCache.Load(name); ok {
 		return g.(*graph.Graph)
 	}
-	s := bench.LookupSpec(name)
+	s := gen.LookupSpec(name)
 	if s == nil {
 		panic("unknown bench graph " + name)
 	}
@@ -74,7 +73,7 @@ func benchWeighted(name string) *graph.Graph {
 func BenchmarkTab4BFS(b *testing.B) {
 	for _, name := range benchGraphNames {
 		g := benchGraph(name)
-		src := bench.PickSource(g)
+		src := gen.PickSource(g)
 		b.Run(name+"/PASGAL", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				core.BFS(g, src, core.Options{})
@@ -161,7 +160,7 @@ func BenchmarkTab2BCC(b *testing.B) {
 func BenchmarkSSSP(b *testing.B) {
 	for _, name := range []string{"TW", "NA", "REC"} {
 		g := benchWeighted(name)
-		src := bench.PickSource(g)
+		src := gen.PickSource(g)
 		b.Run(name+"/PASGAL-rho", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				core.SSSP(g, src, core.RhoStepping{}, core.Options{})
@@ -217,7 +216,7 @@ func BenchmarkFig1SCCScaling(b *testing.B) {
 // BenchmarkAblationTau sweeps the VGC budget on the extreme-diameter grid.
 func BenchmarkAblationTau(b *testing.B) {
 	g := benchGraph("REC")
-	src := bench.PickSource(g)
+	src := gen.PickSource(g)
 	for _, tau := range []int{1, 32, 512, 4096} {
 		b.Run(fmt.Sprintf("tau%d", tau), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -230,7 +229,7 @@ func BenchmarkAblationTau(b *testing.B) {
 // BenchmarkHashBag contrasts hash-bag frontiers with flat dense frontiers.
 func BenchmarkHashBag(b *testing.B) {
 	g := benchGraph("REC")
-	src := bench.PickSource(g)
+	src := gen.PickSource(g)
 	b.Run("hashbag", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			core.BFS(g, src, core.Options{})

@@ -196,10 +196,11 @@ func TestCLIConvertPZ(t *testing.T) {
 	}
 }
 
-// TestCLITraceAndCompare covers the acceptance path of the tracing +
-// regression-gate work: `-trace` must emit a loadable Chrome trace, and
-// `-compare` must exit non-zero exactly when a result file regressed.
-func TestCLITraceAndCompare(t *testing.T) {
+// TestCLITrace covers pasgal-bench's output paths: `-trace` must emit a
+// loadable Chrome trace, `-json` a result file, and the pprof hooks their
+// profiles. What the repository benchmark measures is not a pasgal-bench
+// experiment: `-exp serve` and its siblings are unknown and exit 2.
+func TestCLITrace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
@@ -208,9 +209,9 @@ func TestCLITraceAndCompare(t *testing.T) {
 	benchBin := filepath.Join(bins, "pasgal-bench")
 
 	traceDir := filepath.Join(work, "trace")
-	newJSON := filepath.Join(work, "new.json")
+	resultJSON := filepath.Join(work, "new.json")
 	out := run(t, benchBin, "-exp", "bfs", "-scale", "0.02", "-reps", "1",
-		"-graphs", "REC,TW", "-trace", traceDir, "-json", newJSON,
+		"-graphs", "REC,TW", "-trace", traceDir, "-json", resultJSON,
 		"-cpuprofile", filepath.Join(work, "cpu.pprof"),
 		"-memprofile", filepath.Join(work, "mem.pprof"))
 	for _, want := range []string{"rounds.log", "events.jsonl", "chrome_trace.json"} {
@@ -248,55 +249,22 @@ func TestCLITraceAndCompare(t *testing.T) {
 		}
 	}
 
-	// Self-compare: no regression, exit 0.
-	out = run(t, benchBin, "-compare", newJSON, newJSON)
-	if !strings.Contains(out, "0 regression(s)") {
-		t.Fatalf("self-compare reported regressions:\n%s", out)
+	var records []struct {
+		Experiment string `json:"experiment"`
+		Results    []struct{ Graph string }
+	}
+	if err := json.Unmarshal(mustRead(t, resultJSON), &records); err != nil {
+		t.Fatalf("-json output: %v", err)
+	}
+	if len(records) != 1 || records[0].Experiment != "bfs" || len(records[0].Results) != 2 {
+		t.Fatalf("-json records = %+v, want one bfs record over REC and TW", records)
 	}
 
-	// Doctor an "old" file with faster times: comparing old -> new must
-	// flag regressions and exit 1.
-	var records []map[string]any
-	if err := json.Unmarshal(mustRead(t, newJSON), &records); err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range records {
-		for _, res := range rec["results"].([]any) {
-			times := res.(map[string]any)["Times"].(map[string]any)
-			for impl, v := range times {
-				times[impl] = v.(float64) / 10
-			}
+	for _, exp := range []string{"serve", "queries", "compress", "updates", "build"} {
+		err := exec.Command(benchBin, "-exp", exp).Run()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Fatalf("pasgal-bench -exp %s: %v, want exit code 2", exp, err)
 		}
-	}
-	doctored, err := json.Marshal(records)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldJSON := filepath.Join(work, "old.json")
-	if err := os.WriteFile(oldJSON, doctored, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cmd := exec.Command(benchBin, "-compare", oldJSON, newJSON)
-	msg, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("compare against 10x-faster old file exited 0:\n%s", msg)
-	}
-	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
-		t.Fatalf("compare exit = %v, want exit code 1:\n%s", err, msg)
-	}
-	if !strings.Contains(string(msg), "REGRESSION") {
-		t.Fatalf("compare output does not mark regressions:\n%s", msg)
-	}
-
-	// A huge threshold swallows the same delta.
-	run(t, benchBin, "-compare", "-threshold", "100", oldJSON, newJSON)
-
-	// Bad usage exits non-zero.
-	if err := exec.Command(benchBin, "-compare", oldJSON).Run(); err == nil {
-		t.Fatal("compare with one file did not fail")
-	}
-	if err := exec.Command(benchBin, "-compare", oldJSON, filepath.Join(work, "nope.json")).Run(); err == nil {
-		t.Fatal("compare with missing file did not fail")
 	}
 }
 

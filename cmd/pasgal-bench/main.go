@@ -1,8 +1,12 @@
 // pasgal-bench regenerates the paper's evaluation artifacts: the graph
 // statistics table (tab1), the BFS/SCC/BCC running-time tables with
 // geometric means and Figure 2 speedup panels (bfs, scc, bcc), the SSSP
-// comparison (sssp), Figure 1's SCC scalability sweep (fig1), and the
-// design-choice ablations (abl-tau, abl-bag, abl-dir, abl-sssp).
+// comparison (sssp), Figure 1's SCC scalability sweep (fig1) and its
+// analytic projection (fig1-model), the substrate studies (conn, frontier,
+// mem), and the design-choice ablations (abl-tau, abl-tau-scc, abl-bag,
+// abl-dir, abl-sssp). Everything else this repository measures — batched
+// queries, serving, compression, updates, graph building — is a cell of
+// `bash benchmark/run.sh` or a `go test -bench` benchmark.
 //
 // Usage:
 //
@@ -11,17 +15,11 @@
 //	pasgal-bench -exp fig1 -workers 8
 //	pasgal-bench -exp bfs -trace /tmp/trace          # tracing sinks
 //	pasgal-bench -exp bfs -cpuprofile cpu.pprof      # pprof hooks
-//	pasgal-bench -compare old.json new.json          # regression gate
 //
 // With -trace DIR, every algorithm run (PASGAL and baselines) plus the
 // parallel runtime feeds one trace.Tracer, and three sinks are written into
 // DIR: rounds.log (human-readable), events.jsonl (event stream), and
 // chrome_trace.json (load in chrome://tracing or https://ui.perfetto.dev).
-//
-// With -compare OLD NEW, no experiments run; the two result files (written
-// by -json) are diffed per (experiment, graph, implementation) and the
-// process exits 1 if any cell slowed down by more than -threshold
-// (default 0.25 = 25%).
 package main
 
 import (
@@ -42,7 +40,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: tab1|bfs|scc|bcc|sssp|build|queries|serve|compress|updates|fig1|fig2|conn|abl-tau|abl-bag|abl-dir|abl-sssp|all")
+	exp := flag.String("exp", "all", "experiment: tab1|bfs|scc|bcc|sssp|fig1|fig1-model|fig2|conn|frontier|mem|abl-tau|abl-tau-scc|abl-bag|abl-dir|abl-sssp|all")
 	scale := flag.Float64("scale", 1.0, "workload size multiplier")
 	reps := flag.Int("reps", 3, "timing repetitions (median reported)")
 	workers := flag.Int("workers", 0, "worker count (0 = GOMAXPROCS)")
@@ -52,8 +50,6 @@ func main() {
 	traceDir := flag.String("trace", "", "write trace sinks (rounds.log, events.jsonl, chrome_trace.json) into this directory")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file")
-	compare := flag.Bool("compare", false, "compare two result JSON files (args: old.json new.json); exit 1 on regression")
-	threshold := flag.Float64("threshold", 0.25, "with -compare: slowdown fraction that counts as a regression")
 	timeout := flag.Duration("timeout", 0, "abort the whole sweep after this long (0 = no limit)")
 	flag.Parse()
 
@@ -66,22 +62,6 @@ func main() {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
-	}
-
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "usage: pasgal-bench -compare [-threshold 0.25] old.json new.json")
-			os.Exit(2)
-		}
-		n, err := bench.CompareFiles(os.Stdout, flag.Arg(0), flag.Arg(1), *threshold)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pasgal-bench: compare: %v\n", err)
-			os.Exit(2)
-		}
-		if n > 0 {
-			os.Exit(1)
-		}
-		return
 	}
 
 	if *workers > 0 {
@@ -123,9 +103,6 @@ func main() {
 	implsOf := map[string][]string{
 		"bfs": bench.BFSImpls, "scc": bench.SCCImpls,
 		"bcc": bench.BCCImpls, "sssp": bench.SSSPImpls,
-		"build": bench.BuildImpls, "queries": bench.QueriesImpls,
-		"serve": bench.ServeImpls, "compress": bench.CompressImpls,
-		"updates": bench.UpdatesImpls,
 	}
 	collect := func(name string, results []bench.Result) {
 		if *jsonOut != "" {
@@ -156,16 +133,6 @@ func main() {
 			collect(name, bench.TableBCC(cfg))
 		case "sssp":
 			collect(name, bench.TableSSSP(cfg))
-		case "build":
-			collect(name, bench.TableBuild(cfg))
-		case "queries":
-			collect(name, bench.TableQueries(cfg))
-		case "serve":
-			collect(name, bench.TableServe(cfg))
-		case "compress":
-			collect(name, bench.TableCompress(cfg))
-		case "updates":
-			collect(name, bench.TableUpdates(cfg))
 		case "fig1":
 			bench.Fig1(cfg)
 		case "fig1-model":
@@ -199,7 +166,7 @@ func main() {
 	interrupted := false
 	if *exp == "all" {
 		for _, name := range []string{"tab1", "bfs", "scc", "bcc", "sssp",
-			"build", "queries", "serve", "compress", "updates", "fig1", "fig1-model", "conn", "frontier", "mem",
+			"fig1", "fig1-model", "conn", "frontier", "mem",
 			"abl-tau", "abl-tau-scc", "abl-bag", "abl-dir", "abl-sssp"} {
 			if ctx.Err() != nil {
 				interrupted = true

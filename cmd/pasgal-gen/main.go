@@ -15,7 +15,7 @@ import (
 	"strings"
 
 	"pasgal"
-	"pasgal/internal/bench"
+	"pasgal/internal/gen"
 )
 
 func main() {
@@ -37,10 +37,10 @@ func main() {
 	var g *pasgal.Graph
 	switch {
 	case *workload != "":
-		spec := bench.LookupSpec(*workload)
+		spec := gen.LookupSpec(*workload)
 		if spec == nil {
 			fmt.Fprintf(os.Stderr, "pasgal-gen: unknown workload %q (have: ", *workload)
-			for i, s := range bench.Registry() {
+			for i, s := range gen.Registry() {
 				if i > 0 {
 					fmt.Fprint(os.Stderr, ", ")
 				}

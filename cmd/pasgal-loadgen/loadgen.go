@@ -1,4 +1,4 @@
-package serve
+package main
 
 import (
 	"context"
@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/url"
@@ -13,12 +14,12 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"pasgal/internal/serve"
 )
 
-// LoadConfig drives one load-generation run against a live daemon. It is
-// the engine behind cmd/pasgal-loadgen, the `-exp serve` bench experiment,
-// and the end-to-end serving tests.
-type LoadConfig struct {
+// loadConfig drives one load-generation run against a live daemon.
+type loadConfig struct {
 	// BaseURL is the daemon root, e.g. "http://localhost:8080".
 	BaseURL string
 
@@ -34,21 +35,16 @@ type LoadConfig struct {
 	Duration time.Duration
 
 	// Mix weights the traffic per algorithm, e.g. {"bfs": 8, "p2p": 2}.
-	// Empty selects DefaultMix. Unknown algo names are an error.
+	// Empty selects defaultMix. Unknown algo names are an error.
 	Mix map[string]int
 
 	// Coalesce=false appends coalesce=off to bfs/reachable queries — the
-	// A/B switch the serve bench experiment flips.
+	// A/B switch for measuring what coalescing buys.
 	Coalesce bool
 
 	// Cache=false appends cache=off to every query, so the run measures
 	// compute throughput rather than cache-replay throughput.
 	Cache bool
-
-	// Summary appends summary=1 to every query: responses carry the
-	// aggregate fields only, not the n-entry result arrays, so the run
-	// measures algorithm throughput rather than JSON encoding.
-	Summary bool
 
 	// NumSources bounds the source-id space queries draw from; <= 0
 	// selects min(n, 4096).
@@ -62,14 +58,14 @@ type LoadConfig struct {
 	Seed uint64
 }
 
-// DefaultMix is the standard mixed workload: traversal-heavy with a spread
+// defaultMix is the standard mixed workload: traversal-heavy with a spread
 // over every endpoint, the shape a social-graph query tier sees.
-var DefaultMix = map[string]int{
+var defaultMix = map[string]int{
 	"bfs": 8, "reachable": 4, "p2p": 4, "sssp": 2, "scc": 1, "kcore": 1,
 }
 
-// Report is the outcome of a load run. Latencies are seconds.
-type Report struct {
+// loadReport is the outcome of a load run. Latencies are seconds.
+type loadReport struct {
 	Graph    string  `json:"graph"`
 	Clients  int     `json:"clients"`
 	Requests int64   `json:"requests"`
@@ -96,10 +92,10 @@ type Report struct {
 	AdmissionPeak    int64 `json:"admission_peak"`
 }
 
-// RunLoad drives cfg.Requests mixed queries at cfg.Clients concurrency
+// runLoad drives cfg.Requests mixed queries at cfg.Clients concurrency
 // and reports throughput and latency percentiles. The context cancels the
 // run early (the report covers what completed).
-func RunLoad(ctx context.Context, cfg LoadConfig) (*Report, error) {
+func runLoad(ctx context.Context, cfg loadConfig) (*loadReport, error) {
 	if cfg.BaseURL == "" {
 		return nil, errors.New("loadgen: BaseURL required")
 	}
@@ -114,9 +110,9 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*Report, error) {
 	}
 	mix := cfg.Mix
 	if len(mix) == 0 {
-		mix = DefaultMix
+		mix = defaultMix
 	}
-	httpc := &http.Client{Timeout: cfg.Timeout + DefaultMaxTimeout}
+	httpc := &http.Client{Timeout: cfg.Timeout + serve.DefaultMaxTimeout}
 
 	graphName, info, err := pickGraph(ctx, httpc, base, cfg.Graph)
 	if err != nil {
@@ -140,7 +136,10 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*Report, error) {
 	// Pre-run counter snapshot, so the report covers THIS run's server
 	// activity even against a long-lived daemon (best-effort: a missing
 	// /metrics just zeroes the baseline).
-	before, _ := fetchMetrics(ctx, httpc, base)
+	var before serve.MetricsResponse
+	if _, err := fetch(ctx, httpc, base+"/metrics", &before); err != nil {
+		before = serve.MetricsResponse{}
+	}
 
 	type clientResult struct {
 		lats     []float64
@@ -178,7 +177,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*Report, error) {
 				algo := picker.pick(rng)
 				u := queryURL(base, graphName, algo, rng, numSrc, cfg)
 				t0 := time.Now()
-				status, err := fetch(ctx, httpc, u)
+				status, err := fetch(ctx, httpc, u, nil)
 				lat := time.Since(t0).Seconds()
 				if ctx.Err() != nil {
 					break
@@ -203,7 +202,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*Report, error) {
 	wg.Wait()
 	elapsed := time.Since(start).Seconds()
 
-	rep := &Report{
+	rep := &loadReport{
 		Graph: graphName, Clients: clients, Seconds: elapsed, Dropped: picker.dropped,
 		ByAlgo: make(map[string]int64), ByStatus: make(map[string]int64),
 	}
@@ -232,15 +231,12 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*Report, error) {
 	// Best-effort server-side snapshot, as deltas against the pre-run
 	// state; a dead server just leaves zeros. AdmissionPeak is a
 	// server-lifetime high-water mark, not a delta.
-	if m, err := fetchMetrics(context.Background(), httpc, base); err == nil {
-		var b MetricsResponse
-		if before != nil {
-			b = *before
-		}
-		rep.CacheHits = m.Cache.Hits - b.Cache.Hits
-		rep.CacheMisses = m.Cache.Misses - b.Cache.Misses
-		rep.CoalescedQueries = m.Coalescer.Queries - b.Coalescer.Queries
-		rep.CoalescedBatches = m.Coalescer.Batches - b.Coalescer.Batches
+	var m serve.MetricsResponse
+	if _, err := fetch(context.Background(), httpc, base+"/metrics", &m); err == nil {
+		rep.CacheHits = m.Cache.Hits - before.Cache.Hits
+		rep.CacheMisses = m.Cache.Misses - before.Cache.Misses
+		rep.CoalescedQueries = m.Coalescer.Queries - before.Coalescer.Queries
+		rep.CoalescedBatches = m.Coalescer.Batches - before.Coalescer.Batches
 		rep.AdmissionPeak = m.Admission.Peak
 	}
 	return rep, nil
@@ -256,14 +252,14 @@ type mixPicker struct {
 
 // newMixPicker drops from mix what gi's graph answers 400 by design: scc
 // needs a directed graph, kcore a plain immutable one.
-func newMixPicker(mix map[string]int, gi GraphInfo) (*mixPicker, error) {
-	known := make(map[string]bool, len(Algos))
-	for _, a := range Algos {
+func newMixPicker(mix map[string]int, gi serve.GraphInfo) (*mixPicker, error) {
+	known := make(map[string]bool, len(serve.Algos))
+	for _, a := range serve.Algos {
 		known[a] = true
 	}
 	p := &mixPicker{}
 	// Deterministic order: iterate the canonical algo list.
-	for _, algo := range Algos {
+	for _, algo := range serve.Algos {
 		wt, ok := mix[algo]
 		if !ok || wt <= 0 {
 			continue
@@ -298,7 +294,7 @@ func (p *mixPicker) pick(rng *rand.Rand) string {
 }
 
 // queryURL builds one request URL for the drawn algorithm.
-func queryURL(base, graphName, algo string, rng *rand.Rand, numSrc int, cfg LoadConfig) string {
+func queryURL(base, graphName, algo string, rng *rand.Rand, numSrc int, cfg loadConfig) string {
 	v := url.Values{}
 	v.Set("graph", graphName)
 	switch algo {
@@ -316,17 +312,15 @@ func queryURL(base, graphName, algo string, rng *rand.Rand, numSrc int, cfg Load
 	if !cfg.Cache {
 		v.Set("cache", "off")
 	}
-	if cfg.Summary {
-		v.Set("summary", "1")
-	}
 	if cfg.Timeout > 0 {
 		v.Set("timeout", cfg.Timeout.String())
 	}
 	return base + "/query/" + algo + "?" + v.Encode()
 }
 
-// fetch issues one GET and fully drains the body (keep-alive reuse).
-func fetch(ctx context.Context, httpc *http.Client, u string) (int, error) {
+// fetch issues one GET and decodes the JSON body into out, or, with a nil
+// out, fully drains it (keep-alive reuse).
+func fetch(ctx context.Context, httpc *http.Client, u string, out any) (int, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return 0, err
@@ -335,35 +329,24 @@ func fetch(ctx context.Context, httpc *http.Client, u string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	defer resp.Body.Close()
+	if out != nil {
+		return resp.StatusCode, json.NewDecoder(resp.Body).Decode(out)
+	}
 	_, err = io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
 	return resp.StatusCode, err
 }
 
-// fetchJSON issues one GET and decodes the JSON body into out.
-func fetchJSON(ctx context.Context, httpc *http.Client, u string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := httpc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
 // pickGraph resolves the graph to target and its /graphs inventory entry.
-func pickGraph(ctx context.Context, httpc *http.Client, base, want string) (string, GraphInfo, error) {
-	var gr GraphsResponse
-	if err := fetchJSON(ctx, httpc, base+"/graphs", &gr); err != nil {
-		return "", GraphInfo{}, fmt.Errorf("loadgen: %s/graphs: %w", base, err)
+func pickGraph(ctx context.Context, httpc *http.Client, base, want string) (string, serve.GraphInfo, error) {
+	var gr serve.GraphsResponse
+	if _, err := fetch(ctx, httpc, base+"/graphs", &gr); err != nil {
+		return "", serve.GraphInfo{}, fmt.Errorf("loadgen: %s/graphs: %w", base, err)
 	}
 	if want != "" {
 		info, ok := gr.Graphs[want]
 		if !ok {
-			return "", GraphInfo{}, fmt.Errorf("loadgen: server does not serve graph %q", want)
+			return "", serve.GraphInfo{}, fmt.Errorf("loadgen: server does not serve graph %q", want)
 		}
 		return want, info, nil
 	}
@@ -373,26 +356,19 @@ func pickGraph(ctx context.Context, httpc *http.Client, base, want string) (stri
 		names = append(names, name)
 	}
 	if len(names) == 0 {
-		return "", GraphInfo{}, errors.New("loadgen: server serves no graphs")
+		return "", serve.GraphInfo{}, errors.New("loadgen: server serves no graphs")
 	}
 	sort.Strings(names)
 	return names[0], gr.Graphs[names[0]], nil
 }
 
-func fetchMetrics(ctx context.Context, httpc *http.Client, base string) (*MetricsResponse, error) {
-	var m MetricsResponse
-	if err := fetchJSON(ctx, httpc, base+"/metrics", &m); err != nil {
-		return nil, err
-	}
-	return &m, nil
-}
-
-// percentile returns the pth percentile (0 < p <= 1) of sorted samples.
+// percentile returns the nearest-rank pth percentile (0 < p <= 1) of
+// sorted samples: the ceil(p*n)-th smallest.
 func percentile(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	idx := int(p*float64(len(sorted))) - 1
+	idx := int(math.Ceil(p*float64(len(sorted)))) - 1
 	if idx < 0 {
 		idx = 0
 	}
@@ -402,8 +378,8 @@ func percentile(sorted []float64, p float64) float64 {
 	return sorted[idx]
 }
 
-// WriteReport renders rep as an aligned human-readable summary.
-func WriteReport(w io.Writer, rep *Report) {
+// writeReport renders rep as an aligned human-readable summary.
+func writeReport(w io.Writer, rep *loadReport) {
 	fmt.Fprintf(w, "loadgen: %d requests in %.2fs over %d clients on graph %q\n",
 		rep.Requests, rep.Seconds, rep.Clients, rep.Graph)
 	fmt.Fprintf(w, "  throughput  %.0f queries/sec (%d errors)\n", rep.QPS, rep.Errors)

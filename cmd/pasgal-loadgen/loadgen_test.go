@@ -1,21 +1,39 @@
-package serve
+package main
 
 import (
 	"context"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"pasgal/internal/gen"
 	"pasgal/internal/graph"
+	"pasgal/internal/serve"
 )
+
+// serveGraph starts an in-process daemon serving g as "g" on an
+// ephemeral port, closed when the test ends.
+func serveGraph(t *testing.T, g *graph.Graph) *httptest.Server {
+	t.Helper()
+	s, err := serve.New(map[string]*graph.Graph{"g": g}, serve.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		hs.Close()
+		s.Close()
+	})
+	return hs
+}
 
 // TestLoadgenEndToEnd drives the load generator against an in-process
 // daemon and checks the report accounting.
 func TestLoadgenEndToEnd(t *testing.T) {
 	g := gen.SocialRMAT(9, 8, true, 77)
-	_, hs := newTestServer(t, map[string]*graph.Graph{"g": g}, Config{})
-	rep, err := RunLoad(context.Background(), LoadConfig{
+	hs := serveGraph(t, g)
+	rep, err := runLoad(context.Background(), loadConfig{
 		BaseURL:  hs.URL,
 		Clients:  4,
 		Requests: 48,
@@ -66,8 +84,8 @@ func TestLoadgenEndToEnd(t *testing.T) {
 // sees nothing but 200s; a mix with nothing left is an error.
 func TestLoadgenDropsUnanswerable(t *testing.T) {
 	g := gen.Grid2D(12, 12, false, 5)
-	_, hs := newTestServer(t, map[string]*graph.Graph{"g": g}, Config{})
-	rep, err := RunLoad(context.Background(), LoadConfig{
+	hs := serveGraph(t, g)
+	rep, err := runLoad(context.Background(), loadConfig{
 		BaseURL: hs.URL, Clients: 4, Requests: 120, Cache: true, Coalesce: true, Seed: 2,
 	})
 	if err != nil {
@@ -79,7 +97,7 @@ func TestLoadgenDropsUnanswerable(t *testing.T) {
 	if len(rep.Dropped) != 1 || rep.Dropped[0] != "scc" || rep.ByAlgo["scc"] != 0 || rep.ByAlgo["kcore"] == 0 {
 		t.Fatalf("dropped %v, by_algo %v; want scc dropped and kcore kept", rep.Dropped, rep.ByAlgo)
 	}
-	_, err = RunLoad(context.Background(), LoadConfig{BaseURL: hs.URL, Mix: map[string]int{"scc": 1}})
+	_, err = runLoad(context.Background(), loadConfig{BaseURL: hs.URL, Mix: map[string]int{"scc": 1}})
 	if err == nil || !strings.Contains(err.Error(), "empty traffic mix") || !strings.Contains(err.Error(), "scc") {
 		t.Fatalf("mix emptied by the inventory accepted: %v", err)
 	}
@@ -89,8 +107,8 @@ func TestLoadgenDropsUnanswerable(t *testing.T) {
 // Coalesce false, zero queries ride the coalescer.
 func TestLoadgenCoalesceOff(t *testing.T) {
 	g := gen.SocialRMAT(9, 8, true, 78)
-	_, hs := newTestServer(t, map[string]*graph.Graph{"g": g}, Config{})
-	rep, err := RunLoad(context.Background(), LoadConfig{
+	hs := serveGraph(t, g)
+	rep, err := runLoad(context.Background(), loadConfig{
 		BaseURL:  hs.URL,
 		Clients:  4,
 		Requests: 24,
@@ -119,30 +137,30 @@ func TestLoadgenCoalesceOff(t *testing.T) {
 // TestLoadgenValidation: bad configurations fail fast with clear errors.
 func TestLoadgenValidation(t *testing.T) {
 	g := gen.Chain(20, true)
-	_, hs := newTestServer(t, map[string]*graph.Graph{"g": g}, Config{})
+	hs := serveGraph(t, g)
 
-	if _, err := RunLoad(context.Background(), LoadConfig{}); err == nil {
+	if _, err := runLoad(context.Background(), loadConfig{}); err == nil {
 		t.Fatal("empty BaseURL accepted")
 	}
-	_, err := RunLoad(context.Background(), LoadConfig{
+	_, err := runLoad(context.Background(), loadConfig{
 		BaseURL: hs.URL, Mix: map[string]int{"pagerank": 1},
 	})
 	if err == nil || !strings.Contains(err.Error(), "pagerank") {
 		t.Fatalf("unknown algo accepted: %v", err)
 	}
-	_, err = RunLoad(context.Background(), LoadConfig{
+	_, err = runLoad(context.Background(), loadConfig{
 		BaseURL: hs.URL, Mix: map[string]int{"bfs": 0},
 	})
 	if err == nil || !strings.Contains(err.Error(), "empty") {
 		t.Fatalf("all-zero mix accepted: %v", err)
 	}
-	_, err = RunLoad(context.Background(), LoadConfig{
+	_, err = runLoad(context.Background(), loadConfig{
 		BaseURL: hs.URL, Graph: "nope", Requests: 1,
 	})
 	if err == nil || !strings.Contains(err.Error(), "nope") {
 		t.Fatalf("unknown graph accepted: %v", err)
 	}
-	if _, err := RunLoad(context.Background(), LoadConfig{BaseURL: "http://127.0.0.1:1"}); err == nil {
+	if _, err := runLoad(context.Background(), loadConfig{BaseURL: "http://127.0.0.1:1"}); err == nil {
 		t.Fatal("unreachable server accepted")
 	}
 }
@@ -151,8 +169,8 @@ func TestLoadgenValidation(t *testing.T) {
 // reporting a failure.
 func TestLoadgenDurationStop(t *testing.T) {
 	g := gen.Chain(50_000, true)
-	_, hs := newTestServer(t, map[string]*graph.Graph{"g": g}, Config{})
-	rep, err := RunLoad(context.Background(), LoadConfig{
+	hs := serveGraph(t, g)
+	rep, err := runLoad(context.Background(), loadConfig{
 		BaseURL:  hs.URL,
 		Clients:  2,
 		Requests: 1 << 20, // far more than the window allows
@@ -169,17 +187,21 @@ func TestLoadgenDurationStop(t *testing.T) {
 	}
 }
 
-// TestPercentile pins the percentile picker on a known distribution.
+// TestPercentile pins the nearest-rank percentile on known distributions:
+// the pth percentile of n samples is the ceil(p*n)-th smallest.
 func TestPercentile(t *testing.T) {
 	sorted := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	cases := []struct {
 		p    float64
 		want float64
-	}{{0.5, 5}, {0.9, 9}, {0.99, 9}, {1.0, 10}, {0.01, 1}}
+	}{{0.5, 5}, {0.9, 9}, {0.99, 10}, {1.0, 10}, {0.01, 1}}
 	for _, c := range cases {
 		if got := percentile(sorted, c.p); got != c.want {
 			t.Errorf("percentile(%g) = %g, want %g", c.p, got, c.want)
 		}
+	}
+	if got := percentile([]float64{1, 2, 3}, 0.5); got != 2 {
+		t.Errorf("percentile([1 2 3], 0.5) = %g, want 2", got)
 	}
 	if got := percentile(nil, 0.5); got != 0 {
 		t.Errorf("percentile(nil) = %g", got)
@@ -192,7 +214,7 @@ func TestPercentile(t *testing.T) {
 // TestMixPickerDeterministic: the weighted picker covers exactly the
 // requested algorithms in canonical order.
 func TestMixPickerDeterministic(t *testing.T) {
-	p, err := newMixPicker(map[string]int{"p2p": 1, "bfs": 3}, GraphInfo{})
+	p, err := newMixPicker(map[string]int{"p2p": 1, "bfs": 3}, serve.GraphInfo{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,5 +223,22 @@ func TestMixPickerDeterministic(t *testing.T) {
 	}
 	if p.totalWt != 4 {
 		t.Fatalf("total weight %d, want 4", p.totalWt)
+	}
+}
+
+// TestParseMix: the -mix flag parses into weights, "" selects the default
+// mix, and malformed entries are rejected.
+func TestParseMix(t *testing.T) {
+	mix, err := parseMix(" bfs=8, p2p=2,")
+	if err != nil || len(mix) != 2 || mix["bfs"] != 8 || mix["p2p"] != 2 {
+		t.Fatalf("parseMix = %v, %v", mix, err)
+	}
+	if mix, err := parseMix(""); mix != nil || err != nil {
+		t.Fatalf("parseMix(\"\") = %v, %v; want nil, nil", mix, err)
+	}
+	for _, bad := range []string{"bfs", "bfs=x", "bfs=0", "bfs=-1"} {
+		if _, err := parseMix(bad); err == nil {
+			t.Errorf("parseMix(%q) accepted", bad)
+		}
 	}
 }

@@ -1,8 +1,7 @@
 // pasgal-loadgen drives mixed query traffic at a running pasgal-serve
-// daemon and reports throughput plus p50/p90/p99 latency. It is both a
-// handheld load tool and the bench vehicle behind `pasgal-bench -exp
-// serve` (which measures coalesced vs uncoalesced single-source BFS
-// throughput through this same engine).
+// daemon and reports throughput plus nearest-rank p50/p90/p99 latency.
+// The repository benchmark (`bash benchmark/run.sh`) drives the daemon
+// with its own fixed schedules; this is the handheld tool.
 //
 // Usage:
 //
@@ -24,8 +23,6 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-
-	"pasgal/internal/serve"
 )
 
 func main() {
@@ -52,7 +49,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	rep, err := serve.RunLoad(ctx, serve.LoadConfig{
+	rep, err := runLoad(ctx, loadConfig{
 		BaseURL:    *url,
 		Graph:      *graphName,
 		Clients:    *clients,
@@ -69,7 +66,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pasgal-loadgen: %v\n", err)
 		os.Exit(1)
 	}
-	serve.WriteReport(os.Stdout, rep)
+	writeReport(os.Stdout, rep)
 
 	if *jsonOut != "" {
 		buf, err := json.MarshalIndent(rep, "", "  ")

@@ -37,8 +37,8 @@ import (
 	"time"
 
 	"pasgal"
-	"pasgal/internal/bench"
 	"pasgal/internal/core"
+	"pasgal/internal/gen"
 	"pasgal/internal/graph"
 	"pasgal/internal/serve"
 )
@@ -79,7 +79,7 @@ func main() {
 			if name == "" {
 				continue
 			}
-			spec := bench.LookupSpec(name)
+			spec := gen.LookupSpec(name)
 			if spec == nil {
 				fmt.Fprintf(os.Stderr, "pasgal-serve: unknown workload %q\n", name)
 				os.Exit(2)

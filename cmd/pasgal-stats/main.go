@@ -1,10 +1,9 @@
 // pasgal-stats prints the paper's Table 1 statistics (n, m, m', sampled
-// diameter lower bounds D, D') for a graph file or for the whole workload
-// registry.
+// diameter lower bounds D, D') for a graph file. The same table for the
+// whole workload registry is `pasgal-bench -exp tab1 -reps 1`.
 //
 // Usage:
 //
-//	pasgal-stats -all -scale 0.5
 //	pasgal-stats -graph road.adj -samples 5
 package main
 
@@ -14,33 +13,26 @@ import (
 	"os"
 
 	"pasgal"
-	"pasgal/internal/bench"
 )
 
 func main() {
-	all := flag.Bool("all", false, "print stats for all 22 registry workloads")
 	path := flag.String("graph", "", "graph file to analyze")
 	directed := flag.Bool("directed", true, "treat file input as directed")
-	scale := flag.Float64("scale", 1.0, "workload size multiplier (with -all)")
 	samples := flag.Int("samples", 3, "double-sweep BFS samples for the diameter bound")
 	flag.Parse()
 
-	switch {
-	case *all:
-		bench.Tab1(bench.Config{Scale: *scale, Reps: 1, Out: os.Stdout})
-	case *path != "":
-		g, err := pasgal.LoadGraph(*path, *directed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pasgal-stats: %v\n", err)
-			os.Exit(1)
-		}
-		st := pasgal.ComputeStats(g, *samples, 12345)
-		fmt.Println(g)
-		fmt.Printf("n=%d m'=%d m=%d D'>=%d D>=%d maxdeg=%d avgdeg=%.2f\n",
-			st.N, st.MDirected, st.MSymmetric, st.DiamLBDir, st.DiamLB,
-			st.MaxDeg, st.AvgDeg)
-	default:
-		fmt.Fprintln(os.Stderr, "pasgal-stats: need -all or -graph")
+	if *path == "" {
+		fmt.Fprintln(os.Stderr, "pasgal-stats: need -graph (registry workloads: pasgal-bench -exp tab1)")
 		os.Exit(2)
 	}
+	g, err := pasgal.LoadGraph(*path, *directed)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pasgal-stats: %v\n", err)
+		os.Exit(1)
+	}
+	st := pasgal.ComputeStats(g, *samples, 12345)
+	fmt.Println(g)
+	fmt.Printf("n=%d m'=%d m=%d D'>=%d D>=%d maxdeg=%d avgdeg=%.2f\n",
+		st.N, st.MDirected, st.MSymmetric, st.DiamLBDir, st.DiamLB,
+		st.MaxDeg, st.AvgDeg)
 }

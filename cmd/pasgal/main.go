@@ -19,7 +19,7 @@ import (
 	"time"
 
 	"pasgal"
-	"pasgal/internal/bench"
+	"pasgal/internal/gen"
 )
 
 func main() {
@@ -59,7 +59,7 @@ func main() {
 			os.Exit(1)
 		}
 	case *workload != "":
-		spec := bench.LookupSpec(*workload)
+		spec := gen.LookupSpec(*workload)
 		if spec == nil {
 			fmt.Fprintf(os.Stderr, "pasgal: unknown workload %q\n", *workload)
 			os.Exit(2)
@@ -76,7 +76,7 @@ func main() {
 	if *src >= 0 {
 		source = uint32(*src)
 	} else if g.N > 0 {
-		source = bench.PickSource(g)
+		source = gen.PickSource(g)
 	}
 
 	start := time.Now()

@@ -15,11 +15,11 @@ import (
 // implementation of every problem must produce results equivalent to the
 // sequential reference.
 func TestAllImplementationsAgree(t *testing.T) {
-	for _, s := range Registry() {
+	for _, s := range gen.Registry() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			g := s.Build(0.02)
-			src := PickSource(g)
+			src := gen.PickSource(g)
 
 			// BFS: all four implementations agree.
 			want := seq.BFS(g, src)
@@ -132,26 +132,4 @@ func partitionsMatch(a, b []uint32) bool {
 		bwd[b[i]] = a[i]
 	}
 	return true
-}
-
-// TestRegistryDeterminism: building a workload twice yields identical
-// graphs (bit-for-bit CSR equality).
-func TestRegistryDeterminism(t *testing.T) {
-	for _, s := range Registry() {
-		a := s.Build(0.02)
-		b := s.Build(0.02)
-		if a.N != b.N || len(a.Edges) != len(b.Edges) {
-			t.Fatalf("%s: shape differs across builds", s.Name)
-		}
-		for i := range a.Offsets {
-			if a.Offsets[i] != b.Offsets[i] {
-				t.Fatalf("%s: offsets differ", s.Name)
-			}
-		}
-		for i := range a.Edges {
-			if a.Edges[i] != b.Edges[i] {
-				t.Fatalf("%s: edges differ", s.Name)
-			}
-		}
-	}
 }

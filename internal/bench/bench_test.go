@@ -4,89 +4,26 @@ import (
 	"strings"
 	"testing"
 
-	"pasgal/internal/graph"
+	"pasgal/internal/core"
+	"pasgal/internal/gen"
 )
 
 func smallConfig(buf *strings.Builder, graphs ...string) Config {
 	return Config{Scale: 0.03, Reps: 1, Out: buf, Graphs: graphs}
 }
 
-func TestRegistryCoversPaperWorkloads(t *testing.T) {
-	specs := Registry()
-	if len(specs) != 22 {
-		t.Fatalf("registry has %d workloads, want 22", len(specs))
-	}
-	wantDirected := map[string]bool{
-		"LJ": true, "FB": false, "OK": false, "TW": true, "FS": false,
-		"WK": true, "SD": true, "CW": true, "HL14": true, "HL12": true,
-		"AF": true, "NA": true, "AS": true, "EU": true,
-		"CH5": true, "GL5": true, "GL10": true, "COS5": true,
-		"REC": true, "SREC": true, "TRCE": false, "BBL": false,
-	}
-	seen := map[string]bool{}
-	for _, s := range specs {
-		if seen[s.Name] {
-			t.Fatalf("duplicate workload %s", s.Name)
-		}
-		seen[s.Name] = true
-		if d, ok := wantDirected[s.Name]; !ok || d != s.Directed {
-			t.Fatalf("%s: directedness %v unexpected", s.Name, s.Directed)
-		}
-		g := s.Build(0.02)
-		if err := g.Validate(); err != nil {
-			t.Fatalf("%s: %v", s.Name, err)
-		}
-		if g.Directed != s.Directed {
-			t.Fatalf("%s: built graph directedness mismatch", s.Name)
-		}
-		if g.N < 100 {
-			t.Fatalf("%s: suspiciously small (n=%d)", s.Name, g.N)
-		}
-	}
-	for name := range wantDirected {
-		if !seen[name] {
-			t.Fatalf("workload %s missing", name)
-		}
-	}
-}
-
-func TestDiameterClasses(t *testing.T) {
-	// The registry must reproduce the paper's diameter split: road/kNN/
-	// synthetic large, social small (on the symmetrized graph).
-	for _, name := range []string{"NA", "REC", "CH5"} {
-		s := LookupSpec(name)
-		g := s.Build(0.1)
-		if d := graph.EstimateDiameter(g.Symmetrized(), 2, 1); d < 50 {
-			t.Fatalf("%s: diameter %d too small for its class", name, d)
-		}
-	}
-	for _, name := range []string{"LJ", "OK", "TW"} {
-		s := LookupSpec(name)
-		g := s.Build(0.1)
-		if d := graph.EstimateDiameter(g.Symmetrized(), 2, 1); d > 30 {
-			t.Fatalf("%s: diameter %d too large for its class", name, d)
-		}
-	}
-}
-
-func TestLookupSpec(t *testing.T) {
-	if LookupSpec("REC") == nil || LookupSpec("nope") != nil {
-		t.Fatal("LookupSpec broken")
-	}
-}
-
 func TestRunnersProduceResults(t *testing.T) {
-	s := LookupSpec("NA")
+	s := gen.LookupSpec("NA")
 	g := s.Build(0.03)
 	for _, check := range []struct {
 		name  string
 		impls []string
 		run   func() Result
 	}{
-		{"bfs", BFSImpls, func() Result { return RunBFS("NA", "Road", g, 1) }},
-		{"scc", SCCImpls, func() Result { return RunSCC("NA", "Road", g, 1) }},
-		{"bcc", BCCImpls, func() Result { return RunBCC("NA", "Road", g, 1) }},
-		{"sssp", SSSPImpls, func() Result { return RunSSSP("NA", "Road", g, 1) }},
+		{"bfs", BFSImpls, func() Result { return RunBFS("NA", "Road", g, 1, core.Options{}) }},
+		{"scc", SCCImpls, func() Result { return RunSCC("NA", "Road", g, 1, core.Options{}) }},
+		{"bcc", BCCImpls, func() Result { return RunBCC("NA", "Road", g, 1, core.Options{}) }},
+		{"sssp", SSSPImpls, func() Result { return RunSSSP("NA", "Road", g, 1, core.Options{}) }},
 	} {
 		r := check.run()
 		for _, impl := range check.impls {
@@ -123,14 +60,5 @@ func TestFig1Smoke(t *testing.T) {
 	if !strings.Contains(buf.String(), "Figure 1") ||
 		!strings.Contains(buf.String(), "PASGAL@1") {
 		t.Fatalf("fig1 output wrong:\n%s", buf.String())
-	}
-}
-
-func TestPickSource(t *testing.T) {
-	s := LookupSpec("TW")
-	g := s.Build(0.05)
-	src := PickSource(g)
-	if g.Degree(src) != g.MaxDegree() {
-		t.Fatal("PickSource did not pick a max-degree vertex")
 	}
 }

@@ -91,7 +91,7 @@ func diffShapes(seed uint64) []diffShape {
 // max-degree vertex, vertex 0, and the last vertex (which is isolated or
 // peripheral in several shapes).
 func diffSources(g *graph.Graph) []uint32 {
-	srcs := []uint32{PickSource(g)}
+	srcs := []uint32{gen.PickSource(g)}
 	for _, s := range []uint32{0, uint32(g.N - 1)} {
 		if s != srcs[0] {
 			srcs = append(srcs, s)

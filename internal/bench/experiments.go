@@ -1,3 +1,9 @@
+// Package bench reproduces the paper's evaluation over the workload
+// registry (gen.Registry: 22 scaled synthetic analogues of the paper's
+// graphs; see DESIGN.md §3): it runs every implementation of every problem
+// and prints Table 1's graph statistics, the BFS/SCC/BCC running-time
+// tables (paper Tables 2–4), Figure 1's scalability sweep, Figure 2's
+// speedups, and the design-choice ablations.
 package bench
 
 import (
@@ -13,7 +19,6 @@ import (
 	"pasgal/internal/gen"
 	"pasgal/internal/graph"
 	"pasgal/internal/ldd"
-	"pasgal/internal/msbfs"
 	"pasgal/internal/parallel"
 	"pasgal/internal/seq"
 	"pasgal/internal/trace"
@@ -40,21 +45,21 @@ type Config struct {
 // options returns the core.Options the tables thread into each run.
 func (c Config) options() core.Options { return core.Options{Ctx: c.Ctx, Tracer: c.Tracer} }
 
-func (c Config) registry() []Spec {
-	specs := Registry()
+func (c Config) registry() []gen.Spec {
+	specs := gen.Registry()
 	if len(c.Graphs) == 0 {
 		return specs
 	}
-	var out []Spec
+	var out []gen.Spec
 	for _, name := range c.Graphs {
-		if s := LookupSpec(name); s != nil {
+		if s := gen.LookupSpec(name); s != nil {
 			out = append(out, *s)
 		}
 	}
 	return out
 }
 
-func (c Config) build(s Spec) *graph.Graph {
+func (c Config) build(s gen.Spec) *graph.Graph {
 	start := time.Now()
 	g := s.Build(c.Scale)
 	fmt.Fprintf(c.Out, "  built %-5s (%s analog): n=%s m=%s in %s\n",
@@ -90,7 +95,7 @@ func TableBFS(c Config) []Result {
 	var results []Result
 	for _, s := range c.registry() {
 		g := c.build(s)
-		results = append(results, RunBFSOpt(s.Name, s.Category, g, c.Reps, c.options()))
+		results = append(results, RunBFS(s.Name, s.Category, g, c.Reps, c.options()))
 	}
 	SortResults(results)
 	PrintTimeTable(c.Out, "BFS running times", BFSImpls, results)
@@ -109,7 +114,7 @@ func TableSCC(c Config) []Result {
 			continue
 		}
 		g := c.build(s)
-		results = append(results, RunSCCOpt(s.Name, s.Category, g, c.Reps, c.options()))
+		results = append(results, RunSCC(s.Name, s.Category, g, c.Reps, c.options()))
 	}
 	SortResults(results)
 	PrintTimeTable(c.Out, "SCC running times", SCCImpls, results)
@@ -124,7 +129,7 @@ func TableBCC(c Config) []Result {
 	var results []Result
 	for _, s := range c.registry() {
 		g := c.build(s)
-		results = append(results, RunBCCOpt(s.Name, s.Category, g, c.Reps, c.options()))
+		results = append(results, RunBCC(s.Name, s.Category, g, c.Reps, c.options()))
 	}
 	SortResults(results)
 	PrintTimeTable(c.Out, "BCC running times", BCCImpls, results)
@@ -138,7 +143,7 @@ func TableSSSP(c Config) []Result {
 	var results []Result
 	for _, s := range c.registry() {
 		g := c.build(s)
-		results = append(results, RunSSSPOpt(s.Name, s.Category, g, c.Reps, c.options()))
+		results = append(results, RunSSSP(s.Name, s.Category, g, c.Reps, c.options()))
 	}
 	SortResults(results)
 	PrintTimeTable(c.Out, "SSSP running times", SSSPImpls, results)
@@ -175,7 +180,7 @@ func Fig1(c Config) {
 			return hs
 		}()...)}
 	for _, name := range graphs {
-		s := LookupSpec(name)
+		s := gen.LookupSpec(name)
 		if s == nil || !s.Directed {
 			continue
 		}
@@ -185,8 +190,8 @@ func Fig1(c Config) {
 		for _, p := range workerCounts {
 			old := parallel.SetWorkers(p)
 			tp := timed(c.Reps, func() { core.SCC(g, core.Options{}) })
-			tg := timed(c.Reps, func() { gbbsSCCForFig(g) })
-			tm := timed(c.Reps, func() { multistepForFig(g) })
+			tg := timed(c.Reps, func() { baseline.GBBSSCC(g, core.Options{}) })
+			tm := timed(c.Reps, func() { baseline.MultistepSCC(g, core.Options{}) })
 			parallel.SetWorkers(old)
 			row = append(row,
 				fmt.Sprintf("%.2fx", seqT/tp),
@@ -206,9 +211,8 @@ func AblationTau(c Config) {
 	taus := []int{1, 8, 32, 128, 512, 2048, 8192}
 	rows := [][]string{{"Graph", "tau", "time", "rounds", "edges visited", "max frontier"}}
 	for _, name := range []string{"REC", "NA", "TW"} {
-		s := LookupSpec(name)
-		g := c.build(*s)
-		src := PickSource(g)
+		g := c.build(*gen.LookupSpec(name))
+		src := gen.PickSource(g)
 		for _, tau := range taus {
 			var met *core.Metrics
 			t := timed(c.Reps, func() {
@@ -228,8 +232,7 @@ func AblationTauSCC(c Config) {
 	fmt.Fprintf(c.Out, "\n== Ablation: VGC budget τ (SCC reachability) ==\n")
 	rows := [][]string{{"Graph", "tau", "time", "rounds", "edges visited"}}
 	for _, name := range []string{"REC", "NA"} {
-		s := LookupSpec(name)
-		g := c.build(*s)
+		g := c.build(*gen.LookupSpec(name))
 		for _, tau := range []int{1, 32, 512, 4096} {
 			var met *core.Metrics
 			t := timed(c.Reps, func() {
@@ -248,9 +251,8 @@ func AblationBag(c Config) {
 	fmt.Fprintf(c.Out, "\n== Ablation: hash bag vs flat dense frontier (BFS) ==\n")
 	rows := [][]string{{"Graph", "frontier", "time", "rounds"}}
 	for _, name := range []string{"REC", "SREC", "NA"} {
-		s := LookupSpec(name)
-		g := c.build(*s)
-		src := PickSource(g)
+		g := c.build(*gen.LookupSpec(name))
+		src := gen.PickSource(g)
 		for _, flat := range []bool{false, true} {
 			label := "hashbag"
 			if flat {
@@ -272,9 +274,8 @@ func AblationDirOpt(c Config) {
 	fmt.Fprintf(c.Out, "\n== Ablation: direction optimization (BFS) ==\n")
 	rows := [][]string{{"Graph", "dir-opt", "time", "rounds", "bottom-up", "edges visited"}}
 	for _, name := range []string{"TW", "OK", "LJ", "REC"} {
-		s := LookupSpec(name)
-		g := c.build(*s)
-		src := PickSource(g)
+		g := c.build(*gen.LookupSpec(name))
+		src := gen.PickSource(g)
 		for _, off := range []bool{false, true} {
 			label := "on"
 			if off {
@@ -303,9 +304,8 @@ func AblationSSSPPolicy(c Config) {
 	}
 	labels := []string{"rho=1K", "rho=64K", "delta=4K", "delta=128K", "bellman-ford"}
 	for _, name := range []string{"NA", "TW"} {
-		s := LookupSpec(name)
-		wg := gen.AddUniformWeights(s.Build(c.Scale), 1, 1<<16, 40400)
-		src := PickSource(wg)
+		wg := gen.AddUniformWeights(gen.LookupSpec(name).Build(c.Scale), 1, 1<<16, 40400)
+		src := gen.PickSource(wg)
 		for i, pol := range policies {
 			var met *core.Metrics
 			t := timed(c.Reps, func() { _, met, _ = core.SSSP(wg, src, pol, core.Options{}) })
@@ -323,9 +323,8 @@ func AblationSSSPPolicy(c Config) {
 // and thus yields sufficient parallel tasks throughout the algorithm".
 func FrontierGrowth(c Config) {
 	fmt.Fprintf(c.Out, "\n== Frontier growth: first 12 rounds of BFS (REC analog) ==\n")
-	s := LookupSpec("REC")
-	g := c.build(*s)
-	src := bench0Source(g)
+	g := c.build(*gen.LookupSpec("REC"))
+	src := gen.PickSource(g)
 	rows := [][]string{{"config", "r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8",
 		"r9", "r10", "r11", "r12", "total rounds"}}
 	for _, cfg := range []struct {
@@ -348,82 +347,6 @@ func FrontierGrowth(c Config) {
 		rows = append(rows, row)
 	}
 	printAligned(c.Out, rows)
-}
-
-func bench0Source(g *graph.Graph) uint32 { return PickSource(g) }
-
-// QueriesImpls names the batched-query implementations: the MS-BFS lane
-// engine, a loop of single-source parallel BFS runs, and a loop of
-// sequential queue BFS runs (the sequential baseline, "*" suffixed).
-var QueriesImpls = []string{"MSBFS", "LoopBFS", "SeqLoop*"}
-
-// QueryBatches are the batch widths of the queries experiment: a single
-// query (the engine's overhead floor), one full lane group, and eight
-// groups.
-var QueryBatches = []int{1, 64, 512}
-
-// queriesSpecs returns the two query-serving workloads: a uniform-degree
-// ER graph and a power-law RMAT graph, each with ~2^20 edges at scale 1.
-func queriesSpecs() []Spec {
-	return []Spec{
-		{"UNI", "Synthetic", true, "uniform ER, 2^20 edges", func(s float64) *graph.Graph {
-			m := sc(1<<20, s)
-			return gen.ER(m/8, m, true, 601)
-		}},
-		{"PL", "Social", true, "power-law RMAT, 2^20 edges", func(s float64) *graph.Graph {
-			return gen.SocialRMAT(rmatScale(sc(1<<16, s)), 16, true, 602)
-		}},
-	}
-}
-
-// QuerySources picks b batched-BFS sources on g: the max-degree vertex
-// first, then a fixed multiplicative stride over the vertex space, so
-// lanes start in distinct regions but the set is deterministic.
-func QuerySources(g *graph.Graph, b int) []uint32 {
-	srcs := make([]uint32, b)
-	srcs[0] = PickSource(g)
-	for i := 1; i < b; i++ {
-		srcs[i] = uint32((uint64(srcs[0]) + uint64(i)*2654435761) % uint64(g.N))
-	}
-	return srcs
-}
-
-// TableQueries measures batched BFS query throughput: B concurrent
-// single-source queries served by one MS-BFS run vs a loop of
-// single-source runs. This is the experiment behind the MS-BFS engine's
-// existence — shared edge scans must beat repeated traversals on every
-// graph class once B fills a lane group.
-func TableQueries(c Config) []Result {
-	fmt.Fprintf(c.Out, "\n== Batched BFS query throughput (MS-BFS vs looped single-source) ==\n")
-	rows := [][]string{{"Graph", "B", "MSBFS", "LoopBFS", "SeqLoop*", "MSBFS q/s", "vs loop"}}
-	var results []Result
-	opt := c.options()
-	for _, s := range queriesSpecs() {
-		g := c.build(s)
-		for _, b := range QueryBatches {
-			srcs := QuerySources(g, b)
-			res := newResult(fmt.Sprintf("%s-B%d", s.Name, b), s.Category, g)
-			res.Times["MSBFS"] = timed(c.Reps, func() { _, _, _ = msbfs.Run(g, srcs, opt) })
-			res.Times["LoopBFS"] = timed(c.Reps, func() {
-				for _, src := range srcs {
-					_, _, _ = core.BFS(g, src, opt)
-				}
-			})
-			res.Times["SeqLoop*"] = timed(c.Reps, func() {
-				for _, src := range srcs {
-					seq.BFS(g, src)
-				}
-			})
-			rows = append(rows, []string{s.Name, fmt.Sprintf("%d", b),
-				fmtTime(res.Times["MSBFS"]), fmtTime(res.Times["LoopBFS"]),
-				fmtTime(res.Times["SeqLoop*"]),
-				fmt.Sprintf("%.0f", float64(b)/res.Times["MSBFS"]),
-				fmt.Sprintf("%.2fx", res.Times["LoopBFS"]/res.Times["MSBFS"])})
-			results = append(results, res)
-		}
-	}
-	printAligned(c.Out, rows)
-	return results
 }
 
 // Connectivity contrasts the BFS-free union–find connectivity FAST-BCC is
@@ -471,7 +394,3 @@ func seqComponents(g *graph.Graph) int {
 	}
 	return count
 }
-
-// gbbsSCCForFig and multistepForFig keep Fig1's timing closures tidy.
-func gbbsSCCForFig(g *graph.Graph)   { _, _, _, _ = baseline.GBBSSCC(g, core.Options{}) }
-func multistepForFig(g *graph.Graph) { _, _, _, _ = baseline.MultistepSCC(g, core.Options{}) }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 )
 
@@ -13,19 +12,6 @@ type Record struct {
 	Reps       int      `json:"reps"`
 	Workers    int      `json:"workers"`
 	Results    []Result `json:"results"`
-}
-
-// ReadJSON reads a result file written by WriteJSON.
-func ReadJSON(path string) ([]Record, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var records []Record
-	if err := json.Unmarshal(data, &records); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return records, nil
 }
 
 // WriteJSON appends records to path as a JSON array (the file is

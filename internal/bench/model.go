@@ -6,6 +6,7 @@ import (
 
 	"pasgal/internal/baseline"
 	"pasgal/internal/core"
+	"pasgal/internal/gen"
 	"pasgal/internal/parallel"
 	"pasgal/internal/seq"
 )
@@ -77,7 +78,7 @@ func Fig1Model(c Config) {
 	}
 	rows := [][]string{header}
 	for _, name := range graphs {
-		s := LookupSpec(name)
+		s := gen.LookupSpec(name)
 		if s == nil || !s.Directed {
 			continue
 		}

@@ -42,30 +42,13 @@ func timed(reps int, fn func()) float64 {
 	return times[len(times)/2]
 }
 
-// PickSource returns a good BFS/SSSP source: the maximum-degree vertex,
-// which sits inside the giant component on every workload in the registry.
-func PickSource(g *graph.Graph) uint32 {
-	best, bestDeg := uint32(0), -1
-	for v := 0; v < g.N; v++ {
-		if d := g.Degree(uint32(v)); d > bestDeg {
-			best, bestDeg = uint32(v), d
-		}
-	}
-	return best
-}
-
 // BFSImpls names the implementations in the paper's BFS table.
 var BFSImpls = []string{"PASGAL", "GBBS", "GAPBS", "SeqQueue*"}
 
-// RunBFS measures every BFS implementation on g.
-func RunBFS(name, category string, g *graph.Graph, reps int) Result {
-	return RunBFSOpt(name, category, g, reps, core.Options{})
-}
-
-// RunBFSOpt is RunBFS with Options (tracer, knobs) threaded through PASGAL
-// and every baseline.
-func RunBFSOpt(name, category string, g *graph.Graph, reps int, opt core.Options) Result {
-	src := PickSource(g)
+// RunBFS measures every BFS implementation on g, with opt (tracer, knobs)
+// threaded through PASGAL and every baseline.
+func RunBFS(name, category string, g *graph.Graph, reps int, opt core.Options) Result {
+	src := gen.PickSource(g)
 	res := newResult(name, category, g)
 	var met *core.Metrics
 	res.Times["PASGAL"] = timed(reps, func() { _, met, _ = core.BFS(g, src, opt) })
@@ -81,13 +64,9 @@ func RunBFSOpt(name, category string, g *graph.Graph, reps int, opt core.Options
 // SCCImpls names the implementations in the paper's SCC table.
 var SCCImpls = []string{"PASGAL", "GBBS", "Multistep", "Tarjan*"}
 
-// RunSCC measures every SCC implementation on a directed g.
-func RunSCC(name, category string, g *graph.Graph, reps int) Result {
-	return RunSCCOpt(name, category, g, reps, core.Options{})
-}
-
-// RunSCCOpt is RunSCC with Options threaded through every implementation.
-func RunSCCOpt(name, category string, g *graph.Graph, reps int, opt core.Options) Result {
+// RunSCC measures every SCC implementation on a directed g, with opt
+// threaded through every implementation.
+func RunSCC(name, category string, g *graph.Graph, reps int, opt core.Options) Result {
 	res := newResult(name, category, g)
 	var met *core.Metrics
 	res.Times["PASGAL"] = timed(reps, func() { _, _, met, _ = core.SCC(g, opt) })
@@ -104,13 +83,8 @@ func RunSCCOpt(name, category string, g *graph.Graph, reps int, opt core.Options
 var BCCImpls = []string{"PASGAL", "GBBS", "TV", "HopcroftTarjan*"}
 
 // RunBCC measures every BCC implementation on g (symmetrized if directed,
-// as the paper does).
-func RunBCC(name, category string, g *graph.Graph, reps int) Result {
-	return RunBCCOpt(name, category, g, reps, core.Options{})
-}
-
-// RunBCCOpt is RunBCC with Options threaded through every implementation.
-func RunBCCOpt(name, category string, g *graph.Graph, reps int, opt core.Options) Result {
+// as the paper does), with opt threaded through every implementation.
+func RunBCC(name, category string, g *graph.Graph, reps int, opt core.Options) Result {
 	sym := g.Symmetrized()
 	res := newResult(name, category, sym)
 	var met *core.Metrics
@@ -131,15 +105,11 @@ func RunBCCOpt(name, category string, g *graph.Graph, reps int, opt core.Options
 // GBBS-style Bellman–Ford, and sequential Dijkstra).
 var SSSPImpls = []string{"PASGAL-rho", "PASGAL-delta", "DeltaStep", "GBBS-BF", "Dijkstra*"}
 
-// RunSSSP measures SSSP implementations on a weighted version of g.
-func RunSSSP(name, category string, g *graph.Graph, reps int) Result {
-	return RunSSSPOpt(name, category, g, reps, core.Options{})
-}
-
-// RunSSSPOpt is RunSSSP with Options threaded through every implementation.
-func RunSSSPOpt(name, category string, g *graph.Graph, reps int, opt core.Options) Result {
+// RunSSSP measures SSSP implementations on a weighted version of g, with
+// opt threaded through every implementation.
+func RunSSSP(name, category string, g *graph.Graph, reps int, opt core.Options) Result {
 	wg := gen.AddUniformWeights(g, 1, 1<<16, 40400)
-	src := PickSource(wg)
+	src := gen.PickSource(wg)
 	res := newResult(name, category, wg)
 	var met *core.Metrics
 	res.Times["PASGAL-rho"] = timed(reps, func() {

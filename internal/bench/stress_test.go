@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"math"
+	"math/bits"
 	"math/rand/v2"
 	"os"
 	"strconv"
@@ -37,11 +39,11 @@ func TestStressDifferential(t *testing.T) {
 		case 0:
 			g = gen.ER(n, rng.IntN(5*n+1), true, seed)
 		case 1:
-			g = gen.SocialRMAT(rmatScale(n), 1+rng.IntN(12), true, seed)
+			g = gen.SocialRMAT(max(9, bits.Len(uint(n-1))), 1+rng.IntN(12), true, seed)
 		case 2:
 			g = gen.WebLike(max(n, 200), 1+rng.IntN(8), 0.3, 1+rng.IntN(40), seed)
 		case 3:
-			k := 1 + isqrt(n)
+			k := 1 + int(math.Sqrt(float64(n)))
 			g = gen.SampledGrid(k, k, 0.5+rng.Float64()/2, true, seed)
 		default:
 			g = gen.KNN(max(n, 20), 1+rng.IntN(6), 1+rng.IntN(8), true, seed)

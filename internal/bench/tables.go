@@ -6,6 +6,8 @@ import (
 	"math"
 	"sort"
 	"strings"
+
+	"pasgal/internal/gen"
 )
 
 // byteSize renders a byte count human-readably.
@@ -44,7 +46,7 @@ func PrintTimeTable(w io.Writer, title string, impls []string, results []Result)
 	header = append(header, impls...)
 	header = append(header, "Rounds(PASGAL)", "Rounds(best-lvlsync)")
 	rows := [][]string{header}
-	for _, cat := range Categories() {
+	for _, cat := range gen.Categories() {
 		for _, r := range results {
 			if r.Category != cat {
 				continue
@@ -59,7 +61,7 @@ func PrintTimeTable(w io.Writer, title string, impls []string, results []Result)
 	}
 	// Geometric means per category.
 	rows = append(rows, []string{"--"})
-	for _, cat := range Categories() {
+	for _, cat := range gen.Categories() {
 		times := map[string][]float64{}
 		for _, r := range results {
 			if r.Category != cat {
@@ -108,7 +110,7 @@ func PrintSpeedupTable(w io.Writer, title string, impls []string, results []Resu
 		}
 	}
 	rows := [][]string{header}
-	for _, cat := range Categories() {
+	for _, cat := range gen.Categories() {
 		for _, r := range results {
 			if r.Category != cat {
 				continue
@@ -206,7 +208,7 @@ func printAligned(w io.Writer, rows [][]string) {
 // SortResults orders results by the registry's category then name order.
 func SortResults(results []Result) {
 	order := map[string]int{}
-	for i, s := range Registry() {
+	for i, s := range gen.Registry() {
 		order[s.Name] = i
 	}
 	sort.SliceStable(results, func(i, j int) bool {

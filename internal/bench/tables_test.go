@@ -3,6 +3,9 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"pasgal/internal/core"
+	"pasgal/internal/gen"
 )
 
 func TestByteSize(t *testing.T) {
@@ -96,16 +99,16 @@ func TestAblationSmoke(t *testing.T) {
 // synchronizations than the level-synchronous baselines.
 func TestPaperShapeClaims(t *testing.T) {
 	for _, name := range []string{"REC", "NA"} {
-		s := LookupSpec(name)
+		s := gen.LookupSpec(name)
 		g := s.Build(0.1)
-		r := RunBFS(name, s.Category, g, 1)
+		r := RunBFS(name, s.Category, g, 1, core.Options{})
 		pasgalRounds := r.Metrics["PASGAL"].Rounds
 		gbbsRounds := r.Metrics["GBBS"].Rounds
 		if pasgalRounds*5 >= gbbsRounds {
 			t.Fatalf("%s BFS: PASGAL %d rounds, GBBS %d — VGC advantage lost",
 				name, pasgalRounds, gbbsRounds)
 		}
-		rb := RunBCC(name, s.Category, g, 1)
+		rb := RunBCC(name, s.Category, g, 1, core.Options{})
 		if rb.Metrics["PASGAL"].Rounds != 0 {
 			t.Fatalf("%s BCC: FAST-BCC should use no frontier rounds, got %d",
 				name, rb.Metrics["PASGAL"].Rounds)
@@ -114,94 +117,5 @@ func TestPaperShapeClaims(t *testing.T) {
 			t.Fatalf("%s BCC: BFS-based baseline rounds suspiciously low (%d)",
 				name, rb.Metrics["GBBS"].Rounds)
 		}
-	}
-}
-
-// TestTableServeSmoke runs the serving-throughput experiment at a tiny
-// scale: all three cells must produce timings, the coalesced cell must
-// actually batch, and the rows must land in the compare-gate record.
-func TestTableServeSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("boots an httptest daemon per workload")
-	}
-	var buf strings.Builder
-	results := TableServe(Config{Scale: 0.02, Reps: 1, Out: &buf})
-	if len(results) != 2 {
-		t.Fatalf("TableServe returned %d results, want 2 (UNI + PL)", len(results))
-	}
-	for _, res := range results {
-		for _, impl := range ServeImpls {
-			if res.Times[impl] <= 0 {
-				t.Fatalf("%s: no timing for %s cell:\n%s", res.Graph, impl, buf.String())
-			}
-		}
-	}
-	out := buf.String()
-	if !strings.Contains(out, "coalesced BFS serves") {
-		t.Fatalf("missing coalescing ratio line:\n%s", out)
-	}
-	if !strings.Contains(out, "Serving throughput") {
-		t.Fatalf("missing table header:\n%s", out)
-	}
-}
-
-// TestTableCompressSmoke runs the compression experiment at a tiny
-// scale: every time cell must fill (the compare gate diffs them), and
-// the size columns must report a real reduction over plain CSR.
-func TestTableCompressSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("compresses + relabels both query graphs")
-	}
-	var buf strings.Builder
-	results := TableCompress(Config{Scale: 0.02, Reps: 1, Out: &buf})
-	if len(results) != 2 {
-		t.Fatalf("TableCompress returned %d results, want 2 (UNI + PL)", len(results))
-	}
-	for _, res := range results {
-		for _, impl := range CompressImpls {
-			if res.Times[impl] <= 0 {
-				t.Fatalf("%s: no timing for %s cell:\n%s", res.Graph, impl, buf.String())
-			}
-		}
-		for _, key := range []string{"CSR B/e", "PZ B/e", "PZR B/e"} {
-			if res.Extra[key] == "" {
-				t.Fatalf("%s: missing size column %s", res.Graph, key)
-			}
-		}
-		if res.Extra["PZ B/e"] >= res.Extra["CSR B/e"] {
-			// Numeric width is equal here (both %.2f with one integer
-			// digit at this scale), so the string compare is a real one.
-			t.Fatalf("%s: compression did not shrink: PZ %s vs CSR %s",
-				res.Graph, res.Extra["PZ B/e"], res.Extra["CSR B/e"])
-		}
-	}
-	if !strings.Contains(buf.String(), "bytes/edge and BFS scan overhead") {
-		t.Fatalf("missing table header:\n%s", buf.String())
-	}
-}
-
-// TestTableUpdatesSmoke runs the incremental-update experiment at a
-// tiny scale: every time cell must fill (the compare gate diffs them),
-// and the update stream must leave a real patch behind before the
-// compacted re-measure.
-func TestTableUpdatesSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("applies an update stream per workload")
-	}
-	var buf strings.Builder
-	results := TableUpdates(Config{Scale: 0.02, Reps: 1, Out: &buf})
-	if len(results) != 2 {
-		t.Fatalf("TableUpdates returned %d results, want 2 (UNI + PL)", len(results))
-	}
-	for _, res := range results {
-		for _, impl := range UpdatesImpls {
-			if res.Times[impl] <= 0 {
-				t.Fatalf("%s: no timing for %s cell:\n%s", res.Graph, impl, buf.String())
-			}
-		}
-	}
-	out := buf.String()
-	if !strings.Contains(out, "Incremental updates") {
-		t.Fatalf("missing table header:\n%s", out)
 	}
 }

@@ -41,6 +41,36 @@ func badGo() int {
 	return n
 }
 
+// lockedWrites orders its counter and high-water mark with a captured
+// mutex; the writes after Unlock and under a read lock are still races.
+func lockedWrites(xs []int64) (int64, int64) {
+	var mu sync.Mutex
+	var rw sync.RWMutex
+	var sum, peak, late, seen int64
+	parallel.For(len(xs), 0, func(i int) {
+		mu.Lock()
+		sum += xs[i] // ok: mu is held
+		if sum > peak {
+			peak = sum // ok: held in the enclosing block
+		}
+		mu.Unlock()
+		late = xs[i] // want:parallel-capture
+		rw.RLock()
+		seen++ // want:parallel-capture
+		rw.RUnlock()
+	})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rw.Lock()
+		defer rw.Unlock()
+		seen = 0 // ok: the deferred Unlock holds rw to the end of the block
+	}()
+	wg.Wait()
+	return sum + late, peak + seen
+}
+
 // goodIndexDisjoint writes only to the element owned by this iteration.
 func goodIndexDisjoint(xs []int64) []int64 {
 	out := make([]int64, len(xs))

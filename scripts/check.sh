@@ -1,13 +1,13 @@
 #!/bin/sh
 # check.sh — the full local verification gate, in increasing cost order:
-# formatting, go vet, build + unit tests (then three uncached passes at each
-# of GOMAXPROCS 1, 2, 4 over the packages whose behaviour depends on the
-# schedule), the pasgal-vet concurrency checker, a fuzz smoke, then the
-# -race stress tier over the concurrency-critical packages. Performance is
-# judged elsewhere, by `bash benchmark/run.sh` alone. Run from anywhere
-# inside the repository.
+# formatting, the commands' dependency fence, go vet, build + unit tests
+# (then three uncached passes at each of GOMAXPROCS 1, 2, 4 over the
+# packages whose behaviour depends on the schedule), the pasgal-vet
+# concurrency checker, a fuzz smoke, then the -race stress tier over the
+# concurrency-critical packages. Performance is judged elsewhere, by
+# `bash benchmark/run.sh` alone. Run from anywhere inside the repository.
 #
-#   check.sh -short        formatting, vet, build, and short-mode tests only
+#   check.sh -short        formatting, fence, vet, build, and short-mode tests only
 #   PASGAL_SKIP_RACE=1     stop before the race tier (it dominates, ~30s)
 #   PASGAL_SKIP_VET=1      skip the pasgal-vet concurrency checker
 #   PASGAL_SKIP_FUZZ=1     skip the 30s fuzz smoke
@@ -59,6 +59,19 @@ if ! go build -gcflags=-m ./internal/graph 2>&1 | grep -q 'can inline (\*Scanner
     echo 'graph.(*Scanner).Neighbors no longer inlines' >&2
     exit 1
 fi
+
+echo '== dependency fence'
+# pasgal-bench is the one command that reproduces the paper's tables; every
+# other command, the daemon among them, links neither the harness nor the
+# baselines it times.
+for dir in cmd/*/; do
+    dir=${dir%/}
+    [ "$dir" = cmd/pasgal-bench ] && continue
+    if go list -deps "./$dir" | grep -qxE 'pasgal/internal/(bench|baseline)'; then
+        echo "$dir links pasgal/internal/bench or pasgal/internal/baseline" >&2
+        exit 1
+    fi
+done
 
 echo '== go vet'
 # Its copylocks check also reports sync/atomic values copied by value;

@@ -199,7 +199,8 @@ func TestCLIConvertPZ(t *testing.T) {
 // TestCLITrace covers pasgal-bench's output paths: `-trace` must emit a
 // loadable Chrome trace, `-json` a result file, and the pprof hooks their
 // profiles. What the repository benchmark measures is not a pasgal-bench
-// experiment: `-exp serve` and its siblings are unknown and exit 2.
+// experiment: `-exp serve` and its siblings are unknown and exit 2, as is
+// the deleted union–find vs LDD study, `-exp conn`.
 func TestCLITrace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
@@ -260,7 +261,7 @@ func TestCLITrace(t *testing.T) {
 		t.Fatalf("-json records = %+v, want one bfs record over REC and TW", records)
 	}
 
-	for _, exp := range []string{"serve", "queries", "compress", "updates", "build"} {
+	for _, exp := range []string{"serve", "queries", "compress", "updates", "build", "conn"} {
 		err := exec.Command(benchBin, "-exp", exp).Run()
 		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
 			t.Fatalf("pasgal-bench -exp %s: %v, want exit code 2", exp, err)

@@ -2,7 +2,7 @@
 // statistics table (tab1), the BFS/SCC/BCC running-time tables with
 // geometric means and Figure 2 speedup panels (bfs, scc, bcc), the SSSP
 // comparison (sssp), Figure 1's SCC scalability sweep (fig1) and its
-// analytic projection (fig1-model), the substrate studies (conn, frontier,
+// analytic projection (fig1-model), the substrate studies (frontier,
 // mem), and the design-choice ablations (abl-tau, abl-tau-scc, abl-bag,
 // abl-dir, abl-sssp). Everything else this repository measures — batched
 // queries, serving, compression, updates, graph building — is a cell of
@@ -40,7 +40,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: tab1|bfs|scc|bcc|sssp|fig1|fig1-model|fig2|conn|frontier|mem|abl-tau|abl-tau-scc|abl-bag|abl-dir|abl-sssp|all")
+	exp := flag.String("exp", "all", "experiment: tab1|bfs|scc|bcc|sssp|fig1|fig1-model|fig2|frontier|mem|abl-tau|abl-tau-scc|abl-bag|abl-dir|abl-sssp|all")
 	scale := flag.Float64("scale", 1.0, "workload size multiplier")
 	reps := flag.Int("reps", 3, "timing repetitions (median reported)")
 	workers := flag.Int("workers", 0, "worker count (0 = GOMAXPROCS)")
@@ -152,8 +152,6 @@ func main() {
 			bench.AblationDirOpt(cfg)
 		case "abl-sssp":
 			bench.AblationSSSPPolicy(cfg)
-		case "conn":
-			bench.Connectivity(cfg)
 		case "frontier":
 			bench.FrontierGrowth(cfg)
 		case "mem":
@@ -166,7 +164,7 @@ func main() {
 	interrupted := false
 	if *exp == "all" {
 		for _, name := range []string{"tab1", "bfs", "scc", "bcc", "sssp",
-			"fig1", "fig1-model", "conn", "frontier", "mem",
+			"fig1", "fig1-model", "frontier", "mem",
 			"abl-tau", "abl-tau-scc", "abl-bag", "abl-dir", "abl-sssp"} {
 			if ctx.Err() != nil {
 				interrupted = true

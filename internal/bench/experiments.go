@@ -14,11 +14,9 @@ import (
 	"time"
 
 	"pasgal/internal/baseline"
-	"pasgal/internal/conn"
 	"pasgal/internal/core"
 	"pasgal/internal/gen"
 	"pasgal/internal/graph"
-	"pasgal/internal/ldd"
 	"pasgal/internal/parallel"
 	"pasgal/internal/seq"
 	"pasgal/internal/trace"
@@ -347,50 +345,4 @@ func FrontierGrowth(c Config) {
 		rows = append(rows, row)
 	}
 	printAligned(c.Out, rows)
-}
-
-// Connectivity contrasts the BFS-free union–find connectivity FAST-BCC is
-// built on with the LDD-contraction connectivity a GBBS-style system uses,
-// and with sequential DFS labeling — the substrate-level version of the
-// paper's synchronization argument.
-func Connectivity(c Config) {
-	fmt.Fprintf(c.Out, "\n== Connectivity: union-find (PASGAL substrate) vs LDD contraction (GBBS substrate) ==\n")
-	rows := [][]string{{"Graph", "UnionFind", "LDD", "SeqDFS*", "LDD rounds"}}
-	for _, s := range c.registry() {
-		g := c.build(s).Symmetrized()
-		var lddRounds int
-		tUF := timed(c.Reps, func() { conn.Components(g) })
-		tLDD := timed(c.Reps, func() { _, _, lddRounds = ldd.Components(g, 0.2, 42) })
-		tSeq := timed(c.Reps, func() { seqComponents(g) })
-		rows = append(rows, []string{s.Name, fmtTime(tUF), fmtTime(tLDD), fmtTime(tSeq),
-			fmt.Sprintf("%d", lddRounds)})
-	}
-	printAligned(c.Out, rows)
-}
-
-// seqComponents is the sequential DFS baseline for the connectivity
-// comparison.
-func seqComponents(g *graph.Graph) int {
-	vis := make([]bool, g.N)
-	count := 0
-	stack := make([]uint32, 0, 1024)
-	for s := 0; s < g.N; s++ {
-		if vis[s] {
-			continue
-		}
-		count++
-		vis[s] = true
-		stack = append(stack[:0], uint32(s))
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, v := range g.Neighbors(u) {
-				if !vis[v] {
-					vis[v] = true
-					stack = append(stack, v)
-				}
-			}
-		}
-	}
-	return count
 }

@@ -82,11 +82,10 @@ func TestAblationSmoke(t *testing.T) {
 	AblationDirOpt(cfg)
 	AblationSSSPPolicy(cfg)
 	FrontierGrowth(cfg)
-	Connectivity(Config{Scale: 0.02, Reps: 1, Out: &buf, Graphs: []string{"NA", "TRCE"}})
 	Memory(Config{Scale: 0.02, Reps: 1, Out: &buf, Graphs: []string{"NA"}})
 	out := buf.String()
 	for _, want := range []string{"VGC budget", "direction optimization", "stepping policies",
-		"tau", "bottom-up", "bellman-ford", "union-find", "LDD rounds",
+		"tau", "bottom-up", "bellman-ford",
 		"SCC reachability", "Frontier growth", "allocation volume", "TV/PASGAL"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("ablation output missing %q", want)

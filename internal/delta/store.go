@@ -5,8 +5,9 @@
 // epoch. Queries pin an epoch with Snapshot — a refcount, not a lock —
 // and keep a perfectly consistent view for as long as they hold it,
 // while writers keep publishing newer epochs. Background compaction
-// folds a grown patch into a fresh base CSR through the FromEdges radix
-// pipeline and retires old epochs once their last snapshot releases.
+// installs the overlay's own merged lists (graph.Overlay.Materialize) as
+// a fresh base CSR and retires old epochs once their last snapshot
+// releases.
 //
 // The single-writer, many-reader design mirrors the rest of the
 // library: Apply and Compact serialize on a writer mutex, but Snapshot

@@ -1,6 +1,7 @@
 package delta
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -172,7 +173,7 @@ func TestSnapshotIsolationAndRetirement(t *testing.T) {
 			t.Fatal("Adj after Release must panic")
 		}
 	}()
-	old.Adj()
+	old.Adj() //pasgal:vet ignore=epoch-misuse -- the panic on a use after Release is what this test checks
 }
 
 func TestCompactFoldsPatch(t *testing.T) {
@@ -217,10 +218,10 @@ func TestStoreErrors(t *testing.T) {
 		t.Fatal("out-of-range update must fail")
 	}
 	s.Close()
-	if _, err := s.Apply([]Update{{U: 0, V: 2, Op: Insert}}); err != ErrClosed {
+	if _, err := s.Apply([]Update{{U: 0, V: 2, Op: Insert}}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("apply after close: %v", err)
 	}
-	if _, err := s.Compact(); err != ErrClosed {
+	if _, err := s.Compact(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("compact after close: %v", err)
 	}
 	s.Close() // idempotent

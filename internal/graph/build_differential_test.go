@@ -11,11 +11,11 @@ import (
 	"pasgal/internal/parallel"
 )
 
-// This file pins the radix-partitioned build pipeline against a retained,
-// deliberately naive reference builder across the full BuildOptions matrix
-// and a set of adversarial shapes. The reference shares no code with the
-// production pipeline: per-vertex append lists, sort.SliceStable, map-free
-// linear dedup.
+// This file pins the counting builders (FromEdges, Transpose, Symmetrized)
+// against a retained, deliberately naive reference builder across the full
+// BuildOptions matrix and a set of adversarial shapes. The reference shares
+// no code with the builders: per-vertex append lists, sort.SliceStable,
+// map-free linear dedup.
 
 type refArc struct{ v, w uint32 }
 
@@ -58,8 +58,8 @@ func referenceAdjacency(n int, edges []Edge, directed bool, opt BuildOptions) []
 
 // canonical returns a vertex's (v,w) pairs in a comparison-stable order.
 // Adjacency is sorted by destination; the relative order of equal-(u,v)
-// duplicates' weights is unspecified (the small-input path shell-sorts,
-// which is not stable), so ties are broken by weight on both sides. With
+// duplicates' weights is unspecified (short lists are shell-sorted, which
+// is not stable), so ties are broken by weight on both sides. With
 // unweighted graphs weights are ignored entirely.
 func canonical(arcs []refArc, weighted bool) []refArc {
 	out := append([]refArc(nil), arcs...)
@@ -223,20 +223,18 @@ func differentialShapes() []diffShape {
 		}
 	}
 	shapes = append(shapes, diffShape{name: "power-law", n: 4096, edges: pow})
-	// Uniform random, sized to cross the radix-path threshold.
+	// Uniform random, with more arcs than vertices.
 	uni := make([]Edge, 9000)
 	for i := range uni {
 		uni[i] = Edge{U: uint32(rng.IntN(3000)), V: uint32(rng.IntN(3000)), W: rng.Uint32N(1000)}
 	}
 	shapes = append(shapes, diffShape{name: "uniform", n: 3000, edges: uni})
-	// Many vertices: these two cross smallVertexRadix and exercise the
-	// bucketed pipelines — packed-route fits its ids in 16 bits (the
-	// uint64-word path), bucket-route does not (the Edge-record path).
-	// Self-loops are mixed in so the trash-group drop runs on both.
+	// Many vertices, one set with ids past 16 bits, and self-loops mixed
+	// in so the drop runs on both.
 	for _, big := range []struct {
 		name string
 		n    int
-	}{{"packed-route", 9000}, {"bucket-route", 70000}} {
+	}{{"many-vertices", 9000}, {"ids-past-16-bits", 70000}} {
 		es := make([]Edge, 24000)
 		for i := range es {
 			u := uint32(rng.IntN(big.n))
@@ -251,7 +249,7 @@ func differentialShapes() []diffShape {
 		}
 		shapes = append(shapes, diffShape{name: big.name, n: big.n, edges: es})
 	}
-	// Tiny inputs that stay on the sequential small-graph path.
+	// Tiny inputs.
 	tiny := make([]Edge, 25)
 	for i := range tiny {
 		tiny[i] = Edge{U: uint32(rng.IntN(10)), V: uint32(rng.IntN(10)), W: rng.Uint32N(9)}
@@ -293,37 +291,57 @@ func TestBuildDifferential(t *testing.T) {
 	}
 }
 
-// TestBuildDifferentialParallelPath repeats the sweep's biggest shapes with
-// a forced multi-worker team so the chunked count–scan–scatter paths run
-// with real chunk counts even on small CI machines.
+// TestBuildDifferentialParallelPath repeats the sweep's biggest shapes at
+// forced team sizes, so the counting scatter runs with several range
+// counts r = min(workers, m/n) even on small CI machines.
 func TestBuildDifferentialParallelPath(t *testing.T) {
-	old := parallel.SetWorkers(8)
-	defer parallel.SetWorkers(old)
-	for _, shape := range differentialShapes() {
-		if len(shape.edges) < 5000 {
-			continue
+	for _, p := range []int{1, 2, 3, 4, 8} {
+		old := parallel.SetWorkers(p)
+		for _, shape := range differentialShapes() {
+			if len(shape.edges) < 5000 {
+				continue
+			}
+			for _, keepDups := range []bool{false, true} {
+				opt := BuildOptions{Weighted: true, KeepDuplicates: keepDups}
+				label := fmt.Sprintf("p%d/%s/dups=%v", p, shape.name, keepDups)
+				checkAgainstReference(t, label, shape.n, shape.edges, true, opt)
+				checkAgainstReference(t, label+"/undirected", shape.n, shape.edges, false, opt)
+			}
 		}
-		for _, keepDups := range []bool{false, true} {
-			opt := BuildOptions{Weighted: true, KeepDuplicates: keepDups}
-			label := fmt.Sprintf("p8/%s/dups=%v", shape.name, keepDups)
-			checkAgainstReference(t, label, shape.n, shape.edges, true, opt)
-			checkAgainstReference(t, label+"/undirected", shape.n, shape.edges, false, opt)
-		}
+		parallel.SetWorkers(old)
 	}
 }
 
-// transposeOracle is the transpose as FromEdges builds it from the
-// reversed arc list: every arc kept, self-loops and duplicates included.
+// transposeOracle is the reference builder's graph of g's reversed arc
+// list: every arc kept, self-loops and duplicates included.
 func transposeOracle(g *Graph) *Graph {
-	return FromEdges(g.N, edgeList(g, true), true, BuildOptions{
+	return referenceGraph(g.N, edgeList(g, true), true, BuildOptions{
 		Weighted: g.Weighted(), KeepSelfLoops: true, KeepDuplicates: true,
 	})
 }
 
-// symmetrizedOracle is the symmetrize as FromEdges builds it from the arc
+// symmetrizedOracle is the reference builder's undirected graph of g's arc
 // list: self-loops dropped, one arc per neighbor with the smallest weight.
 func symmetrizedOracle(g *Graph) *Graph {
-	return FromEdges(g.N, edgeList(g, false), false, BuildOptions{Weighted: g.Weighted()})
+	return referenceGraph(g.N, edgeList(g, false), false, BuildOptions{Weighted: g.Weighted()})
+}
+
+// referenceGraph lays referenceAdjacency's lists out as a CSR graph.
+func referenceGraph(n int, edges []Edge, directed bool, opt BuildOptions) *Graph {
+	g := &Graph{N: n, Offsets: make([]uint64, n+1), Edges: []uint32{}, Directed: directed && !opt.Symmetrize}
+	if opt.Weighted {
+		g.Weights = []uint32{}
+	}
+	for u, l := range referenceAdjacency(n, edges, directed, opt) {
+		for _, a := range l {
+			g.Edges = append(g.Edges, a.v)
+			if opt.Weighted {
+				g.Weights = append(g.Weights, a.w)
+			}
+		}
+		g.Offsets[u+1] = uint64(len(g.Edges))
+	}
+	return g
 }
 
 // edgeList returns g's arcs as edges, reversed if asked.
@@ -382,9 +400,9 @@ func checkIdentical(t *testing.T, label string, got, want *Graph) {
 }
 
 // derivedShapes are random multigraphs kept with their duplicates and
-// self-loops, every arc carrying its own weight, at the sizes the builders
-// branch on: n = 0 and 1, below seqBuildArcs, sparse (m < n, a single
-// counting range), the packed FromEdges route, and above 2^16 vertices.
+// self-loops, every arc carrying its own weight: n = 0 and 1, a few
+// hundred arcs, sparse (m < n, a single counting range), dense enough for
+// four ranges with hub lists, and ids past 16 bits.
 func derivedShapes() []*Graph {
 	rng := rand.New(rand.NewPCG(39, 4))
 	var gs []*Graph
@@ -417,7 +435,7 @@ func derivedShapes() []*Graph {
 }
 
 // TestTransposeDifferential pins the counting transpose, byte for byte,
-// to the FromEdges-built oracle at 1–4 workers.
+// to the reference-built oracle at 1–4 workers.
 func TestTransposeDifferential(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 4} {
 		old := parallel.SetWorkers(p)
@@ -438,7 +456,7 @@ func TestTransposeDifferential(t *testing.T) {
 }
 
 // TestSymmetrizedDifferential pins the merge symmetrize, byte for byte, to
-// the FromEdges-built oracle at 1–4 workers, and checks it leaves the
+// the reference-built oracle at 1–4 workers, and checks it leaves the
 // transpose cached on g.
 func TestSymmetrizedDifferential(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 4} {
@@ -481,6 +499,32 @@ func TestTransposeAuxSpace(t *testing.T) {
 		if got := int(after.TotalAlloc - before.TotalAlloc); got > allowed {
 			t.Fatalf("weighted=%v: Transpose allocated %d bytes, want <= %d (output %d + 4m %d + O(n))",
 				weighted, got, allowed, out, 4*g.M())
+		}
+	}
+}
+
+// TestFromEdgesAuxSpace bounds what one FromEdges allocates beyond its
+// output: the unsorted Edges and Weights it compacts from and the counting
+// rows, at most 4 bytes per arc each, plus O(n).
+func TestFromEdgesAuxSpace(t *testing.T) {
+	old := parallel.SetWorkers(4)
+	defer parallel.SetWorkers(old)
+	rng := rand.New(rand.NewPCG(41, 5))
+	const n, m = 1 << 15, 1 << 19
+	edges := make([]Edge, m)
+	for i := range edges {
+		edges[i] = Edge{U: uint32(rng.IntN(n)), V: uint32(rng.IntN(n)), W: uint32(i)}
+	}
+	for _, weighted := range []bool{false, true} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g := FromEdges(n, edges, true, BuildOptions{Weighted: weighted})
+		runtime.ReadMemStats(&after)
+		out := 8*len(g.Offsets) + 4*len(g.Edges) + 4*len(g.Weights)
+		allowed := out + 12*m + 1<<16
+		if got := int(after.TotalAlloc - before.TotalAlloc); got > allowed {
+			t.Fatalf("weighted=%v: FromEdges allocated %d bytes, want <= %d (output %d + 12m %d + 64 KiB)",
+				weighted, got, allowed, out, 12*m)
 		}
 	}
 }

@@ -186,23 +186,20 @@ func (c *Compressed) AppendArcs(v uint32, nbrs, wts []uint32) ([]uint32, []uint3
 // Decompress expands c back into a plain CSR graph.
 func (c *Compressed) Decompress() *Graph {
 	n := c.n
-	deg := make([]int64, n+1)
-	parallel.For(n, 64, func(v int) { deg[v] = int64(c.DegreeOf(uint32(v))) })
-	total := parallel.Scan(deg[:n])
-	if total != int64(c.m) {
-		panic(fmt.Sprintf("graph: compressed degrees sum to %d, header says %d arcs", total, c.m))
-	}
 	g := &Graph{
 		N:        n,
 		Offsets:  make([]uint64, n+1),
 		Edges:    make([]uint32, c.m),
 		Directed: c.directed,
 	}
+	parallel.For(n, 64, func(v int) { g.Offsets[v] = uint64(c.DegreeOf(uint32(v))) })
+	if total := parallel.Scan(g.Offsets[:n]); total != uint64(c.m) {
+		panic(fmt.Sprintf("graph: compressed degrees sum to %d, header says %d arcs", total, c.m))
+	}
+	g.Offsets[n] = uint64(c.m)
 	if c.weighted {
 		g.Weights = make([]uint32, c.m)
 	}
-	parallel.For(n, 0, func(v int) { g.Offsets[v] = uint64(deg[v]) })
-	g.Offsets[n] = uint64(total)
 	parallel.For(n, 64, func(v int) {
 		lo, hi := g.Offsets[v], g.Offsets[v+1]
 		var wb []uint32

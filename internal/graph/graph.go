@@ -13,7 +13,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 	"sync"
 
@@ -114,215 +113,125 @@ type BuildOptions struct {
 	Weighted bool
 }
 
-// seqBuildArcs is the arc-count threshold below which the builders use the
-// sequential count–scatter–shellsort path: the radix pipeline's scratch
-// buffers and parallel launches don't pay for themselves on tiny inputs
-// (unit-test graphs, induced subgraphs, contraction remnants).
-const seqBuildArcs = 1 << 12
-
-// smallVertexRadix is the vertex-count cutoff below which the parallel
-// build fully sorts arcs by the packed (u,v) key: with so few vertices the
-// key is narrow, so CountSortByKey finishes in at most three digit passes
-// and the sorted arc array IS the adjacency array. Larger graphs use the
-// bucketed pipeline instead, whose cost does not grow with the key width.
-const smallVertexRadix = 1 << 12
-
-// topBucketBits sizes the first-level partition of the bucketed build:
-// arcs are grouped into about 2^topBucketBits contiguous source ranges, a
-// fan-out small enough that the scatter's write streams stay cache- and
-// TLB-resident.
-const topBucketBits = 10
-
-// packedBuildMaxVBits is the vertex-id width up to which a whole arc —
-// source, destination, and weight — packs into one uint64
-// (u<<48 | v<<32 | w), letting every build pass move 8-byte words instead
-// of 12-byte Edge records. Larger graphs use the Edge-record pipeline.
-const packedBuildMaxVBits = 16
-
-// packArc packs an arc for the packed build path.
-func packArc(u, v, w uint32) uint64 {
-	return uint64(u)<<48 | uint64(v)<<32 | uint64(w)
-}
-
-// FromEdges builds a CSR graph from an edge list with a contention-free
-// count–scan–scatter pipeline (see DESIGN.md, "Graph construction"): a
-// stable radix partition groups arcs into source ranges, per-range local
-// histograms place them (and yield the offsets), and an adaptive per-list
-// sort orders each adjacency by destination. No hot loop performs an
-// atomic operation, so build throughput is independent of degree skew.
-// Inputs below seqBuildArcs arcs take a sequential small-graph path
-// instead. The input slice is never modified.
+// FromEdges builds a CSR graph from an edge list with one stable counting
+// scatter by source (see DESIGN.md, "Graph construction"): the input splits
+// into r contiguous ranges, each range counts its sources into a private
+// row, one pass per vertex turns the rows into per-range cursors and the
+// degrees, a scan gives the offsets, and each range scatters its arcs in
+// input order with plain stores. One pass per vertex then sorts each list
+// by destination and, unless KeepDuplicates is set, keeps one arc per
+// neighbor. No loop performs an atomic operation, so the build does not
+// slow down on skewed degrees. The input slice is never modified.
 func FromEdges(n int, edges []Edge, directed bool, opt BuildOptions) *Graph {
 	if directed && opt.Symmetrize {
 		panic("graph: Symmetrize requires directed=false")
 	}
 	undirected := opt.Symmetrize || !directed
-
-	// One read-only sweep: bounds check plus self-loop census (so the
-	// common loop-free case skips any filtering work entirely).
-	selfLoops := parallel.Sum(len(edges), func(i int) int64 {
-		e := edges[i]
-		if e.U >= uint32(n) || e.V >= uint32(n) {
-			panic(fmt.Sprintf("graph: edge (%d,%d) out of range n=%d", e.U, e.V, n))
-		}
-		if e.U == e.V {
-			return 1
-		}
-		return 0
-	})
-
-	dropLoops := !opt.KeepSelfLoops && selfLoops > 0
+	g := &Graph{N: n, Offsets: make([]uint64, n+1), Directed: !undirected}
 	mEff := len(edges)
 	if undirected {
 		mEff *= 2
 	}
-	if n > smallVertexRadix && n <= 1<<packedBuildMaxVBits && mEff >= seqBuildArcs {
-		// Vertex ids fit in 16 bits: pack each arc into one uint64 (the
-		// undirected doubling fused into the packing pass) and run the
-		// word-at-a-time pipeline.
-		packed := make([]uint64, mEff)
-		if undirected {
-			parallel.For(len(edges), 0, func(i int) {
-				e := edges[i]
-				packed[2*i] = packArc(e.U, e.V, e.W)
-				packed[2*i+1] = packArc(e.V, e.U, e.W)
-			})
-		} else {
-			parallel.For(len(edges), 0, func(i int) {
-				e := edges[i]
-				packed[i] = packArc(e.U, e.V, e.W)
-			})
-		}
-		return buildCSRPacked(n, packed, !undirected, opt, dropLoops)
+	if uint64(mEff) <= math.MaxUint32 {
+		scatterEdges[uint32](g, edges, mEff, undirected, !opt.KeepSelfLoops, opt.Weighted)
+	} else {
+		scatterEdges[uint64](g, edges, mEff, undirected, !opt.KeepSelfLoops, opt.Weighted)
 	}
-
-	arcs := edges
-	if undirected {
-		// Undirected: materialize both arcs.
-		in := arcs
-		arcs = make([]Edge, 2*len(in))
-		parallel.For(len(in), 0, func(i int) {
-			arcs[2*i] = in[i]
-			arcs[2*i+1] = Edge{U: in[i].V, V: in[i].U, W: in[i].W}
-		})
-	}
-	return buildCSR(n, arcs, !undirected, opt, dropLoops)
+	g.sortLists(!opt.KeepDuplicates)
+	return g
 }
 
-// buildCSR turns a prepared arc list (already symmetrized) into a CSR
-// graph. arcs is read-only. dropLoops asks the builder to discard u->u
-// arcs: the bucketed path folds the drop into its partition key (no extra
-// pass), the small paths filter up front.
-func buildCSR(n int, arcs []Edge, directed bool, opt BuildOptions, dropLoops bool) *Graph {
-	if n > smallVertexRadix && len(arcs) >= seqBuildArcs {
-		return buildCSRBuckets(n, arcs, directed, opt, dropLoops)
+// scatterEdges fills g's Offsets, Edges and Weights (if weighted) with the
+// arcs of edges, both directions of each when undirected and self-loops
+// skipped when dropLoops, grouped by source and in input order within a
+// source. It panics on an endpoint outside [0, g.N). mEff is the arc count
+// before dropping loops; r = min(workers, max(1, mEff/n)), as in
+// countingTranspose, keeps the r·n counters (of type C, wide enough for
+// mEff) no larger than the Edges array.
+func scatterEdges[C uint32 | uint64](g *Graph, edges []Edge, mEff int, undirected, dropLoops, weighted bool) {
+	n, m := g.N, len(edges)
+	r := 1
+	if n > 0 {
+		r = min(parallel.Workers(), max(1, mEff/n))
 	}
-	if dropLoops {
-		in := arcs
-		arcs = parallel.Pack(in, func(i int) bool { return in[i].U != in[i].V })
-	}
-	if len(arcs) < seqBuildArcs {
-		return buildCSRSeq(n, arcs, directed, opt)
-	}
-	// Few vertices, many arcs (dense multigraphs, contraction quotients):
-	// stably sort by the packed (u,v) key — at most ceil(2*vbits/8) digit
-	// passes — so adjacency comes out grouped by u, sorted by v, duplicate
-	// runs adjacent and in input order.
-	vbits := uint(bits.Len(uint(n - 1)))
-	maxKey := uint64(n-1)<<vbits | uint64(n-1)
-	sorted := parallel.CountSortByKey(arcs, func(e Edge) uint64 {
-		return uint64(e.U)<<vbits | uint64(e.V)
-	}, maxKey)
-	return csrFromSortedArcs(n, sorted, directed, opt)
-}
-
-// buildCSRBuckets is the large-graph builder: a two-level stable counting
-// scatter followed by an adaptive per-list sort.
-//
-//  1. One PartitionByKey pass groups arcs by the topBucketBits high bits
-//     of the source (self-loops, when dropped, route to a trash group
-//     instead of costing a filter pass). ~1K write streams keep the
-//     scatter cache-friendly where a direct by-source scatter (one stream
-//     per vertex) would miss on every store.
-//  2. Per bucket, a local histogram over that bucket's few hundred
-//     sources — L1-resident — turns into offsets and cursors with one
-//     tiny sequential scan, and the local scatter writes each arc to its
-//     final CSR slot. Buckets own disjoint Offsets/Edges ranges, so all
-//     stores are plain.
-//  3. Each adjacency list is sorted by destination: already-sorted lists
-//     cost one scan, short lists
-//     shell sort in place, and hub lists take a linear LSD radix over
-//     (v,w) packed into uint64 — the step that used to go superlinear on
-//     power-law graphs. The duplicate census rides along in the same
-//     pass, so dedup needs no extra sweep before its compaction.
-//
-// Both scatter levels are stable (chunk-ordered cursors, left-to-right
-// walks), so duplicate arcs reach step 3 adjacent and in input order.
-func buildCSRBuckets(n int, arcs []Edge, directed bool, opt BuildOptions, dropLoops bool) *Graph {
-	vbits := uint(bits.Len(uint(n - 1)))
-	shift := vbits - topBucketBits // n > smallVertexRadix, so shift >= 3
-	k := ((n - 1) >> shift) + 1
-	key := func(e Edge) uint32 { return e.U >> shift }
-	groups := k
-	if dropLoops {
-		groups = k + 1
-		key = func(e Edge) uint32 {
-			if e.U == e.V {
-				return uint32(k) // trash group, past every real bucket
+	// Range i holds edges[cut(i):cut(i+1)].
+	cut := func(i int) int { return int(uint64(i) * uint64(m) / uint64(r)) }
+	cnt := make([]C, r*n) // row i: range i's count, then its cursor, per source
+	parallel.For(r, 1, func(i int) {
+		row := cnt[i*n : (i+1)*n]
+		for _, e := range edges[cut(i):cut(i+1)] {
+			if e.U >= uint32(n) || e.V >= uint32(n) {
+				panic(fmt.Sprintf("graph: edge (%d,%d) out of range n=%d", e.U, e.V, n))
 			}
-			return e.U >> shift
-		}
-	}
-	tmp := make([]Edge, len(arcs))
-	topOff := parallel.PartitionByKey(tmp, arcs, groups, key)
-	m := int(topOff[k]) // excludes the trash group
-
-	g := &Graph{N: n, Directed: directed}
-	g.Offsets = make([]uint64, n+1)
-	g.Edges = make([]uint32, m)
-	if opt.Weighted {
-		g.Weights = make([]uint32, m)
-	}
-	span := 1 << shift
-	parallel.For(k, 1, func(b int) {
-		base, end := int(topOff[b]), int(topOff[b+1])
-		lowU := b << shift
-		localN := span
-		if lowU+localN > n {
-			localN = n - lowU
-		}
-		// Degrees from the bucket-local histogram; the exclusive scan
-		// yields this source range's CSR offsets and scatter cursors in
-		// one go. localN is a few hundred, so cur lives in L1.
-		cur := make([]int64, localN)
-		for i := base; i < end; i++ {
-			cur[int(tmp[i].U)-lowU]++
-		}
-		run := int64(base)
-		for j := 0; j < localN; j++ {
-			c := cur[j]
-			cur[j] = run
-			g.Offsets[lowU+j] = uint64(run)
-			run += c
-		}
-		for i := base; i < end; i++ {
-			j := int(tmp[i].U) - lowU
-			at := cur[j]
-			cur[j]++
-			g.Edges[at] = tmp[i].V
-			if g.Weights != nil {
-				g.Weights[at] = tmp[i].W
+			if dropLoops && e.U == e.V {
+				continue
+			}
+			row[e.U]++
+			if undirected {
+				row[e.V]++
 			}
 		}
 	})
-	g.Offsets[n] = uint64(m)
-
-	dedup := !opt.KeepDuplicates
-	var newDeg []int64
-	if dedup {
-		newDeg = make([]int64, n)
+	total := rowCursors(cnt, g.Offsets)
+	g.Edges = make([]uint32, total)
+	if weighted {
+		g.Weights = make([]uint32, total)
 	}
-	parallel.For(n, 64, func(u int) {
+	parallel.For(r, 1, func(i int) {
+		row := cnt[i*n : (i+1)*n]
+		for _, e := range edges[cut(i):cut(i+1)] {
+			if dropLoops && e.U == e.V {
+				continue
+			}
+			at := g.Offsets[e.U] + uint64(row[e.U])
+			row[e.U]++
+			g.Edges[at] = e.V
+			if g.Weights != nil {
+				g.Weights[at] = e.W
+			}
+			if undirected {
+				at = g.Offsets[e.V] + uint64(row[e.V])
+				row[e.V]++
+				g.Edges[at] = e.U
+				if g.Weights != nil {
+					g.Weights[at] = e.W
+				}
+			}
+		}
+	})
+}
+
+// rowCursors is the middle pass of both counting builders. cnt holds r
+// rows of per-vertex counts, row i at cnt[i*n:(i+1)*n] with n =
+// len(offsets)-1. One pass per vertex turns each count into that range's
+// cursor within the vertex's list (the counts of earlier rows) and the
+// column total into offsets[v]; a scan then makes offsets the list starts.
+// It returns the arc total.
+func rowCursors[C uint32 | uint64](cnt []C, offsets []uint64) uint64 {
+	n := len(offsets) - 1
+	parallel.For(n, 0, func(v int) {
+		var run C
+		for at := v; at < len(cnt); at += n {
+			c := cnt[at]
+			cnt[at] = run
+			run += c
+		}
+		offsets[v] = uint64(run)
+	})
+	offsets[n] = parallel.Scan(offsets[:n])
+	return offsets[n]
+}
+
+// sortLists sorts each adjacency list by destination, weights permuted
+// alongside, and with dedup set keeps one arc per neighbor. The duplicate
+// census rides in the sort's pass, so the compaction needs no sweep of its
+// own.
+func (g *Graph) sortLists(dedup bool) {
+	var newOff []uint64
+	if dedup {
+		newOff = make([]uint64, g.N+1)
+	}
+	parallel.For(g.N, 64, func(u int) {
 		lo, hi := g.Offsets[u], g.Offsets[u+1]
 		adj := g.Edges[lo:hi]
 		var w []uint32
@@ -331,120 +240,19 @@ func buildCSRBuckets(n int, arcs []Edge, directed bool, opt BuildOptions, dropLo
 		}
 		sortAdjList(adj, w)
 		if dedup {
-			var d int64
-			var prev = None
+			var d uint64
+			prev := None
 			for _, v := range adj {
 				if v != prev {
 					d++
 					prev = v
 				}
 			}
-			newDeg[u] = d
+			newOff[u] = d
 		}
 	})
 	if dedup {
-		g.dedupCompact(newDeg)
-	}
-	return g
-}
-
-// buildCSRPacked is the uint64 variant of the bucketed build for graphs
-// whose vertex ids fit in packedBuildMaxVBits bits: each arc travels as
-// u<<48 | v<<32 | w, so the top-level partition and the in-bucket digit
-// passes all move one machine word instead of a 12-byte Edge record. Per
-// bucket, two stable LSD passes over the destination bits leave the
-// segment sorted by v; the final digit pass — over the low source bits —
-// then completes the (u,v) order, and is fused three ways: its histogram
-// is the degree array, the histogram's prefix sums are this range's CSR
-// offsets, and its scatter writes destinations and weights straight into
-// their final slots. No arc is ever stored sorted in full; the CSR arrays
-// are the sort's last pass.
-func buildCSRPacked(n int, packed []uint64, directed bool, opt BuildOptions, dropLoops bool) *Graph {
-	// n > smallVertexRadix on this route, so the shift is at least 3 and
-	// there are at most 2^topBucketBits source buckets.
-	shift := uint(bits.Len(uint(n-1))) - topBucketBits
-	k := ((n - 1) >> shift) + 1
-	tmp := make([]uint64, len(packed))
-	var topOff []int64
-	if dropLoops {
-		// Self-loops route to a trash group past every real bucket, so the
-		// drop costs nothing beyond this keyed (rather than bit-field)
-		// partition.
-		topOff = parallel.PartitionByKey(tmp, packed, k+1, func(x uint64) uint32 {
-			u := uint32(x >> 48)
-			if u == uint32(x>>32)&0xffff {
-				return uint32(k)
-			}
-			return u >> shift
-		})
-	} else {
-		topOff = parallel.PartitionByBits(tmp, packed, k, 48+shift)
-	}
-	m := int(topOff[k]) // excludes the trash group
-
-	g := &Graph{N: n, Directed: directed}
-	g.Offsets = make([]uint64, n+1)
-	g.Edges = make([]uint32, m)
-	if opt.Weighted {
-		g.Weights = make([]uint32, m)
-	}
-	span := 1 << shift
-	parallel.For(k, 1, func(b int) {
-		base, end := int(topOff[b]), int(topOff[b+1])
-		lowU := b << shift
-		localN := span
-		if lowU+localN > n {
-			localN = n - lowU
-		}
-		seg := tmp[base:end]
-		if len(seg) > 1 {
-			// Two stable passes over the 16 destination bits, L2-resident
-			// for typical bucket sizes.
-			scratch := make([]uint64, len(seg))
-			radixPassU64(scratch, seg, 32)
-			radixPassU64(seg, scratch, 40)
-		}
-		cur := make([]int64, localN)
-		for _, x := range seg {
-			cur[int(x>>48)-lowU]++
-		}
-		run := int64(base)
-		for j := 0; j < localN; j++ {
-			c := cur[j]
-			cur[j] = run
-			g.Offsets[lowU+j] = uint64(run)
-			run += c
-		}
-		for _, x := range seg {
-			j := int(x>>48) - lowU
-			at := cur[j]
-			cur[j]++
-			g.Edges[at] = uint32(x>>32) & 0xffff
-			if g.Weights != nil {
-				g.Weights[at] = uint32(x)
-			}
-		}
-	})
-	g.Offsets[n] = uint64(m)
-	if !opt.KeepDuplicates {
-		g.dedup()
-	}
-	return g
-}
-
-// radixPassU64 is one stable 8-bit counting pass of an LSD radix sort.
-func radixPassU64(dst, src []uint64, shift uint) {
-	var hist [257]int
-	for _, x := range src {
-		hist[((x>>shift)&0xff)+1]++
-	}
-	for d := 0; d < 256; d++ {
-		hist[d+1] += hist[d]
-	}
-	for _, x := range src {
-		d := (x >> shift) & 0xff
-		dst[hist[d]] = x
-		hist[d]++
+		g.dedup(newOff)
 	}
 }
 
@@ -519,157 +327,6 @@ func radixSortAdj(adj, w []uint32) {
 	}
 }
 
-// csrFromSortedArcs finalizes a CSR graph from arcs sorted by (source,
-// destination): offsets come from the sorted-order boundaries, and when
-// deduplicating, the compaction fuses duplicate removal, min-weight
-// selection, and the Edges/Weights scatter into one pass over a PackIndex
-// of the run heads.
-func csrFromSortedArcs(n int, arcs []Edge, directed bool, opt BuildOptions) *Graph {
-	m := len(arcs)
-	dedup := !opt.KeepDuplicates
-	var kept []uint32
-	if dedup {
-		kept = parallel.PackIndex(m, func(i int) bool {
-			return i == 0 || arcs[i].U != arcs[i-1].U || arcs[i].V != arcs[i-1].V
-		})
-		if len(kept) == m {
-			dedup = false // duplicate-free already: skip the indirection
-			kept = nil
-		}
-	}
-	var edges, wts []uint32
-	var offsets []uint64
-	if !dedup {
-		edges = make([]uint32, m)
-		if opt.Weighted {
-			wts = make([]uint32, m)
-		}
-		parallel.ForRange(m, 0, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				edges[i] = arcs[i].V
-				if wts != nil {
-					wts[i] = arcs[i].W
-				}
-			}
-		})
-		offsets = offsetsFromSorted(n, m, func(i int) uint32 { return arcs[i].U })
-	} else {
-		k := len(kept)
-		edges = make([]uint32, k)
-		if opt.Weighted {
-			wts = make([]uint32, k)
-		}
-		parallel.ForRange(k, 0, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				j := int(kept[i])
-				edges[i] = arcs[j].V
-				if wts != nil {
-					// Min weight over the duplicate run wins; the stable
-					// sort made the run adjacent, starting at its head j.
-					u, v, w := arcs[j].U, arcs[j].V, arcs[j].W
-					for t := j + 1; t < m && arcs[t].U == u && arcs[t].V == v; t++ {
-						if arcs[t].W < w {
-							w = arcs[t].W
-						}
-					}
-					wts[i] = w
-				}
-			}
-		})
-		offsets = offsetsFromSorted(n, k, func(i int) uint32 { return arcs[kept[i]].U })
-	}
-	return &Graph{N: n, Offsets: offsets, Edges: edges, Weights: wts, Directed: directed}
-}
-
-// offsetsFromSorted computes CSR offsets for k arcs sorted by source
-// (uAt(i) = source of arc i): offsets[v] = first arc index whose source is
-// >= v. Each boundary between consecutive distinct sources fills the
-// (prev, u] gap, so all writes are disjoint and the pass needs no atomics;
-// indices up to and including uAt(0) keep the zero from make.
-func offsetsFromSorted(n, k int, uAt func(i int) uint32) []uint64 {
-	offsets := make([]uint64, n+1)
-	if k == 0 {
-		return offsets
-	}
-	parallel.ForRange(k, 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if i == 0 {
-				continue
-			}
-			u := uAt(i)
-			if prev := uAt(i - 1); prev != u {
-				for v := prev + 1; v <= u; v++ {
-					offsets[v] = uint64(i)
-				}
-			}
-		}
-	})
-	last := int(uAt(k - 1))
-	parallel.For(n-last, 0, func(i int) {
-		offsets[last+1+i] = uint64(k)
-	})
-	return offsets
-}
-
-// buildCSRSeq is the small-input builder: single-threaded counting scatter,
-// shell-sorted adjacency lists, then the dedup compaction. It does no
-// synchronization at all — below seqBuildArcs arcs that beats any parallel
-// plan.
-func buildCSRSeq(n int, arcs []Edge, directed bool, opt BuildOptions) *Graph {
-	deg := make([]int64, n)
-	for _, e := range arcs {
-		deg[e.U]++
-	}
-	offsets := make([]uint64, n+1)
-	var running uint64
-	for v := 0; v < n; v++ {
-		offsets[v] = running
-		running += uint64(deg[v])
-	}
-	offsets[n] = running
-	edges := make([]uint32, running)
-	var wts []uint32
-	if opt.Weighted {
-		wts = make([]uint32, running)
-	}
-	cursor := deg // reuse as the next-write positions
-	for v := 0; v < n; v++ {
-		cursor[v] = int64(offsets[v])
-	}
-	for _, e := range arcs {
-		at := cursor[e.U]
-		cursor[e.U]++
-		edges[at] = e.V
-		if wts != nil {
-			wts[at] = e.W
-		}
-	}
-	g := &Graph{N: n, Offsets: offsets, Edges: edges, Weights: wts, Directed: directed}
-	g.sortAdjacency()
-	if !opt.KeepDuplicates {
-		g.dedup()
-	}
-	return g
-}
-
-// sortAdjacency sorts each adjacency list (with weights permuted along).
-// Only the sequential small-graph path needs it; the parallel builds emit
-// sorted lists via the packed-key sort or sortAdjList.
-func (g *Graph) sortAdjacency() {
-	parallel.For(g.N, 64, func(v int) {
-		lo, hi := g.Offsets[v], g.Offsets[v+1]
-		if hi-lo < 2 {
-			return
-		}
-		adj := g.Edges[lo:hi]
-		if g.Weights == nil {
-			shellSortU32(adj, nil)
-		} else {
-			shellSortU32(adj, g.Weights[lo:hi])
-		}
-	})
-}
-
 // shellSortU32 sorts adj ascending, permuting w alongside. It is the
 // short-list fallback: allocation-free (important inside a parallel loop)
 // and fast while the list fits in cache. Long lists — where its
@@ -705,39 +362,16 @@ func shellSortU32(adj []uint32, w []uint32) {
 	}
 }
 
-// dedup removes duplicate neighbors (keeping the minimum weight) and
-// rebuilds the CSR arrays compactly. The bucketed build fuses the census
-// into its sort pass and calls dedupCompact directly; the packed-key radix
-// path fuses the whole thing into csrFromSortedArcs; only the sequential
-// small-graph path still needs this standalone sweep.
-func (g *Graph) dedup() {
-	newDeg := make([]int64, g.N)
-	parallel.For(g.N, 64, func(v int) {
-		lo, hi := g.Offsets[v], g.Offsets[v+1]
-		var d int64
-		var prev uint32 = None
-		for i := lo; i < hi; i++ {
-			if g.Edges[i] != prev {
-				d++
-				prev = g.Edges[i]
-			}
-		}
-		newDeg[v] = d
-	})
-	g.dedupCompact(newDeg)
-}
-
-// dedupCompact rewrites the CSR arrays keeping newDeg[v] distinct
-// neighbors per vertex (minimum weight winning among duplicates).
-// newDeg is consumed: the exclusive scan turns it into the new offsets.
-func (g *Graph) dedupCompact(newDeg []int64) {
-	total := parallel.Scan(newDeg)
-	if total == int64(len(g.Edges)) {
+// dedup rewrites the sorted CSR arrays keeping newOff[v] distinct
+// neighbors per vertex, the minimum weight winning among duplicates.
+// newOff (length N+1) holds the census sortLists takes; a scan turns it
+// into the new offsets. A graph with no duplicates is left as it is.
+func (g *Graph) dedup(newOff []uint64) {
+	total := parallel.Scan(newOff[:g.N])
+	if total == uint64(len(g.Edges)) {
 		return // nothing to do
 	}
-	newOff := make([]uint64, g.N+1)
-	parallel.For(g.N, 0, func(v int) { newOff[v] = uint64(newDeg[v]) })
-	newOff[g.N] = uint64(total)
+	newOff[g.N] = total
 	newEdges := make([]uint32, total)
 	var newW []uint32
 	if g.Weights != nil {
@@ -822,16 +456,7 @@ func countingTranspose[C uint32 | uint64](g *Graph) *Graph {
 			row[v]++
 		}
 	})
-	parallel.For(n, 0, func(v int) {
-		var run C
-		for at := v; at < len(cnt); at += n {
-			c := cnt[at]
-			cnt[at] = run
-			run += c
-		}
-		tr.Offsets[v] = uint64(run)
-	})
-	tr.Offsets[n] = parallel.Scan(tr.Offsets[:n])
+	rowCursors(cnt, tr.Offsets)
 	parallel.For(r, 1, func(i int) {
 		row := cnt[i*n : (i+1)*n]
 		for u := first[i]; u < first[i+1]; u++ {

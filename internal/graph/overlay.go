@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"pasgal/internal/parallel"
@@ -277,47 +276,17 @@ func OverlayFromEdits(base *Graph, dels, adds []Edge) *Overlay {
 		})
 	}
 
-	sortKeys := func(keys []arcKey) {
-		sort.Slice(keys, func(i, j int) bool {
-			a, b := keys[i], keys[j]
-			return a.u < b.u || (a.u == b.u && a.v < b.v)
-		})
+	// The arcs are distinct, so FromEdges only groups and sorts them.
+	var addE, delE []Edge
+	for k, w := range addM {
+		addE = append(addE, Edge{U: k.u, V: k.v, W: w})
 	}
-	addKeys := make([]arcKey, 0, len(addM))
-	for k := range addM {
-		addKeys = append(addKeys, k)
-	}
-	sortKeys(addKeys)
-	delKeys := make([]arcKey, 0, len(tomb))
 	for k := range tomb {
-		delKeys = append(delKeys, k)
+		delE = append(delE, Edge{U: k.u, V: k.v})
 	}
-	sortKeys(delKeys)
-
-	addOff := make([]uint64, base.N+1)
-	delOff := make([]uint64, base.N+1)
-	addDst := make([]uint32, len(addKeys))
-	delDst := make([]uint32, len(delKeys))
-	var addW []uint32
-	if base.Weighted() {
-		addW = make([]uint32, len(addKeys))
-	}
-	for i, k := range addKeys {
-		addOff[k.u+1]++
-		addDst[i] = k.v
-		if addW != nil {
-			addW[i] = addM[k]
-		}
-	}
-	for i, k := range delKeys {
-		delOff[k.u+1]++
-		delDst[i] = k.v
-	}
-	for v := 0; v < base.N; v++ {
-		addOff[v+1] += addOff[v]
-		delOff[v+1] += delOff[v]
-	}
-	return NewOverlay(base, addOff, addDst, addW, delOff, delDst)
+	a := FromEdges(base.N, addE, true, BuildOptions{Weighted: base.Weighted()})
+	d := FromEdges(base.N, delE, true, BuildOptions{})
+	return NewOverlay(base, a.Offsets, a.Edges, a.Weights, d.Offsets, d.Edges)
 }
 
 // sortedContains reports whether x occurs in the sorted slice s.
@@ -364,21 +333,19 @@ func (o *Overlay) Transpose() *Overlay {
 // the result satisfies every Graph invariant without a sort pass.
 func (o *Overlay) Materialize() *Graph {
 	n := o.base.N
-	deg := make([]int64, n+1)
-	parallel.For(n, 256, func(v int) { deg[v] = int64(o.DegreeOf(uint32(v))) })
-	total := parallel.Scan(deg[:n])
 	g := &Graph{
 		N:        n,
 		Offsets:  make([]uint64, n+1),
-		Edges:    make([]uint32, total),
 		Directed: o.base.Directed,
 	}
+	parallel.For(n, 256, func(v int) { g.Offsets[v] = uint64(o.DegreeOf(uint32(v))) })
+	total := parallel.Scan(g.Offsets[:n])
+	g.Offsets[n] = total
+	g.Edges = make([]uint32, total)
 	weighted := o.HasWeights()
 	if weighted {
 		g.Weights = make([]uint32, total)
 	}
-	parallel.For(n, 0, func(v int) { g.Offsets[v] = uint64(deg[v]) })
-	g.Offsets[n] = uint64(total)
 	parallel.For(n, 64, func(v int) {
 		lo, hi := g.Offsets[v], g.Offsets[v+1]
 		if weighted {

@@ -35,21 +35,19 @@ func RelabelByDegree(g *Graph) (*Graph, []uint32) {
 	perm := make([]uint32, n)
 	parallel.For(n, 0, func(i int) { perm[order[i]] = uint32(i) })
 
-	newDeg := make([]int64, n)
-	parallel.For(n, 0, func(i int) { newDeg[i] = int64(g.Degree(order[i])) })
-	total := parallel.Scan(newDeg)
 	ng := &Graph{
 		N:        n,
 		Offsets:  make([]uint64, n+1),
-		Edges:    make([]uint32, total),
 		Directed: g.Directed,
 	}
+	parallel.For(n, 0, func(i int) { ng.Offsets[i] = uint64(g.Degree(order[i])) })
+	total := parallel.Scan(ng.Offsets[:n])
+	ng.Offsets[n] = total
+	ng.Edges = make([]uint32, total)
 	weighted := g.Weighted()
 	if weighted {
 		ng.Weights = make([]uint32, total)
 	}
-	parallel.For(n, 0, func(i int) { ng.Offsets[i] = uint64(newDeg[i]) })
-	ng.Offsets[n] = uint64(total)
 	parallel.For(n, 16, func(i int) {
 		u := order[i]
 		lo := ng.Offsets[i]

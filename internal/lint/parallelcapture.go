@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/types"
 	"maps"
+	"slices"
 )
 
 // ParallelCaptureAnalyzer reports assignments, inside closures that run on
@@ -18,7 +19,8 @@ import (
 // not flagged — each iteration owns its own element. Writes through
 // sync/atomic are calls, not assignments, so they never trigger the rule.
 // Writes made while a captured mutex is write-locked are ordered and not
-// flagged either (see lockedWrites).
+// flagged either (see lockedWrites), nor is a parallel.Do branch's write to
+// a variable that branch owns (see doBranchOwns).
 func ParallelCaptureAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "parallel-capture",
@@ -38,6 +40,11 @@ func runParallelCapture(pkg *Package) []Finding {
 			continue
 		}
 		locked := map[*ast.FuncLit]map[ast.Node]bool{}
+		flag := func(stack []ast.Node, lit *ast.FuncLit, id *ast.Ident, v *types.Var) {
+			if !doBranchOwns(pkg, concurrent, stack, lit, v) {
+				out = append(out, capturedFinding(pkg, id, v))
+			}
+		}
 		walkStack(file, func(stack []ast.Node) bool {
 			n := stack[len(stack)-1]
 			lit := nearestConcurrentLit(stack, concurrent)
@@ -62,13 +69,13 @@ func runParallelCapture(pkg *Package) []Finding {
 					// one.
 					obj := pkg.Info.Uses[id]
 					if v, ok := obj.(*types.Var); ok && capturedBy(v, lit) {
-						out = append(out, capturedFinding(pkg, id, v))
+						flag(stack, lit, id, v)
 					}
 				}
 			case *ast.IncDecStmt:
 				if id, ok := unparen(st.X).(*ast.Ident); ok {
 					if v, ok := pkg.Info.Uses[id].(*types.Var); ok && capturedBy(v, lit) {
-						out = append(out, capturedFinding(pkg, id, v))
+						flag(stack, lit, id, v)
 					}
 				}
 			}
@@ -76,6 +83,63 @@ func runParallelCapture(pkg *Package) []Finding {
 		})
 	}
 	return out
+}
+
+// doBranchOwns reports whether lit, one function argument of a
+// parallel.Do call, owns the captured variable v it writes. Do runs each
+// argument once and returns only after all have finished, so the write is
+// ordered before every use after the call; it races only with what runs
+// during the call. lit owns v when v is a local variable of the function
+// around the call, declared in the call's nearest enclosing concurrent
+// literal if there is one (else every running copy of that literal would
+// share v), and every use of v outside lit is in sequential code of that
+// literal or function: not in another argument of the same call, and not
+// in any other concurrent literal.
+func doBranchOwns(pkg *Package, concurrent map[*ast.FuncLit]bool, stack []ast.Node, lit *ast.FuncLit, v *types.Var) bool {
+	at := slices.Index(stack, ast.Node(lit))
+	if at < 1 {
+		return false
+	}
+	call, ok := stack[at-1].(*ast.CallExpr)
+	if !ok || !isParallelLaunch(pkg, call) || calleeName(call) != "Do" {
+		return false
+	}
+	// scope is the concurrent literal or the function declaration whose
+	// body runs the call sequentially; v must be declared inside it.
+	var scope ast.Node
+	if c := nearestConcurrentLit(stack[:at-1], concurrent); c != nil {
+		scope = c
+	} else if fd, ok := stack[1].(*ast.FuncDecl); ok { // stack[0] is the file
+		scope = fd
+	}
+	if scope == nil || v.Pos() < scope.Pos() || v.Pos() > scope.End() {
+		return false
+	}
+	owned := true
+	walkStack(scope, func(uses []ast.Node) bool {
+		id, ok := uses[len(uses)-1].(*ast.Ident)
+		if !ok || pkg.Info.Uses[id] != v || id.Pos() >= lit.Pos() && id.Pos() < lit.End() {
+			return owned
+		}
+		inCall := id.Pos() >= call.Pos() && id.Pos() < call.End()
+		if inner := nearestConcurrentLit(uses, concurrent); inCall || inner != nil && ast.Node(inner) != scope {
+			owned = false
+		}
+		return owned
+	})
+	return owned
+}
+
+// calleeName returns the name of the function call invokes, qualified or
+// not.
+func calleeName(call *ast.CallExpr) string {
+	switch fun := unparen(call.Fun).(type) {
+	case *ast.SelectorExpr:
+		return fun.Sel.Name
+	case *ast.Ident:
+		return fun.Name
+	}
+	return ""
 }
 
 // lockedWrites returns the assignment and inc/dec statements of lit that

@@ -71,6 +71,38 @@ func lockedWrites(xs []int64) (int64, int64) {
 	return sum + late, peak + seen
 }
 
+// doBranches gives each parallel.Do branch a variable no other branch
+// touches, read only after Do returns.
+func doBranches(xs []int64) int64 {
+	var lo, hi int64
+	parallel.Do(func() { lo = xs[0] }, func() { hi++ }) // ok: each branch owns its variable
+	ran := false
+	parallel.Do(func() { ran = true }) // ok: one branch, read after the join
+	if !ran {
+		return 0
+	}
+	return lo + hi
+}
+
+// doShared writes one variable from two branches, reads a branch's
+// variable from its sibling, and runs Do once per For iteration, so every
+// write below races.
+func doShared(xs []int64) int64 {
+	var last, seen, total int64
+	parallel.Do(
+		func() { last = xs[0] }, // want:parallel-capture
+		func() { last = xs[1] }, // want:parallel-capture
+	)
+	parallel.Do(
+		func() { seen = xs[0] }, // want:parallel-capture
+		func() { total = seen }, // want:parallel-capture
+	)
+	parallel.For(len(xs), 0, func(i int) {
+		parallel.Do(func() { total = xs[i] }) // want:parallel-capture
+	})
+	return last + total
+}
+
 // goodIndexDisjoint writes only to the element owned by this iteration.
 func goodIndexDisjoint(xs []int64) []int64 {
 	out := make([]int64, len(xs))

@@ -56,21 +56,6 @@ func BenchmarkSortFunc(b *testing.B) {
 	}
 }
 
-func BenchmarkSortUint64Radix(b *testing.B) {
-	rng := rand.New(rand.NewPCG(2, 2))
-	n := 1 << 18
-	orig := make([]uint64, n)
-	for i := range orig {
-		orig[i] = rng.Uint64()
-	}
-	s := make([]uint64, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(s, orig)
-		SortUint64(s)
-	}
-}
-
 func BenchmarkHistogram(b *testing.B) {
 	n := 1 << 20
 	keys := make([]uint32, n)

@@ -104,11 +104,7 @@ func TestMinMax(t *testing.T) {
 	for i := range vals {
 		vals[i] = rng.Int64N(1 << 40)
 	}
-	vals[1234] = -5
 	vals[8888] = 1 << 41
-	if got := Min(len(vals), func(i int) int64 { return vals[i] }); got != -5 {
-		t.Fatalf("Min = %d", got)
-	}
 	if got := Max(len(vals), func(i int) int64 { return vals[i] }); got != 1<<41 {
 		t.Fatalf("Max = %d", got)
 	}
@@ -237,33 +233,6 @@ func TestSortFunc(t *testing.T) {
 			if s[i-1] > s[i] {
 				t.Fatalf("n=%d: not sorted at %d", n, i)
 			}
-		}
-	}
-}
-
-func TestSortUint64(t *testing.T) {
-	rng := rand.New(rand.NewPCG(9, 10))
-	for _, n := range []int{0, 1, 100, 1 << 13, 1 << 15} {
-		s := make([]uint64, n)
-		for i := range s {
-			s[i] = rng.Uint64()
-		}
-		SortUint64(s)
-		for i := 1; i < n; i++ {
-			if s[i-1] > s[i] {
-				t.Fatalf("n=%d: not sorted at %d", n, i)
-			}
-		}
-	}
-	// Small-key case exercises the early digit cutoff.
-	s := make([]uint64, 1<<14)
-	for i := range s {
-		s[i] = uint64(rng.Uint32N(256))
-	}
-	SortUint64(s)
-	for i := 1; i < len(s); i++ {
-		if s[i-1] > s[i] {
-			t.Fatalf("small keys: not sorted at %d", i)
 		}
 	}
 }

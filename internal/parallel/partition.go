@@ -3,8 +3,8 @@ package parallel
 import "sort"
 
 // This file holds the contention-free partitioning primitives: the
-// count–scan–scatter pattern proven in SortUint64, generalized to
-// payload-carrying records and arbitrary key ranges. Both primitives are
+// count–scan–scatter pattern over payload-carrying records and arbitrary
+// key ranges. Both primitives are
 // stable and their hot loops contain no atomic operations: every chunk
 // counts into its own histogram slice, the histograms are combined with one
 // exclusive Scan in column-major (key-major) order, and the scatter bumps
@@ -19,7 +19,7 @@ import "sort"
 // SSSP's phase boundary) runs both passes inline under the same size.
 const SeqCutoff = 1 << 12
 
-// ScanChunkCursors turns per-chunk key counts (row-major: counts[c*k+d] is
+// scanChunkCursors turns per-chunk key counts (row-major: counts[c*k+d] is
 // chunk c's count of key d) into per-chunk scatter cursors: the start slot
 // for key d in chunk c becomes the total count of smaller keys plus the
 // key-d counts of earlier chunks. The exclusive prefix sum runs over the
@@ -27,13 +27,7 @@ const SeqCutoff = 1 << 12
 // what makes the downstream scatter stable. col is scratch of the same
 // length as counts. If offsets is non-nil (length k+1) it receives the key
 // group boundaries. Returns the total count.
-//
-// It is exported as the midpoint of the count–scan–scatter idiom for
-// callers whose count or scatter loops read sources PartitionByKey cannot
-// express (the graph builders' transpose, which packs arcs straight out of
-// CSR form): bring your own chunked count pass, scan here, then scatter
-// through counts[c*k+d]++ cursors — stability and zero atomics included.
-func ScanChunkCursors(counts, col []int64, chunks, k int, offsets []int64) int64 {
+func scanChunkCursors(counts, col []int64, chunks, k int, offsets []int64) int64 {
 	For(k, 0, func(d int) {
 		for c := 0; c < chunks; c++ {
 			col[d*chunks+c] = counts[c*k+d]
@@ -50,6 +44,20 @@ func ScanChunkCursors(counts, col []int64, chunks, k int, offsets []int64) int64
 		offsets[k] = total
 	}
 	return total
+}
+
+// histogramGrain returns the chunk size and count of a count–scan–scatter
+// pass over n records. Each chunk owns a histogram row, so more chunks than
+// load balancing needs just inflate the counts matrix and the scan over
+// it; eight chunks per worker keeps stealing effective while the matrix
+// stays cache-resident.
+func histogramGrain(n int) (grain, chunks int) {
+	p := Workers()
+	grain = defaultGrain(n, p)
+	if maxChunks := 8 * p; (n+grain-1)/grain > maxChunks {
+		grain = (n + maxChunks - 1) / maxChunks
+	}
+	return grain, (n + grain - 1) / grain
 }
 
 // PartitionByKey stably partitions src into dst grouped by key (values in
@@ -74,16 +82,7 @@ func PartitionByKey[T any](dst, src []T, k int, key func(T) uint32) []int64 {
 	if n == 0 {
 		return offsets
 	}
-	p := Workers()
-	grain := defaultGrain(n, p)
-	// Each chunk owns a k-word histogram, so more chunks than load
-	// balancing needs just inflates the counts matrix and the scan over
-	// it. Eight chunks per worker keeps stealing effective while the
-	// matrix stays cache-resident.
-	if maxChunks := 8 * p; (n+grain-1)/grain > maxChunks {
-		grain = (n + maxChunks - 1) / maxChunks
-	}
-	chunks := (n + grain - 1) / grain
+	grain, chunks := histogramGrain(n)
 	if chunks <= 1 || n < SeqCutoff || k > 1<<16 {
 		// Sequential counting sort: for tiny inputs the launches dominate,
 		// and for huge key ranges the per-chunk histogram copies would.
@@ -109,73 +108,12 @@ func PartitionByKey[T any](dst, src []T, k int, key func(T) uint32) []int64 {
 			h[key(src[i])]++
 		}
 	})
-	ScanChunkCursors(counts, col, chunks, k, offsets)
+	scanChunkCursors(counts, col, chunks, k, offsets)
 	ForRange(n, grain, func(lo, hi int) {
 		h := counts[(lo/grain)*k : (lo/grain)*k+k]
 		for i := lo; i < hi; i++ {
 			d := key(src[i])
 			dst[h[d]] = src[i]
-			h[d]++
-		}
-	})
-	return offsets
-}
-
-// PartitionByBits is PartitionByKey specialized to uint64 words keyed by
-// the bit field starting at shift: word x lands in group x>>shift, which
-// the caller guarantees is below k. Dropping the key closure matters on
-// the hottest path — the graph builders partition millions of packed arcs
-// per build, and an indirect call per word in both the count and scatter
-// loops is measurable — while everything else (stability, group offsets,
-// zero atomics) matches PartitionByKey exactly.
-func PartitionByBits(dst, src []uint64, k int, shift uint) []int64 {
-	n := len(src)
-	if len(dst) != n {
-		panic("parallel: PartitionByBits dst length != src length")
-	}
-	if k < 1 {
-		panic("parallel: PartitionByBits needs k >= 1")
-	}
-	offsets := make([]int64, k+1)
-	if n == 0 {
-		return offsets
-	}
-	p := Workers()
-	grain := defaultGrain(n, p)
-	if maxChunks := 8 * p; (n+grain-1)/grain > maxChunks {
-		grain = (n + maxChunks - 1) / maxChunks
-	}
-	chunks := (n + grain - 1) / grain
-	if chunks <= 1 || n < SeqCutoff || k > 1<<16 {
-		for i := 0; i < n; i++ {
-			offsets[(src[i]>>shift)+1]++
-		}
-		for d := 0; d < k; d++ {
-			offsets[d+1] += offsets[d]
-		}
-		cursor := append([]int64(nil), offsets[:k]...)
-		for _, x := range src {
-			d := x >> shift
-			dst[cursor[d]] = x
-			cursor[d]++
-		}
-		return offsets
-	}
-	counts := make([]int64, chunks*k)
-	col := make([]int64, chunks*k)
-	ForRange(n, grain, func(lo, hi int) {
-		h := counts[(lo/grain)*k : (lo/grain)*k+k]
-		for i := lo; i < hi; i++ {
-			h[src[i]>>shift]++
-		}
-	})
-	ScanChunkCursors(counts, col, chunks, k, offsets)
-	ForRange(n, grain, func(lo, hi int) {
-		h := counts[(lo/grain)*k : (lo/grain)*k+k]
-		for i := lo; i < hi; i++ {
-			x := src[i]
-			d := x >> shift
-			dst[h[d]] = x
 			h[d]++
 		}
 	})
@@ -197,10 +135,9 @@ type keyed[T any] struct {
 // (hi<<bits)|lo key of known width) directly reduces the pass count. Pass
 // maxKey == 0 to have the bound computed from the data.
 //
-// It is the LSD radix sort of SortUint64 generalized to payload-carrying
-// records: per 8-bit digit, one PartitionByKey-style count–scan–scatter
-// pass with per-chunk histograms and owner-local cursors. No atomics on any
-// hot loop.
+// It is an LSD radix sort: per 8-bit digit, one PartitionByKey-style
+// count–scan–scatter pass with per-chunk histograms and owner-local
+// cursors. No atomics on any hot loop.
 func CountSortByKey[T any](recs []T, key func(T) uint64, maxKey uint64) []T {
 	n := len(recs)
 	out := make([]T, n)
@@ -227,12 +164,7 @@ func CountSortByKey[T any](recs []T, key func(T) uint64, maxKey uint64) []T {
 	src := make([]keyed[T], n)
 	For(n, 0, func(i int) { src[i] = keyed[T]{key(recs[i]), recs[i]} })
 	dst := make([]keyed[T], n)
-	p := Workers()
-	grain := defaultGrain(n, p)
-	if maxChunks := 8 * p; (n+grain-1)/grain > maxChunks {
-		grain = (n + maxChunks - 1) / maxChunks
-	}
-	chunks := (n + grain - 1) / grain
+	grain, chunks := histogramGrain(n)
 	counts := make([]int64, chunks*256)
 	col := make([]int64, chunks*256)
 	for shift := uint(0); shift < 64; shift += 8 {
@@ -246,7 +178,7 @@ func CountSortByKey[T any](recs []T, key func(T) uint64, maxKey uint64) []T {
 				h[(src[i].key>>shift)&0xff]++
 			}
 		})
-		ScanChunkCursors(counts, col, chunks, 256, nil)
+		scanChunkCursors(counts, col, chunks, 256, nil)
 		ForRange(n, grain, func(lo, hi int) {
 			h := counts[(lo/grain)*256 : (lo/grain)*256+256]
 			for i := lo; i < hi; i++ {

@@ -79,18 +79,6 @@ func MaxIndex[T Number](n int, f func(i int) T) int {
 	return best.i
 }
 
-// Min returns the minimum of f(i) over [0,n); n must be > 0.
-func Min[T Number](n int, f func(i int) T) T {
-	first := f(0)
-	return Reduce(n, 0, first, func(i int) T { return f(i) },
-		func(a, b T) T {
-			if b < a {
-				return b
-			}
-			return a
-		})
-}
-
 // Max returns the maximum of f(i) over [0,n); n must be > 0.
 func Max[T Number](n int, f func(i int) T) T {
 	first := f(0)

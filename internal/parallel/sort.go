@@ -68,64 +68,3 @@ func mergeInto[T any](out, a, b []T, less func(x, y T) bool) {
 	copy(out[k:], a[i:])
 	copy(out[k+len(a)-i:], b[j:])
 }
-
-// SortUint64 sorts keys ascending with a parallel LSD radix sort (8-bit
-// digits, per-chunk histograms combined with a scan). It is the integer-sort
-// primitive used to group arcs when building Euler tours.
-func SortUint64(keys []uint64) {
-	n := len(keys)
-	if n < 1<<12 {
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		return
-	}
-	// Skip digit passes above the maximum key.
-	var maxKey uint64
-	maxKey = Reduce(n, 0, 0, func(i int) uint64 { return keys[i] },
-		func(a, b uint64) uint64 {
-			if b > a {
-				return b
-			}
-			return a
-		})
-	buf := make([]uint64, n)
-	src, dst := keys, buf
-	p := Workers()
-	grain := defaultGrain(n, p)
-	chunks := (n + grain - 1) / grain
-	hist := make([]int, chunks*256)
-	for shift := 0; shift < 64; shift += 8 {
-		if shift > 0 && maxKey>>uint(shift) == 0 {
-			break
-		}
-		for i := range hist {
-			hist[i] = 0
-		}
-		ForRange(n, grain, func(lo, hi int) {
-			h := hist[(lo/grain)*256 : (lo/grain)*256+256]
-			for i := lo; i < hi; i++ {
-				h[(src[i]>>uint(shift))&0xff]++
-			}
-		})
-		// Column-major scan so equal digits keep chunk order (stability).
-		total := 0
-		for d := 0; d < 256; d++ {
-			for c := 0; c < chunks; c++ {
-				v := hist[c*256+d]
-				hist[c*256+d] = total
-				total += v
-			}
-		}
-		ForRange(n, grain, func(lo, hi int) {
-			h := hist[(lo/grain)*256 : (lo/grain)*256+256]
-			for i := lo; i < hi; i++ {
-				d := (src[i] >> uint(shift)) & 0xff
-				dst[h[d]] = src[i]
-				h[d]++
-			}
-		})
-		src, dst = dst, src
-	}
-	if &src[0] != &keys[0] {
-		Copy(keys, src)
-	}
-}

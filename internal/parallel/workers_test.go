@@ -37,22 +37,6 @@ func TestSortFuncParallelPath(t *testing.T) {
 	})
 }
 
-func TestSortUint64ParallelPath(t *testing.T) {
-	withWorkers(t, 8, func() {
-		rng := rand.New(rand.NewPCG(2, 2))
-		s := make([]uint64, 1<<15)
-		for i := range s {
-			s[i] = rng.Uint64()
-		}
-		SortUint64(s)
-		for i := 1; i < len(s); i++ {
-			if s[i-1] > s[i] {
-				t.Fatalf("not sorted at %d", i)
-			}
-		}
-	})
-}
-
 func TestScanPackParallelPath(t *testing.T) {
 	withWorkers(t, 8, func() {
 		n := 1 << 16

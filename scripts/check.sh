@@ -144,12 +144,12 @@ check_benchmark_module
 
 echo '== tier-1 across schedules'
 # The worker team follows GOMAXPROCS and -count bypasses the test cache, so
-# a test whose outcome depends on the schedule (ldd's labels did, at 2 CPUs
-# only) cannot pass here by having passed once. Only the packages that run
+# a test whose outcome depends on the schedule (the since-deleted LDD's
+# labels did, at 2 CPUs only) cannot pass here by having passed once. Only the packages that run
 # parallel loops of their own are swept; the rest ran once above.
 for procs in 1 2 4; do
     GOMAXPROCS=$procs go test -count=3 \
-        ./internal/parallel ./internal/hashbag ./internal/ldd ./internal/conn \
+        ./internal/parallel ./internal/hashbag ./internal/conn \
         ./internal/euler ./internal/core ./internal/msbfs ./internal/delta \
         ./internal/serve
 done
@@ -188,11 +188,12 @@ if [ "${PASGAL_SKIP_VET:-0}" = 1 ]; then
     echo '== pasgal-vet skipped (PASGAL_SKIP_VET=1)'
 else
     echo '== pasgal-vet'
-    # One pass per package over the six PASGAL-specific rules. Copies of
-    # sync/atomic values are left to the go vet step above (copylocks).
-    # The root package, internal/, cmd/, and examples/ are named explicitly
-    # so a pattern regression cannot silently drop one.
-    go run ./cmd/pasgal-vet . ./internal/... ./cmd/... ./examples/...
+    # One pass per package, tests included, over the six PASGAL-specific
+    # rules; any finding fails the gate. Copies of sync/atomic values are
+    # left to the go vet step above (copylocks). The root package,
+    # internal/, cmd/, and examples/ are named explicitly so a pattern
+    # regression cannot silently drop one.
+    go run ./cmd/pasgal-vet -tests . ./internal/... ./cmd/... ./examples/...
 fi
 
 if [ "${PASGAL_SKIP_FUZZ:-0}" = 1 ]; then

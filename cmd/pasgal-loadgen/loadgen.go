@@ -251,7 +251,7 @@ type mixPicker struct {
 }
 
 // newMixPicker drops from mix what gi's graph answers 400 by design: scc
-// needs a directed graph, kcore a plain immutable one.
+// needs a directed graph.
 func newMixPicker(mix map[string]int, gi serve.GraphInfo) (*mixPicker, error) {
 	known := make(map[string]bool, len(serve.Algos))
 	for _, a := range serve.Algos {
@@ -264,7 +264,7 @@ func newMixPicker(mix map[string]int, gi serve.GraphInfo) (*mixPicker, error) {
 		if !ok || wt <= 0 {
 			continue
 		}
-		if algo == "scc" && !gi.Directed || algo == "kcore" && (gi.Compressed || gi.Mutable) {
+		if algo == "scc" && !gi.Directed {
 			p.dropped = append(p.dropped, algo)
 			continue
 		}

@@ -103,6 +103,34 @@ func TestLoadgenDropsUnanswerable(t *testing.T) {
 	}
 }
 
+// TestLoadgenKCoreOnCompressed: the default mix against a compressed
+// directed graph drops nothing — kcore included — and sees only 200s.
+func TestLoadgenKCoreOnCompressed(t *testing.T) {
+	s, err := serve.NewAdj(map[string]graph.Adjacency{
+		"g": graph.Compress(gen.SocialRMAT(9, 8, true, 79)),
+	}, serve.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		hs.Close()
+		s.Close()
+	})
+	rep, err := runLoad(context.Background(), loadConfig{
+		BaseURL: hs.URL, Clients: 4, Requests: 120, Cache: true, Coalesce: true, Seed: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Errors != 0 || rep.ByStatus["200"] != rep.Requests {
+		t.Fatalf("default mix on a compressed graph: %d errors, statuses %v", rep.Errors, rep.ByStatus)
+	}
+	if len(rep.Dropped) != 0 || rep.ByAlgo["kcore"] == 0 {
+		t.Fatalf("dropped %v, by_algo %v; want nothing dropped and kcore sent", rep.Dropped, rep.ByAlgo)
+	}
+}
+
 // TestLoadgenCoalesceOff: the A/B switch reaches the server — with
 // Coalesce false, zero queries ride the coalescer.
 func TestLoadgenCoalesceOff(t *testing.T) {

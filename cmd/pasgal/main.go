@@ -220,8 +220,7 @@ func main() {
 			fmt.Println("verified against sequential Dijkstra")
 		}
 	case "kcore":
-		sym := g.Symmetrized()
-		core, degeneracy, met, err := pasgal.KCore(sym, opt)
+		core, degeneracy, met, err := pasgal.KCore(g, opt)
 		abortOn(err, met, time.Since(start))
 		hist := map[uint32]int{}
 		for _, c := range core {
@@ -231,7 +230,7 @@ func main() {
 			degeneracy, hist[uint32(degeneracy)])
 		report(met, time.Since(start))
 		if *verify {
-			seqCore, seqDeg := pasgal.SequentialKCore(sym)
+			seqCore, seqDeg := pasgal.SequentialKCore(g.Symmetrized())
 			for v := range core {
 				if core[v] != seqCore[v] || seqDeg != degeneracy {
 					fmt.Fprintf(os.Stderr, "VERIFY FAILED at vertex %d\n", v)

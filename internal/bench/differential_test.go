@@ -153,11 +153,7 @@ func TestDifferentialSCC(t *testing.T) {
 				t.Fatalf("sequential oracles disagree: tarjan %d vs kosaraju %d", wantN, kosN)
 			}
 			impls := map[string]func() ([]uint32, int){
-				"core": func() ([]uint32, int) { c, n, _, _ := core.SCC(sh.g, core.Options{}); return c, n },
-				"core-notrim": func() ([]uint32, int) {
-					c, n, _, _ := core.SCC(sh.g, core.Options{TrimRounds: -1})
-					return c, n
-				},
+				"core":      func() ([]uint32, int) { c, n, _, _ := core.SCC(sh.g, core.Options{}); return c, n },
 				"gbbs":      func() ([]uint32, int) { c, n, _, _ := baseline.GBBSSCC(sh.g, core.Options{}); return c, n },
 				"multistep": func() ([]uint32, int) { c, n, _, _ := baseline.MultistepSCC(sh.g, core.Options{}); return c, n },
 			}

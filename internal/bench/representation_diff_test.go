@@ -153,23 +153,59 @@ func TestRepresentationDifferential(t *testing.T) {
 
 	// Both search directions of SCC and its trimming scan through the
 	// representation (the backward ones through its lazy transpose);
-	// Tau = 1 sends every labeled vertex back through the shared bag,
-	// TrimRounds = -1 leaves the singletons to the searches.
+	// Tau = 1 sends every labeled vertex back through the shared bag.
 	t.Run("scc", func(t *testing.T) {
 		forEachRepr(t, 0xC5CC, false, directedOnly, func(t *testing.T, rc reprCase) {
 			wantL, wantN := seq.TarjanSCC(rc.truth)
-			for _, opt := range []core.Options{{}, {Tau: 1}, {TrimRounds: -1}, {Tau: 1, TrimRounds: -1}} {
+			for _, opt := range []core.Options{{}, {Tau: 1}} {
 				gotL, gotN, _, err := core.SCC(rc.a, opt)
 				if err != nil {
-					t.Fatalf("tau=%d trim=%d: %v", opt.Tau, opt.TrimRounds, err)
+					t.Fatalf("tau=%d: %v", opt.Tau, err)
 				}
 				if gotN != wantN {
-					t.Fatalf("tau=%d trim=%d: %d components, oracle %d", opt.Tau, opt.TrimRounds, gotN, wantN)
+					t.Fatalf("tau=%d: %d components, oracle %d", opt.Tau, gotN, wantN)
 				}
 				if !partitionsMatch(gotL, wantL) {
-					t.Fatalf("tau=%d trim=%d: component partition differs from the oracle's", opt.Tau, opt.TrimRounds)
+					t.Fatalf("tau=%d: component partition differs from the oracle's", opt.Tau)
 				}
 			}
+		})
+	})
+
+	// k-core peels a directed shape as its symmetric closure, merging each
+	// vertex's ScanOut list with its ScanIn list (the lazy transpose);
+	// Tau = 1 sends every peeled vertex back through the shared bag.
+	t.Run("kcore", func(t *testing.T) {
+		forEachRepr(t, 0xC6C0, false, anyDir, func(t *testing.T, rc reprCase) {
+			want, wantDeg := seq.KCore(rc.truth.Symmetrized())
+			for _, opt := range []core.Options{{}, {Tau: 1}} {
+				got, deg, _, err := core.KCore(rc.a, opt)
+				if err != nil {
+					t.Fatalf("tau=%d: %v", opt.Tau, err)
+				}
+				if deg != wantDeg {
+					t.Fatalf("tau=%d: degeneracy %d, oracle %d", opt.Tau, deg, wantDeg)
+				}
+				requireSame(t, got, want, "tau=%d coreness", opt.Tau)
+			}
+		})
+	})
+
+	// Densest subgraph counts each level's edges over the same lists.
+	t.Run("densest", func(t *testing.T) {
+		forEachRepr(t, 0xCDE5, false, anyDir, func(t *testing.T, rc reprCase) {
+			wantV, wantD, _, err := core.DensestSubgraph(rc.truth, core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotV, gotD, _, err := core.DensestSubgraph(rc.a, core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotD != wantD {
+				t.Fatalf("density %v, plain %v", gotD, wantD)
+			}
+			requireSame(t, gotV, wantV, "vertex set")
 		})
 	})
 

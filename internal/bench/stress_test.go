@@ -48,7 +48,7 @@ func TestStressDifferential(t *testing.T) {
 		default:
 			g = gen.KNN(max(n, 20), 1+rng.IntN(6), 1+rng.IntN(8), true, seed)
 		}
-		opt := core.Options{Tau: 1 + rng.IntN(1024), TrimRounds: rng.IntN(4) - 1}
+		opt := core.Options{Tau: 1 + rng.IntN(1024)}
 		src := uint32(rng.IntN(g.N))
 
 		// BFS family.

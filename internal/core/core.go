@@ -40,8 +40,8 @@ const MaxTau = 1 << 20
 // n the frontier must reach).
 const DefaultDenseFrac = 0.05
 
-// DefaultTrimRounds is the default number of SCC trimming passes.
-const DefaultTrimRounds = 2
+// trimRounds is the number of SCC trimming passes.
+const trimRounds = 2
 
 // Options tunes the PASGAL algorithms. The zero value selects defaults.
 type Options struct {
@@ -72,10 +72,6 @@ type Options struct {
 	// DenseFrac is the frontier fraction (of n) above which BFS switches
 	// to a bottom-up round; <= 0 selects 0.05.
 	DenseFrac float64
-
-	// TrimRounds is the number of SCC trimming passes; < 0 disables,
-	// 0 selects the default (2).
-	TrimRounds int
 
 	// RecordFrontiers makes Metrics.FrontierSizes record the size of every
 	// extracted frontier, in round order (costs one append per round).
@@ -126,10 +122,6 @@ func checkVertex(role string, v uint32, n int) error {
 //     never trigger (a frontier extraction may exceed n entries only via
 //     duplicates, which must not flip direction), so it normalizes to
 //     DisableDirectionOpt with the default fraction.
-//   - TrimRounds < 0 normalizes to -1 ("no trimming"); 0 selects
-//     DefaultTrimRounds. In normalized form TrimRounds is therefore never
-//     0 — the raw encoding cannot express "zero passes" directly, which is
-//     exactly why the sentinel exists.
 //
 // Normalization is idempotent, and every algorithm applies it on entry, so
 // raw and normalized Options behave identically.
@@ -141,12 +133,6 @@ func (o Options) Normalized() Options {
 		n.DenseFrac = DefaultDenseFrac
 	} else if o.DenseFrac <= 0 {
 		n.DenseFrac = DefaultDenseFrac
-	}
-	switch {
-	case o.TrimRounds < 0:
-		n.TrimRounds = -1
-	case o.TrimRounds == 0:
-		n.TrimRounds = DefaultTrimRounds
 	}
 	return n
 }
@@ -189,16 +175,6 @@ func (o Options) denseCut(n int) int64 {
 // heuristic BFS uses internally, so batched engines built outside this
 // package (internal/msbfs) share the exact same switch point.
 func (o Options) DenseCut(n int) int64 { return o.denseCut(n) }
-
-func (o Options) trimRounds() int {
-	if o.TrimRounds < 0 {
-		return 0
-	}
-	if o.TrimRounds == 0 {
-		return DefaultTrimRounds
-	}
-	return o.TrimRounds
-}
 
 // Metrics reports the machine-independent cost profile of a run. Rounds is
 // the headline number: each round is one global synchronization barrier, so

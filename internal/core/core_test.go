@@ -207,12 +207,6 @@ func TestSCCRandomDigraphs(t *testing.T) {
 	}
 }
 
-func TestSCCTrimDisabled(t *testing.T) {
-	g := gen.WebLike(3000, 6, 0.3, 40, 12)
-	labels, count, _, _ := SCC(g, Options{TrimRounds: -1})
-	sccPartitionsEqual(t, "notrim", g, labels, count)
-}
-
 func TestSCCLabelsAreRepresentatives(t *testing.T) {
 	g := gen.SocialRMAT(10, 8, true, 13)
 	labels, _, _, _ := SCC(g, Options{})

@@ -53,25 +53,30 @@ func Bridges(g *graph.Graph, opt Options) ([]bool, int, *Metrics, error) {
 // densest prefix of the peeling order is a union of core levels' prefixes
 // — we evaluate every core level and pick the best, which includes the
 // maximum-coreness core achieving >= OPT/2.
-func DensestSubgraph(g *graph.Graph, opt Options) ([]uint32, float64, *Metrics, error) {
-	if g.Directed {
-		panic("core: DensestSubgraph requires an undirected graph")
-	}
+//
+// A directed graph is measured, as KCore peels it, as its symmetric
+// closure.
+func DensestSubgraph(a graph.Adjacency, opt Options) ([]uint32, float64, *Metrics, error) {
 	defer attachRuntimeTracer(opt)()
-	core, degeneracy, met, err := KCore(g, opt)
+	core, degeneracy, met, err := KCore(a, opt)
 	if err != nil {
 		return nil, 0, met, err
 	}
-	if g.N == 0 {
+	n := a.NumVertices()
+	if n == 0 {
 		return nil, 0, met, nil
 	}
 	// For each core level k, the k-core is {v : core[v] >= k}. Compute
 	// vertex and edge counts per level with suffix sums.
 	vcount := make([]int64, degeneracy+2)
 	ecount := make([]int64, degeneracy+2)
-	for v := uint32(0); v < uint32(g.N); v++ {
+	out, in := peelScanners(a)
+	obuf, ibuf, mbuf := peelScratch(out, in)
+	for v := uint32(0); v < uint32(n); v++ {
 		vcount[core[v]]++
-		for _, w := range g.Neighbors(v) {
+		var nbrs []uint32
+		nbrs, mbuf = peelList(out, in, v, obuf, ibuf, mbuf)
+		for _, w := range nbrs {
 			if w > v {
 				// The edge (v,w) survives in the k-core for k <= min of
 				// the two corenesses.
@@ -98,6 +103,6 @@ func DensestSubgraph(g *graph.Graph, opt Options) ([]uint32, float64, *Metrics, 
 			bestK, bestDensity = k, d
 		}
 	}
-	verts := parallel.PackIndex(g.N, func(v int) bool { return core[v] >= uint32(bestK) })
+	verts := parallel.PackIndex(n, func(v int) bool { return core[v] >= uint32(bestK) })
 	return verts, bestDensity, met, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"pasgal/internal/gen"
@@ -65,6 +66,58 @@ func TestKCoreMatchesSequential(t *testing.T) {
 			if met.Phases == 0 {
 				t.Fatalf("%s: no peeling phases recorded", name)
 			}
+		}
+	}
+}
+
+// A directed graph peels as its symmetric closure: a self-loop drops out,
+// and a reciprocal pair or a run of parallel arcs is one edge, as in
+// Graph.Symmetrized, whose copy KCore never builds.
+func TestKCoreDirectedIsSymmetrized(t *testing.T) {
+	rng := rand.New(rand.NewPCG(8, 9))
+	for trial := 0; trial < 20; trial++ {
+		n := 2 + rng.IntN(200)
+		var edges []graph.Edge
+		for i := rng.IntN(4 * n); i >= 0; i-- {
+			u, v := uint32(rng.IntN(n)), uint32(rng.IntN(n))
+			edges = append(edges, graph.Edge{U: u, V: v})
+			switch rng.IntN(4) {
+			case 0:
+				edges = append(edges, graph.Edge{U: v, V: u}) // reciprocal
+			case 1:
+				edges = append(edges, graph.Edge{U: u, V: u}) // self-loop
+			case 2:
+				edges = append(edges, graph.Edge{U: u, V: v}) // parallel
+			}
+		}
+		g := graph.FromEdges(n, edges, true, graph.BuildOptions{KeepSelfLoops: true, KeepDuplicates: true})
+		sym := g.Symmetrized()
+		want, wantMax := seq.KCore(sym)
+		tau := 1 + rng.IntN(64)
+		got, gotMax, met, err := KCore(g, Options{Tau: tau})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotMax != wantMax {
+			t.Fatalf("trial %d: degeneracy %d, want %d", trial, gotMax, wantMax)
+		}
+		for v := range want {
+			if got[v] != want[v] {
+				t.Fatalf("trial %d: coreness[%d] = %d, want %d", trial, v, got[v], want[v])
+			}
+		}
+		// The peel walks the same lists as on the copy, so the work is the
+		// same too.
+		_, _, symMet, _ := KCore(sym, Options{Tau: tau})
+		if met.EdgesVisited != symMet.EdgesVisited {
+			t.Fatalf("trial %d: %d edges visited, %d on the symmetrized copy",
+				trial, met.EdgesVisited, symMet.EdgesVisited)
+		}
+		verts, density, _, _ := DensestSubgraph(g, Options{})
+		symVerts, symDensity, _, _ := DensestSubgraph(sym, Options{})
+		if density != symDensity || !slices.Equal(verts, symVerts) {
+			t.Fatalf("trial %d: densest %v (%.3f), on the symmetrized copy %v (%.3f)",
+				trial, verts, density, symVerts, symDensity)
 		}
 	}
 }

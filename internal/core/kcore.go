@@ -8,9 +8,10 @@ import (
 	"pasgal/internal/parallel"
 )
 
-// KCore computes the coreness of every vertex of an undirected graph by
-// parallel peeling with VGC — one of the extensions the paper's conclusion
-// names ("k-core and other peeling algorithms").
+// KCore computes the coreness of every vertex by parallel peeling with
+// VGC — one of the extensions the paper's conclusion names ("k-core and
+// other peeling algorithms"). A directed graph is peeled as its symmetric
+// closure, g.Symmetrized() (see peelList), which is never built.
 //
 // For k = 0, 1, 2, ... the algorithm peels all vertices whose residual
 // degree is <= k. Peeling is frontier-based and has the same
@@ -24,25 +25,30 @@ import (
 //
 // A non-nil opt.Ctx makes the run cancellable: on cancellation it returns
 // (nil, 0, partial Metrics, ErrCanceled/ErrDeadline).
-func KCore(g *graph.Graph, opt Options) ([]uint32, int, *Metrics, error) {
-	if g.Directed {
-		panic("core: KCore requires an undirected graph")
-	}
+func KCore(a graph.Adjacency, opt Options) ([]uint32, int, *Metrics, error) {
 	opt = opt.Normalized()
 	defer attachRuntimeTracer(opt)()
 	met := NewMetrics(opt, "kcore")
 	cl := NewCanceler(opt, met)
 	defer cl.Close()
-	n := g.N
+	n := a.NumVertices()
 	core := make([]uint32, n)
 	if n == 0 {
 		return core, 0, met, cl.Poll()
 	}
 	tau := opt.tau()
+	out, in := peelScanners(a)
 
 	deg := make([]atomic.Int64, n)
 	claimed := make([]atomic.Uint32, n) // coreness+1 when claimed, 0 live
-	parallel.For(n, 0, func(v int) { deg[v].Store(int64(g.Degree(uint32(v)))) })
+	parallel.ForRange(n, 0, func(lo, hi int) {
+		obuf, ibuf, mbuf := peelScratch(out, in)
+		for v := lo; v < hi; v++ {
+			var nbrs []uint32
+			nbrs, mbuf = peelList(out, in, uint32(v), obuf, ibuf, mbuf)
+			deg[v].Store(int64(len(nbrs)))
+		}
+	})
 
 	bag := hashbag.New(1024)
 	bag.SetTracer(opt.Tracer)
@@ -72,13 +78,16 @@ func KCore(g *graph.Graph, opt Options) ([]uint32, int, *Metrics, error) {
 			parallel.ForRangeCancel(cl.Token(), len(f), 1, func(lo, hi int) {
 				var qbuf [64]uint32
 				queue := qbuf[:0]
+				obuf, ibuf, mbuf := peelScratch(out, in)
 				var edgeCount int64
 				for i := lo; i < hi; i++ {
 					queue = append(queue[:0], f[i])
 					budget := tau
 					for head := 0; head < len(queue); head++ {
 						u := queue[head]
-						for _, w := range g.Neighbors(u) {
+						var nbrs []uint32
+						nbrs, mbuf = peelList(out, in, u, obuf, ibuf, mbuf)
+						for _, w := range nbrs {
 							edgeCount++
 							if claimed[w].Load() != 0 {
 								continue
@@ -93,7 +102,7 @@ func KCore(g *graph.Graph, opt Options) ([]uint32, int, *Metrics, error) {
 								}
 							}
 						}
-						budget -= g.Degree(u)
+						budget -= len(nbrs)
 						if budget <= 0 && head+1 < len(queue) {
 							for _, w := range queue[head+1:] {
 								bag.Insert(w)
@@ -119,4 +128,38 @@ func KCore(g *graph.Graph, opt Options) ([]uint32, int, *Metrics, error) {
 		}
 	}
 	return core, int(maxCore), met, nil
+}
+
+// peelScanners returns the scanners the peel walks: a's out-lists alone
+// when a is undirected, and its out- and in-lists when it is directed.
+func peelScanners(a graph.Adjacency) (out, in *graph.Scanner) {
+	if a.IsDirected() {
+		return graph.ScanOut(a), graph.ScanIn(a)
+	}
+	return graph.ScanOut(a), nil
+}
+
+// peelScratch returns one parallel chunk's buffers for peelList. It
+// inlines, so they live in the chunk's frame; the union buffer is made
+// only for directed input.
+func peelScratch(out, in *graph.Scanner) (obuf, ibuf, mbuf []uint32) {
+	if in == nil {
+		return out.Scratch(), nil, nil
+	}
+	return out.Scratch(), in.Scratch(), make([]uint32, 0, 256)
+}
+
+// peelList returns u's list in the graph the peel walks, and mbuf for the
+// caller to keep. Undirected, that is u's out-list as stored. Directed, it
+// is u's list in the symmetric closure: the sorted union of its out- and
+// in-lists, u itself and repeats dropped (graph.AppendUnion, the rules of
+// Graph.Symmetrized), merged into mbuf, which is returned grown so a chunk
+// pays for a hub's list once.
+func peelList(out, in *graph.Scanner, u uint32, obuf, ibuf, mbuf []uint32) ([]uint32, []uint32) {
+	nbrs := out.Neighbors(u, obuf)
+	if in == nil {
+		return nbrs, mbuf
+	}
+	mbuf = graph.AppendUnion(mbuf, u, nbrs, in.Neighbors(u, ibuf))
+	return mbuf, mbuf
 }

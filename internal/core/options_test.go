@@ -100,47 +100,14 @@ func TestDenseCut(t *testing.T) {
 	}
 }
 
-// TestNormalizedTrimRounds covers the TrimRounds sentinel split: negatives
-// collapse to -1 (disabled), zero selects the default, and the normalized
-// form is never 0.
-func TestNormalizedTrimRounds(t *testing.T) {
-	cases := []struct {
-		raw, want, wantEff int
-	}{
-		{math.MinInt, -1, 0},
-		{-7, -1, 0},
-		{-1, -1, 0},
-		{0, DefaultTrimRounds, DefaultTrimRounds},
-		{1, 1, 1},
-		{DefaultTrimRounds, DefaultTrimRounds, DefaultTrimRounds},
-		{100, 100, 100},
-	}
-	for _, c := range cases {
-		n := Options{TrimRounds: c.raw}.Normalized()
-		if n.TrimRounds != c.want {
-			t.Errorf("Normalized TrimRounds(%d) = %d, want %d", c.raw, n.TrimRounds, c.want)
-		}
-		if n.TrimRounds == 0 {
-			t.Errorf("Normalized TrimRounds(%d) produced the raw sentinel 0", c.raw)
-		}
-		if eff := (Options{TrimRounds: c.raw}).trimRounds(); eff != c.wantEff {
-			t.Errorf("trimRounds(%d) = %d, want %d", c.raw, eff, c.wantEff)
-		}
-		// Effective pass count must be invariant under normalization.
-		if eff := n.trimRounds(); eff != c.wantEff {
-			t.Errorf("normalized trimRounds(%d) = %d, want %d", c.raw, eff, c.wantEff)
-		}
-	}
-}
-
 // TestNormalizedIdempotent: Normalized must be a fixed point on its own
 // output for a matrix of raw values, including the pass-through fields.
 func TestNormalizedIdempotent(t *testing.T) {
 	raws := []Options{
 		{},
-		{Tau: -3, DenseFrac: math.NaN(), TrimRounds: -9},
-		{Tau: MaxTau + 5, DenseFrac: 2, TrimRounds: 0},
-		{Tau: 7, DenseFrac: 0.3, TrimRounds: 4, DisableHashBag: true,
+		{Tau: -3, DenseFrac: math.NaN()},
+		{Tau: MaxTau + 5, DenseFrac: 2},
+		{Tau: 7, DenseFrac: 0.3, DisableHashBag: true,
 			RecordFrontiers: true},
 		{DisableDirectionOpt: true, DenseFrac: 0.2},
 	}
@@ -185,30 +152,6 @@ func TestBFSDenseFracBoundaries(t *testing.T) {
 	for v := range got {
 		if got[v] != want[v] {
 			t.Fatalf("tiny DenseFrac dist[%d] = %d, want %d", v, got[v], want[v])
-		}
-	}
-}
-
-// TestSCCTrimRoundsBoundaries runs SCC end-to-end across the TrimRounds
-// boundaries; all must agree on the component partition.
-func TestSCCTrimRoundsBoundaries(t *testing.T) {
-	g := gen.WebLike(600, 5, 0.3, 20, 13)
-	ref, refCount, _, _ := SCC(g, Options{})
-	for _, tr := range []int{math.MinInt, -1, 0, 1, 50} {
-		got, count, _, _ := SCC(g, Options{TrimRounds: tr})
-		if count != refCount {
-			t.Errorf("TrimRounds=%d found %d SCCs, want %d", tr, count, refCount)
-			continue
-		}
-		seen := map[uint32]uint32{}
-		for v := range got {
-			if r, ok := seen[got[v]]; ok {
-				if ref[v] != r {
-					t.Fatalf("TrimRounds=%d splits/merges SCCs at vertex %d", tr, v)
-				}
-			} else {
-				seen[got[v]] = ref[v]
-			}
 		}
 	}
 }

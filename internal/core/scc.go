@@ -64,7 +64,7 @@ func SCC(a graph.Adjacency, opt Options) ([]uint32, int, *Metrics, error) {
 	// scans each list once into trim, then applies it, so every test sees
 	// the comp of the pass before (Pack would run a predicate twice).
 	trim := make([]bool, len(live))
-	for t := 0; t < opt.trimRounds() && len(live) > 0; t++ {
+	for t := 0; t < trimRounds && len(live) > 0; t++ {
 		if err := cl.Poll(); err != nil {
 			return nil, 0, met, err
 		}

@@ -13,6 +13,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -500,12 +501,12 @@ func (g *Graph) Symmetrized() *Graph {
 		lo, hi := g.Offsets[v], g.Offsets[v+1]
 		tlo, thi := tr.Offsets[v], tr.Offsets[v+1]
 		at, end := lo+tlo, hi+thi
-		var ow, aw, bw []uint32
-		if s.Weights != nil {
-			ow, aw, bw = s.Weights[at:end], g.Weights[lo:hi], tr.Weights[tlo:thi]
+		if s.Weights == nil {
+			s.Offsets[v] = uint64(union(uint32(v), s.Edges[at:end], g.Edges[lo:hi], tr.Edges[tlo:thi]))
+			return
 		}
-		s.Offsets[v] = uint64(mergeSymmetric(uint32(v), s.Edges[at:end], ow,
-			g.Edges[lo:hi], aw, tr.Edges[tlo:thi], bw))
+		s.Offsets[v] = uint64(mergeWeighted(uint32(v), s.Edges[at:end], s.Weights[at:end],
+			g.Edges[lo:hi], g.Weights[lo:hi], tr.Edges[tlo:thi], tr.Weights[tlo:thi]))
 	})
 	total := parallel.Scan(s.Offsets[:n])
 	s.Offsets[n] = total
@@ -529,14 +530,59 @@ func (g *Graph) Symmetrized() *Graph {
 	return s
 }
 
-// mergeSymmetric merges v's sorted out-list a and in-list b into out,
-// dropping v itself and keeping one entry per neighbor. With weights (aw,
-// bw in, ow out; all nil when unweighted) a neighbor keeps the smallest
-// weight of the arcs it stands for. It returns the entries written. An
-// exhausted list reads as None, which is no vertex. Unweighted, the pick
-// and the keep are conditional moves, so a merge of random lists costs no
-// mispredictions.
-func mergeSymmetric(v uint32, out, ow, a, aw, b, bw []uint32) int {
+// AppendUnion returns v's list in g.Symmetrized() from v's sorted out-list
+// a and in-list b, merged into dst[:0] (grown when it is short) under the
+// same rules: v itself dropped, one entry per neighbor. Peeling kernels
+// walk a directed graph's symmetric closure through it without the copy.
+func AppendUnion(dst []uint32, v uint32, a, b []uint32) []uint32 {
+	out := slices.Grow(dst[:0], len(a)+len(b))[:len(a)+len(b)]
+	return out[:union(v, out, a, b)]
+}
+
+// union merges v's sorted out-list a and in-list b into out, dropping v
+// itself and keeping one entry per neighbor, and returns the entries
+// written; out has room for both lists. A neighbor in both lists advances
+// both at once, and the advances and the keep are flag arithmetic, so a
+// merge of random lists costs no mispredictions. Each step's store lands
+// past the kept entries when it is dropped.
+func union(v uint32, out, a, b []uint32) int {
+	k, i, j := 0, 0, 0
+	prev := None // the last neighbor kept
+	for i < len(a) && j < len(b) {
+		x, y := a[i], b[j]
+		z := min(x, y)
+		i += bit(x <= y)
+		j += bit(y <= x)
+		out[k] = z
+		k += bit(z != prev) & bit(z != v)
+		prev = z
+	}
+	for _, z := range a[i:] {
+		out[k] = z
+		k += bit(z != prev) & bit(z != v)
+		prev = z
+	}
+	for _, z := range b[j:] {
+		out[k] = z
+		k += bit(z != prev) & bit(z != v)
+		prev = z
+	}
+	return k
+}
+
+// bit is 1 for true and 0 for false; it compiles to a flag set, not a
+// branch.
+func bit(c bool) int {
+	if c {
+		return 1
+	}
+	return 0
+}
+
+// mergeWeighted is union carrying weights (aw, bw in, ow out): a neighbor
+// keeps the smallest weight of the arcs it stands for. An exhausted list
+// reads as None, which is no vertex.
+func mergeWeighted(v uint32, out, ow, a, aw, b, bw []uint32) int {
 	k, i, j := 0, 0, 0
 	prev := None // the last neighbor kept
 	for i < len(a) || j < len(b) {
@@ -549,35 +595,23 @@ func mergeSymmetric(v uint32, out, ow, a, aw, b, bw []uint32) int {
 		}
 		z := min(x, y)
 		var w uint32
-		if ow != nil {
-			if x <= y {
-				w = aw[i]
-			} else {
-				w = bw[j]
-			}
-		}
-		var step, fresh int
 		if x <= y {
-			step = 1
+			w = aw[i]
+			i++
+		} else {
+			w = bw[j]
+			j++
 		}
-		i += step
-		j += 1 - step
 		if z == v {
 			continue
 		}
 		if z != prev {
-			fresh = 1
+			out[k], ow[k] = z, w
+			k++
+			prev = z
+		} else {
+			ow[k-1] = min(ow[k-1], w)
 		}
-		out[k] = z // a duplicate's store lands past the kept entries
-		if ow != nil {
-			if fresh == 1 {
-				ow[k] = w
-			} else {
-				ow[k-1] = min(ow[k-1], w)
-			}
-		}
-		k += fresh
-		prev = z
 	}
 	return k
 }

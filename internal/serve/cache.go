@@ -9,10 +9,8 @@ import (
 // resultCache is the server's bounded LRU result cache. Values are fully
 // marshaled response bodies, so a hit replays the exact bytes the first
 // computation produced — the cache-coherence tests assert byte identity.
-// Keys are built by cacheKey from (graph, algo, sources, normalized
-// options): two requests spelling the same effective options differently
-// (tau=0 vs tau=512, the sentinel encodings core.Options.Normalized
-// resolves) share one entry.
+// Keys are built by query.key from (graph identity, epoch, algo, vertex
+// arguments, summary).
 //
 // A nil *resultCache is the "caching disabled" representation: get always
 // misses and put is a no-op, so the handlers thread it unconditionally.

@@ -58,41 +58,6 @@ func TestServeCacheByteIdentical(t *testing.T) {
 	}
 }
 
-// TestServeCacheKeyNormalization: sentinel spellings of the same
-// effective options share one cache entry — tau=0 is tau=512,
-// densefrac=0 is densefrac=0.05 after Options.Normalized.
-func TestServeCacheKeyNormalization(t *testing.T) {
-	g := gen.ER(200, 800, true, 3)
-	s, hs := newTestServer(t, map[string]*graph.Graph{"g": g}, Config{})
-	variants := []string{
-		"/query/bfs?graph=g&src=5",
-		"/query/bfs?graph=g&src=5&tau=512",
-		"/query/bfs?graph=g&src=5&tau=0",
-		"/query/bfs?graph=g&src=5&densefrac=0.05",
-		"/query/bfs?graph=g&src=5&tau=512&densefrac=0.05",
-	}
-	_, first, mark := getRaw(t, hs.URL+variants[0])
-	if mark != "miss" {
-		t.Fatalf("first query: marker %q", mark)
-	}
-	for _, v := range variants[1:] {
-		_, body, mark := getRaw(t, hs.URL+v)
-		if mark != "hit" {
-			t.Fatalf("%s: marker %q, want hit — sentinel spelling missed the shared key", v, mark)
-		}
-		if !bytes.Equal(body, first) {
-			t.Fatalf("%s: body differs from the canonical spelling", v)
-		}
-	}
-	// A genuinely different option must NOT share the entry.
-	if _, _, mark := getRaw(t, hs.URL+"/query/bfs?graph=g&src=5&tau=64"); mark != "miss" {
-		t.Fatal("tau=64 hit the tau=512 entry")
-	}
-	if c := s.cache.len(); c != 2 {
-		t.Fatalf("cache holds %d entries, want 2 (one per distinct normalized key)", c)
-	}
-}
-
 // TestServeCacheOptOut: cache=off neither reads nor writes the cache.
 func TestServeCacheOptOut(t *testing.T) {
 	g := gen.Chain(100, true)

@@ -52,8 +52,8 @@ type SCCResponse struct {
 	Labels     []uint32 `json:"labels,omitempty"`
 }
 
-// KCoreResponse answers /query/kcore (on the symmetrized variant).
-// ?summary=1 omits the Core array.
+// KCoreResponse answers /query/kcore (a directed graph peels as its
+// symmetric closure). ?summary=1 omits the Core array.
 type KCoreResponse struct {
 	Graph      string   `json:"graph"`
 	Algo       string   `json:"algo"`
@@ -117,9 +117,9 @@ type ErrorResponse struct {
 // GraphInfo describes one served graph on /graphs and /metrics.
 // Compressed marks graphs served from the difference-encoded
 // representation (loaded from .pz, possibly mmap-backed), Mutable graphs
-// served through a delta.Store (POST /update applies); kcore is
-// unavailable on both. Epoch is a mutable graph's currently published
-// epoch and M its current arc count — both move under updates.
+// served through a delta.Store (POST /update applies); every algorithm
+// answers on both. Epoch is a mutable graph's currently published epoch
+// and M its current arc count — both move under updates.
 type GraphInfo struct {
 	N          int    `json:"n"`
 	M          int    `json:"m"`
@@ -241,8 +241,7 @@ type query struct {
 	ctx      context.Context
 	stop     context.CancelFunc
 	leave    func()
-	opt      core.Options // per-request options, Ctx bound
-	norm     core.Options // normalized, Ctx+Tracer stripped (cache key basis)
+	opt      core.Options // the server's options, Ctx bound
 	useCache bool
 	coalesce bool // eligible for the coalesced single-source path
 	summary  bool // ?summary=1: omit the per-vertex result array
@@ -260,7 +259,7 @@ type query struct {
 }
 
 // begin does the work every query endpoint shares: method check, drain
-// check, graph lookup, option/timeout parsing, and per-algo accounting.
+// check, graph lookup, parameter/timeout parsing, and per-algo accounting.
 // On a false return the response has been written. Callers must defer
 // q.end() on success.
 func (s *Server) begin(w http.ResponseWriter, r *http.Request, algo string) (*query, bool) {
@@ -292,21 +291,12 @@ func (s *Server) begin(w http.ResponseWriter, r *http.Request, algo string) (*qu
 	} else {
 		q.view = q.sg.g
 	}
-	opt, err := s.parseOptions(params)
-	if err != nil {
-		q.end()
-		writeError(w, http.StatusBadRequest, err.Error())
-		return nil, false
-	}
-	q.norm = opt.Normalized()
-	q.norm.Ctx = nil
-	q.norm.Tracer = nil
 	q.useCache = params.Get("cache") != "off"
 	if !q.useCache {
 		s.cacheBypass.Add(1)
 	}
 	q.summary = params.Get("summary") == "1" || params.Get("summary") == "true"
-	q.coalesce = q.sg.coal != nil && params.Get("coalesce") != "off" && q.norm == s.baseNorm
+	q.coalesce = q.sg.coal != nil && params.Get("coalesce") != "off"
 	ctx, cancel, err := s.bindCtx(r)
 	if err != nil {
 		q.end()
@@ -314,9 +304,8 @@ func (s *Server) begin(w http.ResponseWriter, r *http.Request, algo string) (*qu
 		return nil, false
 	}
 	q.ctx, q.stop = ctx, cancel
-	opt.Ctx = ctx
-	opt.Tracer = s.tracer
-	q.opt = opt
+	q.opt = s.baseOpt
+	q.opt.Ctx = ctx
 	s.queries.Add(1)
 	s.byAlgo[algo].Add(1)
 	return q, true
@@ -334,45 +323,10 @@ func (q *query) end() {
 	q.leave()
 }
 
-// parseOptions builds the per-request algorithm options from the base
-// configuration plus the recognized override parameters.
-func (s *Server) parseOptions(params map[string][]string) (core.Options, error) {
-	opt := s.baseOpt
-	get := func(key string) string {
-		if vs := params[key]; len(vs) > 0 {
-			return vs[0]
-		}
-		return ""
-	}
-	if raw := get("tau"); raw != "" {
-		tau, err := strconv.Atoi(raw)
-		if err != nil {
-			return opt, fmt.Errorf("bad tau %q", raw)
-		}
-		opt.Tau = tau
-	}
-	if raw := get("densefrac"); raw != "" {
-		df, err := strconv.ParseFloat(raw, 64)
-		if err != nil {
-			return opt, fmt.Errorf("bad densefrac %q", raw)
-		}
-		opt.DenseFrac = df
-	}
-	if raw := get("nobag"); raw == "1" || raw == "true" {
-		opt.DisableHashBag = true
-	}
-	if raw := get("nodir"); raw == "1" || raw == "true" {
-		opt.DisableDirectionOpt = true
-	}
-	return opt, nil
-}
-
 // key builds the cache key for this query: graph identity and epoch,
-// algo, the query's vertex arguments, and the normalized option fields
-// that can change the response body. Requests spelling the same
-// effective options differently (tau=0 vs tau=512, densefrac=0 vs
-// densefrac=0.05) land on one key because Options.Normalized resolved
-// the sentinels in q.norm.
+// algo, the query's vertex arguments, and whether the body is a summary.
+// Every query of a server runs with the same options, so they are not
+// part of it.
 //
 // The key deliberately does NOT start with the graph's name alone: a
 // name identifies a slot, not a value. The identity token pins the key
@@ -389,9 +343,7 @@ func (q *query) key(args ...uint32) string {
 		b.WriteByte('|')
 		b.WriteString(strconv.FormatUint(uint64(a), 10))
 	}
-	fmt.Fprintf(&b, "|tau=%d,df=%g,bag=%t,dir=%t,trim=%d,sum=%t",
-		q.norm.Tau, q.norm.DenseFrac, q.norm.DisableHashBag,
-		q.norm.DisableDirectionOpt, q.norm.TrimRounds, q.summary)
+	fmt.Fprintf(&b, "|sum=%t", q.summary)
 	return b.String()
 }
 
@@ -526,9 +478,9 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 }
 
 // handleBFS serves /query/bfs?graph=G&src=V: hop distances from src.
-// Default-option single-source queries ride the coalescer — concurrent
-// submitters group-commit into one MS-BFS lane run charging one admission
-// slot — unless ?coalesce=off asks for a dedicated traversal.
+// Queries ride the coalescer — concurrent submitters group-commit into
+// one MS-BFS lane run charging one admission slot — unless ?coalesce=off
+// asks for a dedicated traversal.
 func (s *Server) handleBFS(w http.ResponseWriter, r *http.Request) {
 	q, ok := s.begin(w, r, "bfs")
 	if !ok {
@@ -647,17 +599,14 @@ func (s *Server) handleSCC(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleKCore serves /query/kcore?graph=G: coreness per vertex and the
-// degeneracy, on the symmetrized variant.
+// degeneracy on the query's pinned view, a directed graph peeled as its
+// symmetric closure.
 func (s *Server) handleKCore(w http.ResponseWriter, r *http.Request) {
 	q, ok := s.begin(w, r, "kcore")
 	if !ok {
 		return
 	}
 	defer q.end()
-	if _, err := q.sg.plain(); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
 	key := q.key()
 	if q.cached(w, key) {
 		return
@@ -666,7 +615,7 @@ func (s *Server) handleKCore(w http.ResponseWriter, r *http.Request) {
 	var degeneracy int
 	err := q.run(func() error {
 		var runErr error
-		coreness, degeneracy, _, runErr = core.KCore(q.sg.symmetrized(), q.opt)
+		coreness, degeneracy, _, runErr = core.KCore(q.view, q.opt)
 		return runErr
 	})
 	if err != nil {
@@ -682,9 +631,9 @@ func (s *Server) handleKCore(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReachable serves /query/reachable?graph=G&src=V[,V2,...]: the
-// vertices reachable from any source. Default-option single-source
-// queries derive the answer from a coalesced BFS row, sharing edge scans
-// with concurrent bfs traffic.
+// vertices reachable from any source. Single-source queries derive the
+// answer from a coalesced BFS row, sharing edge scans with concurrent bfs
+// traffic.
 func (s *Server) handleReachable(w http.ResponseWriter, r *http.Request) {
 	q, ok := s.begin(w, r, "reachable")
 	if !ok {
@@ -846,8 +795,8 @@ func (s *Server) graphInfos() map[string]GraphInfo {
 		info := GraphInfo{
 			N: sg.g.NumVertices(), M: sg.g.NumArcs(),
 			Directed: sg.g.IsDirected(), Weighted: sg.g.HasWeights(),
-			Compressed: sg.pg == nil,
 		}
+		_, info.Compressed = sg.g.(*graph.Compressed)
 		if sg.store != nil {
 			sn := sg.store.Snapshot()
 			info.Mutable = true

@@ -15,8 +15,8 @@
 //     lane run, which charges ONE admission slot for up to 64 queries.
 //   - Every computed answer carries a Server-Timing header (admission or
 //     coalescer wait, then compute), summed per algo on /metrics.
-//   - A bounded LRU cache keyed on (graph, algo, sources, normalized
-//     options) replays byte-identical response bodies on hits.
+//   - A bounded LRU cache keyed on (graph, epoch, algo, vertex arguments,
+//     summary) replays byte-identical response bodies on hits.
 //   - trace.Tracer counters, cache hit/miss rates, and admission gauges
 //     surface on /metrics; /healthz flips to 503 while draining.
 //   - With Config.Mutable, graphs are served through delta.Store epoch
@@ -81,9 +81,9 @@ type Config struct {
 	// own admission slot (the ?coalesce=off A/B, server-wide).
 	DisableCoalesce bool
 
-	// Opt is the base algorithm configuration. Its Ctx is ignored (each
-	// query binds its own request context); its Tracer, when nil, is
-	// replaced by a server-private tracer that feeds /metrics.
+	// Opt is the algorithm configuration every query runs with. Its Ctx
+	// is ignored (each query binds its own request context); its Tracer,
+	// when nil, is replaced by a server-private tracer that feeds /metrics.
 	Opt core.Options
 
 	// WeightSeed seeds the weights in [1, 256] sssp/p2p see on an
@@ -93,11 +93,12 @@ type Config struct {
 	WeightSeed uint64
 
 	// Mutable serves every plain-CSR graph through a delta.Store: queries
-	// pin an immutable epoch snapshot, and POST /update applies
-	// insert/delete batches that publish new epochs. Mutable serving
-	// requires the plain representation (compressed and mmap-backed
-	// graphs are rejected) and disables the coalescer — its lane batches
-	// would otherwise mix sources from different epochs into one scan.
+	// pin an immutable epoch snapshot, every algorithm answers on it, and
+	// POST /update applies insert/delete batches that publish new epochs.
+	// Mutable serving requires the plain representation (compressed and
+	// mmap-backed graphs are rejected: the store layers its Overlay on a
+	// *graph.Graph) and disables the coalescer — its lane batches would
+	// otherwise mix sources from different epochs into one scan.
 	Mutable bool
 
 	// CompactFraction forwards to delta.Options for mutable graphs.
@@ -110,56 +111,21 @@ type Config struct {
 // same name re-registered over different data, gets fresh keys.
 var graphIdent atomic.Uint64
 
-// servedGraph is one loaded graph, with no weighted copy: sssp/p2p scan
-// it through graph.UniformWeights. It may be any graph.Adjacency: plain
+// servedGraph is one loaded graph, with no copy of any kind: sssp/p2p
+// scan it through graph.UniformWeights, and kcore peels a directed graph
+// as its symmetric closure in place. It may be any graph.Adjacency: plain
 // CSR, compressed (possibly a read-only mmap view), or — when served
-// mutable — a delta.Store publishing Overlay epochs. pg is the plain form
-// when there is one — kcore, the one algorithm not yet written over
-// graph.Scanner, requires it and refuses the other representations
-// instead of silently inflating a multi-gigabyte plain copy inside a
-// request handler.
+// mutable — a delta.Store publishing Overlay epochs; every handler answers
+// on the query's pinned view of it.
 type servedGraph struct {
 	name  string
 	ident uint64 // process-unique identity token (cache key component)
 	g     graph.Adjacency
-	pg    *graph.Graph     // non-nil iff g is a plain *graph.Graph
 	coal  *msbfs.Coalescer // nil when coalescing is disabled
 	store *delta.Store     // non-nil iff the graph is served mutable
 
-	weightSeed uint64 // UniformWeights seed for sssp/p2p on an unweighted graph
-	sOnce      sync.Once
-	sym        *graph.Graph // pg, or pg.Symmetrized() for kcore
+	weightSeed uint64       // UniformWeights seed for sssp/p2p on an unweighted graph
 	updates    atomic.Int64 // /update batches accepted
-}
-
-// plain returns the plain-CSR form, or a client error for kcore, which
-// only runs on it. Mutable graphs are refused too: kcore memoizes the
-// symmetrized variant, which cannot be keyed to a moving epoch.
-func (sg *servedGraph) plain() (*graph.Graph, error) {
-	if sg.store != nil {
-		return nil, fmt.Errorf(
-			"algo kcore is not supported on mutable graph %q; serve it without -mutable for this query",
-			sg.name)
-	}
-	if sg.pg == nil {
-		return nil, fmt.Errorf(
-			"algo kcore is not supported on compressed graph %q; serve the plain representation for this query",
-			sg.name)
-	}
-	return sg.pg, nil
-}
-
-// symmetrized returns the undirected serving variant (for kcore). Only
-// valid after plain() succeeded.
-func (sg *servedGraph) symmetrized() *graph.Graph {
-	sg.sOnce.Do(func() {
-		if !sg.pg.Directed {
-			sg.sym = sg.pg
-			return
-		}
-		sg.sym = sg.pg.Symmetrized()
-	})
-	return sg.sym
 }
 
 // Server is the query daemon. Create with New, mount Handler on an
@@ -168,7 +134,6 @@ type Server struct {
 	graphs   map[string]*servedGraph
 	tracer   *trace.Tracer
 	baseOpt  core.Options // normalized, Ctx stripped, Tracer attached
-	baseNorm core.Options // baseOpt with Tracer stripped too (comparisons)
 	maxWait  time.Duration
 	adm      *admission
 	cache    *resultCache
@@ -211,9 +176,8 @@ func New(graphs map[string]*graph.Graph, cfg Config) (*Server, error) {
 // NewAdj returns a Server over the named graphs in any graph.Adjacency
 // representation: plain *graph.Graph or *graph.Compressed (including
 // read-only mmap views from gio.MapPZFile — the server never writes to a
-// graph). bfs, sssp, scc, reachable, and p2p run on every representation,
-// through the same kernel bodies; kcore requires plain CSR and answers
-// 400 otherwise. Do not mutate the graphs after this call.
+// graph). Every algorithm runs on every representation, through the same
+// kernel bodies. Do not mutate the graphs after this call.
 func NewAdj(graphs map[string]graph.Adjacency, cfg Config) (*Server, error) {
 	if len(graphs) == 0 {
 		return nil, errors.New("serve: no graphs to serve")
@@ -224,8 +188,6 @@ func NewAdj(graphs map[string]graph.Adjacency, cfg Config) (*Server, error) {
 		opt.Tracer = trace.New()
 	}
 	opt = opt.Normalized()
-	norm := opt
-	norm.Tracer = nil
 
 	maxConc := cfg.MaxConcurrent
 	if maxConc <= 0 {
@@ -243,7 +205,6 @@ func NewAdj(graphs map[string]graph.Adjacency, cfg Config) (*Server, error) {
 		graphs:   make(map[string]*servedGraph, len(graphs)),
 		tracer:   opt.Tracer,
 		baseOpt:  opt,
-		baseNorm: norm,
 		maxWait:  maxWait,
 		adm:      newAdmission(maxConc),
 		cache:    newResultCache(cacheCap),
@@ -265,7 +226,9 @@ func NewAdj(graphs map[string]graph.Adjacency, cfg Config) (*Server, error) {
 			if err := t.Validate(); err != nil {
 				return nil, fmt.Errorf("serve: graph %q: %w", name, err)
 			}
-			sg.pg = t
+			if cfg.Mutable {
+				sg.store = delta.NewStore(t, delta.Options{CompactFraction: cfg.CompactFraction})
+			}
 		case *graph.Compressed:
 			if t == nil {
 				return nil, fmt.Errorf("serve: graph %q is nil", name)
@@ -285,9 +248,6 @@ func NewAdj(graphs map[string]graph.Adjacency, cfg Config) (*Server, error) {
 			}
 		default:
 			return nil, fmt.Errorf("serve: graph %q: unsupported representation %T", name, g)
-		}
-		if cfg.Mutable {
-			sg.store = delta.NewStore(sg.pg, delta.Options{CompactFraction: cfg.CompactFraction})
 		}
 		// The coalescer group-commits concurrent sources into one lane
 		// scan; on a mutable graph two coalesced queries could be pinned

@@ -107,6 +107,22 @@ func checkWeighted(t *testing.T, base, name string, want *graph.Graph) {
 	}
 }
 
+// requireKCore requires name's kcore answer to be 200 with Matula–Beck's
+// coreness on want's symmetric closure.
+func requireKCore(t *testing.T, base, name string, want *graph.Graph) {
+	t.Helper()
+	var kr KCoreResponse
+	u := fmt.Sprintf("%s/query/kcore?graph=%s", base, name)
+	if st, body := getJSON(t, u, &kr); st != http.StatusOK {
+		t.Fatalf("%s: kcore: status %d\nbody: %.200s", name, st, body)
+	}
+	wantCore, wantDeg := seq.KCore(want.Symmetrized())
+	if kr.Degeneracy != wantDeg || !slices.Equal(kr.Core, wantCore) {
+		t.Fatalf("%s: kcore: degeneracy %d (oracle %d), coreness differs from the oracle's: %t",
+			name, kr.Degeneracy, wantDeg, !slices.Equal(kr.Core, wantCore))
+	}
+}
+
 // samePartition reports whether two labelings induce the same partition.
 func samePartition(a, b []uint32) bool {
 	if len(a) != len(b) {
@@ -208,24 +224,7 @@ func TestServeDifferential(t *testing.T) {
 				}
 			}
 
-			var kr KCoreResponse
-			u = fmt.Sprintf("%s/query/kcore?graph=%s", hs.URL, name)
-			if st, _ := getJSON(t, u, &kr); st != http.StatusOK {
-				t.Fatalf("kcore: status %d", st)
-			}
-			sym := g
-			if g.Directed {
-				sym = g.Symmetrized()
-			}
-			wantCore, wantDeg := seq.KCore(sym)
-			if kr.Degeneracy != wantDeg {
-				t.Fatalf("kcore: degeneracy %d, oracle %d", kr.Degeneracy, wantDeg)
-			}
-			for v := range wantCore {
-				if kr.Core[v] != wantCore[v] {
-					t.Fatalf("kcore: core[%d] = %d, oracle %d", v, kr.Core[v], wantCore[v])
-				}
-			}
+			requireKCore(t, hs.URL, name, g)
 		})
 	}
 }
@@ -321,8 +320,6 @@ func TestServeErrorPaths(t *testing.T) {
 	wantStatus(t, hs.URL+"/query/bfs?graph=g&src=50", http.StatusBadRequest)
 	wantStatus(t, hs.URL+"/query/p2p?graph=g&src=0", http.StatusBadRequest)
 	wantStatus(t, hs.URL+"/query/reachable?graph=g&src=1,banana", http.StatusBadRequest)
-	wantStatus(t, hs.URL+"/query/bfs?graph=g&src=0&tau=banana", http.StatusBadRequest)
-	wantStatus(t, hs.URL+"/query/bfs?graph=g&src=0&densefrac=x", http.StatusBadRequest)
 	wantStatus(t, hs.URL+"/query/bfs?graph=g&src=0&timeout=banana", http.StatusBadRequest)
 	wantStatus(t, hs.URL+"/query/bfs?graph=g&src=0&timeout=-1s", http.StatusBadRequest)
 
@@ -442,10 +439,10 @@ func TestServeMetricsAccounting(t *testing.T) {
 
 // TestServeCompressedGraph serves the same graph twice — plain CSR and
 // compressed — through NewAdj and checks that every compressed-capable
-// endpoint (scc included) answers byte-equivalently on both, that sssp
-// and p2p on the compressed one match Dijkstra on the stored-weight
-// oracle, that kcore refuses the compressed representation with a clear
-// 400, and that /graphs marks the representation.
+// endpoint (scc and kcore included) answers byte-equivalently on both,
+// that sssp and p2p on the compressed one match Dijkstra on the
+// stored-weight oracle and kcore Matula–Beck on the symmetrized graph,
+// and that /graphs marks the representation.
 func TestServeCompressedGraph(t *testing.T) {
 	g := gen.SocialRMAT(10, 8, true, 42)
 	s, err := NewAdj(map[string]graph.Adjacency{
@@ -492,21 +489,12 @@ func TestServeCompressedGraph(t *testing.T) {
 			sameOnBoth(ep)
 		}
 	}
-	// SCC labels are a function of (arc set, options), not of the
-	// representation the searches scan.
+	// SCC labels and coreness are functions of (arc set, options), not of
+	// the representation the kernels scan.
 	sameOnBoth("/query/scc?graph=%s")
+	sameOnBoth("/query/kcore?graph=%s")
 	checkWeighted(t, hs.URL, "zc", oracleWeighted(g))
-
-	// kcore is unsupported on compressed: clear client error, not a 500.
-	st, body := getJSON(t, hs.URL+"/query/kcore?graph=zc", nil)
-	if st != http.StatusBadRequest {
-		t.Fatalf("kcore on zc: status %d, want 400\nbody: %.200s", st, body)
-	}
-	if !strings.Contains(string(body), "not supported on compressed graph") {
-		t.Fatalf("kcore on zc: error body %.200s does not explain the refusal", body)
-	}
-	// ...and still fine on the plain twin.
-	wantStatus(t, hs.URL+"/query/kcore?graph=plain", http.StatusOK)
+	requireKCore(t, hs.URL, "zc", g)
 
 	var gr GraphsResponse
 	if st, _ := getJSON(t, hs.URL+"/graphs", &gr); st != http.StatusOK {

@@ -143,9 +143,10 @@ func TestUpdateEndpointContract(t *testing.T) {
 		t.Fatalf("no-op batch: status %d resp %+v", st, ur)
 	}
 
-	// kcore refuses mutable graphs; scc refuses grid only for being
-	// undirected.
-	wantStatus(t, hs.URL+"/query/kcore?graph=grid", http.StatusBadRequest)
+	// kcore answers on the pinned epoch of either graph; scc refuses grid
+	// only for being undirected.
+	requireKCore(t, hs.URL, "grid", epochGraph(s, "grid"))
+	requireKCore(t, hs.URL, "ring", epochGraph(s, "ring"))
 	if st, body := getJSON(t, hs.URL+"/query/scc?graph=grid", nil); st != http.StatusBadRequest ||
 		!bytes.Contains(body, []byte("is undirected")) {
 		t.Fatalf("scc on undirected mutable graph: status %d, body %.200s", st, body)
@@ -163,15 +164,16 @@ func TestUpdateEndpointContract(t *testing.T) {
 	}); st != http.StatusOK {
 		t.Fatalf("ring update: %d", st)
 	}
-	sn := s.graphs["ring"].store.Snapshot()
-	wantL, wantN := seq.TarjanSCC(sn.Adj().(*graph.Overlay).Materialize())
-	sn.Release()
+	wantL, wantN := seq.TarjanSCC(epochGraph(s, "ring"))
 	if st, _ := getJSON(t, hs.URL+"/query/scc?graph=ring", &scc); st != http.StatusOK {
 		t.Fatalf("scc after update: %d", st)
 	}
 	if scc.Components != wantN || wantN == 1 || !samePartition(scc.Labels, wantL) {
 		t.Fatalf("scc after update: %d components, Tarjan on the epoch %d", scc.Components, wantN)
 	}
+	// kcore peels that epoch's symmetric closure: the cut arc breaks the
+	// ring's 2-core, the two new arcs close smaller cycles.
+	requireKCore(t, hs.URL, "ring", epochGraph(s, "ring"))
 	// sssp/p2p on that epoch: the overlay's arcs, added ones included,
 	// weigh what AddUniformWeights stores for its materialized arc set.
 	checkWeighted(t, hs.URL, "ring", epochWeighted(s, "ring"))
@@ -233,11 +235,19 @@ func TestUpdateEndpointContract(t *testing.T) {
 	}
 }
 
-// epochWeighted is the stored-weight oracle of name's current epoch.
-func epochWeighted(s *Server, name string) *graph.Graph {
+// epochGraph is the arc set of name's current epoch as plain CSR.
+func epochGraph(s *Server, name string) *graph.Graph {
 	sn := s.graphs[name].store.Snapshot()
 	defer sn.Release()
-	return gen.AddUniformWeights(sn.Adj().(*graph.Overlay).Materialize(), 1, 1<<8, 1)
+	if o, ok := sn.Adj().(*graph.Overlay); ok {
+		return o.Materialize()
+	}
+	return sn.Adj().(*graph.Graph)
+}
+
+// epochWeighted is the stored-weight oracle of name's current epoch.
+func epochWeighted(s *Server, name string) *graph.Graph {
+	return gen.AddUniformWeights(epochGraph(s, name), 1, 1<<8, 1)
 }
 
 // TestUpdateRejectedOnImmutableServer: without Config.Mutable the

@@ -197,10 +197,10 @@ func PathTo(parent []uint32, root, v uint32) []uint32 {
 	return core.PathTo(parent, root, v)
 }
 
-// KCore returns the coreness of every vertex of an undirected graph and
-// the degeneracy, by parallel peeling with VGC (one of the paper's named
-// extensions).
-func KCore(g *Graph, opt Options) ([]uint32, int, *Metrics, error) {
+// KCore returns the coreness of every vertex and the degeneracy, by
+// parallel peeling with VGC (one of the paper's named extensions). A
+// directed graph is peeled as g.Symmetrized(), without building it.
+func KCore(g Adjacency, opt Options) ([]uint32, int, *Metrics, error) {
 	return core.KCore(g, opt)
 }
 
@@ -304,8 +304,9 @@ func Bridges(g *Graph, opt Options) ([]bool, int, *Metrics, error) {
 
 // DensestSubgraph returns Charikar's peeling 2-approximation of the
 // maximum-density subgraph, computed from the VGC k-core decomposition:
-// the vertex set, its density (edges/vertices), and metrics.
-func DensestSubgraph(g *Graph, opt Options) ([]uint32, float64, *Metrics, error) {
+// the vertex set, its density (edges/vertices), and metrics. A directed
+// graph is measured as g.Symmetrized(), as KCore peels it.
+func DensestSubgraph(g Adjacency, opt Options) ([]uint32, float64, *Metrics, error) {
 	return core.DensestSubgraph(g, opt)
 }
 

@@ -43,11 +43,12 @@ if grep -rnE 'case \*graph\.(Compressed|Overlay)' internal/core internal/conn in
     exit 1
 fi
 
-echo '== no weighted or plain copies in the daemon'
-# sssp/p2p weigh an unweighted graph at scan time (graph.UniformWeights);
-# a Materialize or Decompress in the serving layer means a request is
-# building a second graph again.
-if grep -nE 'Materialize\(\)|Decompress\(\)' $(ls internal/serve/*.go | grep -v '_test\.go$'); then
+echo '== no weighted, plain or symmetrized copies in the daemon'
+# sssp/p2p weigh an unweighted graph at scan time (graph.UniformWeights),
+# and kcore peels a directed graph's symmetric closure in place; a
+# Materialize, Decompress or Symmetrized in the serving layer means a
+# request is building a second graph again.
+if grep -nE 'Materialize\(\)|Decompress\(\)|Symmetrized\(\)' $(ls internal/serve/*.go | grep -v '_test\.go$'); then
     echo 'graph copy in internal/serve: scan the served view instead' >&2
     exit 1
 fi

@@ -59,6 +59,7 @@ func BFS(a graph.Adjacency, src uint32, opt Options) ([]uint32, *Metrics, error)
 	out := graph.ScanOut(a)
 	// Bound once, never reassigned: the pull closure captures it by value.
 	in := pullScanner(a, denseCut)
+	vgc := &localSearch{met: met, cl: cl}
 
 	// The adaptive distance window realizes the paper's "multiple
 	// frontiers" device: when frontiers are small (the large-diameter
@@ -103,8 +104,8 @@ func BFS(a graph.Adjacency, src uint32, opt Options) ([]uint32, *Metrics, error)
 			window /= 2
 		}
 
-		// The chunk closures sit directly in this loop and capture only
-		// values bound once per round (DESIGN.md §2.9, trap 3).
+		// The chunk and visit closures sit directly in this loop and
+		// capture only values bound once per round (DESIGN.md §2.9, trap 3).
 		if int64(len(f)) >= denseCut {
 			// Bottom-up: instead of expanding the (dense) frontier, every
 			// improvable vertex scans its own in-neighbors and write-mins
@@ -161,59 +162,27 @@ func BFS(a graph.Adjacency, src uint32, opt Options) ([]uint32, *Metrics, error)
 			continue
 		}
 
-		// Top-down with VGC local searches. The local worklist is FIFO, so
-		// a local search is a mini-BFS: tentative distances stay close to
-		// final and redundant re-relaxation is rare (a LIFO local search
-		// would chase depth-first chains of inflated distances and repair
-		// them over and over).
-		parallel.ForRangeCancel(cl.Token(), len(f), 1, func(lo, hi int) {
-			var qbuf [64]uint32
-			queue := qbuf[:0]
-			nbuf := out.Scratch()
-			var edgeCount int64
-			for i := lo; i < hi; i++ {
-				v := f[i]
-				if dist[v].Load() != uint32(bucketOf[i]) {
-					continue // stale: improved and handled elsewhere
-				}
-				queue = append(queue[:0], v)
-				budget := tau
-				for head := 0; head < len(queue); head++ {
-					u := queue[head]
-					du := dist[u].Load()
-					nd := du + 1
-					nbrs := out.Neighbors(u, nbuf)
-					for _, w := range nbrs {
-						edgeCount++
-						for {
-							old := dist[w].Load()
-							if nd >= old {
-								break
-							}
-							if dist[w].CompareAndSwap(old, nd) {
-								if budget > 0 {
-									queue = append(queue, w)
-								} else {
-									fr.insert(int(nd), w)
-								}
-								break
-							}
+		// Top-down with VGC local searches (localSearch.round); a stale
+		// entry was improved and handled elsewhere.
+		vgc.round(f, tau, func(i int) bool { return dist[f[i]].Load() == uint32(bucketOf[i]) },
+			func(u uint32, s *scratch) int {
+				nd := dist[u].Load() + 1
+				nbrs := out.Neighbors(u, s.nbuf)
+				for _, w := range nbrs {
+					for {
+						old := dist[w].Load()
+						if nd >= old {
+							break
+						}
+						if dist[w].CompareAndSwap(old, nd) {
+							s.queue = append(s.queue, w)
+							break
 						}
 					}
-					budget -= len(nbrs)
-					if budget <= 0 && head+1 < len(queue) {
-						// Flush the remaining local work to the shared
-						// frontier bags.
-						for _, w := range queue[head+1:] {
-							d := dist[w].Load()
-							fr.insert(int(d), w)
-						}
-						queue = queue[:head+1]
-					}
 				}
-			}
-			met.AddEdges(edgeCount)
-		})
+				return len(nbrs)
+			},
+			func(w uint32) { fr.insert(int(dist[w].Load()), w) })
 	}
 	// Final check before materializing: a cancellation during the last
 	// round can leave the ring empty without completing the work, so only a

@@ -38,17 +38,25 @@ func KCore(a graph.Adjacency, opt Options) ([]uint32, int, *Metrics, error) {
 	}
 	tau := opt.tau()
 	out, in := peelScanners(a)
+	vgc := &localSearch{met: met, cl: cl}
 
 	deg := make([]atomic.Int64, n)
 	claimed := make([]atomic.Uint32, n) // coreness+1 when claimed, 0 live
-	parallel.ForRange(n, 0, func(lo, hi int) {
-		obuf, ibuf, mbuf := peelScratch(out, in)
-		for v := lo; v < hi; v++ {
-			var nbrs []uint32
-			nbrs, mbuf = peelList(out, in, uint32(v), obuf, ibuf, mbuf)
-			deg[v].Store(int64(len(nbrs)))
-		}
-	})
+	if in == nil {
+		// Undirected: the stored list is the peeled one, and DegreeOf
+		// counts it without decoding (offsets, one varint on .pz, offset
+		// arithmetic on an Overlay).
+		parallel.For(n, 0, func(v int) { deg[v].Store(int64(a.DegreeOf(uint32(v)))) })
+	} else {
+		parallel.ForRange(n, 0, func(lo, hi int) {
+			obuf, ibuf, mbuf := peelScratch(out, in)
+			for v := lo; v < hi; v++ {
+				var nbrs []uint32
+				nbrs, mbuf = peelList(out, in, uint32(v), obuf, ibuf, mbuf)
+				deg[v].Store(int64(len(nbrs)))
+			}
+		})
+	}
 
 	bag := hashbag.New(1024)
 	bag.SetTracer(opt.Tracer)
@@ -75,44 +83,21 @@ func KCore(a graph.Adjacency, opt Options) ([]uint32, int, *Metrics, error) {
 			}
 			f := bag.Extract()
 			met.Round(len(f))
-			parallel.ForRangeCancel(cl.Token(), len(f), 1, func(lo, hi int) {
-				var qbuf [64]uint32
-				queue := qbuf[:0]
-				obuf, ibuf, mbuf := peelScratch(out, in)
-				var edgeCount int64
-				for i := lo; i < hi; i++ {
-					queue = append(queue[:0], f[i])
-					budget := tau
-					for head := 0; head < len(queue); head++ {
-						u := queue[head]
-						var nbrs []uint32
-						nbrs, mbuf = peelList(out, in, u, obuf, ibuf, mbuf)
-						for _, w := range nbrs {
-							edgeCount++
-							if claimed[w].Load() != 0 {
-								continue
-							}
-							// One decrement per removed edge endpoint.
-							nd := deg[w].Add(-1)
-							if nd <= k && claimed[w].CompareAndSwap(0, uint32(k)+1) {
-								if budget > 0 {
-									queue = append(queue, w)
-								} else {
-									bag.Insert(w)
-								}
-							}
-						}
-						budget -= len(nbrs)
-						if budget <= 0 && head+1 < len(queue) {
-							for _, w := range queue[head+1:] {
-								bag.Insert(w)
-							}
-							queue = queue[:head+1]
-						}
+			vgc.round(f, tau, nil, func(u uint32, s *scratch) int {
+				var nbrs []uint32
+				nbrs, s.mbuf = peelList(out, in, u, s.nbuf, s.wbuf, s.mbuf)
+				for _, w := range nbrs {
+					if claimed[w].Load() != 0 {
+						continue
+					}
+					// One decrement per removed edge endpoint.
+					nd := deg[w].Add(-1)
+					if nd <= k && claimed[w].CompareAndSwap(0, uint32(k)+1) {
+						s.queue = append(s.queue, w)
 					}
 				}
-				met.AddEdges(edgeCount)
-			})
+				return len(nbrs)
+			}, bag.Insert)
 		}
 		live = parallel.Pack(live, func(i int) bool { return claimed[live[i]].Load() == 0 })
 	}
@@ -139,9 +124,10 @@ func peelScanners(a graph.Adjacency) (out, in *graph.Scanner) {
 	return graph.ScanOut(a), nil
 }
 
-// peelScratch returns one parallel chunk's buffers for peelList. It
-// inlines, so they live in the chunk's frame; the union buffer is made
-// only for directed input.
+// peelScratch returns buffers for peelList outside a local search (the
+// directed degree pass's chunks, DensestSubgraph): the peel's own come
+// from localSearch's scratch. It inlines, so they live in the caller's
+// frame; the union buffer is made only for directed input.
 func peelScratch(out, in *graph.Scanner) (obuf, ibuf, mbuf []uint32) {
 	if in == nil {
 		return out.Scratch(), nil, nil

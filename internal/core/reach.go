@@ -62,8 +62,8 @@ func Reachable(a graph.Adjacency, srcs []uint32, opt Options) ([]bool, *Metrics,
 //
 // A non-nil comp confines the search to subproblems: an arc u→w is
 // followed only if w is unsettled (comp[w] == None) and sub[w] == sub[u].
-// The filter is two slices the chunk reads behind a loop-invariant bool,
-// not a func: a closure called per arc does not inline into the chunk
+// The filter is two slices the visit reads behind a loop-invariant bool,
+// not a func: a closure called per arc does not inline into the visit
 // closure (DESIGN.md §2.9). It is asked only about an arc that would
 // lower w's label, so most arcs cost one load and one compare either way.
 //
@@ -73,62 +73,40 @@ func Reachable(a graph.Adjacency, srcs []uint32, opt Options) ([]bool, *Metrics,
 func propagate(sc *graph.Scanner, label []atomic.Uint32, bag *hashbag.Bag,
 	comp []uint32, sub []uint64, tau int, met *Metrics, cl *Canceler) error {
 	filtered := comp != nil
+	vgc := &localSearch{met: met, cl: cl}
 	for !bag.Empty() {
 		if err := cl.Poll(); err != nil {
 			return err
 		}
 		f := bag.Extract()
 		met.Round(len(f))
-		// Chunk closure directly in the loop, for the reason given in SSSP.
-		// FIFO local worklist: labels propagate breadth-first within a
-		// task, minimizing claim-then-reclaim churn between labels.
-		parallel.ForRangeCancel(cl.Token(), len(f), 1, func(lo, hi int) {
-			var qbuf [64]uint32
-			queue := qbuf[:0]
-			nbuf := sc.Scratch()
-			var edgeCount int64
-			for i := lo; i < hi; i++ {
-				queue = append(queue[:0], f[i])
-				budget := tau
-				for head := 0; head < len(queue); head++ {
-					u := queue[head]
-					lu := label[u].Load()
-					var su uint64
-					if filtered {
-						su = sub[u]
+		// The visit closure sits directly in the loop (DESIGN.md §2.9,
+		// trap 3). The FIFO worklist propagates labels breadth-first within
+		// a task, minimizing claim-then-reclaim churn between labels.
+		vgc.round(f, tau, nil, func(u uint32, s *scratch) int {
+			lu := label[u].Load()
+			var su uint64
+			if filtered {
+				su = sub[u]
+			}
+			nbrs := sc.Neighbors(u, s.nbuf)
+			for _, w := range nbrs {
+				for {
+					old := label[w].Load()
+					if lu <= old { // stored words: w's label is <= u's
+						break
 					}
-					nbrs := sc.Neighbors(u, nbuf)
-					for _, w := range nbrs {
-						edgeCount++
-						for {
-							old := label[w].Load()
-							if lu <= old { // stored words: w's label is <= u's
-								break
-							}
-							if filtered && (comp[w] != graph.None || sub[w] != su) {
-								break // settled or different subproblem
-							}
-							if label[w].CompareAndSwap(old, lu) {
-								if budget > 0 {
-									queue = append(queue, w)
-								} else {
-									bag.Insert(w)
-								}
-								break
-							}
-						}
+					if filtered && (comp[w] != graph.None || sub[w] != su) {
+						break // settled or different subproblem
 					}
-					budget -= len(nbrs)
-					if budget <= 0 && head+1 < len(queue) {
-						for _, w := range queue[head+1:] {
-							bag.Insert(w)
-						}
-						queue = queue[:head+1]
+					if label[w].CompareAndSwap(old, lu) {
+						s.queue = append(s.queue, w)
+						break
 					}
 				}
 			}
-			met.AddEdges(edgeCount)
-		})
+			return len(nbrs)
+		}, bag.Insert)
 	}
 	return cl.Poll()
 }

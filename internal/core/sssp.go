@@ -395,6 +395,7 @@ func stepping(algo string, a graph.Adjacency, src, dst uint32, policy StepPolicy
 	var bd boundary
 
 	sc := graph.ScanOut(a)
+	vgc := &localSearch{met: met, cl: cl}
 	for {
 		// Round/phase boundary: a canceled round drains chunks without
 		// scanning them, so the emptiness tests below would read as
@@ -425,7 +426,7 @@ func stepping(algo string, a graph.Adjacency, src, dst uint32, policy StepPolicy
 			continue
 		}
 		// Process the frontier — the only place the graph is scanned. The
-		// chunk closure sits directly in this loop, not in a helper
+		// visit closure sits directly in this loop, not in a helper
 		// closure: go1.24 inlines such a helper at its one call site and
 		// then compiles the closures nested in it without inlining, which
 		// turned every atomic Load/CAS below into a call (+22 % on the
@@ -435,73 +436,50 @@ func stepping(algo string, a graph.Adjacency, src, dst uint32, policy StepPolicy
 		// Multi-hop local expansion is only sound under a finite θ: it
 		// bounds how wrong an eagerly-expanded tentative distance can be.
 		// With θ = ∞ (Bellman–Ford policy) every improvement round-trips
-		// through the near bag instead.
+		// through the near bag instead: a zero budget spills everything
+		// the frontier vertex discovers.
 		localBudget := tau
 		if theta == InfWeight {
 			localBudget = 0
 		}
-		parallel.ForRangeCancel(cl.Token(), len(f), 1, func(lo, hi int) {
-			// FIFO local worklist: the local search relaxes in mini-BFS
-			// order, keeping tentative distances close to final (a LIFO
-			// order would chase depth-first chains of inflated distances).
-			var qbuf [64]uint32
-			queue := qbuf[:0]
-			nbuf, wbuf := sc.Scratch(), sc.Scratch()
-			var edgeCount int64
-			for i := lo; i < hi; i++ {
-				queue = append(queue[:0], f[i])
-				budget := localBudget
-				for head := 0; head < len(queue); head++ {
-					u := queue[head]
-					du := dist[u].Load()
-					b := bound.Load() // once per scanned vertex, not per arc
-					if du >= b || !claimScan(&scanned[u], du) {
+		vgc.round(f, localBudget, nil, func(u uint32, s *scratch) int {
+			du := dist[u].Load()
+			b := bound.Load() // once per scanned vertex, not per arc
+			if du >= b || !claimScan(&scanned[u], du) {
+				return 0
+			}
+			nbrs, wts := sc.Arcs(u, s.nbuf, s.wbuf)
+			for j, w := range nbrs {
+				nd := du + uint64(wts[j])
+				if nd >= b {
+					continue // cannot extend a better path to dst
+				}
+				for {
+					old := dist[w].Load()
+					if nd >= old {
+						break
+					}
+					if !dist[w].CompareAndSwap(old, nd) {
 						continue
 					}
-					nbrs, wts := sc.Arcs(u, nbuf, wbuf)
-					for j, w := range nbrs {
-						nd := du + uint64(wts[j])
-						if nd >= b {
-							continue // cannot extend a better path to dst
+					if nd > theta {
+						// First discovery only: old is InfWeight, or
+						// at/past the bound, under which a boundary
+						// may have dropped w. A smaller old > θ
+						// proves that discovery's entry is still in
+						// far ∪ carry: promoting or scanning w takes
+						// dist[w] <= some earlier θ, and θ only grows.
+						if old >= b {
+							far.Insert(w)
 						}
-						for {
-							old := dist[w].Load()
-							if nd >= old {
-								break
-							}
-							if !dist[w].CompareAndSwap(old, nd) {
-								continue
-							}
-							if nd > theta {
-								// First discovery only: old is InfWeight, or
-								// at/past the bound, under which a boundary
-								// may have dropped w. A smaller old > θ
-								// proves that discovery's entry is still in
-								// far ∪ carry: promoting or scanning w takes
-								// dist[w] <= some earlier θ, and θ only grows.
-								if old >= b {
-									far.Insert(w)
-								}
-							} else if budget > 0 {
-								queue = append(queue, w)
-							} else {
-								near.Insert(w)
-							}
-							break
-						}
+					} else {
+						s.queue = append(s.queue, w)
 					}
-					edgeCount += int64(len(nbrs))
-					budget -= len(nbrs)
-					if budget <= 0 && head+1 < len(queue) {
-						for _, w := range queue[head+1:] {
-							near.Insert(w)
-						}
-						queue = queue[:head+1]
-					}
+					break
 				}
 			}
-			met.AddEdges(edgeCount)
-		})
+			return len(nbrs)
+		}, near.Insert)
 		f = near.Extract()
 	}
 

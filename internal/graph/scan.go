@@ -19,8 +19,11 @@ import "slices"
 //
 // Because the plain case aliases Graph.Edges/Weights, callers must treat
 // the returned slices as read-only and must never append to them. Scratch
-// comes from Scratch(), once per parallel chunk, and is passed by value:
-// a list that outgrows it is decoded into fresh memory for that call only.
+// comes from Scratch(), once per parallel chunk, or — inside the VGC
+// local-search operator (core.localSearch), whose chunks hand it to a
+// func value — from that operator's per-participant buffers, made once
+// per run. Either way it is passed by value: a list that outgrows it is
+// decoded into fresh memory for that call only.
 //
 // Three properties the kernels' speed depends on (each measured on the
 // BFS/SSSP cells; see DESIGN.md §2.9):
@@ -35,11 +38,12 @@ import "slices"
 //     unpadded header — whether captured by value in a round closure or
 //     moved to the heap — shared a line with one of them and cost the
 //     plain-CSR kernels 3–13 %.
-//   - Scratch stays on the chunk's stack: the decode targets are concrete
-//     pointers, not an interface, and buffers travel by value, so escape
-//     analysis can see that a buffer only flows to the returned list. A
-//     heap buffer grown from nil per chunk (chunks can be one frontier
-//     vertex) cost SSSP on a .pz graph 19 %.
+//   - Scratch is not allocated per chunk. From Scratch() it stays on the
+//     chunk's stack: the decode targets are concrete pointers, not an
+//     interface, and buffers travel by value, so escape analysis can see
+//     that a buffer only flows to the returned list. A heap buffer grown
+//     from nil per chunk (chunks can be one frontier vertex) cost SSSP on
+//     a .pz graph 19 %.
 type Scanner struct {
 	flat  bool // plain CSR: lists are off/edges(/wts) sub-slices
 	off   []uint64

@@ -145,10 +145,12 @@ func concurrentLits(pkg *Package, file *ast.File) map[*ast.FuncLit]bool {
 
 // parallelLaunchFuncs are the internal/parallel entry points that execute
 // their function-literal arguments on other goroutines. The cancellable
-// variants run their bodies on exactly the same workers.
+// variants run their bodies on exactly the same workers. ForRangeTeam's
+// start runs on the caller, but is checked like its body: a start that
+// writes a captured variable is read by every chunk.
 var parallelLaunchFuncs = map[string]bool{
 	"For": true, "ForRange": true, "Do": true,
-	"ForCancel": true, "ForRangeCancel": true,
+	"ForCancel": true, "ForRangeCancel": true, "ForRangeTeam": true,
 }
 
 // isParallelLaunch reports whether call invokes one of the fork-join

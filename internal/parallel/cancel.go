@@ -73,7 +73,7 @@ func (c *Cancel) Cause() error {
 // a partially-executed loop makes no completeness promise. c == nil is
 // exactly ForRange.
 func ForRangeCancel(c *Cancel, n, grain int, body func(lo, hi int)) {
-	forRange(c, n, grain, body)
+	ForRangeTeam(c, n, grain, nil, func(_, lo, hi int) { body(lo, hi) })
 }
 
 // ForCancel is For with a cancellation token; see ForRangeCancel for the

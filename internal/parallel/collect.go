@@ -22,7 +22,7 @@ func Collect(c *Cancel, n, grain int, body func(lo, hi int, out []uint32) []uint
 	}
 	chunks := (n + grain - 1) / grain
 	lists := make([][]uint32, chunks)
-	forRange(c, n, grain, func(lo, hi int) {
+	ForRangeTeam(c, n, grain, nil, func(_, lo, hi int) {
 		lists[lo/grain] = body(lo, hi, nil)
 	})
 	if chunks == 1 {

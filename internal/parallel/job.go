@@ -28,7 +28,7 @@ const maxChunks = 1<<32 - 1
 // closes done. The launching call waits on done only when work it could not
 // claim back is still running on another worker.
 type job struct {
-	body    func(lo, hi int)
+	body    func(p, lo, hi int) // p: the running participant (runLoop's home)
 	grain   int
 	n       int
 	slots   []slot
@@ -174,7 +174,7 @@ func (j *job) runLoop(home int) bool {
 		// stealHalf above) is the entire per-chunk cancellation cost: one
 		// nil test plus, for cancellable loops, one atomic load.
 		if !j.panicked.Load() && !j.cancel.Canceled() {
-			j.exec(lo, hi)
+			j.exec(home, lo, hi)
 		}
 		if j.pending.Add(-1) == 0 {
 			close(j.done)
@@ -216,10 +216,11 @@ func (j *job) steal(home int, rng *uint64) (int, bool) {
 	return 0, false
 }
 
-// exec runs one chunk of the loop body, capturing the first panic.
-func (j *job) exec(lo, hi int) {
+// exec runs one chunk of the loop body on participant p, capturing the
+// first panic.
+func (j *job) exec(p, lo, hi int) {
 	defer j.recoverInto()
-	j.body(lo, hi)
+	j.body(p, lo, hi)
 }
 
 // exec1 runs a Do arm inline on the caller, capturing the first panic.

@@ -96,14 +96,19 @@ func SetTracer(t *trace.Tracer) *trace.Tracer {
 // dynamically by work stealing. Panics in the body are propagated to the
 // caller after all outstanding chunks finish.
 func ForRange(n, grain int, body func(lo, hi int)) {
-	forRange(nil, n, grain, body)
+	ForRangeTeam(nil, n, grain, nil, func(_, lo, hi int) { body(lo, hi) })
 }
 
-// forRange is the shared launch path behind ForRange and ForRangeCancel.
-// c may be nil (never cancels). Cancellation is polled per chunk claim in
-// runLoop; here it only short-circuits the inline path and the launch of a
-// loop whose token has already fired.
-func forRange(c *Cancel, n, grain int, body func(lo, hi int)) {
+// ForRangeTeam is the one launch path behind ForRange, ForRangeCancel and
+// Collect. Its body also learns p, the participant running the chunk:
+// start (when non-nil) is called on the caller with the team size k
+// before any chunk runs, every p is in [0, k), and no two chunks running
+// at once share a p (the caller is 0, each helper holds a ticket). State
+// kept per participant in a k-long table indexed by p needs no lock, and
+// k, unlike a Workers() read, cannot race with SetWorkers. Neither start
+// nor body runs when n <= 0 or c has fired; c may be nil (never cancels),
+// and runLoop polls it per chunk claim.
+func ForRangeTeam(c *Cancel, n, grain int, start func(k int), body func(p, lo, hi int)) {
 	if n <= 0 || c.Canceled() {
 		return
 	}
@@ -112,18 +117,18 @@ func forRange(c *Cancel, n, grain int, body func(lo, hi int)) {
 		grain = defaultGrain(n, p)
 	}
 	chunks := (n + grain - 1) / grain
-	if chunks <= 1 {
-		statInline.Add(1)
-		tracer.Load().LoopInline()
-		body(0, n)
-		return
-	}
 	if chunks > maxChunks {
 		panic("parallel: loop splits into more than 2^32-1 chunks; use a larger grain")
 	}
-	k := p
-	if k > chunks {
-		k = chunks
+	k := min(p, chunks)
+	if start != nil {
+		start(k)
+	}
+	if chunks <= 1 {
+		statInline.Add(1)
+		tracer.Load().LoopInline()
+		body(0, 0, n)
+		return
 	}
 	statLoops.Add(1)
 	statForks.Add(int64(k - 1))

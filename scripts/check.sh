@@ -43,6 +43,16 @@ if grep -rnE 'case \*graph\.(Compressed|Overlay)' internal/core internal/conn in
     exit 1
 fi
 
+echo '== one VGC local search'
+# core.localSearch (internal/core/vgc.go) owns the worklist, the budget, the
+# flush and the scratch of every VGC kernel; a fixed-size worklist or a
+# budget countdown anywhere else in internal/core is a hand-copied local
+# search loop again.
+if grep -nE '\[64\]uint32|budget -=' $(ls internal/core/*.go | grep -v '_test\.go$' | grep -v '^internal/core/vgc\.go$'); then
+    echo 'private local-search loop in internal/core: hand the round to localSearch.round' >&2
+    exit 1
+fi
+
 echo '== no weighted, plain or symmetrized copies in the daemon'
 # sssp/p2p weigh an unweighted graph at scan time (graph.UniformWeights),
 # and kcore peels a directed graph's symmetric closure in place; a
@@ -230,6 +240,10 @@ go test -race -run '^TestCoalescer' -count=1 ./internal/msbfs
 # writing past its own shows here.
 GOMAXPROCS=4 go test -race -run '^(TestTransposeDifferential|TestSymmetrizedDifferential)$' -count=1 ./internal/graph
 GOMAXPROCS=4 go test -race -run '^TestCompactMatchesFromEdges$' -count=1 ./internal/delta
+# The participant index under -race at four Ps: nested teams and forced
+# steals; a chunk's per-participant scratch is unshared only if no two
+# running chunks get one index.
+GOMAXPROCS=4 go test -race -run '^TestForRangeTeam' -count=1 ./internal/parallel
 # Cancellation conformance under -race: pre-canceled contexts, expired
 # deadlines, and mid-run cancels across every entry point — the
 # fire/drain hand-off is exactly the kind of publication race -race sees

@@ -226,11 +226,12 @@ func BenchmarkAblationTau(b *testing.B) {
 	}
 }
 
-// BenchmarkHashBag contrasts hash-bag frontiers with flat dense frontiers.
+// BenchmarkHashBag contrasts BFS's frontier lists with flat dense
+// frontiers (Options.DisableHashBag; the names predate the lists).
 func BenchmarkHashBag(b *testing.B) {
 	g := benchGraph("REC")
 	src := gen.PickSource(g)
-	b.Run("hashbag", func(b *testing.B) {
+	b.Run("lists", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			core.BFS(g, src, core.Options{})
 		}

@@ -393,6 +393,11 @@ func TestCLIServeEndToEnd(t *testing.T) {
 		bootLog.WriteString(line + "\n")
 		if _, rest, ok := strings.Cut(line, "listening on "); ok {
 			addr = strings.Fields(rest)[0]
+			// Without -max-concurrent the server admits one computation
+			// at a time, and the line must say so.
+			if !strings.Contains(rest, "admission 1 ") {
+				t.Errorf("default listening line %q does not state admission 1", line)
+			}
 			break
 		}
 	}

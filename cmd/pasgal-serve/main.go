@@ -192,9 +192,11 @@ func main() {
 	fmt.Println("pasgal-serve: bye")
 }
 
+// admDesc names the admission bound the server enforces: -max-concurrent
+// when set, else one computation at a time (serve.New's default).
 func admDesc(maxConc int) string {
 	if maxConc > 0 {
 		return fmt.Sprintf("%d", maxConc)
 	}
-	return fmt.Sprintf("%d (worker-bound)", pasgal.Workers())
+	return "1 (one at a time)"
 }

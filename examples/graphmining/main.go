@@ -1,7 +1,7 @@
 // Graph mining with the peeling extensions: k-core decomposition, densest
 // subgraph, and bridge detection on a social network — the "k-core and
 // other peeling algorithms" extension the paper's conclusion proposes,
-// built on the same VGC + hash-bag machinery as the core algorithms.
+// built on the same VGC local search as the core algorithms.
 //
 //	go run ./examples/graphmining
 package main

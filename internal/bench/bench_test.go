@@ -46,7 +46,7 @@ func TestExperimentsSmoke(t *testing.T) {
 	for _, want := range []string{
 		"Table 1", "BFS running times", "SCC running times",
 		"BCC running times", "SSSP running times", "geomean",
-		"undirected graph (SCC n/a)", "hash bag",
+		"undirected graph (SCC n/a)", "frontier lists vs flat",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("experiment output missing %q\n%s", want, out)

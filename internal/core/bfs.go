@@ -6,23 +6,22 @@ import (
 	"sync/atomic"
 
 	"pasgal/internal/graph"
-	"pasgal/internal/hashbag"
 	"pasgal/internal/parallel"
-	"pasgal/internal/trace"
 )
 
 // BFS computes hop distances from src with PASGAL's VGC BFS.
 //
-// The algorithm is a label-correcting BFS over distance-indexed frontier
-// bags (the paper's "multiple frontiers" device, §2.2): bag d holds
-// vertices whose tentative distance is d. One round extracts the bag at the
-// current distance and each extracted vertex runs a VGC local search,
-// relaxing edges with an atomic write-min; improvements within the τ budget
-// are expanded immediately in-task (possibly many hops deep), and the rest
-// are inserted into the bag matching their new tentative distance. Because
-// a local search advances at most τ hops past the current distance, τ+2
-// bags indexed modulo suffice. When the frontier is dense, a Beamer-style
-// bottom-up round scans improvable vertices' in-neighbors instead.
+// The algorithm is a label-correcting BFS over distance-indexed frontiers
+// (the paper's "multiple frontiers" device, §2.2): frontier d holds
+// vertices whose tentative distance is d. One round extracts the frontier
+// at the current distance and each extracted vertex runs a VGC local
+// search, relaxing edges with an atomic write-min; improvements within the
+// τ budget are expanded immediately in-task (possibly many hops deep), and
+// the rest are filed, by the task whose CAS won them, in its own list for
+// their new tentative distance (frontierSet). A ring of 2τ+4 distance
+// slots indexed modulo suffices (see nSlots). When the frontier is dense, a
+// Beamer-style bottom-up round scans improvable vertices' in-neighbors
+// instead.
 //
 // Unlike textbook BFS a vertex can be visited more than once (a local
 // search may install a distance that a later relaxation improves) — that is
@@ -53,13 +52,13 @@ func BFS(a graph.Adjacency, src uint32, opt Options) ([]uint32, *Metrics, error)
 	// Ring capacity: a local search from the window's deepest extracted
 	// distance (cur + window - 1, window <= tau) can advance tau+1 more
 	// hops, so 2*tau + 4 distance buckets always suffice.
-	nBags := 2*tau + 4
-	fr := newFrontierSet(n, nBags, opt.DisableHashBag, opt.Tracer)
+	nSlots := 2*tau + 4
+	vgc := &localSearch{slots: nSlots, met: met, cl: cl}
+	fr := newFrontierSet(n, nSlots, opt.DisableHashBag, vgc)
 	denseCut := opt.denseCut(n)
 	out := graph.ScanOut(a)
 	// Bound once, never reassigned: the pull closure captures it by value.
 	in := pullScanner(a, denseCut)
-	vgc := &localSearch{met: met, cl: cl}
 
 	// The adaptive distance window realizes the paper's "multiple
 	// frontiers" device: when frontiers are small (the large-diameter
@@ -76,7 +75,8 @@ func BFS(a graph.Adjacency, src uint32, opt Options) ([]uint32, *Metrics, error)
 	const windowGrowCut = 2048
 
 	dist[src].Store(0)
-	fr.insert(0, src)
+	vgc.grow(1)
+	fr.insert(vgc.team[0], 0, src)
 	cur := 0
 	for {
 		// Round boundary: a canceled round may have drained chunks without
@@ -86,17 +86,17 @@ func BFS(a graph.Adjacency, src uint32, opt Options) ([]uint32, *Metrics, error)
 			return nil, met, err
 		}
 		// Advance to the first non-empty bucket. Whenever bucket cur is
-		// empty every pending distance lies in [cur+1, cur+nBags), so one
-		// lap of nBags empty buckets proves no work is left: termination
+		// empty every pending distance lies in [cur+1, cur+nSlots), so one
+		// lap of nSlots empty buckets proves no work is left: termination
 		// needs no count of pending entries.
 		lap := 0
-		for ; lap < nBags && fr.empty(cur); lap++ {
+		for ; lap < nSlots && fr.empty(cur); lap++ {
 			cur++
 		}
-		if lap == nBags {
+		if lap == nSlots {
 			break
 		}
-		f, bucketOf := fr.gather(cur, window, nBags-tau-1)
+		f, bucketOf := fr.gather(cur, window, nSlots-tau-1)
 		met.Round(len(f))
 		if int64(len(f)) < windowGrowCut && window < maxWindow {
 			window = min(2*window, maxWindow)
@@ -123,21 +123,17 @@ func BFS(a graph.Adjacency, src uint32, opt Options) ([]uint32, *Metrics, error)
 			// on extraction. Cap the advance at the ring's edge; a vertex
 			// past the cap is re-relaxed when its capped in-neighbor's
 			// bucket is processed, so nothing is lost.
-			maxIns := uint32(cur + nBags - 1)
-			// v is the sole writer of dist[v] this round, so the vertices
-			// set to target need no concurrent set: each chunk lists its
-			// own, and bucket target receives the whole list. Only chained
-			// values, spread over many buckets, go through insert.
-			atTarget := parallel.Collect(cl.Token(), n, 0, func(lo, hi int, next []uint32) []uint32 {
+			maxIns := uint32(cur + nSlots - 1)
+			// v is the sole writer of dist[v] this round (frontierSet.file).
+			vgc.each(n, 0, func(s *scratch, lo, hi int) {
 				var local int64
-				nbuf := in.Scratch()
 				for vi := lo; vi < hi; vi++ {
 					v := uint32(vi)
 					best := dist[v].Load()
 					if best <= target {
 						continue
 					}
-					for _, u := range in.Neighbors(v, nbuf) {
+					for _, u := range in.Neighbors(v, s.nbuf) {
 						local++
 						if du := dist[u].Load(); du != graph.InfDist && du+1 < best {
 							best = du + 1
@@ -148,23 +144,17 @@ func BFS(a graph.Adjacency, src uint32, opt Options) ([]uint32, *Metrics, error)
 					}
 					if best < dist[v].Load() && best <= maxIns {
 						dist[v].Store(best) // sole writer of v this round
-						if best == target {
-							next = append(next, v)
-						} else {
-							fr.insert(int(best), v)
-						}
+						fr.file(s, int(best), v)
 					}
 				}
-				met.AddEdges(local)
-				return next
+				s.edges += local
 			})
-			fr.hand(int(target), atTarget)
 			continue
 		}
 
 		// Top-down with VGC local searches (localSearch.round); a stale
 		// entry was improved and handled elsewhere.
-		vgc.round(f, tau, func(i int) bool { return dist[f[i]].Load() == uint32(bucketOf[i]) },
+		vgc.round(f, tau, func(i int) bool { return dist[f[i]].Load() == bucketOf[i] },
 			func(u uint32, s *scratch) int {
 				nd := dist[u].Load() + 1
 				nbrs := out.Neighbors(u, s.nbuf)
@@ -182,7 +172,11 @@ func BFS(a graph.Adjacency, src uint32, opt Options) ([]uint32, *Metrics, error)
 				}
 				return len(nbrs)
 			},
-			func(w uint32) { fr.insert(int(dist[w].Load()), w) })
+			func(tail []uint32, s *scratch) {
+				for _, w := range tail {
+					fr.insert(s, int(dist[w].Load()), w)
+				}
+			})
 	}
 	// Final check before materializing: a cancellation during the last
 	// round can leave the ring empty without completing the work, so only a
@@ -206,42 +200,37 @@ func pullScanner(a graph.Adjacency, denseCut int64) *graph.Scanner {
 	return graph.ScanIn(a)
 }
 
-// frontierSet is the rotating set of distance-indexed frontiers: hash bags
-// by default, or flat dense bitmaps for the ablation. Either way a slot
-// also holds the list a bottom-up round handed it whole (hand), which
-// empty and extract count in with the slot's concurrent inserts.
+// frontierSet is the rotating set of distance-indexed frontiers: slot
+// d % k of every participant's lists holds frontier d, plus, in the flat
+// ablation, slot d's dense bitmap, where top-down spills go instead.
 type frontierSet struct {
 	k        int // ring size: distance d lives in slot d % k
-	bags     []*hashbag.Bag
+	ls       *localSearch
 	flat     [][]atomic.Uint32 // dense variant: bit flags per vertex
 	nonEmpty []atomic.Bool     // dense variant: set by the first insert after a drain
-	handed   [][]uint32        // per slot: lists handed over between rounds
+	f        []uint32          // gather's result, reused every round
+	bucketOf []uint32          // index for index, the distance of f's entry
 }
 
-func newFrontierSet(n, k int, flat bool, tr *trace.Tracer) *frontierSet {
-	fs := &frontierSet{k: k, handed: make([][]uint32, k)}
+func newFrontierSet(n, k int, flat bool, ls *localSearch) *frontierSet {
+	fs := &frontierSet{k: k, ls: ls}
 	if flat {
 		fs.flat = make([][]atomic.Uint32, k)
 		fs.nonEmpty = make([]atomic.Bool, k)
 		for i := range fs.flat {
 			fs.flat[i] = make([]atomic.Uint32, (n+31)/32)
 		}
-		return fs
-	}
-	fs.bags = make([]*hashbag.Bag, k)
-	for i := range fs.bags {
-		fs.bags[i] = hashbag.New(64)
-		fs.bags[i].SetTracer(tr)
 	}
 	return fs
 }
 
-func (fs *frontierSet) insert(d int, v uint32) {
-	i := d % fs.k
-	if fs.bags != nil {
-		fs.bags[i].Insert(v)
+// insert is a top-down spill of v, discovered by s, to frontier d.
+func (fs *frontierSet) insert(s *scratch, d int, v uint32) {
+	if fs.flat == nil {
+		fs.file(s, d, v)
 		return
 	}
+	i := d % fs.k
 	word, bit := v/32, uint32(1)<<(v%32)
 	for {
 		old := fs.flat[i][word].Load()
@@ -258,72 +247,57 @@ func (fs *frontierSet) insert(d int, v uint32) {
 	}
 }
 
-// hand adds list, whole, to frontier d. Unlike insert it must not race
-// with the slot's other methods: a round calls it after its join.
-func (fs *frontierSet) hand(d int, list []uint32) {
+// file adds v to frontier d in s's own list, in either mode: a bottom-up
+// round's insert, which has one writer per vertex and no repeats.
+func (fs *frontierSet) file(s *scratch, d int, v uint32) {
 	i := d % fs.k
-	if fs.handed[i] == nil {
-		fs.handed[i] = list
-	} else {
-		fs.handed[i] = append(fs.handed[i], list...)
-	}
+	s.out[i] = append(s.out[i], v)
 }
 
 func (fs *frontierSet) empty(d int) bool {
 	i := d % fs.k
-	if len(fs.handed[i]) > 0 {
-		return false
-	}
-	if fs.bags != nil {
-		return fs.bags[i].Empty()
-	}
-	return !fs.nonEmpty[i].Load()
+	return fs.ls.empty(i) && (fs.flat == nil || !fs.nonEmpty[i].Load())
 }
 
 // gather drains up to grab non-empty buckets among distances [cur,
-// cur+window), returning their entries and, index for index, each's distance.
-func (fs *frontierSet) gather(cur, window, grab int) (f []uint32, bucketOf []int) {
+// cur+window), returning their entries and, index for index, each's
+// distance. Both slices are reused by the next call.
+func (fs *frontierSet) gather(cur, window, grab int) (f, bucketOf []uint32) {
+	f, bucketOf = fs.f[:0], fs.bucketOf[:0]
 	for d := cur; d < cur+window && grab > 0; d++ {
 		if fs.empty(d) {
 			continue
 		}
-		part := fs.extract(d)
-		f = append(f, part...)
-		for range part {
-			bucketOf = append(bucketOf, d)
+		at := len(f)
+		f = fs.extract(f, d)
+		for range f[at:] {
+			bucketOf = append(bucketOf, uint32(d))
 		}
 		grab--
 	}
+	fs.f, fs.bucketOf = f, bucketOf
 	return f, bucketOf
 }
 
-// extract drains frontier d: its handed list, then its concurrent inserts.
-// The dense variant pays an O(n/32) scan — the cost the hash bag exists to
-// avoid.
-func (fs *frontierSet) extract(d int) []uint32 {
+// extract drains frontier d onto dst: the lists, then the flat
+// ablation's bitmap, an O(n/32) scan — the cost the lists avoid.
+func (fs *frontierSet) extract(dst []uint32, d int) []uint32 {
 	i := d % fs.k
-	var ins []uint32
-	if fs.bags != nil {
-		ins = fs.bags[i].Extract()
-	} else {
-		fs.nonEmpty[i].Store(false)
-		words := fs.flat[i]
-		ins = parallel.Collect(nil, len(words), 1024, func(lo, hi int, l []uint32) []uint32 {
-			for w := lo; w < hi; w++ {
-				bv := words[w].Swap(0)
-				for bv != 0 {
-					tz := bits.TrailingZeros32(bv)
-					l = append(l, uint32(w*32+tz))
-					bv &= bv - 1
-				}
+	dst = fs.ls.take(dst, i)
+	if fs.flat == nil {
+		return dst
+	}
+	fs.nonEmpty[i].Store(false)
+	words := fs.flat[i]
+	return append(dst, parallel.Collect(nil, len(words), 1024, func(lo, hi int, l []uint32) []uint32 {
+		for w := lo; w < hi; w++ {
+			bv := words[w].Swap(0)
+			for bv != 0 {
+				tz := bits.TrailingZeros32(bv)
+				l = append(l, uint32(w*32+tz))
+				bv &= bv - 1
 			}
-			return l
-		})
-	}
-	out := fs.handed[i]
-	fs.handed[i] = nil
-	if out == nil {
-		return ins
-	}
-	return append(out, ins...)
+		}
+		return l
+	})...)
 }

@@ -1,8 +1,8 @@
-// Package core implements PASGAL's algorithms: BFS, SCC, and SSSP built on
-// vertical granularity control (VGC) with hash-bag frontiers, and the
-// FAST-BCC biconnectivity algorithm. These are the paper's contribution;
-// the competing systems live in internal/baseline and the sequential
-// references in internal/seq.
+// Package core implements PASGAL's algorithms: BFS, SCC, and SSSP built
+// on vertical granularity control (VGC) with single-owner frontier lists,
+// and the FAST-BCC biconnectivity algorithm. These are the paper's
+// contribution; the competing systems live in internal/baseline and the
+// sequential references in internal/seq.
 //
 // # Vertical granularity control
 //
@@ -59,10 +59,11 @@ type Options struct {
 	// ablation benchmarks use as the "no VGC" configuration.
 	Tau int
 
-	// DisableHashBag replaces BFS's (and BFSTree's) hash-bag frontiers with
-	// flat dense frontier arrays (a full n-sized scan per round) — the
-	// ablation the hash bag is measured against. Only BFS reads it: SSSP,
-	// point-to-point, reachability, SCC and k-core always use hash bags.
+	// DisableHashBag makes BFS's (and BFSTree's) top-down spills set bits
+	// in flat dense frontier arrays (a full n-sized scan per extraction)
+	// instead of appending to the spiller's own list — the ablation the
+	// lists are measured against (no kernel uses a hash bag; the name
+	// predates the lists). Only BFS reads it.
 	DisableHashBag bool
 
 	// DisableDirectionOpt turns off the Beamer-style bottom-up switch in
@@ -78,8 +79,8 @@ type Options struct {
 	RecordFrontiers bool
 
 	// Tracer, when non-nil, receives structured per-round events (frontier
-	// extractions, direction switches, phases, hash-bag resizes) from the
-	// run. nil disables tracing at the cost of one pointer test per round.
+	// extractions, direction switches, phases) from the run. nil disables
+	// tracing at the cost of one pointer test per round.
 	Tracer *trace.Tracer
 
 	// TraceScheduler, when set together with Tracer, additionally mirrors

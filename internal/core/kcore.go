@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"pasgal/internal/graph"
-	"pasgal/internal/hashbag"
 	"pasgal/internal/parallel"
 )
 
@@ -38,7 +37,7 @@ func KCore(a graph.Adjacency, opt Options) ([]uint32, int, *Metrics, error) {
 	}
 	tau := opt.tau()
 	out, in := peelScanners(a)
-	vgc := &localSearch{met: met, cl: cl}
+	vgc := &localSearch{slots: 1, met: met, cl: cl}
 
 	deg := make([]atomic.Int64, n)
 	claimed := make([]atomic.Uint32, n) // coreness+1 when claimed, 0 live
@@ -58,8 +57,6 @@ func KCore(a graph.Adjacency, opt Options) ([]uint32, int, *Metrics, error) {
 		})
 	}
 
-	bag := hashbag.New(1024)
-	bag.SetTracer(opt.Tracer)
 	live := parallel.PackIndex(n, func(int) bool { return true })
 
 	for k := int64(0); len(live) > 0; k++ {
@@ -71,17 +68,18 @@ func KCore(a graph.Adjacency, opt Options) ([]uint32, int, *Metrics, error) {
 		met.AddPhase()
 		// Seed this level: all live vertices whose degree has fallen to
 		// <= k. The claim CAS makes seeding race-free against peeling.
-		parallel.For(len(live), 0, func(i int) {
-			v := live[i]
-			if deg[v].Load() <= k && claimed[v].CompareAndSwap(0, uint32(k)+1) {
-				bag.Insert(v)
+		f := parallel.Collect(nil, len(live), 0, func(lo, hi int, next []uint32) []uint32 {
+			for _, v := range live[lo:hi] {
+				if deg[v].Load() <= k && claimed[v].CompareAndSwap(0, uint32(k)+1) {
+					next = append(next, v)
+				}
 			}
+			return next
 		})
-		for !bag.Empty() {
+		for len(f) > 0 {
 			if err := cl.Poll(); err != nil {
 				return nil, 0, met, err
 			}
-			f := bag.Extract()
 			met.Round(len(f))
 			vgc.round(f, tau, nil, func(u uint32, s *scratch) int {
 				var nbrs []uint32
@@ -97,7 +95,8 @@ func KCore(a graph.Adjacency, opt Options) ([]uint32, int, *Metrics, error) {
 					}
 				}
 				return len(nbrs)
-			}, bag.Insert)
+			}, spillNext)
+			f = vgc.next(0)
 		}
 		live = parallel.Pack(live, func(i int) bool { return claimed[live[i]].Load() == 0 })
 	}

@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"pasgal/internal/graph"
-	"pasgal/internal/hashbag"
 	"pasgal/internal/parallel"
 )
 
@@ -32,15 +31,15 @@ func Reachable(a graph.Adjacency, srcs []uint32, opt Options) ([]bool, *Metrics,
 		}
 	}
 	label := make([]atomic.Uint32, n) // zero: unreached, see propagate
-	bag := hashbag.New(max(64, 2*len(srcs)))
-	bag.SetTracer(opt.Tracer)
+	var f []uint32
 	for _, s := range srcs {
 		// Label 0, stored complemented; a duplicate source is scanned once.
 		if label[s].Swap(^uint32(0)) == 0 {
-			bag.Insert(s)
+			f = append(f, s)
 		}
 	}
-	if err := propagate(graph.ScanOut(a), label, bag, nil, nil, opt.tau(), met, cl); err != nil {
+	vgc := &localSearch{slots: 1, met: met, cl: cl}
+	if err := propagate(vgc, graph.ScanOut(a), label, f, nil, nil, opt.tau()); err != nil {
 		return nil, met, err
 	}
 	out := make([]bool, n)
@@ -49,12 +48,12 @@ func Reachable(a graph.Adjacency, srcs []uint32, opt Options) ([]bool, *Metrics,
 }
 
 // propagate is the VGC reachability search behind Reachable and both
-// directions of SCC: it drains bag round by round, and from every
-// extracted vertex runs a local search of up to tau arcs along sc that
-// write-mins the vertex's label into its neighbors, queueing each
-// neighbor whose label dropped (locally while the budget lasts, into bag
-// after). The caller seeds the source labels and bag. On return bag is
-// empty and can be reseeded.
+// directions of SCC: from the caller's seeds f, whose labels it has set,
+// it runs round after round, and from every frontier vertex a local
+// search of up to tau arcs along sc that write-mins the vertex's label
+// into its neighbors, queueing each neighbor whose label dropped (locally
+// while the budget lasts, into vgc's next frontier after). f is only
+// read. On return vgc's lists are empty and it can run the next search.
 //
 // label[v] stores ^l for label l, and 0 means unreached: a write-min on l
 // is a write-max on the stored word, and a freshly made array needs no
@@ -68,18 +67,16 @@ func Reachable(a graph.Adjacency, srcs []uint32, opt Options) ([]bool, *Metrics,
 // lower w's label, so most arcs cost one load and one compare either way.
 //
 // The error is the run's cancellation, polled before every round and once
-// after the last: a canceled round skips inserts, so the bag can drain
-// with labels incomplete, and the callers read labels right after.
-func propagate(sc *graph.Scanner, label []atomic.Uint32, bag *hashbag.Bag,
-	comp []uint32, sub []uint64, tau int, met *Metrics, cl *Canceler) error {
+// after the last: a canceled round skips spills, so the frontier can
+// drain with labels incomplete, and the callers read labels right after.
+func propagate(vgc *localSearch, sc *graph.Scanner, label []atomic.Uint32, f []uint32,
+	comp []uint32, sub []uint64, tau int) error {
 	filtered := comp != nil
-	vgc := &localSearch{met: met, cl: cl}
-	for !bag.Empty() {
-		if err := cl.Poll(); err != nil {
+	for len(f) > 0 {
+		if err := vgc.cl.Poll(); err != nil {
 			return err
 		}
-		f := bag.Extract()
-		met.Round(len(f))
+		vgc.met.Round(len(f))
 		// The visit closure sits directly in the loop (DESIGN.md §2.9,
 		// trap 3). The FIFO worklist propagates labels breadth-first within
 		// a task, minimizing claim-then-reclaim churn between labels.
@@ -106,7 +103,8 @@ func propagate(sc *graph.Scanner, label []atomic.Uint32, bag *hashbag.Bag,
 				}
 			}
 			return len(nbrs)
-		}, bag.Insert)
+		}, spillNext)
+		f = vgc.next(0)
 	}
-	return cl.Poll()
+	return vgc.cl.Poll()
 }

@@ -8,7 +8,6 @@ import (
 	"pasgal/internal/euler"
 	"pasgal/internal/gen"
 	"pasgal/internal/graph"
-	"pasgal/internal/hashbag"
 	"pasgal/internal/seq"
 )
 
@@ -81,19 +80,20 @@ func TestPropagateFilterAndWriteMin(t *testing.T) {
 				sub[v] = uint64(v / half)
 			}
 			comp[settled] = settled
-			bag := hashbag.New(0)
+			var seeds []uint32
 			// Label 1 starts behind label 0 and overtakes nothing; label 2
 			// owns the other half up to the settled vertex.
 			for l, s := range map[uint32]uint32{0: 30, 1: 10, 2: 120} {
 				label[s].Store(^l)
-				bag.Insert(s)
+				seeds = append(seeds, s)
 			}
 			met := NewMetrics(Options{}, "test")
-			if err := propagate(graph.ScanOut(a), label, bag, comp, sub, tau, met, nil); err != nil {
+			vgc := &localSearch{slots: 1, met: met}
+			if err := propagate(vgc, graph.ScanOut(a), label, seeds, comp, sub, tau); err != nil {
 				t.Fatal(err)
 			}
-			if !bag.Empty() || met.Rounds == 0 {
-				t.Fatalf("%s tau=%d: bag empty = %v after %d rounds", name, tau, bag.Empty(), met.Rounds)
+			if !vgc.empty(0) || met.Rounds == 0 {
+				t.Fatalf("%s tau=%d: lists empty = %v after %d rounds", name, tau, vgc.empty(0), met.Rounds)
 			}
 			for v := 0; v < n; v++ {
 				want := uint32(0) // unreached

@@ -4,13 +4,12 @@ import (
 	"sync/atomic"
 
 	"pasgal/internal/graph"
-	"pasgal/internal/hashbag"
 	"pasgal/internal/parallel"
 )
 
 // SCC computes strongly connected components with PASGAL's VGC SCC
 // algorithm (Wang et al.): rounds of multi-pivot forward/backward
-// reachability over hash-bag frontiers with VGC local searches.
+// reachability with VGC local searches (propagate).
 //
 // Each round takes a doubling batch of pivots among live vertices — the k
 // with the smallest per-round hash, see pickPivots — and propagates,
@@ -53,8 +52,7 @@ func SCC(a graph.Adjacency, opt Options) ([]uint32, int, *Metrics, error) {
 	// vertex is unreached, and only the survivors of a round are cleared.
 	fwd := make([]atomic.Uint32, n)
 	bwd := make([]atomic.Uint32, n)
-	bag := hashbag.New(0) // one frontier for every search of the run
-	bag.SetTracer(opt.Tracer)
+	vgc := &localSearch{slots: 1, met: met, cl: cl} // one operator for every search of the run
 
 	// The unsettled vertices, in ascending id order for the whole run.
 	live := parallel.PackIndex(n, func(int) bool { return true })
@@ -107,9 +105,8 @@ func SCC(a graph.Adjacency, opt Options) ([]uint32, int, *Metrics, error) {
 		}{{out, fwd}, {in, bwd}} {
 			for i, p := range pivots { // a pivot's own label is its pivot index
 				d.label[p].Store(^uint32(i))
-				bag.Insert(p)
 			}
-			if err := propagate(d.sc, d.label, bag, comp, sub, opt.tau(), met, cl); err != nil {
+			if err := propagate(vgc, d.sc, d.label, pivots, comp, sub, opt.tau()); err != nil {
 				return nil, 0, met, err
 			}
 		}

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"pasgal/internal/graph"
-	"pasgal/internal/hashbag"
 	"pasgal/internal/parallel"
 )
 
@@ -332,7 +331,7 @@ func claimScan(stamp *atomic.Uint64, du uint64) bool {
 // graph.None) and PointToPoint: a frontier of vertices at or under the
 // threshold θ processed round by round with VGC local searches (a
 // relaxation that lands at or under θ keeps expanding in-task instead of
-// round-tripping through the near bag), and a far set of everything else
+// round-tripping through the next frontier), and a far set of everything else
 // from which each phase boundary picks the next θ. It returns the
 // tentative distances, final for every vertex closer than dst (for all of
 // them when dst is graph.None).
@@ -340,19 +339,19 @@ func claimScan(stamp *atomic.Uint64, du uint64) bool {
 // Every unit of work is done once:
 //
 //   - scanned[u] is the smallest distance at which a scan of u has started
-//     (claimScan). The bags are multisets, so u can be extracted twice at
+//     (claimScan). Frontiers are multisets, so u can be extracted twice at
 //     one distance; distances only decrease, so "already stamped at du"
 //     means every out-arc of u was or is being relaxed with du, and the
 //     second extraction skips the arc list. dist[v] < scanned[v] is
 //     exactly "v still needs a scan".
-//   - The far set is the carry list plus the far bag's fresh discoveries.
+//   - The far set is the carry list plus the phase's fresh discoveries.
 //     A phase boundary reads each entry's distance once (liveFar), keeps
 //     the live ones (still need a scan, and closer than dst) as (v, d)
 //     pairs, samples θ from those alone, and splits them by θ into the next
-//     round's frontier and the next carry (split). Nothing is re-hashed
-//     into a bag.
-//   - A relaxation that lands past θ inserts into the far bag only when it
-//     is the search's first discovery of the vertex (see the insert site).
+//     round's frontier and the next carry (split).
+//   - A relaxation that lands past θ files the vertex as a far discovery
+//     only when it is the search's first discovery of it (see the insert
+//     site), in the discovering participant's far list.
 func stepping(algo string, a graph.Adjacency, src, dst uint32, policy StepPolicy, opt Options) ([]atomic.Uint64, *Metrics, error) {
 	if policy == nil {
 		policy = RhoStepping{}
@@ -383,10 +382,6 @@ func stepping(algo string, a graph.Adjacency, src, dst uint32, policy StepPolicy
 	})
 	tau := opt.tau()
 
-	near := hashbag.New(1024)
-	far := hashbag.New(1024)
-	near.SetTracer(opt.Tracer)
-	far.SetTracer(opt.Tracer)
 	dist[src].Store(0)
 	f := []uint32{src} // this round's frontier: every entry has dist <= theta
 	var carry []uint32 // far entries kept across phases
@@ -395,7 +390,8 @@ func stepping(algo string, a graph.Adjacency, src, dst uint32, policy StepPolicy
 	var bd boundary
 
 	sc := graph.ScanOut(a)
-	vgc := &localSearch{met: met, cl: cl}
+	const nearSlot, farSlot = 0, 1 // spillNext fills nearSlot
+	vgc := &localSearch{slots: 2, met: met, cl: cl}
 	for {
 		// Round/phase boundary: a canceled round drains chunks without
 		// scanning them, so the emptiness tests below would read as
@@ -406,13 +402,14 @@ func stepping(algo string, a graph.Adjacency, src, dst uint32, policy StepPolicy
 		if len(f) == 0 {
 			// New phase. Everything at or under the old θ has been scanned
 			// at its current distance, so every live entry lies past it.
-			fresh := far.Extract()
-			carry = append(carry, fresh...)
+			kept := len(carry)
+			carry = vgc.take(carry, farSlot)
+			fresh := len(carry) - kept
 			live, top := bd.liveFar(carry, dist, scanned, bound.Load())
 			if len(live) == 0 {
 				break
 			}
-			met.addPhase(int64(len(fresh)))
+			met.addPhase(int64(fresh))
 			lv := sampleLive(live)
 			theta = policy.Threshold(lv, last)
 			if theta < lv.Min() {
@@ -436,7 +433,7 @@ func stepping(algo string, a graph.Adjacency, src, dst uint32, policy StepPolicy
 		// Multi-hop local expansion is only sound under a finite θ: it
 		// bounds how wrong an eagerly-expanded tentative distance can be.
 		// With θ = ∞ (Bellman–Ford policy) every improvement round-trips
-		// through the near bag instead: a zero budget spills everything
+		// through the next frontier instead: a zero budget spills everything
 		// the frontier vertex discovers.
 		localBudget := tau
 		if theta == InfWeight {
@@ -470,7 +467,7 @@ func stepping(algo string, a graph.Adjacency, src, dst uint32, policy StepPolicy
 						// far ∪ carry: promoting or scanning w takes
 						// dist[w] <= some earlier θ, and θ only grows.
 						if old >= b {
-							far.Insert(w)
+							s.out[farSlot] = append(s.out[farSlot], w)
 						}
 					} else {
 						s.queue = append(s.queue, w)
@@ -479,8 +476,8 @@ func stepping(algo string, a graph.Adjacency, src, dst uint32, policy StepPolicy
 				}
 			}
 			return len(nbrs)
-		}, near.Insert)
-		f = near.Extract()
+		}, spillNext)
+		f = vgc.next(nearSlot)
 	}
 
 	// Final check before handing the distances out: only a clean Poll lets

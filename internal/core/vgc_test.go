@@ -11,8 +11,9 @@ import (
 )
 
 // probe runs one localSearch round whose visit claims every undiscovered
-// out-neighbor, and records what was visited, what was spilled, and the
-// arcs visit reported.
+// out-neighbor, and records what was visited, what was spilled (the next
+// frontier, joined from the participants' lists), and the arcs visit
+// reported.
 type probe struct {
 	claimed, visited, spilled []atomic.Int32
 	returned                  atomic.Int64
@@ -31,7 +32,7 @@ func runProbe(a graph.Adjacency, roots []uint32, budget int) *probe {
 		pr.claimed[r].Store(1)
 	}
 	sc := graph.ScanOut(a)
-	ls := &localSearch{met: pr.met}
+	ls := &localSearch{slots: 1, met: pr.met}
 	ls.round(roots, budget, nil, func(u uint32, s *scratch) int {
 		pr.visited[u].Add(1)
 		nbrs := sc.Neighbors(u, s.nbuf)
@@ -42,7 +43,10 @@ func runProbe(a graph.Adjacency, roots []uint32, budget int) *probe {
 		}
 		pr.returned.Add(int64(len(nbrs)))
 		return len(nbrs)
-	}, func(w uint32) { pr.spilled[w].Add(1) })
+	}, spillNext)
+	for _, w := range ls.next(0) {
+		pr.spilled[w].Add(1)
+	}
 	return pr
 }
 
@@ -181,7 +185,7 @@ func TestLocalSearchRoundAllocs(t *testing.T) {
 	n := a.NumVertices()
 	claimed := make([]atomic.Int32, n)
 	var spilled atomic.Int64
-	ls := &localSearch{met: &Metrics{}}
+	ls := &localSearch{slots: 1, met: &Metrics{}}
 	allocs := func(size int) float64 {
 		f := make([]uint32, size)
 		for i := range f {
@@ -199,7 +203,7 @@ func TestLocalSearchRoundAllocs(t *testing.T) {
 					}
 				}
 				return len(nbrs)
-			}, func(uint32) { spilled.Add(1) })
+			}, func(tail []uint32, _ *scratch) { spilled.Add(int64(len(tail))) })
 		})
 	}
 	small, large := allocs(8), allocs(1024)

@@ -1,12 +1,13 @@
 package parallel
 
+import "slices"
+
 // Collect runs body over ForRange's grain-aligned chunks of [0,n), with
 // ForRangeCancel's drain semantics (c may be nil; grain <= 0 selects an
 // automatic chunk size), and returns what the chunks emitted, concatenated
 // in chunk order. Each call receives a nil list, appends the ids it owns
 // and returns the list; Collect keeps it at index lo/grain, then joins the
-// lists with a prefix sum of their lengths and one copy, parallel from
-// SeqCutoff entries up.
+// lists with Concat.
 //
 // It is the frontier for outputs with one writer per entry — a bottom-up
 // round emitting the vertex it scanned, a push whose CAS alone decides who
@@ -28,28 +29,37 @@ func Collect(c *Cancel, n, grain int, body func(lo, hi int, out []uint32) []uint
 	if chunks == 1 {
 		return lists[0]
 	}
-	// The offsets are a serial prefix sum: one add per chunk is small
-	// beside the grain's worth of body work each chunk did, and it saves
-	// Scan's two launches, which dominate the small frontiers of a
-	// large-diameter graph. Below SeqCutoff entries the copy runs inline
-	// for the same reason.
-	offs := make([]int, chunks)
+	return Concat(nil, chunks, func(i int) []uint32 { return lists[i] })
+}
+
+// Concat appends list(0), …, list(n-1) to dst, in index order, and
+// returns it. Below SeqCutoff entries it appends inline: a launch, and
+// the offsets it needs, would cost more than the copy on the small
+// frontiers of a large-diameter graph. From SeqCutoff up the offsets are a
+// serial prefix sum (one add per list, no Scan launches) and the lists
+// are copied in parallel, each to its offset.
+func Concat(dst []uint32, n int, list func(i int) []uint32) []uint32 {
 	total := 0
-	for i, l := range lists {
-		offs[i] = total
-		total += len(l)
+	for i := 0; i < n; i++ {
+		total += len(list(i))
 	}
-	if total == 0 {
-		return nil
+	dst = slices.Grow(dst, total)
+	if total < SeqCutoff {
+		for i := 0; i < n; i++ {
+			dst = append(dst, list(i)...)
+		}
+		return dst
 	}
-	out := make([]uint32, total)
-	copyGrain := chunks // one chunk: inline
-	if total >= SeqCutoff {
-		copyGrain = 0
+	offs := make([]int, n)
+	at := len(dst)
+	for i := range offs {
+		offs[i] = at
+		at += len(list(i))
 	}
-	ForRange(chunks, copyGrain, func(lo, hi int) {
+	out := dst[:at]
+	ForRange(n, 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			copy(out[offs[i]:], lists[i])
+			copy(out[offs[i]:], list(i))
 		}
 	})
 	return out

@@ -454,3 +454,41 @@ func TestConformanceCollect(t *testing.T) {
 		})
 	}
 }
+
+// TestConformanceConcat checks the list join behind Collect and the VGC
+// operator's frontier lists against a sequential append: any number of
+// lists, empty ones among them, appended after what dst already holds,
+// below SeqCutoff entries (inline) and above it (parallel copy).
+func TestConformanceConcat(t *testing.T) {
+	for _, p := range []int{1, 2, 4} {
+		withWorkers(t, p, func() {
+			for _, n := range []int{0, 1, 3, 8} {
+				for _, size := range []int{0, 5, SeqCutoff} {
+					for _, prefix := range []int{0, 3} {
+						lists := make([][]uint32, n)
+						for i := range lists {
+							if i%3 == 1 {
+								continue // an empty list
+							}
+							for j := 0; j < size+i; j++ {
+								lists[i] = append(lists[i], uint32(i<<20|j))
+							}
+						}
+						dst := make([]uint32, prefix, prefix+1)
+						for i := range dst {
+							dst[i] = ^uint32(i)
+						}
+						want := slices.Clone(dst)
+						for _, l := range lists {
+							want = append(want, l...)
+						}
+						got := Concat(dst, n, func(i int) []uint32 { return lists[i] })
+						if !slices.Equal(got, want) {
+							t.Fatalf("p=%d n=%d size=%d prefix=%d: got %d entries, want the %d of the sequential append", p, n, size, prefix, len(got), len(want))
+						}
+					}
+				}
+			}
+		})
+	}
+}

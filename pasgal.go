@@ -7,7 +7,9 @@
 // The library's core technique is vertical granularity control (VGC):
 // frontier vertices are processed by bounded multi-hop local searches that
 // amortize scheduling overhead and grow frontiers quickly, backed by
-// hash-bag frontier data structures. On top of these it provides:
+// frontiers that every worker fills through lists of its own (each insert
+// has one owner, so none needs the paper's concurrent hash bag). On top
+// of these it provides:
 //
 //   - BFS   — VGC label-correcting BFS with distance-bucketed frontiers and
 //     direction optimization;
@@ -70,7 +72,7 @@ type BuildOptions = graph.BuildOptions
 type Stats = graph.Stats
 
 // Options tunes the PASGAL algorithms; the zero value selects defaults
-// (τ = 512, hash-bag frontiers, direction optimization on).
+// (τ = 512, per-worker frontier lists, direction optimization on).
 type Options = core.Options
 
 // Metrics reports the cost profile of a run: rounds (global

@@ -15,6 +15,10 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# The participant-list frontier tests of internal/core, run uncached by
+# -short and under -race at four Ps by the race tier.
+frontier_tests='^(TestFrontierSetRing|TestFrontierSetGatherReuses|TestLocalSearchListsExactlyOnce|TestLocalSearchSpillListsKeepCapacity)$'
+
 short=0
 for arg in "$@"; do
     case "$arg" in
@@ -50,6 +54,16 @@ echo '== one VGC local search'
 # search loop again.
 if grep -nE '\[64\]uint32|budget -=' $(ls internal/core/*.go | grep -v '_test\.go$' | grep -v '^internal/core/vgc\.go$'); then
     echo 'private local-search loop in internal/core: hand the round to localSearch.round' >&2
+    exit 1
+fi
+
+echo '== no hash bag in the kernels'
+# Every frontier insert in internal/core has one owner, the participant
+# whose CAS or label write discovered the vertex, and goes to a list of
+# its own (core.localSearch); a kernel that links internal/hashbag again
+# is paying a shared, hashed insert for duplicates that cannot occur.
+if go list -deps ./internal/core | grep -qx 'pasgal/internal/hashbag'; then
+    echo 'internal/core links pasgal/internal/hashbag: file inserts in the participant lists instead' >&2
     exit 1
 fi
 
@@ -105,14 +119,15 @@ if [ "$short" = 1 ]; then
     echo '== scheduler conformance suite'
     go test -run 'Conformance|PanicPropagation|SchedStatsMatchTracer' -count=1 \
         ./internal/parallel
-    echo '== MS-BFS rows and the BFS frontier hand-off'
+    echo '== MS-BFS rows and the participant frontier lists'
     # Uncached: a round's next frontier is the chunks' lists in chunk
     # order, and which chunk's list holds a pushed vertex is decided by
     # which CAS wins, so the order is the schedule's; the rows must not
-    # depend on it. The hand-off test races inserts against a handed list.
+    # depend on it. The list tests force steals and count every claimed
+    # vertex into exactly one participant's list.
     go test -run '^(TestRunMatchesSequentialOracle|TestRunReachableMatchesOracle|TestRunDirectionOptEquivalence|TestRunSelfLoopsAndMultiEdges)$' \
         -count=1 ./internal/msbfs
-    go test -run '^TestFrontierSetHandOff$' -count=1 ./internal/core
+    go test -run "$frontier_tests" -count=1 ./internal/core
     echo '== SSSP work bound, thresholds, phase bound and phase boundary'
     # Uncached: the bound is on what a nondeterministic schedule visits,
     # and the boundary's parallel far-set pass is the schedule's to chunk.
@@ -244,6 +259,12 @@ GOMAXPROCS=4 go test -race -run '^TestCompactMatchesFromEdges$' -count=1 ./inter
 # steals; a chunk's per-participant scratch is unshared only if no two
 # running chunks get one index.
 GOMAXPROCS=4 go test -race -run '^TestForRangeTeam' -count=1 ./internal/parallel
+# The frontier lists under -race at four Ps: a participant appends to its
+# own lists only, and take reads them only after the round's join; the
+# kernels that file into them must give the answers of every other
+# representation.
+GOMAXPROCS=4 go test -race -run "$frontier_tests" -count=1 ./internal/core
+GOMAXPROCS=4 go test -race -run 'TestRepresentationDifferential/^(bfs|reachable|scc|sssp|kcore)$' -count=1 ./internal/bench
 # Cancellation conformance under -race: pre-canceled contexts, expired
 # deadlines, and mid-run cancels across every entry point — the
 # fire/drain hand-off is exactly the kind of publication race -race sees

@@ -253,61 +253,6 @@ func TestDifferentialBatchSchedules(t *testing.T) {
 	}
 }
 
-// TestDifferentialIncrementalConnectivity drives random schedules
-// through IncrementalConnectivity on every undirected shape and checks
-// the labeling against recompute-from-scratch after each batch —
-// including insert-only stretches (the union-find fast path) and
-// deleting batches (the rebuild fallback).
-func TestDifferentialIncrementalConnectivity(t *testing.T) {
-	for si, sh := range deltaShapes(0xC0114) {
-		if sh.g.Directed {
-			continue
-		}
-		sh := sh
-		si := si
-		t.Run(sh.name, func(t *testing.T) {
-			t.Parallel()
-			rng := rand.New(rand.NewSource(int64(0xFACE + si)))
-			model := newTruthModel(sh.g)
-			s := NewStore(sh.g, Options{CompactFraction: -1})
-			defer s.Close()
-			ic, err := NewIncrementalConnectivity(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for round := 0; round < 6; round++ {
-				var batch []Update
-				if round < 3 && sh.g.N >= 2 {
-					// Insert-only: exercises the no-recompute path.
-					for i := 0; i < sh.g.N/8+2; i++ {
-						u, v := uint32(rng.Intn(sh.g.N)), uint32(rng.Intn(sh.g.N))
-						batch = append(batch, Update{U: u, V: v, Op: Insert})
-					}
-				} else {
-					batch = model.randomBatch(rng, sh.g.N/6+3)
-				}
-				model.apply(batch)
-				if _, err := ic.Apply(batch); err != nil {
-					t.Fatal(err)
-				}
-				wantLabels, wantCount := conn.Components(model.rebuild())
-				gotLabels, gotCount := ic.Components()
-				if wantCount != gotCount || !reflect.DeepEqual(wantLabels, gotLabels) {
-					t.Fatalf("round %d: components differ (%d vs %d)", round, gotCount, wantCount)
-				}
-			}
-		})
-	}
-}
-
-func TestIncrementalConnectivityRequiresUndirected(t *testing.T) {
-	s := NewStore(gen.Chain(4, true), Options{CompactFraction: -1})
-	defer s.Close()
-	if _, err := NewIncrementalConnectivity(s); err == nil {
-		t.Fatal("directed store must be rejected")
-	}
-}
-
 // TestCompactMatchesFromEdges: the base Compact installs is byte-identical
 // to FromEdges over the effective arc set it replaces, for every
 // orientation and weighting, across random batch schedules.

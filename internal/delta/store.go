@@ -18,7 +18,6 @@ package delta
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -59,14 +58,6 @@ type Result struct {
 	// Applied counts the arcs whose effective state changed (presence
 	// or weight). Undirected edges count both arcs.
 	Applied int
-}
-
-// Change records one effective arc-state change, in the arc direction
-// it applies to. Present reports the post-batch state.
-type Change struct {
-	U, V    uint32
-	W       uint32
-	Present bool
 }
 
 // Options configures a Store. The zero value selects defaults.
@@ -205,11 +196,14 @@ func (sn *Snapshot) Release() {
 	s.mu.Unlock()
 }
 
-// rec is one normalized arc-level operation.
+// rec is one normalized arc-level operation; pos is its place in the
+// normalized batch, the tie-break that keeps the batch's last word on an
+// arc last.
 type rec struct {
 	u, v uint32
 	w    uint32
 	ins  bool
+	pos  int
 }
 
 // cell is the canonical patch state desired for one (u,v) after a
@@ -220,7 +214,6 @@ type cell struct {
 	u, v     uint32
 	del, add bool
 	w        uint32
-	present  bool
 }
 
 // Apply canonicalizes batch against the current state, folds the
@@ -230,18 +223,6 @@ type cell struct {
 // batch that drops entirely publishes no epoch. Out-of-range vertex
 // ids fail the whole batch.
 func (s *Store) Apply(batch []Update) (Result, error) {
-	res, _, err := s.apply(batch)
-	return res, err
-}
-
-// ApplyChanges is Apply, additionally reporting the per-arc effective
-// changes (in canonicalized order). Incremental algorithms consume the
-// change list.
-func (s *Store) ApplyChanges(batch []Update) (Result, []Change, error) {
-	return s.apply(batch)
-}
-
-func (s *Store) apply(batch []Update) (Result, []Change, error) {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
 	s.mu.Lock()
@@ -249,24 +230,20 @@ func (s *Store) apply(batch []Update) (Result, []Change, error) {
 	epoch := s.cur.epoch
 	s.mu.Unlock()
 	if closed {
-		return Result{}, nil, ErrClosed
+		return Result{}, ErrClosed
 	}
 	for _, u := range batch {
 		if u.U >= uint32(s.n) || u.V >= uint32(s.n) {
-			return Result{Epoch: epoch}, nil, fmt.Errorf("delta: update (%d,%d) out of range n=%d", u.U, u.V, s.n)
+			return Result{Epoch: epoch}, fmt.Errorf("delta: update (%d,%d) out of range n=%d", u.U, u.V, s.n)
 		}
 	}
 
 	cells := s.canonicalize(batch)
-	changes := make([]Change, len(cells))
-	for i, c := range cells {
-		changes[i] = Change{U: c.u, V: c.v, W: c.w, Present: c.present}
-	}
 	s.mu.Lock()
 	s.batches++
 	s.mu.Unlock()
 	if len(cells) == 0 {
-		return Result{Epoch: epoch}, nil, nil
+		return Result{Epoch: epoch}, nil
 	}
 
 	s.ov = s.mergePatch(cells)
@@ -275,15 +252,14 @@ func (s *Store) apply(batch []Update) (Result, []Change, error) {
 	s.appliedArcs += uint64(len(cells))
 	s.mu.Unlock()
 	s.maybeCompact()
-	return Result{Epoch: newEpoch, Applied: len(cells)}, changes, nil
+	return Result{Epoch: newEpoch, Applied: len(cells)}, nil
 }
 
 // canonicalize normalizes a batch to the per-arc cells that actually
 // change effective state: undirected edges expand to both arcs,
 // self-loops drop, within-batch conflicts resolve last-op-wins, and
 // each survivor is diffed against the current base+patch state. The
-// result is sorted by (u,v) — large batches go through the
-// CountSortByKey radix pipeline — and duplicate-free.
+// result is sorted by (u,v) and duplicate-free.
 func (s *Store) canonicalize(batch []Update) []cell {
 	recs := make([]rec, 0, 2*len(batch))
 	for _, up := range batch {
@@ -294,23 +270,21 @@ func (s *Store) canonicalize(batch []Update) []cell {
 		if !s.weighted {
 			w = 0
 		}
-		recs = append(recs, rec{u: up.U, v: up.V, w: w, ins: up.Op == Insert})
+		recs = append(recs, rec{u: up.U, v: up.V, w: w, ins: up.Op == Insert, pos: len(recs)})
 		if !s.directed {
-			recs = append(recs, rec{u: up.V, v: up.U, w: w, ins: up.Op == Insert})
+			recs = append(recs, rec{u: up.V, v: up.U, w: w, ins: up.Op == Insert, pos: len(recs)})
 		}
 	}
 	if len(recs) == 0 {
 		return nil
 	}
 	key := func(r rec) uint64 { return uint64(r.u)<<32 | uint64(r.v) }
-	if len(recs) >= 4096 {
-		maxKey := uint64(s.n-1)<<32 | uint64(s.n-1)
-		recs = parallel.CountSortByKey(recs, key, maxKey)
-	} else {
-		sort.SliceStable(recs, func(i, j int) bool { return key(recs[i]) < key(recs[j]) })
-	}
-	// Last op per key wins (the sort is stable, so the last element of
-	// each equal-key run is the batch's last word on that arc).
+	parallel.SortFunc(recs, func(a, b rec) bool {
+		ka, kb := key(a), key(b)
+		return ka < kb || ka == kb && a.pos < b.pos
+	})
+	// Last op per key wins (ties sort by position, so the last element
+	// of each equal-key run is the batch's last word on that arc).
 	uniq := recs[:0]
 	for i, r := range recs {
 		if i+1 < len(recs) && key(recs[i+1]) == key(r) {
@@ -348,7 +322,7 @@ func (s *Store) canonicalize(batch []Update) []cell {
 func (s *Store) desiredCell(r rec) cell {
 	idx := s.base.FindArc(r.u, r.v)
 	inBase := idx != ^uint64(0)
-	c := cell{u: r.u, v: r.v, present: r.ins, w: r.w}
+	c := cell{u: r.u, v: r.v, w: r.w}
 	if !r.ins {
 		c.del = inBase
 		c.w = 0

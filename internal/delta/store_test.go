@@ -248,8 +248,9 @@ func TestAutoCompaction(t *testing.T) {
 }
 
 func TestStoreLargeBatchRadixPath(t *testing.T) {
-	// Push the batch over the CountSortByKey cutoff (4096 recs) and
-	// check the result against a map-model rebuild.
+	// Push the batch past parallel.SortFunc's sequential cutoff (4096
+	// recs), so canonicalize's sort runs as a parallel merge, and check
+	// the result against a map-model rebuild.
 	n := 3000
 	base := graph.FromEdges(n, nil, true, graph.BuildOptions{})
 	s := NewStore(base, Options{CompactFraction: -1})

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"pasgal/internal/conn"
 	"pasgal/internal/core"
 	"pasgal/internal/gen"
 	"pasgal/internal/graph"
@@ -125,71 +124,5 @@ func TestStressConcurrentUpdatesQueries(t *testing.T) {
 	}
 	if st.LiveEpochs != 1 {
 		t.Fatalf("leaked epochs after all releases: %+v", st)
-	}
-}
-
-// TestStressIncrementalConnectivityConcurrent hammers the incremental
-// connectivity wrapper from several goroutines: appliers push
-// insert-only and mixed batches while queriers call Components and
-// Connected. Correctness of the final labeling is checked against a
-// from-scratch recompute once everything quiesces.
-func TestStressIncrementalConnectivityConcurrent(t *testing.T) {
-	base := gen.Grid2D(16, 16, false, 0xC0FFEE)
-	s := NewStore(base, Options{CompactFraction: 0.5})
-	defer s.Close()
-	ic, err := NewIncrementalConnectivity(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 3; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(3000 + id)))
-			for b := 0; b < 20; b++ {
-				batch := make([]Update, 0, 8)
-				for i := 0; i < 8; i++ {
-					u := uint32(rng.Intn(base.N))
-					v := uint32(rng.Intn(base.N))
-					op := Insert
-					if rng.Intn(4) == 0 {
-						op = Delete
-					}
-					batch = append(batch, Update{U: u, V: v, Op: op})
-				}
-				if _, err := ic.Apply(batch); err != nil {
-					t.Errorf("applier %d: %v", id, err)
-					return
-				}
-			}
-		}(w)
-	}
-	for r := 0; r < 3; r++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(4000 + id)))
-			for q := 0; q < 15; q++ {
-				labels, count := ic.Components()
-				if count <= 0 || len(labels) != base.N {
-					t.Errorf("querier %d: bad components (%d labels, count %d)", id, len(labels), count)
-					return
-				}
-				a := uint32(rng.Intn(base.N))
-				b := uint32(rng.Intn(base.N))
-				ic.Connected(a, b) // must not race or panic
-			}
-		}(r)
-	}
-	wg.Wait()
-
-	sn := s.Snapshot()
-	view := viewCSR(t, sn.Adj())
-	sn.Release()
-	wantLabels, wantCount := conn.Components(view)
-	gotLabels, gotCount := ic.Components()
-	if wantCount != gotCount || !reflect.DeepEqual(wantLabels, gotLabels) {
-		t.Fatalf("quiesced labeling differs: %d vs %d components", gotCount, wantCount)
 	}
 }

@@ -215,11 +215,21 @@ func TestRelabelByDegree(t *testing.T) {
 			}
 			seen[p] = true
 		}
-		// Degrees are nonincreasing in the new order.
+		// Degrees are nonincreasing in the new order, and vertices of
+		// equal degree keep their id order (pasgal-convert -relabel's
+		// output bytes depend on it).
+		old := make([]uint32, g.N)
+		for u, p := range perm {
+			old[p] = uint32(u)
+		}
 		for v := 1; v < rg.N; v++ {
 			if rg.Degree(uint32(v)) > rg.Degree(uint32(v-1)) {
 				t.Fatalf("weighted=%v: degree rises at %d (%d > %d)",
 					weighted, v, rg.Degree(uint32(v)), rg.Degree(uint32(v-1)))
+			}
+			if rg.Degree(uint32(v)) == rg.Degree(uint32(v-1)) && old[v] < old[v-1] {
+				t.Fatalf("weighted=%v: equal-degree vertices %d and %d out of id order at %d",
+					weighted, old[v-1], old[v], v)
 			}
 		}
 		// Every original arc appears exactly once under the permutation:

@@ -24,16 +24,18 @@ func RelabelByDegree(g *Graph) (*Graph, []uint32) {
 	if n == 0 {
 		return &Graph{N: 0, Offsets: []uint64{0}, Directed: g.Directed}, []uint32{}
 	}
+	// Sort (maxDeg-deg, id) packed into one word: descending degree,
+	// equal degrees in id order.
 	maxDeg := g.MaxDegree()
-	ids := make([]uint32, n)
-	parallel.For(n, 0, func(v int) { ids[v] = uint32(v) })
-	// Stable counting sort by descending degree: key maxDeg-deg keeps
-	// equal-degree vertices in id order.
-	order := parallel.CountSortByKey(ids, func(v uint32) uint64 {
-		return uint64(maxDeg - g.Degree(v))
-	}, uint64(maxDeg))
+	keys := make([]uint64, n)
+	parallel.For(n, 0, func(v int) { keys[v] = uint64(maxDeg-g.Degree(uint32(v)))<<32 | uint64(v) })
+	parallel.SortFunc(keys, func(a, b uint64) bool { return a < b })
+	order := make([]uint32, n)
 	perm := make([]uint32, n)
-	parallel.For(n, 0, func(i int) { perm[order[i]] = uint32(i) })
+	parallel.For(n, 0, func(i int) {
+		order[i] = uint32(keys[i])
+		perm[order[i]] = uint32(i)
+	})
 
 	ng := &Graph{
 		N:        n,

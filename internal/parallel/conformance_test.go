@@ -276,52 +276,6 @@ func TestConformancePartitionByKey(t *testing.T) {
 	}
 }
 
-// TestConformanceCountSortByKey checks the payload-carrying radix sort
-// against a sort.SliceStable oracle across key widths that exercise every
-// pass-count (0 digits live, 1, several, all 8), with both a computed
-// (maxKey=0) and an explicit tight bound. The input slice must come back
-// untouched.
-func TestConformanceCountSortByKey(t *testing.T) {
-	type rec struct {
-		key uint64
-		id  int
-	}
-	widths := []uint{0, 1, 7, 8, 9, 16, 33, 64}
-	for _, p := range confWorkers() {
-		withWorkers(t, p, func() {
-			for _, n := range confSizes(p) {
-				for _, w := range widths {
-					rng := rand.New(rand.NewPCG(uint64(p)*7, uint64(n)*101+uint64(w)))
-					recs := make([]rec, n)
-					var maxKey uint64
-					for i := range recs {
-						var k uint64
-						if w > 0 {
-							k = rng.Uint64() >> (64 - w)
-						}
-						if k > maxKey {
-							maxKey = k
-						}
-						recs[i] = rec{key: k, id: i}
-					}
-					orig := slices.Clone(recs)
-					want := slices.Clone(recs)
-					sort.SliceStable(want, func(i, j int) bool { return want[i].key < want[j].key })
-					for _, bound := range []uint64{0, maxKey} {
-						got := CountSortByKey(recs, func(r rec) uint64 { return r.key }, bound)
-						if !slices.Equal(got, want) {
-							t.Fatalf("p=%d n=%d w=%d bound=%d: not the stable order", p, n, w, bound)
-						}
-						if !slices.Equal(recs, orig) {
-							t.Fatalf("p=%d n=%d w=%d bound=%d: input modified", p, n, w, bound)
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
 func TestConformanceHistogram(t *testing.T) {
 	const k = 97
 	for _, p := range confWorkers() {

@@ -1,18 +1,16 @@
 package parallel
 
-import "sort"
-
-// This file holds the contention-free partitioning primitives: the
+// This file holds the contention-free partitioning primitive: the
 // count–scan–scatter pattern over payload-carrying records and arbitrary
-// key ranges. Both primitives are
-// stable and their hot loops contain no atomic operations: every chunk
-// counts into its own histogram slice, the histograms are combined with one
-// exclusive Scan in column-major (key-major) order, and the scatter bumps
-// owner-local plain-store cursors. Stability falls out of the column-major
+// key ranges. PartitionByKey is stable and its hot loops contain no
+// atomic operations: every chunk counts into its own histogram slice, the
+// histograms are combined with one exclusive Scan in column-major
+// (key-major) order, and the scatter bumps owner-local plain-store
+// cursors. Stability falls out of the column-major
 // scan: for equal keys, earlier chunks receive earlier output slots, and
 // within a chunk the scatter walks the input left to right.
 
-// SeqCutoff is the input size below which the partitioning primitives run
+// SeqCutoff is the input size below which the partitioning primitive runs
 // a plain sequential counting sort: below it the per-chunk histograms and
 // extra parallel launches cost more than they save. It is exported so a
 // caller that filters a slice right before partitioning it (the stepping
@@ -118,77 +116,4 @@ func PartitionByKey[T any](dst, src []T, k int, key func(T) uint32) []int64 {
 		}
 	})
 	return offsets
-}
-
-// keyed pairs a record with its sort key so the radix passes move both
-// together and never re-derive keys (the key function runs exactly once per
-// record).
-type keyed[T any] struct {
-	key uint64
-	val T
-}
-
-// CountSortByKey returns a new slice holding recs stably sorted by
-// key(rec) ascending: records with equal keys keep their input order. recs
-// is left unmodified. maxKey must be an upper bound on every key; radix
-// passes above it are skipped, so a tight bound (e.g. a packed
-// (hi<<bits)|lo key of known width) directly reduces the pass count. Pass
-// maxKey == 0 to have the bound computed from the data.
-//
-// It is an LSD radix sort: per 8-bit digit, one PartitionByKey-style
-// count–scan–scatter pass with per-chunk histograms and owner-local
-// cursors. No atomics on any hot loop.
-func CountSortByKey[T any](recs []T, key func(T) uint64, maxKey uint64) []T {
-	n := len(recs)
-	out := make([]T, n)
-	if n == 0 {
-		return out
-	}
-	if maxKey == 0 {
-		maxKey = Reduce(n, 0, uint64(0),
-			func(i int) uint64 { return key(recs[i]) },
-			func(a, b uint64) uint64 {
-				if b > a {
-					return b
-				}
-				return a
-			})
-	}
-	if n < SeqCutoff || maxKey == 0 {
-		// Tiny input (or all keys equal): a stable comparison sort beats
-		// the radix scratch allocations.
-		copy(out, recs)
-		sort.SliceStable(out, func(i, j int) bool { return key(out[i]) < key(out[j]) })
-		return out
-	}
-	src := make([]keyed[T], n)
-	For(n, 0, func(i int) { src[i] = keyed[T]{key(recs[i]), recs[i]} })
-	dst := make([]keyed[T], n)
-	grain, chunks := histogramGrain(n)
-	counts := make([]int64, chunks*256)
-	col := make([]int64, chunks*256)
-	for shift := uint(0); shift < 64; shift += 8 {
-		if shift > 0 && maxKey>>shift == 0 {
-			break
-		}
-		Fill(counts, 0)
-		ForRange(n, grain, func(lo, hi int) {
-			h := counts[(lo/grain)*256 : (lo/grain)*256+256]
-			for i := lo; i < hi; i++ {
-				h[(src[i].key>>shift)&0xff]++
-			}
-		})
-		scanChunkCursors(counts, col, chunks, 256, nil)
-		ForRange(n, grain, func(lo, hi int) {
-			h := counts[(lo/grain)*256 : (lo/grain)*256+256]
-			for i := lo; i < hi; i++ {
-				d := (src[i].key >> shift) & 0xff
-				dst[h[d]] = src[i]
-				h[d]++
-			}
-		})
-		src, dst = dst, src
-	}
-	For(n, 0, func(i int) { out[i] = src[i].val })
-	return out
 }

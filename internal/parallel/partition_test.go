@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"encoding/binary"
 	"math/rand/v2"
 	"slices"
 	"sort"
@@ -54,69 +53,4 @@ func TestPartitionByKeyHugeKeyRange(t *testing.T) {
 	if offsets[k] != n {
 		t.Fatalf("offsets[k] = %d, want %d", offsets[k], n)
 	}
-}
-
-// TestCountSortByKeyLargeStable drives the multi-pass radix path (n well
-// past the sequential cutoff, 64-bit keys with heavy duplication) and
-// checks stability via the carried payload.
-func TestCountSortByKeyLargeStable(t *testing.T) {
-	withWorkers(t, 8, func() {
-		const n = 1 << 15
-		rng := rand.New(rand.NewPCG(9, 9))
-		type rec struct {
-			key uint64
-			id  int
-		}
-		recs := make([]rec, n)
-		for i := range recs {
-			recs[i] = rec{key: rng.Uint64() % 997, id: i} // ~33 dups per key
-		}
-		want := slices.Clone(recs)
-		sort.SliceStable(want, func(i, j int) bool { return want[i].key < want[j].key })
-		got := CountSortByKey(recs, func(r rec) uint64 { return r.key }, 0)
-		if !slices.Equal(got, want) {
-			t.Fatal("large radix sort not the stable order")
-		}
-	})
-}
-
-// FuzzCountSortByKey checks the radix sort against the sort.SliceStable
-// oracle on arbitrary byte-derived keys at arbitrary key widths, and that
-// the input survives unmodified.
-func FuzzCountSortByKey(f *testing.F) {
-	f.Add([]byte{}, uint8(0))
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, uint8(13))
-	f.Add(make([]byte, 256), uint8(64))
-	seed := make([]byte, 8*300)
-	for i := range seed {
-		seed[i] = byte(i * 31)
-	}
-	f.Add(seed, uint8(40))
-	f.Fuzz(func(t *testing.T, data []byte, width uint8) {
-		type rec struct {
-			key uint64
-			id  int
-		}
-		w := uint(width % 65)
-		var recs []rec
-		for i := 0; i+8 <= len(data); i += 8 {
-			k := binary.LittleEndian.Uint64(data[i:])
-			if w == 0 {
-				k = 0
-			} else if w < 64 {
-				k >>= 64 - w
-			}
-			recs = append(recs, rec{key: k, id: i / 8})
-		}
-		orig := slices.Clone(recs)
-		want := slices.Clone(recs)
-		sort.SliceStable(want, func(i, j int) bool { return want[i].key < want[j].key })
-		got := CountSortByKey(recs, func(r rec) uint64 { return r.key }, 0)
-		if !slices.Equal(got, want) {
-			t.Fatalf("width %d: not the stable sorted order", w)
-		}
-		if !slices.Equal(recs, orig) {
-			t.Fatalf("width %d: input modified", w)
-		}
-	})
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -34,7 +35,7 @@ type BFSResponse struct {
 	Dist    []uint32 `json:"dist,omitempty"`
 }
 
-// SSSPResponse answers /query/sssp (weighted distances; see handleSSSP).
+// SSSPResponse answers /query/sssp (weighted distances; see query.weighted).
 // ?summary=1 omits the Dist array.
 type SSSPResponse struct {
 	Graph   string   `json:"graph"`
@@ -233,7 +234,7 @@ type HealthResponse struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 }
 
-// query carries one parsed request through a handler.
+// query carries one parsed request through handleQuery.
 type query struct {
 	s        *Server
 	sg       *servedGraph
@@ -258,10 +259,10 @@ type query struct {
 	epoch uint64
 }
 
-// begin does the work every query endpoint shares: method check, drain
-// check, graph lookup, parameter/timeout parsing, and per-algo accounting.
-// On a false return the response has been written. Callers must defer
-// q.end() on success.
+// begin is handleQuery's first step: method check, drain check, graph
+// lookup, epoch pin, cache=/summary=/coalesce=/timeout= parsing, and
+// per-algo accounting. On a false return the response has been written;
+// on success the caller must defer q.end().
 func (s *Server) begin(w http.ResponseWriter, r *http.Request, algo string) (*query, bool) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "use GET")
@@ -347,42 +348,36 @@ func (q *query) key(args ...uint32) string {
 	return b.String()
 }
 
-// vertex parses one vertex-id parameter and range-checks it against the
-// query's graph.
-func (q *query) vertex(params map[string][]string, key string) (uint32, error) {
-	vs := params[key]
-	if len(vs) == 0 || vs[0] == "" {
-		return 0, fmt.Errorf("missing %s", key)
-	}
-	v, err := strconv.ParseUint(vs[0], 10, 32)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s %q", key, vs[0])
-	}
-	if n := q.view.NumVertices(); v >= uint64(n) {
-		return 0, fmt.Errorf("%s %d out of range [0, %d)", key, v, n)
-	}
-	return uint32(v), nil
-}
-
-// vertexList parses a comma-separated vertex-id list.
-func (q *query) vertexList(params map[string][]string, key string) ([]uint32, error) {
-	vs := params[key]
-	if len(vs) == 0 || vs[0] == "" {
-		return nil, fmt.Errorf("missing %s", key)
-	}
-	parts := strings.Split(vs[0], ",")
-	out := make([]uint32, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.ParseUint(strings.TrimSpace(p), 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("bad %s entry %q", key, p)
+// vertices parses rt's vertex parameters, in order, and range-checks
+// every id against the query's pinned view. A list route's one parameter
+// holds comma-separated ids, each trimmed of spaces.
+func (q *query) vertices(params url.Values, rt *route) ([]uint32, error) {
+	var vs []uint32
+	for _, key := range rt.vertices {
+		raw := params.Get(key)
+		if raw == "" {
+			return nil, fmt.Errorf("missing %s", key)
 		}
-		if n := q.view.NumVertices(); v >= uint64(n) {
-			return nil, fmt.Errorf("%s %d out of range [0, %d)", key, v, n)
+		parts, bad := []string{raw}, "bad %s %q"
+		if rt.list {
+			parts, bad = strings.Split(raw, ","), "bad %s entry %q"
 		}
-		out = append(out, uint32(v))
+		for _, p := range parts {
+			id := p
+			if rt.list {
+				id = strings.TrimSpace(p)
+			}
+			v, err := strconv.ParseUint(id, 10, 32)
+			if err != nil {
+				return nil, fmt.Errorf(bad, key, p)
+			}
+			if n := q.view.NumVertices(); v >= uint64(n) {
+				return nil, fmt.Errorf("%s %d out of range [0, %d)", key, v, n)
+			}
+			vs = append(vs, uint32(v))
+		}
 	}
-	return out, nil
+	return vs, nil
 }
 
 // fail writes the error response and bumps the failure counters.
@@ -434,9 +429,19 @@ func (q *query) run(fn func() error) error {
 	return err
 }
 
-// submit answers a single-source query through the coalescer, timing the
-// wait until its batch started and the batch run.
-func (q *query) submit(src uint32) ([]uint32, error) {
+// hops returns src's hop-distance row: from the coalescer, timing the
+// wait until its batch started and the batch run, or, under
+// ?coalesce=off or on a graph without one, from a core.BFS of its own
+// under an admission slot.
+func (q *query) hops(src uint32) ([]uint32, error) {
+	if !q.coalesce {
+		var dist []uint32
+		err := q.run(func() (err error) {
+			dist, _, err = core.BFS(q.view, src, q.opt)
+			return err
+		})
+		return dist, err
+	}
 	q.s.coalesced.Add(1)
 	t0 := time.Now()
 	row, err := q.sg.coal.SubmitRow(q.ctx, src)
@@ -445,6 +450,21 @@ func (q *query) submit(src uint32) ([]uint32, error) {
 	}
 	q.wait, q.compute = row.Start.Sub(t0), row.End.Sub(row.Start)
 	return row.Dist, nil
+}
+
+// weighted is the pinned view as sssp and p2p scan it: an unweighted
+// graph's arcs weigh graph.UniformWeight under the weight seed.
+func (q *query) weighted() graph.Adjacency {
+	return graph.UniformWeights(q.view, 1, 1<<8, q.sg.weightSeed)
+}
+
+// keep returns xs, or nil under ?summary=1, whose answers omit their
+// per-vertex array.
+func keep[T any](q *query, xs []T) []T {
+	if q.summary {
+		return nil
+	}
+	return xs
 }
 
 // cached consults the result cache; on a hit the body is replayed
@@ -477,251 +497,145 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	json.NewEncoder(w).Encode(ErrorResponse{Error: msg, Status: status})
 }
 
-// handleBFS serves /query/bfs?graph=G&src=V: hop distances from src.
-// Queries ride the coalescer — concurrent submitters group-commit into
-// one MS-BFS lane run charging one admission slot — unless ?coalesce=off
-// asks for a dedicated traversal.
-func (s *Server) handleBFS(w http.ResponseWriter, r *http.Request) {
-	q, ok := s.begin(w, r, "bfs")
-	if !ok {
-		return
-	}
-	defer q.end()
-	src, err := q.vertex(r.URL.Query(), "src")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	key := q.key(src)
-	if q.cached(w, key) {
-		return
-	}
-	var dist []uint32
-	if q.coalesce {
-		dist, err = q.submit(src)
-	} else {
-		err = q.run(func() error {
-			var runErr error
-			dist, _, runErr = core.BFS(q.view, src, q.opt)
-			return runErr
-		})
-	}
-	if err != nil {
-		q.fail(w, err)
-		return
-	}
-	reached, ecc := distSummary(dist)
-	if q.summary {
-		dist = nil
-	}
-	q.finish(w, key, BFSResponse{
-		Graph: q.sg.name, Algo: "bfs", Src: src,
-		Reached: reached, Ecc: ecc, Dist: dist,
-	})
+// route is one /query/<algo> endpoint, and every part of it that is not
+// the same for all: handleQuery runs each one through one sequence.
+type route struct {
+	algo     string
+	vertices []string // vertex parameters, in cache-key order
+	list     bool     // vertices[0] is a comma-separated id list
+	directed bool     // the algo answers only on a directed graph
+	// answer runs the kernel on q.view for the parsed vertices and builds
+	// the response body; an error goes to q.fail.
+	answer func(q *query, vs []uint32) (any, error)
 }
 
-// handleSSSP serves /query/sssp?graph=G&src=V: shortest-path distances on
-// the pinned view, whose arcs weigh graph.UniformWeight under the weight
-// seed when the graph stores no weights.
-func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
-	q, ok := s.begin(w, r, "sssp")
-	if !ok {
-		return
-	}
-	defer q.end()
-	src, err := q.vertex(r.URL.Query(), "src")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	key := q.key(src)
-	if q.cached(w, key) {
-		return
-	}
-	var dist []uint64
-	err = q.run(func() error {
-		var runErr error
-		dist, _, runErr = core.SSSP(graph.UniformWeights(q.view, 1, 1<<8, q.sg.weightSeed), src, nil, q.opt)
-		return runErr
-	})
-	if err != nil {
-		q.fail(w, err)
-		return
-	}
-	reached := 0
-	for _, d := range dist {
-		if d != core.InfWeight {
-			reached++
+// routes is the query path's table, in the order Algos lists it. Adding
+// an algo is adding a row.
+var routes = []route{
+	// bfs?src=V: hop distances, through the coalescer (see hops).
+	{algo: "bfs", vertices: []string{"src"}, answer: func(q *query, vs []uint32) (any, error) {
+		dist, err := q.hops(vs[0])
+		if err != nil {
+			return nil, err
 		}
-	}
-	if q.summary {
-		dist = nil
-	}
-	q.finish(w, key, SSSPResponse{
-		Graph: q.sg.name, Algo: "sssp", Src: src, Reached: reached, Dist: dist,
-	})
-}
-
-// handleSCC serves /query/scc?graph=G: per-vertex strongly-connected-
-// component labels and the component count on the query's pinned view.
-func (s *Server) handleSCC(w http.ResponseWriter, r *http.Request) {
-	q, ok := s.begin(w, r, "scc")
-	if !ok {
-		return
-	}
-	defer q.end()
-	if !q.view.IsDirected() {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("graph %q is undirected; scc requires a directed graph", q.sg.name))
-		return
-	}
-	key := q.key()
-	if q.cached(w, key) {
-		return
-	}
-	var labels []uint32
-	var count int
-	err := q.run(func() error {
-		var runErr error
-		labels, count, _, runErr = core.SCC(q.view, q.opt)
-		return runErr
-	})
-	if err != nil {
-		q.fail(w, err)
-		return
-	}
-	if q.summary {
-		labels = nil
-	}
-	q.finish(w, key, SCCResponse{
-		Graph: q.sg.name, Algo: "scc", Components: count, Labels: labels,
-	})
-}
-
-// handleKCore serves /query/kcore?graph=G: coreness per vertex and the
-// degeneracy on the query's pinned view, a directed graph peeled as its
-// symmetric closure.
-func (s *Server) handleKCore(w http.ResponseWriter, r *http.Request) {
-	q, ok := s.begin(w, r, "kcore")
-	if !ok {
-		return
-	}
-	defer q.end()
-	key := q.key()
-	if q.cached(w, key) {
-		return
-	}
-	var coreness []uint32
-	var degeneracy int
-	err := q.run(func() error {
-		var runErr error
-		coreness, degeneracy, _, runErr = core.KCore(q.view, q.opt)
-		return runErr
-	})
-	if err != nil {
-		q.fail(w, err)
-		return
-	}
-	if q.summary {
-		coreness = nil
-	}
-	q.finish(w, key, KCoreResponse{
-		Graph: q.sg.name, Algo: "kcore", Degeneracy: degeneracy, Core: coreness,
-	})
-}
-
-// handleReachable serves /query/reachable?graph=G&src=V[,V2,...]: the
-// vertices reachable from any source. Single-source queries derive the
-// answer from a coalesced BFS row, sharing edge scans with concurrent bfs
-// traffic.
-func (s *Server) handleReachable(w http.ResponseWriter, r *http.Request) {
-	q, ok := s.begin(w, r, "reachable")
-	if !ok {
-		return
-	}
-	defer q.end()
-	srcs, err := q.vertexList(r.URL.Query(), "src")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	key := q.key(srcs...)
-	if q.cached(w, key) {
-		return
-	}
-	var reach []bool
-	if q.coalesce && len(srcs) == 1 {
-		var dist []uint32
-		dist, err = q.submit(srcs[0])
-		if err == nil {
+		reached, ecc := distSummary(dist)
+		return BFSResponse{Graph: q.sg.name, Algo: q.algo, Src: vs[0],
+			Reached: reached, Ecc: ecc, Dist: keep(q, dist)}, nil
+	}},
+	// sssp?src=V: shortest-path distances on the weighted view.
+	{algo: "sssp", vertices: []string{"src"}, answer: func(q *query, vs []uint32) (any, error) {
+		var dist []uint64
+		if err := q.run(func() (err error) {
+			dist, _, err = core.SSSP(q.weighted(), vs[0], nil, q.opt)
+			return err
+		}); err != nil {
+			return nil, err
+		}
+		reached := 0
+		for _, d := range dist {
+			if d != core.InfWeight {
+				reached++
+			}
+		}
+		return SSSPResponse{Graph: q.sg.name, Algo: q.algo, Src: vs[0],
+			Reached: reached, Dist: keep(q, dist)}, nil
+	}},
+	// scc: strongly-connected-component labels and their count.
+	{algo: "scc", directed: true, answer: func(q *query, _ []uint32) (any, error) {
+		var labels []uint32
+		var count int
+		if err := q.run(func() (err error) {
+			labels, count, _, err = core.SCC(q.view, q.opt)
+			return err
+		}); err != nil {
+			return nil, err
+		}
+		return SCCResponse{Graph: q.sg.name, Algo: q.algo, Components: count, Labels: keep(q, labels)}, nil
+	}},
+	// kcore: coreness and degeneracy, a directed graph peeled as its
+	// symmetric closure.
+	{algo: "kcore", answer: func(q *query, _ []uint32) (any, error) {
+		var coreness []uint32
+		var degeneracy int
+		if err := q.run(func() (err error) {
+			coreness, degeneracy, _, err = core.KCore(q.view, q.opt)
+			return err
+		}); err != nil {
+			return nil, err
+		}
+		return KCoreResponse{Graph: q.sg.name, Algo: q.algo, Degeneracy: degeneracy, Core: keep(q, coreness)}, nil
+	}},
+	// reachable?src=V[,V2,...]: the vertices any source reaches; one
+	// source reads its BFS row, sharing scans with concurrent bfs traffic.
+	{algo: "reachable", vertices: []string{"src"}, list: true, answer: func(q *query, srcs []uint32) (any, error) {
+		var reach []bool
+		if len(srcs) == 1 {
+			dist, err := q.hops(srcs[0])
+			if err != nil {
+				return nil, err
+			}
 			reach = make([]bool, len(dist))
 			for v, d := range dist {
 				reach[v] = d != graph.InfDist
 			}
+		} else if err := q.run(func() (err error) {
+			reach, _, err = core.Reachable(q.view, srcs, q.opt)
+			return err
+		}); err != nil {
+			return nil, err
 		}
-	} else {
-		err = q.run(func() error {
-			var runErr error
-			reach, _, runErr = core.Reachable(q.view, srcs, q.opt)
-			return runErr
-		})
-	}
-	if err != nil {
-		q.fail(w, err)
-		return
-	}
-	count := 0
-	for _, r := range reach {
-		if r {
-			count++
+		count := 0
+		for _, r := range reach {
+			if r {
+				count++
+			}
 		}
-	}
-	if q.summary {
-		reach = nil
-	}
-	q.finish(w, key, ReachableResponse{
-		Graph: q.sg.name, Algo: "reachable", Srcs: srcs, Count: count, Reachable: reach,
-	})
+		return ReachableResponse{Graph: q.sg.name, Algo: q.algo, Srcs: srcs,
+			Count: count, Reachable: keep(q, reach)}, nil
+	}},
+	// p2p?src=U&dst=V: the weighted distance from src to dst, with
+	// goal-directed pruning.
+	{algo: "p2p", vertices: []string{"src", "dst"}, answer: func(q *query, vs []uint32) (any, error) {
+		var dist uint64
+		if err := q.run(func() (err error) {
+			dist, _, err = core.PointToPoint(q.weighted(), vs[0], vs[1], nil, q.opt)
+			return err
+		}); err != nil {
+			return nil, err
+		}
+		return P2PResponse{Graph: q.sg.name, Algo: q.algo, Src: vs[0], Dst: vs[1],
+			Reachable: dist != core.InfWeight, Dist: dist}, nil
+	}},
 }
 
-// handleP2P serves /query/p2p?graph=G&src=U&dst=V: the shortest-path
-// distance from src to dst, weighted as in handleSSSP, with goal-directed
-// pruning.
-func (s *Server) handleP2P(w http.ResponseWriter, r *http.Request) {
-	q, ok := s.begin(w, r, "p2p")
+// handleQuery serves /query/<rt.algo>?graph=G&…: begin, the vertices
+// parsed and range-checked, the route's directedness check, the cache,
+// the answer, and q.fail or q.finish. A client error is a 400 written
+// before the cache is consulted, and is not a failure.
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, rt *route) {
+	q, ok := s.begin(w, r, rt.algo)
 	if !ok {
 		return
 	}
 	defer q.end()
-	params := r.URL.Query()
-	src, err := q.vertex(params, "src")
+	vs, err := q.vertices(r.URL.Query(), rt)
+	if err == nil && rt.directed && !q.view.IsDirected() {
+		err = fmt.Errorf("graph %q is undirected; %s requires a directed graph", q.sg.name, rt.algo)
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	dst, err := q.vertex(params, "dst")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	key := q.key(src, dst)
+	key := q.key(vs...)
 	if q.cached(w, key) {
 		return
 	}
-	var dist uint64
-	err = q.run(func() error {
-		var runErr error
-		dist, _, runErr = core.PointToPoint(graph.UniformWeights(q.view, 1, 1<<8, q.sg.weightSeed), src, dst, nil, q.opt)
-		return runErr
-	})
+	resp, err := rt.answer(q, vs)
 	if err != nil {
 		q.fail(w, err)
 		return
 	}
-	q.finish(w, key, P2PResponse{
-		Graph: q.sg.name, Algo: "p2p", Src: src, Dst: dst,
-		Reachable: dist != core.InfWeight, Dist: dist,
-	})
+	q.finish(w, key, resp)
 }
 
 // handleUpdate serves POST /update?graph=G: one atomic insert/delete

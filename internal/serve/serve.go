@@ -56,8 +56,15 @@ const DefaultCacheEntries = 256
 // deadline for requests that do not send one.
 const DefaultMaxTimeout = 30 * time.Second
 
-// Algos lists the query endpoints, in the order /metrics reports them.
-var Algos = []string{"bfs", "sssp", "scc", "kcore", "reachable", "p2p"}
+// Algos lists the query endpoints, in the order /metrics reports them:
+// the algo of every row of the route table.
+var Algos = func() []string {
+	algos := make([]string, len(routes))
+	for i, rt := range routes {
+		algos[i] = rt.algo
+	}
+	return algos
+}()
 
 // Config tunes a Server. The zero value selects defaults.
 type Config struct {
@@ -209,8 +216,8 @@ func NewAdj(graphs map[string]graph.Adjacency, cfg Config) (*Server, error) {
 		adm:      newAdmission(maxConc),
 		cache:    newResultCache(cacheCap),
 		cacheCap: cacheCap,
-		byAlgo:   make(map[string]*atomic.Int64, len(Algos)),
-		stages:   make(map[string]*stageClock, len(Algos)),
+		byAlgo:   make(map[string]*atomic.Int64, len(routes)),
+		stages:   make(map[string]*stageClock, len(routes)),
 		started:  time.Now(),
 	}
 	for name, g := range graphs {
@@ -265,17 +272,13 @@ func NewAdj(graphs map[string]graph.Adjacency, cfg Config) (*Server, error) {
 		}
 		s.graphs[name] = sg
 	}
-	for _, algo := range Algos {
-		s.byAlgo[algo] = new(atomic.Int64)
-		s.stages[algo] = new(stageClock)
-	}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/query/bfs", s.handleBFS)
-	s.mux.HandleFunc("/query/sssp", s.handleSSSP)
-	s.mux.HandleFunc("/query/scc", s.handleSCC)
-	s.mux.HandleFunc("/query/kcore", s.handleKCore)
-	s.mux.HandleFunc("/query/reachable", s.handleReachable)
-	s.mux.HandleFunc("/query/p2p", s.handleP2P)
+	for i := range routes {
+		rt := &routes[i]
+		s.byAlgo[rt.algo] = new(atomic.Int64)
+		s.stages[rt.algo] = new(stageClock)
+		s.mux.HandleFunc("/query/"+rt.algo, func(w http.ResponseWriter, r *http.Request) { s.handleQuery(w, r, rt) })
+	}
 	s.mux.HandleFunc("/update", s.handleUpdate)
 	s.mux.HandleFunc("/graphs", s.handleGraphs)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)

@@ -1,6 +1,7 @@
 #!/bin/sh
 # check.sh — the full local verification gate, in increasing cost order:
-# formatting, the commands' dependency fence, go vet, build + unit tests
+# formatting, the non-test line count, the commands' dependency fence,
+# go vet, build + unit tests
 # (then three uncached passes at each of GOMAXPROCS 1, 2, 4 over the
 # packages whose behaviour depends on the schedule), the pasgal-vet
 # concurrency checker, a fuzz smoke, then the -race stress tier over the
@@ -37,6 +38,13 @@ if [ -n "$unformatted" ]; then
     echo "$unformatted" >&2
     exit 1
 fi
+
+echo '== non-test Go lines'
+# ROADMAP item 14's count, printed for information only (no threshold):
+# every .go file but tests, the benchmark module, examples/ and test
+# fixtures, blank and comment lines included.
+find . -name '*.go' ! -name '*_test.go' ! -path './.*' ! -path './benchmark/*' \
+    ! -path './examples/*' ! -path '*/testdata/*' -exec cat {} + | wc -l
 
 echo '== one scan body per kernel'
 # graph.ScanOut/ScanIn are the only place that switches on the concrete
@@ -160,6 +168,12 @@ if [ "$short" = 1 ]; then
     go test -run '^(TestCoalescerBatchesConcurrentQueries|TestCoalescerLoneSubmit|TestCoalescerSubmitCtxAbandon|TestCoalescerAllAbandoned|TestCoalescerClose)$' \
         -count=1 ./internal/msbfs
     go test -run '^TestAdmissionDefaultsToOneSlot$' -count=1 ./internal/serve
+    echo '== the daemon on the wire'
+    # Uncached: every query runs through one dispatcher, and the golden
+    # transcript pins what it writes (status, body bytes, cache marker,
+    # content type, the Server-Timing shape, the /metrics counters) on
+    # plain, .pz and mutable graphs.
+    go test -run '^TestWireGolden$' -count=1 ./internal/serve
     echo 'short checks passed'
     exit 0
 fi

@@ -9,7 +9,7 @@
 //	BenchmarkSSSP           — §2.2 SSSP shape claim (ρ/Δ-stepping vs baselines)
 //	BenchmarkFig1SCCScaling — Figure 1: SCC vs worker count
 //	BenchmarkAblationTau    — VGC budget sweep
-//	BenchmarkHashBag        — hash bag vs flat frontier
+//	BenchmarkKCore          — VGC k-core vs Matula–Beck on the benchmark graphs
 package pasgal
 
 import (
@@ -226,19 +226,30 @@ func BenchmarkAblationTau(b *testing.B) {
 	}
 }
 
-// BenchmarkHashBag contrasts BFS's frontier lists with flat dense
-// frontiers (Options.DisableHashBag; the names predate the lists).
-func BenchmarkHashBag(b *testing.B) {
-	g := benchGraph("REC")
-	src := gen.PickSource(g)
-	b.Run("lists", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.BFS(g, src, core.Options{})
-		}
-	})
-	b.Run("flat", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.BFS(g, src, core.Options{DisableHashBag: true})
-		}
-	})
+// BenchmarkKCore times the VGC peel (core.KCore) against Matula–Beck
+// (seq.KCore) on the repo benchmark's two graphs at seed 1. The constants
+// are benchmark/workloads.go's, copied because benchmark/ is its own
+// module. core.KCore peels a directed graph as its symmetric closure;
+// seq.KCore needs the symmetrized copy. The graphs are built before any
+// timer starts.
+func BenchmarkKCore(b *testing.B) {
+	social := gen.SocialRMAT(18, 14, true, 1)
+	road := gen.SampledGrid(700, 700, 0.94, true, 1)
+	socialSym, roadSym := social.Symmetrized(), road.Symmetrized()
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"pasgal/social-directed", func() { core.KCore(social, core.Options{}) }},
+		{"pasgal/social-sym", func() { core.KCore(socialSym, core.Options{}) }},
+		{"pasgal/road-sym", func() { core.KCore(roadSym, core.Options{}) }},
+		{"seq/social-sym", func() { seq.KCore(socialSym) }},
+		{"seq/road-sym", func() { seq.KCore(roadSym) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.run()
+			}
+		})
+	}
 }

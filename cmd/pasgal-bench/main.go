@@ -3,8 +3,8 @@
 // geometric means and Figure 2 speedup panels (bfs, scc, bcc), the SSSP
 // comparison (sssp), Figure 1's SCC scalability sweep (fig1) and its
 // analytic projection (fig1-model), the substrate studies (frontier,
-// mem), and the design-choice ablations (abl-tau, abl-tau-scc, abl-bag,
-// abl-dir, abl-sssp). Everything else this repository measures — batched
+// mem), and the design-choice ablations (abl-tau, abl-tau-scc, abl-dir,
+// abl-sssp). Everything else this repository measures — batched
 // queries, serving, compression, updates, graph building — is a cell of
 // `bash benchmark/run.sh` or a `go test -bench` benchmark.
 //
@@ -40,7 +40,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: tab1|bfs|scc|bcc|sssp|fig1|fig1-model|fig2|frontier|mem|abl-tau|abl-tau-scc|abl-bag|abl-dir|abl-sssp|all")
+	exp := flag.String("exp", "all", "experiment: tab1|bfs|scc|bcc|sssp|fig1|fig1-model|fig2|frontier|mem|abl-tau|abl-tau-scc|abl-dir|abl-sssp|all")
 	scale := flag.Float64("scale", 1.0, "workload size multiplier")
 	reps := flag.Int("reps", 3, "timing repetitions (median reported)")
 	workers := flag.Int("workers", 0, "worker count (0 = GOMAXPROCS)")
@@ -146,8 +146,6 @@ func main() {
 			bench.AblationTau(cfg)
 		case "abl-tau-scc":
 			bench.AblationTauSCC(cfg)
-		case "abl-bag":
-			bench.AblationBag(cfg)
 		case "abl-dir":
 			bench.AblationDirOpt(cfg)
 		case "abl-sssp":
@@ -165,7 +163,7 @@ func main() {
 	if *exp == "all" {
 		for _, name := range []string{"tab1", "bfs", "scc", "bcc", "sssp",
 			"fig1", "fig1-model", "frontier", "mem",
-			"abl-tau", "abl-tau-scc", "abl-bag", "abl-dir", "abl-sssp"} {
+			"abl-tau", "abl-tau-scc", "abl-dir", "abl-sssp"} {
 			if ctx.Err() != nil {
 				interrupted = true
 				break

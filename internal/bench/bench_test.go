@@ -41,12 +41,11 @@ func TestExperimentsSmoke(t *testing.T) {
 	TableSCC(smallConfig(&buf, "LJ", "FB")) // FB undirected: must be skipped
 	TableBCC(smallConfig(&buf, "TRCE"))
 	TableSSSP(smallConfig(&buf, "NA"))
-	AblationBag(smallConfig(&buf))
 	out := buf.String()
 	for _, want := range []string{
 		"Table 1", "BFS running times", "SCC running times",
 		"BCC running times", "SSSP running times", "geomean",
-		"undirected graph (SCC n/a)", "frontier lists vs flat",
+		"undirected graph (SCC n/a)",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("experiment output missing %q\n%s", want, out)

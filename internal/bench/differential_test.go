@@ -114,10 +114,6 @@ func TestDifferentialBFS(t *testing.T) {
 						d, _, _ := core.BFS(sh.g, src, core.Options{Tau: 1})
 						return d
 					},
-					"core-flat": func() []uint32 {
-						d, _, _ := core.BFS(sh.g, src, core.Options{DisableHashBag: true})
-						return d
-					},
 					"gbbs":  func() []uint32 { d, _, _ := baseline.GBBSBFS(sh.g, src, core.Options{}); return d },
 					"gapbs": func() []uint32 { d, _, _ := baseline.GAPBSBFS(sh.g, src, core.Options{}); return d },
 				}

@@ -243,32 +243,6 @@ func AblationTauSCC(c Config) {
 	printAligned(c.Out, rows)
 }
 
-// AblationBag compares BFS's frontier lists (each spill appended to the
-// spilling participant's own list) with flat dense frontiers on a
-// large-diameter workload, where per-round O(n) frontier scans dominate.
-// The experiment keeps its name: the lists replaced the hash bag this
-// ablation was first written against.
-func AblationBag(c Config) {
-	fmt.Fprintf(c.Out, "\n== Ablation: frontier lists vs flat dense frontier (BFS) ==\n")
-	rows := [][]string{{"Graph", "frontier", "time", "rounds"}}
-	for _, name := range []string{"REC", "SREC", "NA"} {
-		g := c.build(*gen.LookupSpec(name))
-		src := gen.PickSource(g)
-		for _, flat := range []bool{false, true} {
-			label := "lists"
-			if flat {
-				label = "flat"
-			}
-			var met *core.Metrics
-			t := timed(c.Reps, func() {
-				_, met, _ = core.BFS(g, src, core.Options{DisableHashBag: flat})
-			})
-			rows = append(rows, []string{name, label, fmtTime(t), fmtCount(int(met.Rounds))})
-		}
-	}
-	printAligned(c.Out, rows)
-}
-
 // AblationDirOpt compares BFS with and without direction optimization on
 // low-diameter social workloads.
 func AblationDirOpt(c Config) {

@@ -70,9 +70,8 @@ func BCC(g *graph.Graph, opt Options) (BCCResult, *Metrics, error) {
 // classification, skeleton connectivity) on top of an already-rooted
 // spanning forest of g. The GBBS-style baseline uses it with a BFS-built
 // forest; BCC itself uses a union-find forest. The forest must span g.
-// opt contributes the cancellation context (opt.Ctx) and observability
-// (opt.Tracer / opt.TraceScheduler); the labeling stages have no
-// VGC/frontier tunables.
+// opt contributes the cancellation context (opt.Ctx) and the per-stage
+// trace (opt.Tracer); the labeling stages have no VGC/frontier tunables.
 func BCCFromForest(g *graph.Graph, f *euler.Forest, opt Options) (BCCResult, *Metrics, error) {
 	return bccRun(g, opt, func(*stageClock) *euler.Forest { return f })
 }
@@ -93,7 +92,6 @@ func (st *stageClock) done() {
 // the empty graph, cancellation, and the labeling stages on the forest
 // that forest() supplies.
 func bccRun(g *graph.Graph, opt Options, forest func(*stageClock) *euler.Forest) (BCCResult, *Metrics, error) {
-	defer attachRuntimeTracer(opt)()
 	met := NewMetrics(opt, "bcc")
 	cl := NewCanceler(opt, met)
 	defer cl.Close()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"math/bits"
 	"sync/atomic"
 
 	"pasgal/internal/graph"
@@ -18,10 +17,10 @@ import (
 // search, relaxing edges with an atomic write-min; improvements within the
 // τ budget are expanded immediately in-task (possibly many hops deep), and
 // the rest are filed, by the task whose CAS won them, in its own list for
-// their new tentative distance (frontierSet). A ring of 2τ+4 distance
-// slots indexed modulo suffices (see nSlots). When the frontier is dense, a
-// Beamer-style bottom-up round scans improvable vertices' in-neighbors
-// instead.
+// their new tentative distance: the localSearch's slot d % nSlots holds
+// distance d, and a ring of 2τ+4 slots suffices (see nSlots). When the
+// frontier is dense, a Beamer-style bottom-up round scans improvable
+// vertices' in-neighbors instead.
 //
 // Unlike textbook BFS a vertex can be visited more than once (a local
 // search may install a distance that a later relaxation improves) — that is
@@ -35,7 +34,6 @@ import (
 // (nil, partial Metrics, ErrCanceled/ErrDeadline).
 func BFS(a graph.Adjacency, src uint32, opt Options) ([]uint32, *Metrics, error) {
 	opt = opt.Normalized()
-	defer attachRuntimeTracer(opt)()
 	met := NewMetrics(opt, "bfs")
 	cl := NewCanceler(opt, met)
 	defer cl.Close()
@@ -54,7 +52,7 @@ func BFS(a graph.Adjacency, src uint32, opt Options) ([]uint32, *Metrics, error)
 	// hops, so 2*tau + 4 distance buckets always suffice.
 	nSlots := 2*tau + 4
 	vgc := &localSearch{slots: nSlots, met: met, cl: cl}
-	fr := newFrontierSet(n, nSlots, opt.DisableHashBag, vgc)
+	var fbuf, dbuf []uint32 // gather's buffers, reused every round
 	denseCut := opt.denseCut(n)
 	out := graph.ScanOut(a)
 	// Bound once, never reassigned: the pull closure captures it by value.
@@ -76,7 +74,7 @@ func BFS(a graph.Adjacency, src uint32, opt Options) ([]uint32, *Metrics, error)
 
 	dist[src].Store(0)
 	vgc.grow(1)
-	fr.insert(vgc.team[0], 0, src)
+	vgc.team[0].out[0] = append(vgc.team[0].out[0], src)
 	cur := 0
 	for {
 		// Round boundary: a canceled round may have drained chunks without
@@ -90,13 +88,14 @@ func BFS(a graph.Adjacency, src uint32, opt Options) ([]uint32, *Metrics, error)
 		// lap of nSlots empty buckets proves no work is left: termination
 		// needs no count of pending entries.
 		lap := 0
-		for ; lap < nSlots && fr.empty(cur); lap++ {
+		for ; lap < nSlots && vgc.empty(cur%nSlots); lap++ {
 			cur++
 		}
 		if lap == nSlots {
 			break
 		}
-		f, bucketOf := fr.gather(cur, window, nSlots-tau-1)
+		f, bucketOf := gather(vgc, fbuf[:0], dbuf[:0], cur, window, nSlots-tau-1)
+		fbuf, dbuf = f, bucketOf
 		met.Round(len(f))
 		if int64(len(f)) < windowGrowCut && window < maxWindow {
 			window = min(2*window, maxWindow)
@@ -124,7 +123,7 @@ func BFS(a graph.Adjacency, src uint32, opt Options) ([]uint32, *Metrics, error)
 			// past the cap is re-relaxed when its capped in-neighbor's
 			// bucket is processed, so nothing is lost.
 			maxIns := uint32(cur + nSlots - 1)
-			// v is the sole writer of dist[v] this round (frontierSet.file).
+			// v is the sole writer of dist[v] this round, and filed once.
 			vgc.each(n, 0, func(s *scratch, lo, hi int) {
 				var local int64
 				for vi := lo; vi < hi; vi++ {
@@ -144,7 +143,8 @@ func BFS(a graph.Adjacency, src uint32, opt Options) ([]uint32, *Metrics, error)
 					}
 					if best < dist[v].Load() && best <= maxIns {
 						dist[v].Store(best) // sole writer of v this round
-						fr.file(s, int(best), v)
+						i := int(best) % nSlots
+						s.out[i] = append(s.out[i], v)
 					}
 				}
 				s.edges += local
@@ -174,7 +174,8 @@ func BFS(a graph.Adjacency, src uint32, opt Options) ([]uint32, *Metrics, error)
 			},
 			func(tail []uint32, s *scratch) {
 				for _, w := range tail {
-					fr.insert(s, int(dist[w].Load()), w)
+					i := int(dist[w].Load()) % nSlots
+					s.out[i] = append(s.out[i], w)
 				}
 			})
 	}
@@ -200,104 +201,21 @@ func pullScanner(a graph.Adjacency, denseCut int64) *graph.Scanner {
 	return graph.ScanIn(a)
 }
 
-// frontierSet is the rotating set of distance-indexed frontiers: slot
-// d % k of every participant's lists holds frontier d, plus, in the flat
-// ablation, slot d's dense bitmap, where top-down spills go instead.
-type frontierSet struct {
-	k        int // ring size: distance d lives in slot d % k
-	ls       *localSearch
-	flat     [][]atomic.Uint32 // dense variant: bit flags per vertex
-	nonEmpty []atomic.Bool     // dense variant: set by the first insert after a drain
-	f        []uint32          // gather's result, reused every round
-	bucketOf []uint32          // index for index, the distance of f's entry
-}
-
-func newFrontierSet(n, k int, flat bool, ls *localSearch) *frontierSet {
-	fs := &frontierSet{k: k, ls: ls}
-	if flat {
-		fs.flat = make([][]atomic.Uint32, k)
-		fs.nonEmpty = make([]atomic.Bool, k)
-		for i := range fs.flat {
-			fs.flat[i] = make([]atomic.Uint32, (n+31)/32)
-		}
-	}
-	return fs
-}
-
-// insert is a top-down spill of v, discovered by s, to frontier d.
-func (fs *frontierSet) insert(s *scratch, d int, v uint32) {
-	if fs.flat == nil {
-		fs.file(s, d, v)
-		return
-	}
-	i := d % fs.k
-	word, bit := v/32, uint32(1)<<(v%32)
-	for {
-		old := fs.flat[i][word].Load()
-		if old&bit != 0 {
-			return // already a member; whoever set the bit sets the flag
-		}
-		if fs.flat[i][word].CompareAndSwap(old, old|bit) {
-			break
-		}
-	}
-	// Read before writing so a busy bucket's flag line stays shared.
-	if !fs.nonEmpty[i].Load() {
-		fs.nonEmpty[i].Store(true)
-	}
-}
-
-// file adds v to frontier d in s's own list, in either mode: a bottom-up
-// round's insert, which has one writer per vertex and no repeats.
-func (fs *frontierSet) file(s *scratch, d int, v uint32) {
-	i := d % fs.k
-	s.out[i] = append(s.out[i], v)
-}
-
-func (fs *frontierSet) empty(d int) bool {
-	i := d % fs.k
-	return fs.ls.empty(i) && (fs.flat == nil || !fs.nonEmpty[i].Load())
-}
-
 // gather drains up to grab non-empty buckets among distances [cur,
-// cur+window), returning their entries and, index for index, each's
-// distance. Both slices are reused by the next call.
-func (fs *frontierSet) gather(cur, window, grab int) (f, bucketOf []uint32) {
-	f, bucketOf = fs.f[:0], fs.bucketOf[:0]
+// cur+window) of ls's ring (distance d in slot d % ls.slots) onto f,
+// appending, index for index, each entry's distance to bucketOf.
+func gather(ls *localSearch, f, bucketOf []uint32, cur, window, grab int) ([]uint32, []uint32) {
 	for d := cur; d < cur+window && grab > 0; d++ {
-		if fs.empty(d) {
+		i := d % ls.slots
+		if ls.empty(i) {
 			continue
 		}
 		at := len(f)
-		f = fs.extract(f, d)
+		f = ls.take(f, i)
 		for range f[at:] {
 			bucketOf = append(bucketOf, uint32(d))
 		}
 		grab--
 	}
-	fs.f, fs.bucketOf = f, bucketOf
 	return f, bucketOf
-}
-
-// extract drains frontier d onto dst: the lists, then the flat
-// ablation's bitmap, an O(n/32) scan — the cost the lists avoid.
-func (fs *frontierSet) extract(dst []uint32, d int) []uint32 {
-	i := d % fs.k
-	dst = fs.ls.take(dst, i)
-	if fs.flat == nil {
-		return dst
-	}
-	fs.nonEmpty[i].Store(false)
-	words := fs.flat[i]
-	return append(dst, parallel.Collect(nil, len(words), 1024, func(lo, hi int, l []uint32) []uint32 {
-		for w := lo; w < hi; w++ {
-			bv := words[w].Swap(0)
-			for bv != 0 {
-				tz := bits.TrailingZeros32(bv)
-				l = append(l, uint32(w*32+tz))
-				bv &= bv - 1
-			}
-		}
-		return l
-	})...)
 }

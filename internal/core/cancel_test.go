@@ -10,6 +10,7 @@ import (
 	"pasgal/internal/euler"
 	"pasgal/internal/gen"
 	"pasgal/internal/graph"
+	"pasgal/internal/parallel"
 	"pasgal/internal/trace"
 )
 
@@ -246,6 +247,7 @@ func TestCancelMidRun(t *testing.T) {
 	for _, tc := range cancelCases(dg, ug) {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := trace.New()
+			defer parallel.SetTracer(parallel.SetTracer(tr))
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			runCtx := context.Context(ctx)
@@ -271,7 +273,7 @@ func TestCancelMidRun(t *testing.T) {
 				}
 			}()
 			met, err := tc.run(t, Options{
-				Ctx: runCtx, Tau: 1, Tracer: tr, TraceScheduler: true,
+				Ctx: runCtx, Tau: 1, Tracer: tr,
 			})
 			close(done)
 			if !errors.Is(err, ErrCanceled) {

@@ -23,7 +23,6 @@ import (
 	"math"
 	"sync/atomic"
 
-	"pasgal/internal/parallel"
 	"pasgal/internal/trace"
 )
 
@@ -59,13 +58,6 @@ type Options struct {
 	// ablation benchmarks use as the "no VGC" configuration.
 	Tau int
 
-	// DisableHashBag makes BFS's (and BFSTree's) top-down spills set bits
-	// in flat dense frontier arrays (a full n-sized scan per extraction)
-	// instead of appending to the spiller's own list — the ablation the
-	// lists are measured against (no kernel uses a hash bag; the name
-	// predates the lists). Only BFS reads it.
-	DisableHashBag bool
-
 	// DisableDirectionOpt turns off the Beamer-style bottom-up switch in
 	// BFS.
 	DisableDirectionOpt bool
@@ -80,29 +72,10 @@ type Options struct {
 
 	// Tracer, when non-nil, receives structured per-round events (frontier
 	// extractions, direction switches, phases) from the run. nil disables
-	// tracing at the cost of one pointer test per round.
+	// tracing at the cost of one pointer test per round. The scheduler's
+	// counters (loops, steals, parks) reach a tracer only through
+	// parallel.SetTracer, a process-wide hook no one run can scope.
 	Tracer *trace.Tracer
-
-	// TraceScheduler, when set together with Tracer, additionally mirrors
-	// the fork-join runtime's scheduling counters (loop launches, published
-	// forks, steals, parks, wakes) into the same Tracer for the duration of
-	// the call, so one trace shows both what the algorithm did per round
-	// and what that cost the scheduler. The runtime hook is process-global
-	// (the worker pool is shared); concurrent runs with different tracers
-	// should not both set this.
-	TraceScheduler bool
-}
-
-// attachRuntimeTracer installs opt.Tracer as the parallel runtime's tracer
-// when opt.TraceScheduler asks for it, and returns the function that
-// restores the previous hook — intended as `defer attachRuntimeTracer(opt)()`
-// at every algorithm entry point.
-func attachRuntimeTracer(opt Options) func() {
-	if !opt.TraceScheduler || opt.Tracer == nil {
-		return func() {}
-	}
-	prev := parallel.SetTracer(opt.Tracer)
-	return func() { parallel.SetTracer(prev) }
 }
 
 // checkVertex rejects a caller-supplied vertex id at or past the vertex

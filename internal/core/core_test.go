@@ -37,13 +37,13 @@ func testGraphs(directed bool) map[string]*graph.Graph {
 }
 
 // optionMatrix exercises the feature flags: default, tiny tau (VGC off),
-// flat frontiers, no direction optimization.
+// mid-size budgets (tau64's 2·64+4 ring), no direction optimization.
 func optionMatrix() map[string]Options {
 	return map[string]Options{
 		"default":  {},
 		"tau1":     {Tau: 1},
 		"tau32":    {Tau: 32},
-		"flat":     {DisableHashBag: true, Tau: 64},
+		"tau64":    {Tau: 64},
 		"nodiropt": {DisableDirectionOpt: true},
 	}
 }

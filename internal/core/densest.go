@@ -10,7 +10,6 @@ import (
 // exactly a biconnected component of size one edge, so this is a direct
 // corollary of FAST-BCC.
 func Bridges(g *graph.Graph, opt Options) ([]bool, int, *Metrics, error) {
-	defer attachRuntimeTracer(opt)()
 	res, met, err := BCC(g, opt)
 	if err != nil {
 		return nil, 0, met, err
@@ -57,7 +56,6 @@ func Bridges(g *graph.Graph, opt Options) ([]bool, int, *Metrics, error) {
 // A directed graph is measured, as KCore peels it, as its symmetric
 // closure.
 func DensestSubgraph(a graph.Adjacency, opt Options) ([]uint32, float64, *Metrics, error) {
-	defer attachRuntimeTracer(opt)()
 	core, degeneracy, met, err := KCore(a, opt)
 	if err != nil {
 		return nil, 0, met, err

@@ -19,97 +19,92 @@ func sorted(s []uint32) []uint32 {
 	return s
 }
 
-// TestFrontierSetRing checks BFS's distance ring of per-participant lists,
-// in both frontier modes and at 1, 2 and 4 workers: every participant
-// files its own inserts, a bucket reads non-empty while any participant's
-// list (or, flat, its bitmap) holds an entry, extraction returns the
-// multiset union of the bottom-up writes (file) and the top-down spills
-// (insert) and leaves every participant's list for the slot empty, and
-// distances d and d+k share ring slot d%k: after a drain at d, the slot
-// serves d+k and then d+2k with nothing of the earlier lap left over.
+// TestFrontierSetRing checks BFS's distance ring of per-participant lists
+// at 1, 2 and 4 workers: every participant files its own entries in slot
+// d % k, a bucket reads non-empty while any participant's list for its
+// slot holds an entry, gather returns the multiset union of every
+// participant's entries with their distance and leaves the slot's lists
+// empty, and distances d and d+k share ring slot d%k: after a drain at d,
+// the slot serves d+k and then d+2k with nothing of the earlier lap left
+// over.
 func TestFrontierSetRing(t *testing.T) {
 	const n, k = 5000, 6
 	for _, p := range []int{1, 2, 4} {
-		for _, flat := range []bool{false, true} {
-			t.Run(fmt.Sprintf("p=%d/flat=%v", p, flat), func(t *testing.T) {
-				defer parallel.SetWorkers(parallel.SetWorkers(p))
-				ls := &localSearch{slots: k, met: &Metrics{}}
-				fs := newFrontierSet(n, k, flat, ls)
-				for d := 0; d < 2*k; d++ {
-					if !fs.empty(d) {
-						t.Fatalf("fresh bucket %d not empty", d)
-					}
+		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
+			defer parallel.SetWorkers(parallel.SetWorkers(p))
+			ls := &localSearch{slots: k, met: &Metrics{}}
+			ls.grow(1)
+			for d := 0; d < 2*k; d++ {
+				if !ls.empty(d % k) {
+					t.Fatalf("fresh bucket %d not empty", d)
 				}
-				// Lap 0 fills bucket 2, lap 1 bucket 2+k, lap 2 bucket
-				// 2+2k: every slot's lists are drained and refilled.
-				for lap := 0; lap < 3; lap++ {
-					d := 2 + lap*k
-					// Multiples of 3 are filed, multiples of 2 spilled,
-					// from a launch of grain-1 chunks over [0, n): the
-					// multiples of 6 come back twice. The lap's offset
-					// tells its entries from the previous lap's.
-					var want []uint32
-					ls.each(n, 1, func(s *scratch, lo, hi int) {
-						for v := uint32(lo); v < uint32(hi); v++ {
-							if v%3 == 0 {
-								fs.file(s, d, v+uint32(lap))
-							}
-							if v%2 == 0 {
-								fs.insert(s, d, v+uint32(lap))
-							}
-						}
-					})
-					for v := uint32(0); v < n; v++ {
+			}
+			// Lap 0 fills bucket 2, lap 1 bucket 2+k, lap 2 bucket 2+2k:
+			// every slot's lists are drained and refilled.
+			for lap := 0; lap < 3; lap++ {
+				d := 2 + lap*k
+				// Multiples of 2 and of 3 are filed, from a launch of
+				// grain-1 chunks over [0, n): the multiples of 6 come
+				// back twice. The lap's offset tells its entries from the
+				// previous lap's.
+				var want []uint32
+				ls.each(n, 1, func(s *scratch, lo, hi int) {
+					for v := uint32(lo); v < uint32(hi); v++ {
 						if v%3 == 0 {
-							want = append(want, v+uint32(lap))
+							s.out[d%k] = append(s.out[d%k], v+uint32(lap))
 						}
 						if v%2 == 0 {
-							want = append(want, v+uint32(lap))
+							s.out[d%k] = append(s.out[d%k], v+uint32(lap))
 						}
 					}
-					slices.Sort(want)
-					for e := d % k; e < 3*k; e += k {
-						if fs.empty(e) {
-							t.Fatalf("lap %d: bucket %d reads empty with slot %d filled", lap, e, d%k)
-						}
+				})
+				for v := uint32(0); v < n; v++ {
+					if v%3 == 0 {
+						want = append(want, v+uint32(lap))
 					}
-					if !fs.empty(d+1) || !fs.empty(d-1) {
-						t.Fatalf("lap %d: filling bucket %d made a neighbour non-empty", lap, d)
-					}
-					got := sorted(fs.extract(nil, d))
-					if !slices.Equal(got, want) {
-						t.Fatalf("lap %d: extract(%d) has %d entries, want the %d of the multiset union", lap, d, len(got), len(want))
-					}
-					if !fs.empty(d) || !ls.empty(d%k) {
-						t.Fatalf("lap %d: bucket %d not empty after extract", lap, d)
+					if v%2 == 0 {
+						want = append(want, v+uint32(lap))
 					}
 				}
-			})
-		}
+				slices.Sort(want)
+				if ls.empty(d%k) || !ls.empty((d-1)%k) || !ls.empty((d+1)%k) {
+					t.Fatalf("lap %d: filling bucket %d did not fill exactly slot %d", lap, d, d%k)
+				}
+				f, bucketOf := gather(ls, nil, nil, d, 1, 1)
+				if got := sorted(f); !slices.Equal(got, want) {
+					t.Fatalf("lap %d: gather(%d) has %d entries, want the %d of the multiset union", lap, d, len(got), len(want))
+				}
+				for _, b := range bucketOf {
+					if b != uint32(d) {
+						t.Fatalf("lap %d: an entry of bucket %d carries distance %d", lap, d, b)
+					}
+				}
+				if !ls.empty(d % k) {
+					t.Fatalf("lap %d: bucket %d not empty after gather", lap, d)
+				}
+			}
+		})
 	}
 }
 
 // TestFrontierSetGatherReuses checks gather's window: buckets past the
 // grab limit stay put, every entry carries its bucket's distance, and the
-// returned slices are the set's own, reused by the next call.
+// slices it is handed are the ones it fills, reused by the next call.
 func TestFrontierSetGatherReuses(t *testing.T) {
 	ls := &localSearch{slots: 8, met: &Metrics{}}
-	fs := newFrontierSet(100, 8, false, ls)
 	ls.grow(1)
 	s := ls.team[0]
 	for d, vs := range map[int][]uint32{3: {30, 31}, 4: {40}, 6: {60, 61, 62}} {
-		for _, v := range vs {
-			fs.insert(s, d, v)
-		}
+		s.out[d%8] = append(s.out[d%8], vs...)
 	}
-	f, bucketOf := fs.gather(3, 4, 2)
+	f, bucketOf := gather(ls, make([]uint32, 0, 8), nil, 3, 4, 2)
 	if !slices.Equal(f, []uint32{30, 31, 40}) || !slices.Equal(bucketOf, []uint32{3, 3, 4}) {
 		t.Fatalf("gather(3, 4, 2) = %v %v, want [30 31 40] [3 3 4]", f, bucketOf)
 	}
-	if fs.empty(6) {
+	if ls.empty(6) {
 		t.Fatal("bucket 6, past the grab limit, was drained")
 	}
-	g, _ := fs.gather(6, 1, 1)
+	g, _ := gather(ls, f[:0], bucketOf[:0], 6, 1, 1)
 	if !slices.Equal(g, []uint32{60, 61, 62}) || &g[0] != &f[0] {
 		t.Fatalf("second gather = %v; want [60 61 62] in the first call's buffer", g)
 	}

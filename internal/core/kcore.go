@@ -26,7 +26,6 @@ import (
 // (nil, 0, partial Metrics, ErrCanceled/ErrDeadline).
 func KCore(a graph.Adjacency, opt Options) ([]uint32, int, *Metrics, error) {
 	opt = opt.Normalized()
-	defer attachRuntimeTracer(opt)()
 	met := NewMetrics(opt, "kcore")
 	cl := NewCanceler(opt, met)
 	defer cl.Close()

@@ -107,8 +107,7 @@ func TestNormalizedIdempotent(t *testing.T) {
 		{},
 		{Tau: -3, DenseFrac: math.NaN()},
 		{Tau: MaxTau + 5, DenseFrac: 2},
-		{Tau: 7, DenseFrac: 0.3, DisableHashBag: true,
-			RecordFrontiers: true},
+		{Tau: 7, DenseFrac: 0.3, RecordFrontiers: true},
 		{DisableDirectionOpt: true, DenseFrac: 0.2},
 	}
 	for _, raw := range raws {
@@ -117,8 +116,7 @@ func TestNormalizedIdempotent(t *testing.T) {
 		if once != twice {
 			t.Errorf("Normalized not idempotent for %+v: %+v vs %+v", raw, once, twice)
 		}
-		if once.DisableHashBag != raw.DisableHashBag ||
-			once.RecordFrontiers != raw.RecordFrontiers ||
+		if once.RecordFrontiers != raw.RecordFrontiers ||
 			once.Tracer != raw.Tracer {
 			t.Errorf("Normalized mutated a pass-through field: %+v -> %+v", raw, once)
 		}

@@ -20,7 +20,6 @@ import (
 // (nil, partial Metrics, ErrCanceled/ErrDeadline).
 func Reachable(a graph.Adjacency, srcs []uint32, opt Options) ([]bool, *Metrics, error) {
 	opt = opt.Normalized()
-	defer attachRuntimeTracer(opt)()
 	met := NewMetrics(opt, "reach")
 	cl := NewCanceler(opt, met)
 	defer cl.Close()

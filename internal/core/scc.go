@@ -34,7 +34,6 @@ func SCC(a graph.Adjacency, opt Options) ([]uint32, int, *Metrics, error) {
 		panic("core: SCC requires a directed graph")
 	}
 	opt = opt.Normalized()
-	defer attachRuntimeTracer(opt)()
 	met := NewMetrics(opt, "scc")
 	cl := NewCanceler(opt, met)
 	defer cl.Close()

@@ -357,7 +357,6 @@ func stepping(algo string, a graph.Adjacency, src, dst uint32, policy StepPolicy
 		policy = RhoStepping{}
 	}
 	opt = opt.Normalized()
-	defer attachRuntimeTracer(opt)()
 	met := NewMetrics(opt, algo)
 	cl := NewCanceler(opt, met)
 	defer cl.Close()

@@ -12,15 +12,15 @@ import (
 )
 
 // TestStressBFSConcurrentQueries runs several BFS queries concurrently on
-// one shared graph with the worker team oversized, so hash-bag frontiers,
+// one shared graph with the worker team oversized, so frontier lists,
 // VGC local searches, and the fork-join runtime from different queries all
 // interleave on the same cores. Each query's distances are checked against
 // the sequential oracle. Under -race this is the closest approximation of
 // the production serving scenario: many traversals in flight at once.
-// The option rows push every discovery through the bucket ring (Tau 1,
-// with hash bags and with the flat frontier) or pull every round, so the
-// one-lap emptiness test that ends a run is read right after rounds whose
-// inserts raced; on the directed graph BFSTree runs beside them.
+// The option rows push every discovery through the bucket ring (Tau 1)
+// or pull every round, so the one-lap emptiness test that ends a run is
+// read right after rounds whose inserts raced; on the directed graph
+// BFSTree runs beside them.
 func TestStressBFSConcurrentQueries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test; skipped with -short")
@@ -33,7 +33,7 @@ func TestStressBFSConcurrentQueries(t *testing.T) {
 		gen.ER(2500, 7000, false, 11),
 		gen.ER(2000, 4000, true, 12),
 	}
-	opts := []Options{{}, {Tau: 1}, {Tau: 1, DisableHashBag: true}, {DenseFrac: 1e-9}}
+	opts := []Options{{}, {Tau: 1}, {DenseFrac: 1e-9}}
 	for gi, g := range graphs {
 		srcs := []uint32{0, uint32(g.N / 3), uint32(g.N - 1)}
 		want := make([][]uint32, len(srcs))

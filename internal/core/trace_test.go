@@ -185,25 +185,27 @@ func TestTraceSharedAcrossAlgos(t *testing.T) {
 	}
 }
 
-// TestTraceSchedulerCounters: Options.TraceScheduler must mirror the
-// fork-join runtime's counters into the run's tracer — the launch counts
-// the tracer saw must match the SchedStats delta over the run exactly (the
+// TestSchedulerTracerCounters: a tracer installed with parallel.SetTracer
+// around a run must see the fork-join runtime's counters — the launch
+// counts it saw must match the SchedStats delta over the run exactly (the
 // same two-independent-observers contract the round tests enforce) — and
-// the hook must be restored when the call returns.
-func TestTraceSchedulerCounters(t *testing.T) {
+// none once the previous hook is restored.
+func TestSchedulerTracerCounters(t *testing.T) {
 	defer parallel.SetWorkers(parallel.SetWorkers(4))
 	g := gen.Chain(5000, false)
 
 	tr := trace.New()
+	prev := parallel.SetTracer(tr)
 	before := parallel.SchedStats()
-	_, met, _ := BFS(g, 0, Options{Tracer: tr, TraceScheduler: true})
+	_, met, _ := BFS(g, 0, Options{Tracer: tr})
 	after := parallel.SchedStats()
+	parallel.SetTracer(prev)
 	if met.Rounds == 0 {
 		t.Fatal("BFS did no rounds")
 	}
 
 	if got := tr.CounterValue(trace.CtrLoops) + tr.CounterValue(trace.CtrInlineLoops); got == 0 {
-		t.Fatal("TraceScheduler saw no loop launches during BFS")
+		t.Fatal("the scheduler tracer saw no loop launches during BFS")
 	}
 	type pair struct {
 		name  string
@@ -221,18 +223,18 @@ func TestTraceSchedulerCounters(t *testing.T) {
 		}
 	}
 
-	// The hook must be gone after the call: new launches may not count.
+	// The hook is gone once restored: new launches may not count.
 	loopsAfter := tr.CounterValue(trace.CtrLoops)
 	parallel.For(100000, 16, func(int) {})
 	if got := tr.CounterValue(trace.CtrLoops); got != loopsAfter {
-		t.Fatalf("runtime tracer leaked past the call: loops %d -> %d", loopsAfter, got)
+		t.Fatalf("runtime tracer leaked past its restore: loops %d -> %d", loopsAfter, got)
 	}
 
-	// Without TraceScheduler the same run records no scheduler counters.
+	// With only Options.Tracer the same run records no scheduler counters.
 	tr2 := trace.New()
 	BFS(g, 0, Options{Tracer: tr2})
 	if got := tr2.CounterValue(trace.CtrLoops) + tr2.CounterValue(trace.CtrSteals); got != 0 {
-		t.Fatalf("scheduler counters recorded without TraceScheduler: %d", got)
+		t.Fatalf("scheduler counters recorded with only Options.Tracer: %d", got)
 	}
 }
 

@@ -11,16 +11,17 @@ import (
 
 // ReadEdgeList parses a whitespace-separated edge list ("u v" or "u v w"
 // per line; lines starting with '#' or '%' are comments). n < 0 infers the
-// vertex count as max id + 1.
+// vertex count as max id + 1, bounded by the input's size (checkImplied).
 func ReadEdgeList(r io.Reader, n int, directed bool) (*graph.Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var edges []graph.Edge
 	weighted := false
 	maxID := uint32(0)
-	lineNo := 0
+	lineNo, size := 0, int64(0)
 	for sc.Scan() {
 		lineNo++
+		size += int64(len(sc.Bytes()) + 1)
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || line[0] == '#' || line[0] == '%' {
 			continue
@@ -69,6 +70,9 @@ func ReadEdgeList(r io.Reader, n int, directed bool) (*graph.Graph, error) {
 			n = 0
 		} else {
 			n = int(maxID) + 1
+		}
+		if err := checkImplied(int64(n), size); err != nil {
+			return nil, err
 		}
 	}
 	return graph.FromEdges(n, edges, directed, graph.BuildOptions{Weighted: weighted}), nil

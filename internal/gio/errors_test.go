@@ -14,7 +14,8 @@ import (
 // text readers: vertex counts, vertex ids, and weights that do not fit the
 // uint32 storage must produce line-numbered errors, never silent
 // truncation (which previously aliased distinct vertices and wrapped
-// weights).
+// weights). A vertex or entry count the input does not pay for is an error
+// too, not an allocation sized by a header or by an edge list's largest id.
 func TestTextReadersRejectOutOfRange(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -82,6 +83,16 @@ func TestTextReadersRejectOutOfRange(t *testing.T) {
 			"0 1 4294967295\n",
 			"OK",
 		},
+		// Counts the input does not pay for (checkImplied); the first is
+		// the input FuzzReadEdgeList found.
+		{"edgelist id far past the input", readELErr, "4294937296 1\n", "bytes of input"},
+		{"edgelist id within the allowance", readELErr, "0 1048576\n", "OK"},
+		{"dimacs n far past the input", readDIMACSErr, "p sp 4294967295 0\n", "bytes of input"},
+		{"dimacs n within the allowance", readDIMACSErr, "p sp 1048576 0\n", "OK"},
+		{"mtx rows far past the input", readMTXErr,
+			"%%MatrixMarket matrix coordinate pattern general\n4294967295 4294967295 0\n", "bytes of input"},
+		{"mtx nnz far past the input", readMTXErr,
+			"%%MatrixMarket matrix coordinate pattern general\n2 2 4398046511104\n", "header says"},
 	}
 	for _, tc := range cases {
 		err := tc.read(tc.input)

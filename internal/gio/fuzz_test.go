@@ -66,13 +66,13 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("0 1 5\n# c\n")
 	f.Add("x y\n")
 	// 32-bit boundary seeds: ids/weights at and past the uint32 limits.
-	// (Valid near-limit ids are deliberately absent: n is inferred as
-	// max id + 1, so a legal 4-billion id would make the fuzzer allocate a
-	// 4-billion-vertex CSR.)
 	f.Add("0 4294967295\n")
 	f.Add("4294967296 1\n")
 	f.Add("0 1 4294967296\n")
 	f.Add("0 1 4294967295\n")
+	// A legal id far past what the input pays for: n = max id + 1 must be
+	// refused, not turned into a 4.3-billion-vertex CSR.
+	f.Add("4294937296 1\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		g, err := ReadEdgeList(strings.NewReader(in), -1, true)
 		if err != nil {
@@ -93,6 +93,8 @@ func FuzzReadDIMACS(f *testing.F) {
 	f.Add("p sp 4294967296 1\na 1 2 7\n")
 	f.Add("p sp 2 1\na 1 2 4294967296\n")
 	f.Add("p sp 2 1\na 1 2 4294967295\n")
+	// Sizes far past what the input pays for.
+	f.Add("p sp 4294967295 0\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		g, err := ReadDIMACS(strings.NewReader(in))
 		if err != nil {
@@ -112,6 +114,9 @@ func FuzzReadMTX(f *testing.F) {
 	// 32-bit boundary seeds.
 	f.Add("%%MatrixMarket matrix coordinate pattern general\n4294967296 4294967296 1\n1 2\n")
 	f.Add("%%MatrixMarket matrix coordinate integer general\n3 3 1\n1 2 4294967296\n")
+	// Sizes far past what the input pays for.
+	f.Add("%%MatrixMarket matrix coordinate pattern general\n4294967295 4294967295 0\n")
+	f.Add("%%MatrixMarket matrix coordinate pattern general\n2 2 4398046511104\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		g, err := ReadMTX(strings.NewReader(in))
 		if err != nil {

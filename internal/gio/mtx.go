@@ -34,7 +34,7 @@ func ReadMTX(r io.Reader) (*graph.Graph, error) {
 	}
 
 	// Skip comments, read the size line.
-	var rows, cols, nnz int64
+	var rows, cols, nnz, size int64
 	lineNo := 1
 	for sc.Scan() {
 		lineNo++
@@ -57,9 +57,10 @@ func ReadMTX(r io.Reader) (*graph.Graph, error) {
 		return nil, fmt.Errorf("gio: mtx line %d: %d rows exceeds the 32-bit vertex-id limit %d",
 			lineNo, rows, int64(maxVertexCount))
 	}
-	edges := make([]graph.Edge, 0, nnz)
+	edges := make([]graph.Edge, 0, min(nnz, 1<<20)) // grows with the data, as ReadAdj's
 	for sc.Scan() {
 		lineNo++
+		size += int64(len(sc.Bytes()) + 1)
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || line[0] == '%' {
 			continue
@@ -93,6 +94,9 @@ func ReadMTX(r io.Reader) (*graph.Graph, error) {
 	}
 	if int64(len(edges)) != nnz {
 		return nil, fmt.Errorf("gio: mtx has %d entries, header says %d", len(edges), nnz)
+	}
+	if err := checkImplied(rows, size); err != nil {
+		return nil, err
 	}
 	return graph.FromEdges(int(rows), edges, directed,
 		graph.BuildOptions{Weighted: weighted}), nil

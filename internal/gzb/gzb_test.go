@@ -69,27 +69,35 @@ func TestListRoundTrip(t *testing.T) {
 	}
 }
 
-// TestListExtremes pins the boundary encodings: empty lists, the extreme
-// first deltas (neighbor 0 from the last vertex and vice versa), maximal
-// weights, and runs of zero gaps (duplicate arcs).
+// listCase is one vertex's list: its id, sorted neighbors and weights
+// (nil: unweighted).
+type listCase struct {
+	name      string
+	v         uint32
+	nbrs, wts []uint32
+}
+
+// lastID is the largest id of the n = 2^32 - 1 universe.
+const lastID = math.MaxUint32 - 1
+
+// listExtremes are the boundary encodings: empty lists, the extreme first
+// deltas (neighbor 0 from the last vertex and vice versa), maximal
+// weights, and runs of zero gaps (duplicate arcs). FuzzGzbRoundTrip's
+// corpus starts from them too.
+var listExtremes = []listCase{
+	{name: "empty", v: 7, nbrs: nil},
+	{name: "self-loop", v: 9, nbrs: []uint32{9}},
+	{name: "max-negative-delta", v: lastID, nbrs: []uint32{0}},
+	{name: "max-positive-delta", v: 0, nbrs: []uint32{lastID}},
+	{name: "full-span", v: lastID, nbrs: []uint32{0, lastID}},
+	{name: "duplicates", v: 3, nbrs: []uint32{5, 5, 5, 5}},
+	{name: "max-weight", v: 0, nbrs: []uint32{1}, wts: []uint32{math.MaxUint32}},
+}
+
+// TestListExtremes pins the boundary encodings of listExtremes.
 func TestListExtremes(t *testing.T) {
-	last := uint32(math.MaxUint32 - 1)
 	n := uint32(math.MaxUint32)
-	cases := []struct {
-		name string
-		v    uint32
-		nbrs []uint32
-		wts  []uint32
-	}{
-		{name: "empty", v: 7, nbrs: nil},
-		{name: "self-loop", v: 9, nbrs: []uint32{9}},
-		{name: "max-negative-delta", v: last, nbrs: []uint32{0}},
-		{name: "max-positive-delta", v: 0, nbrs: []uint32{last}},
-		{name: "full-span", v: last, nbrs: []uint32{0, last}},
-		{name: "duplicates", v: 3, nbrs: []uint32{5, 5, 5, 5}},
-		{name: "max-weight", v: 0, nbrs: []uint32{1}, wts: []uint32{math.MaxUint32}},
-	}
-	for _, tc := range cases {
+	for _, tc := range listExtremes {
 		enc := AppendList(nil, tc.v, tc.nbrs, tc.wts)
 		if _, err := CheckList(enc, tc.v, n, tc.wts != nil); err != nil {
 			t.Fatalf("%s: CheckList: %v", tc.name, err)

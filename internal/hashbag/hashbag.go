@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 
 	"pasgal/internal/parallel"
-	"pasgal/internal/trace"
 )
 
 const (
@@ -47,7 +46,6 @@ type Bag struct {
 	// "anything in there?".
 	nonEmpty atomic.Uint32
 	initLen  int
-	tracer   *trace.Tracer
 	// est is the one field inserts write: one in 2^sampleShift bumps it.
 	// The pad keeps it 64 bytes from active and nonEmpty, which every
 	// insert loads, so a bump does not pull their line away from the other
@@ -55,11 +53,6 @@ type Bag struct {
 	_   [64]byte
 	est atomic.Int64
 }
-
-// SetTracer attaches a tracer to the bag (nil detaches). Resizes emit
-// trace events; insert probe retries are batched per Insert call and
-// recorded as a counter. Must not race with Insert.
-func (b *Bag) SetTracer(t *trace.Tracer) { b.tracer = t }
 
 // New returns a bag whose first chunk holds initSlots slots (rounded up to
 // a power of two, minimum 64). initSlots <= 0 selects a default.
@@ -97,7 +90,6 @@ func hash64(x uint64) uint64 {
 // multiset of inserts; callers dedupe via their own claimed/visited flags,
 // as the PASGAL algorithms do). Safe for concurrent use.
 func (b *Bag) Insert(v uint32) {
-	var retries int64 // batched: one tracer flush per Insert, not per probe
 	for {
 		ai := int(b.active.Load())
 		cp := b.levels[ai].Load()
@@ -115,7 +107,6 @@ func (b *Bag) Insert(v uint32) {
 				if b.nonEmpty.Load() == 0 {
 					b.nonEmpty.Store(1)
 				}
-				b.tracer.BagRetries(retries)
 				if h&((1<<sampleShift)-1) == 0 &&
 					b.est.Add(1)<<sampleShift >= int64(len(c)/2) {
 					b.grow(ai)
@@ -124,7 +115,6 @@ func (b *Bag) Insert(v uint32) {
 			}
 			h = hash64(h)
 			probes++
-			retries++
 			if probes >= 16 || probes >= len(c) {
 				// This probe path is saturated: advance to the next chunk
 				// and retry there.
@@ -146,10 +136,7 @@ func (b *Bag) grow(ai int) {
 		b.levels[ai+1].CompareAndSwap(nil, &c)
 	}
 	// Publish-then-bump: once active reads ai+1, the chunk is visible.
-	// Only the winning CAS reports the resize, so each level traces once.
-	if b.active.CompareAndSwap(int32(ai), int32(ai+1)) {
-		b.tracer.BagResize(int64(ai+1), int64(b.initLen<<(ai+1)))
-	}
+	b.active.CompareAndSwap(int32(ai), int32(ai+1))
 	b.est.Store(0)
 }
 

@@ -122,11 +122,6 @@ func RunPointToPoint(a graph.Adjacency, pairs [][2]uint32, opt core.Options) ([]
 func runBatch(a graph.Adjacency, srcs []uint32, opt core.Options, invalid error,
 	sinkFor func(base, hi int) *sink) (*core.Metrics, error) {
 	opt = opt.Normalized()
-	if opt.TraceScheduler && opt.Tracer != nil {
-		// As core's entry points do: opt.Tracer is the parallel runtime's
-		// tracer for the duration of the call, the previous one after it.
-		defer parallel.SetTracer(parallel.SetTracer(opt.Tracer))
-	}
 	met := core.NewMetrics(opt, "msbfs")
 	cl := core.NewCanceler(opt, met)
 	defer cl.Close()

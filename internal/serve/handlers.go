@@ -350,7 +350,8 @@ func (q *query) key(args ...uint32) string {
 
 // vertices parses rt's vertex parameters, in order, and range-checks
 // every id against the query's pinned view. A list route's one parameter
-// holds comma-separated ids, each trimmed of spaces.
+// holds comma-separated ids. Every id, listed or single, is trimmed of
+// spaces.
 func (q *query) vertices(params url.Values, rt *route) ([]uint32, error) {
 	var vs []uint32
 	for _, key := range rt.vertices {
@@ -363,11 +364,7 @@ func (q *query) vertices(params url.Values, rt *route) ([]uint32, error) {
 			parts, bad = strings.Split(raw, ","), "bad %s entry %q"
 		}
 		for _, p := range parts {
-			id := p
-			if rt.list {
-				id = strings.TrimSpace(p)
-			}
-			v, err := strconv.ParseUint(id, 10, 32)
+			v, err := strconv.ParseUint(strings.TrimSpace(p), 10, 32)
 			if err != nil {
 				return nil, fmt.Errorf(bad, key, p)
 			}

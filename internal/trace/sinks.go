@@ -48,8 +48,6 @@ func (t *Tracer) WriteRoundLog(w io.Writer) error {
 			fmt.Fprintf(bw, "+%.6fs %-12s round %d: direction switch -> bottom-up\n", ts, ev.Algo, ev.A)
 		case KindPhase:
 			fmt.Fprintf(bw, "+%.6fs %-12s phase %d (detail=%d)\n", ts, ev.Algo, ev.A, ev.B)
-		case KindResize:
-			fmt.Fprintf(bw, "+%.6fs %-12s grew to level %d (%d slots)\n", ts, ev.Algo, ev.A, ev.B)
 		case KindCancel:
 			fmt.Fprintf(bw, "+%.6fs %-12s canceled after %d rounds\n", ts, ev.Algo, ev.A)
 		}
@@ -172,12 +170,6 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 				Name: fmt.Sprintf("%s phase %d", ev.Algo, ev.A), Cat: "phase",
 				Ph: "i", S: "t", TS: us(ev.TS), PID: 1, TID: tid,
 				Args: map[string]any{"phase": ev.A, "detail": ev.B},
-			})
-		case KindResize:
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: "bag resize", Cat: "resize", Ph: "i", S: "t",
-				TS: us(ev.TS), PID: 1, TID: tid,
-				Args: map[string]any{"level": ev.A, "slots": ev.B},
 			})
 		case KindCancel:
 			out.TraceEvents = append(out.TraceEvents, chromeEvent{

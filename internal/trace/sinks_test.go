@@ -16,7 +16,7 @@ func record(t *testing.T) *Tracer {
 	tr.Round("bfs", 3, 900)
 	tr.Phase("scc", 1, 12)
 	tr.Round("scc", 1, 4)
-	tr.BagResize(1, 1024)
+	tr.Cancel("sssp", 2)
 	return tr
 }
 
@@ -28,11 +28,11 @@ func TestWriteRoundLog(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"7 events (0 dropped)",
-		"rounds=4", "bottom_up=1", "phases=1", "bag_resizes=1",
+		"rounds=4", "bottom_up=1", "phases=1", "cancels=1",
 		"round 2: frontier=16",
 		"direction switch -> bottom-up",
 		"phase 1 (detail=12)",
-		"grew to level 1 (1024 slots)",
+		"canceled after 2 rounds",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("round log missing %q:\n%s", want, out)
@@ -93,7 +93,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
 		t.Fatalf("chrome trace is not valid JSON: %v", err)
 	}
-	// 7 events + 2 thread_name metadata records (bfs, scc, hashbag = 3).
+	// 7 events + 3 thread_name metadata records (bfs, scc, sssp).
 	if len(parsed.TraceEvents) != 7+3 {
 		t.Fatalf("got %d trace events, want 10", len(parsed.TraceEvents))
 	}

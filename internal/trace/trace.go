@@ -1,13 +1,12 @@
 // Package trace is the library's structured tracing layer: a zero-
 // dependency, low-overhead recorder for the per-round behavior the paper's
 // evaluation rests on — frontier growth under VGC, direction-optimization
-// switches, SCC/SSSP phase structure, hash-bag resizes, and fork-join
-// scheduling volume.
+// switches, SCC/SSSP phase structure, and fork-join scheduling volume.
 //
 // A *Tracer is nil-safe: every method on a nil receiver is a no-op, so
 // algorithm code threads the tracer unconditionally (via core.Options) and
 // the disabled path costs one pointer test. Counters are plain atomics;
-// discrete events (rounds, phases, resizes) go into a bounded ring under a
+// discrete events (rounds, phases, cancels) go into a bounded ring under a
 // mutex — events are per-round, not per-edge, so the lock is cold.
 //
 // Three sinks render a recording: WriteRoundLog (human-readable),
@@ -25,14 +24,13 @@ import (
 type Counter int
 
 // The counters. Round/phase/direction counts mirror core.Metrics (the
-// trace invariant tests assert the two observability paths agree); the bag
-// and scheduler counters have no Metrics equivalent and exist only here.
+// trace invariant tests assert the two observability paths agree); the
+// scheduler and lane counters have no Metrics equivalent and exist only
+// here.
 const (
 	CtrRounds      Counter = iota // frontier extractions (= round events)
 	CtrBottomUp                   // direction-optimized (bottom-up) rounds
 	CtrPhases                     // outer phases (SCC peeling, SSSP θ steps)
-	CtrBagResizes                 // hash-bag chunk advances (growth events)
-	CtrBagRetries                 // hash-bag insert probe retries
 	CtrLoops                      // parallel loop launches (join barriers)
 	CtrForks                      // helper slots / fork arms published for stealing
 	CtrInlineLoops                // loops that fit one chunk and ran inline
@@ -46,9 +44,8 @@ const (
 
 // counterNames must match the Counter constants in order.
 var counterNames = [numCounters]string{
-	"rounds", "bottom_up", "phases", "bag_resizes", "bag_retries",
-	"loops", "forks", "inline_loops", "steals", "parks", "wakes",
-	"cancels", "lane_scans",
+	"rounds", "bottom_up", "phases", "loops", "forks", "inline_loops",
+	"steals", "parks", "wakes", "cancels", "lane_scans",
 }
 
 // Name returns the counter's snake_case name as used in the sinks.
@@ -67,7 +64,6 @@ const (
 	KindRound     Kind = iota // one frontier extraction
 	KindDirSwitch             // a round ran bottom-up (direction-optimized)
 	KindPhase                 // one outer phase boundary
-	KindResize                // a hash bag advanced to a larger chunk
 	KindCancel                // a run stopped early (cancellation/deadline)
 )
 
@@ -80,8 +76,6 @@ func (k Kind) String() string {
 		return "dir_switch"
 	case KindPhase:
 		return "phase"
-	case KindResize:
-		return "resize"
 	case KindCancel:
 		return "cancel"
 	}
@@ -94,7 +88,6 @@ func (k Kind) String() string {
 //	KindRound:     A = round index (1-based), B = frontier size
 //	KindDirSwitch: A = round index the switch applies to, B unused
 //	KindPhase:     A = phase index (1-based), B = caller detail (or -1)
-//	KindResize:    A = new chunk level, B = new chunk slot count
 //	KindCancel:    A = rounds completed when the run stopped, B unused
 type Event struct {
 	TS   int64
@@ -200,25 +193,6 @@ func (t *Tracer) LaneScans(n int64) {
 		return
 	}
 	t.counters[CtrLaneScans].Add(n)
-}
-
-// BagResize records a hash bag advancing to chunk level `level` of `slots`
-// slots.
-func (t *Tracer) BagResize(level, slots int64) {
-	if t == nil {
-		return
-	}
-	t.counters[CtrBagResizes].Add(1)
-	t.emit(Event{Kind: KindResize, Algo: "hashbag", A: level, B: slots})
-}
-
-// BagRetries adds n hash-bag insert probe retries (counter only; retries
-// are far too frequent for per-event recording).
-func (t *Tracer) BagRetries(n int64) {
-	if t == nil || n == 0 {
-		return
-	}
-	t.counters[CtrBagRetries].Add(n)
 }
 
 // Loop records one parallel launch that published `forks` helper slots (or

@@ -12,8 +12,8 @@ func TestNilTracerIsSafe(t *testing.T) {
 	tr.Round("bfs", 1, 10)
 	tr.DirectionSwitch("bfs", 1)
 	tr.Phase("scc", 1, -1)
-	tr.BagResize(2, 2048)
-	tr.BagRetries(5)
+	tr.Cancel("bfs", 2)
+	tr.LaneScans(5)
 	tr.Loop(4, 32)
 	tr.LoopInline()
 	tr.Steal()
@@ -41,9 +41,9 @@ func TestCountersAndEvents(t *testing.T) {
 	tr.Round("bfs", 2, 8)
 	tr.DirectionSwitch("bfs", 2)
 	tr.Phase("scc", 1, 42)
-	tr.BagResize(1, 1024)
-	tr.BagRetries(7)
-	tr.BagRetries(0) // must not count
+	tr.Cancel("scc", 1)
+	tr.LaneScans(7)
+	tr.LaneScans(0) // must not count
 	tr.Loop(4, 32)
 	tr.Loop(2, 2)
 	tr.LoopInline()
@@ -54,8 +54,8 @@ func TestCountersAndEvents(t *testing.T) {
 	tr.Wake(1)
 
 	want := map[Counter]int64{
-		CtrRounds: 2, CtrBottomUp: 1, CtrPhases: 1, CtrBagResizes: 1,
-		CtrBagRetries: 7, CtrLoops: 2, CtrForks: 6, CtrInlineLoops: 1,
+		CtrRounds: 2, CtrBottomUp: 1, CtrPhases: 1, CtrCancels: 1,
+		CtrLaneScans: 7, CtrLoops: 2, CtrForks: 6, CtrInlineLoops: 1,
 		CtrSteals: 2, CtrParks: 1, CtrWakes: 3,
 	}
 	for c, v := range want {
@@ -69,7 +69,7 @@ func TestCountersAndEvents(t *testing.T) {
 		t.Fatalf("got %d events, want 5 (counter-only calls must not emit)", len(evs))
 	}
 	// Emission order and monotone timestamps.
-	wantKinds := []Kind{KindRound, KindRound, KindDirSwitch, KindPhase, KindResize}
+	wantKinds := []Kind{KindRound, KindRound, KindDirSwitch, KindPhase, KindCancel}
 	for i, ev := range evs {
 		if ev.Kind != wantKinds[i] {
 			t.Fatalf("event %d kind = %v, want %v", i, ev.Kind, wantKinds[i])
@@ -114,10 +114,10 @@ func TestRingCapAndDrop(t *testing.T) {
 func TestReset(t *testing.T) {
 	tr := New()
 	tr.Round("bfs", 1, 1)
-	tr.BagRetries(3)
+	tr.LaneScans(3)
 	tr.Reset()
 	if len(tr.Events()) != 0 || tr.CounterValue(CtrRounds) != 0 ||
-		tr.CounterValue(CtrBagRetries) != 0 || tr.Dropped() != 0 {
+		tr.CounterValue(CtrLaneScans) != 0 || tr.Dropped() != 0 {
 		t.Fatal("Reset left state behind")
 	}
 }
@@ -130,7 +130,7 @@ func TestConcurrentRecording(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 500; i++ {
 				tr.Round("bfs", int64(i), int64(i))
-				tr.BagRetries(1)
+				tr.LaneScans(1)
 				tr.Loop(2, 4)
 			}
 		}()

@@ -11,7 +11,7 @@
 #   check.sh -short        formatting, fence, vet, build, and short-mode tests only
 #   PASGAL_SKIP_RACE=1     stop before the race tier (it dominates, ~30s)
 #   PASGAL_SKIP_VET=1      skip the pasgal-vet concurrency checker
-#   PASGAL_SKIP_FUZZ=1     skip the 30s fuzz smoke
+#   PASGAL_SKIP_FUZZ=1     skip the fuzz smoke (30s + 9 x 5s)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -239,11 +239,22 @@ fi
 if [ "${PASGAL_SKIP_FUZZ:-0}" = 1 ]; then
     echo '== fuzz smoke skipped (PASGAL_SKIP_FUZZ=1)'
 else
-    echo '== fuzz smoke (30s)'
+    echo '== fuzz smoke (FuzzMSBFS 30s, every other target 5s)'
     # Thirty seconds of FuzzMSBFS against the sequential oracle: enough to
     # churn through tens of thousands of random graph/batch inputs on top
-    # of the committed lane-boundary seed corpus.
-    go test -run '^$' -fuzz FuzzMSBFS -fuzztime 30s ./internal/msbfs
+    # of the committed lane-boundary seed corpus. Then five seconds of
+    # each other target, so no reader, codec or runtime fuzzer goes
+    # unexercised; -fuzz takes one target per run.
+    go test -run '^$' -fuzz '^FuzzMSBFS$' -fuzztime 30s ./internal/msbfs
+    go test -run '^$' -fuzz '^FuzzReadPZ$' -fuzztime 5s ./internal/gio
+    go test -run '^$' -fuzz '^FuzzReadBin$' -fuzztime 5s ./internal/gio
+    go test -run '^$' -fuzz '^FuzzReadAdj$' -fuzztime 5s ./internal/gio
+    go test -run '^$' -fuzz '^FuzzReadEdgeList$' -fuzztime 5s ./internal/gio
+    go test -run '^$' -fuzz '^FuzzReadDIMACS$' -fuzztime 5s ./internal/gio
+    go test -run '^$' -fuzz '^FuzzReadMTX$' -fuzztime 5s ./internal/gio
+    go test -run '^$' -fuzz '^FuzzNestedForDo$' -fuzztime 5s ./internal/parallel
+    go test -run '^$' -fuzz '^FuzzHashBag$' -fuzztime 5s ./internal/hashbag
+    go test -run '^$' -fuzz '^FuzzGzbRoundTrip$' -fuzztime 5s ./internal/gzb
 fi
 
 if [ "${PASGAL_SKIP_RACE:-0}" = 1 ]; then
